@@ -73,11 +73,8 @@ class SignatureTracker(BroadcastTracker):
             return True
         return round_ <= self._floor + self.max_round_lookahead
 
-    def add(self, round_: int, signature: Signature) -> bool:
-        """Record a received signature.  Returns True iff it was valid and new."""
-        if not self._within_window(round_):
-            return False
-        content = self.content_factory(round_)
+    def _record(self, round_: int, content: object, signature: Signature) -> bool:
+        """Verify ``signature`` on ``content`` and record it if it is new."""
         if not self.keystore.verify(signature, content):
             return False
         per_round = self._signatures.setdefault(round_, {})
@@ -86,6 +83,12 @@ class SignatureTracker(BroadcastTracker):
         per_round[signature.signer] = signature
         return True
 
+    def add(self, round_: int, signature: Signature) -> bool:
+        """Record a received signature.  Returns True iff it was valid and new."""
+        if not self._within_window(round_):
+            return False
+        return self._record(round_, self.content_factory(round_), signature)
+
     def add_own(self, round_: int, secret_key: SecretKey) -> Signature:
         """Sign round ``round_`` with ``secret_key`` and record the signature."""
         signature = sign(secret_key, self.content_factory(round_))
@@ -93,8 +96,15 @@ class SignatureTracker(BroadcastTracker):
         return signature
 
     def add_many(self, round_: int, signatures: Iterable[Signature]) -> int:
-        """Record a bundle of signatures; returns how many were valid and new."""
-        return sum(1 for s in signatures if self.add(round_, s))
+        """Record a bundle of signatures; returns how many were valid and new.
+
+        The round window is a property of the bundle, so it is checked once;
+        every signature of an in-window bundle is still verified.
+        """
+        if not self._within_window(round_):
+            return 0
+        content = self.content_factory(round_)
+        return sum(1 for s in signatures if self._record(round_, content, s))
 
     # -- queries --------------------------------------------------------------
 

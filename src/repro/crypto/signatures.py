@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -43,6 +44,14 @@ def _compute_digest(message: object) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+@functools.cache
+def _field_names(cls: type) -> Optional[tuple[str, ...]]:
+    """Field names if ``cls`` is a dataclass, else None (memoized per type)."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _cache_key(message: object):
     """A hashable key that distinguishes messages iff their canonical forms differ.
 
@@ -52,11 +61,9 @@ def _cache_key(message: object):
     Lists key like tuples because they share a canonical form.  Raises
     ``TypeError`` for leaves outside ``_canonicalize``'s supported domain.
     """
-    if dataclasses.is_dataclass(message) and not isinstance(message, type):
-        return (
-            type(message),
-            tuple(_cache_key(getattr(message, f.name)) for f in dataclasses.fields(message)),
-        )
+    names = _field_names(type(message))
+    if names is not None:
+        return (type(message), tuple(_cache_key(getattr(message, name)) for name in names))
     if isinstance(message, (list, tuple)):
         return (tuple, tuple(_cache_key(item) for item in message))
     if isinstance(message, float):

@@ -153,11 +153,17 @@ class Simulation:
         # A stop condition that triggered in an earlier run segment must not
         # leak into this one (it previously suppressed the advance to t_end).
         self._stopped = False
+        queue = self.queue
         while True:
-            next_time = self.queue.peek_time()
+            next_time = queue.peek_time()
             if next_time is None or next_time > t_end:
                 break
-            self.step()
+            if next_time < self._now:
+                raise RuntimeError("event queue returned an event in the past")
+            # step() inlined: peek_time just returned this event's time.
+            event = queue.pop()
+            self._now = next_time
+            event.action(*event.args)
             if self.stop_condition is not None and self.stop_condition(self):
                 self._stopped = True
                 break
@@ -245,7 +251,11 @@ class Simulation:
                         deadline = reached + grace
                 if deadline is not None and next_time > deadline:
                     break
-                self.step()
+                if next_time < self._now:
+                    raise RuntimeError("event queue returned an event in the past")
+                event = queue.pop()  # step() inlined, as in run_until
+                self._now = next_time
+                event.action(*event.args)
                 if grace == 0.0 and recorder.round_reached_at is not None:
                     # Halt on the completing event itself, exactly like the
                     # historical per-event poll would.

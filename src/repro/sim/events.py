@@ -5,6 +5,11 @@ The simulator is a classic discrete-event system: every future action is an
 fired at the same time are ordered by insertion sequence number, which makes
 runs fully deterministic for a given seed and scenario.
 
+The heap holds ``(time, seq, event)`` tuples.  ``seq`` is unique per queue,
+so a comparison is always decided by the ``(time, seq)`` prefix -- a C-level
+float/int compare -- and never reaches the event, its action or its
+arguments, which therefore need not be comparable.
+
 Cancellation is lazy: cancelling an event marks it and the queue skips it on
 pop.  This keeps the queue a plain binary heap and avoids O(n) removal.
 """
@@ -13,13 +18,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 
-@dataclass(order=True, slots=True)
+@dataclass(eq=False, slots=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled callback; the handle :meth:`EventQueue.cancel` takes.
 
     Attributes
     ----------
@@ -35,21 +40,21 @@ class Event:
         of allocating a fresh closure per event.
     cancelled:
         Lazily-set cancellation flag; cancelled events are skipped.
+    popped:
+        Set when the queue hands the event out; cancelling it afterwards is
+        a no-op (it already left the live count).
     """
 
     time: float
     seq: int
-    action: Callable[..., None] = field(compare=False)
-    args: tuple = field(default=(), compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    action: Callable[..., None]
+    args: tuple = ()
+    cancelled: bool = False
+    popped: bool = False
 
     def fire(self) -> None:
         """Execute the event's callback."""
         self.action(*self.args)
-
-    def cancel(self) -> None:
-        """Mark this event as cancelled; it will never fire."""
-        self.cancelled = True
 
 
 class EventQueue:
@@ -60,7 +65,7 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -74,36 +79,41 @@ class EventQueue:
         """Schedule ``action(*args)`` at absolute time ``time`` and return its event."""
         if time != time:  # NaN guard
             raise ValueError("event time must not be NaN")
-        event = Event(time=time, seq=next(self._counter), action=action, args=args)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, seq, action, args)
+        heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
     def cancel(self, event: Event) -> None:
-        """Cancel a previously pushed event (no-op if already cancelled)."""
-        if not event.cancelled:
+        """Cancel a previously pushed event (no-op if already cancelled or popped)."""
+        if not (event.cancelled or event.popped):
             event.cancelled = True
             self._live -= 1
 
     def pop(self) -> Optional[Event]:
         """Pop and return the next live event, or ``None`` if the queue is empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if event.cancelled:
                 continue
+            event.popped = True
             self._live -= 1
             return event
         return None
 
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the next live event without popping it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        if not heap:
             return None
-        return self._heap[0].time
+        return heap[0][0]
 
     def clear(self) -> None:
-        """Drop every pending event."""
+        """Drop every pending event (a later ``cancel`` of one is a no-op)."""
+        for entry in self._heap:
+            entry[2].popped = True
         self._heap.clear()
         self._live = 0

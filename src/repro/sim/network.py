@@ -21,9 +21,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
+from .recorder import Recorder
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from .engine import Simulation
-    from .recorder import Recorder
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,6 +45,10 @@ class Envelope:
 
 class DelayPolicy(ABC):
     """Strategy choosing the delay of each message within ``[tmin, tdel]``."""
+
+    #: True when :meth:`delay` returns a unit sample in ``[0, 1]`` that the
+    #: network scales into the window, instead of a delay that it clamps.
+    unit_sample = False
 
     @abstractmethod
     def delay(self, sender: int, dest: int, payload: object, time: float, rng: random.Random) -> float:
@@ -77,6 +82,8 @@ class MinDelay(DelayPolicy):
 class UniformDelay(DelayPolicy):
     """Delays drawn independently and uniformly from ``[tmin, tdel]``."""
 
+    unit_sample = True
+
     def delay(self, sender, dest, payload, time, rng):
         return rng.random()  # scaled into [tmin, tdel] by the network
 
@@ -97,7 +104,6 @@ class TargetedDelay(DelayPolicy):
     def delay(self, sender, dest, payload, time, rng):
         base = 0.0 if dest in self.fast_destinations else float("inf")
         if self.jitter > 0.0:
-            base = base if base == 0.0 else base
             return base + rng.uniform(0.0, self.jitter)
         return base
 
@@ -119,12 +125,6 @@ class NetworkStats:
     total_messages: int = 0
     messages_by_sender: dict[int, int] = field(default_factory=dict)
     messages_by_type: dict[str, int] = field(default_factory=dict)
-
-    def record(self, sender: int, payload: object) -> None:
-        self.total_messages += 1
-        self.messages_by_sender[sender] = self.messages_by_sender.get(sender, 0) + 1
-        kind = type(payload).__name__
-        self.messages_by_type[kind] = self.messages_by_type.get(kind, 0) + 1
 
 
 class Network:
@@ -155,7 +155,14 @@ class Network:
         self.rng = random.Random(seed)
         self.stats = NetworkStats()
         self.recorder = recorder
+        # The base Recorder.on_message is a no-op: call (once per message)
+        # only into recorders that override it.
+        self._records_messages = (
+            recorder is not None and type(recorder).on_message is not Recorder.on_message
+        )
         self._handlers: dict[int, Callable[[Envelope], None]] = {}
+        #: Sorted pids of ``_handlers``; None after a register/unregister.
+        self._participants: Optional[tuple[int, ...]] = None
         self._msg_ids = itertools.count()
         self._dropped_destinations: set[int] = set()
 
@@ -164,14 +171,21 @@ class Network:
     def register(self, pid: int, handler: Callable[[Envelope], None]) -> None:
         """Register the delivery callback for process ``pid``."""
         self._handlers[pid] = handler
+        self._participants = None
 
     def unregister(self, pid: int) -> None:
         """Remove a process from the network (e.g. after a crash)."""
         self._handlers.pop(pid, None)
+        self._participants = None
+
+    def _sorted_participants(self) -> tuple[int, ...]:
+        if self._participants is None:
+            self._participants = tuple(sorted(self._handlers))
+        return self._participants
 
     def participants(self) -> list[int]:
         """Process ids currently attached to the network."""
-        return sorted(self._handlers)
+        return list(self._sorted_participants())
 
     def drop_deliveries_to(self, pid: int) -> None:
         """Silently drop all future deliveries to ``pid`` (crash modelling)."""
@@ -180,11 +194,12 @@ class Network:
     # -- sending ------------------------------------------------------------
 
     def _choose_delay(self, sender: int, dest: int, payload: object) -> float:
-        raw = self.policy.delay(sender, dest, payload, self.sim.now, self.rng)
+        # ``policy`` is read per message: scenarios swap it after construction.
+        policy = self.policy
+        raw = policy.delay(sender, dest, payload, self.sim.now, self.rng)
         if raw != raw:  # NaN guard
             raise ValueError("delay policy returned NaN")
-        if isinstance(self.policy, UniformDelay):
-            # UniformDelay returns a unit sample; scale it into the window.
+        if policy.unit_sample:
             return self.tmin + raw * (self.tdel - self.tmin)
         return min(self.tdel, max(self.tmin, raw))
 
@@ -195,36 +210,39 @@ class Network:
         coordinate with the delay adversary); it is still clamped to the
         model's ``[tmin, tdel]`` window, so not even faulty processes can beat
         the minimum delay or exceed the delivery bound.
+
+        The hottest path of a run (one call per message): the stats counters
+        and the scheduling are written out here rather than called.
         """
+        sim = self.sim
+        now = sim.now
         if delay is None:
             chosen = self._choose_delay(sender, dest, payload)
         else:
             chosen = min(self.tdel, max(self.tmin, float(delay)))
-        send_time = self.sim.now
-        envelope = Envelope(
-            msg_id=next(self._msg_ids),
-            sender=sender,
-            dest=dest,
-            payload=payload,
-            send_time=send_time,
-            deliver_time=send_time + chosen,
-        )
-        self.stats.record(sender, payload)
-        if self.recorder is not None:
+        envelope = Envelope(next(self._msg_ids), sender, dest, payload, now, now + chosen)
+        stats = self.stats
+        stats.total_messages += 1
+        by_sender = stats.messages_by_sender
+        by_sender[sender] = by_sender.get(sender, 0) + 1
+        by_type = stats.messages_by_type
+        kind = type(payload).__name__
+        by_type[kind] = by_type.get(kind, 0) + 1
+        if self._records_messages:
             self.recorder.on_message(envelope)
-        # Bound method + args instead of a per-message closure: this is the
-        # hottest allocation site of a run (one event per message sent).
-        self.sim.schedule_at(envelope.deliver_time, self._deliver, envelope)
+        # deliver_time >= now (chosen >= tmin >= 0), so schedule_at's past
+        # clamp cannot apply.  Bound method + args instead of a per-message
+        # closure: one event per message sent.
+        sim.queue.push(envelope.deliver_time, self._deliver, envelope)
         return envelope
 
     def broadcast(self, sender: int, payload: object, include_self: bool = False) -> list[Envelope]:
         """Send ``payload`` to every registered process (excluding the sender by default)."""
-        envelopes = []
-        for pid in self.participants():
-            if pid == sender and not include_self:
-                continue
-            envelopes.append(self.send(sender, pid, payload))
-        return envelopes
+        return [
+            self.send(sender, pid, payload)
+            for pid in self._sorted_participants()
+            if include_self or pid != sender
+        ]
 
     def multicast(self, sender: int, destinations: Iterable[int], payload: object) -> list[Envelope]:
         """Send ``payload`` to an explicit set of destinations (two-faced sends)."""

@@ -212,7 +212,7 @@ class Process:
         if self._halted or timer.cancelled:
             return
         timer.fired = True
-        self._timers = [t for t in self._timers if t is not timer]
+        self._timers.remove(timer)
         self.on_timer(timer.key)
 
     def _handle_envelope(self, envelope: Envelope) -> None:

@@ -87,6 +87,43 @@ def test_step_returns_false_on_empty_queue():
     assert sim.step() is False
 
 
+@pytest.mark.parametrize(
+    "advance",
+    [
+        lambda sim: sim.step(),
+        lambda sim: sim.run_until(2.0),
+        lambda sim: sim.run_until_round(1, t_max=2.0, adaptive=True),
+    ],
+    ids=["step", "run_until", "run_until_round"],
+)
+def test_event_below_now_is_refused_on_every_loop(advance):
+    sim = make_sim()
+    sim.run_until(1.0)
+    sim.queue.push(0.5, lambda: None)  # behind schedule_at's back
+    with pytest.raises(RuntimeError, match="in the past"):
+        advance(sim)
+
+
+def test_run_until_and_step_fire_the_same_sequence():
+    def drive(advance):
+        sim = make_sim()
+        fired = []
+        for i, t in enumerate([0.3, 0.1, 0.3, 0.2, 0.1]):
+            sim.schedule_at(t, lambda i=i: fired.append((sim.now, i)))
+        cancelled = sim.schedule_at(0.2, lambda: fired.append("cancelled"))
+        sim.cancel(cancelled)
+        advance(sim)
+        return fired
+
+    def by_step(sim):
+        while sim.step():
+            pass
+
+    expected = [(0.1, 1), (0.1, 4), (0.2, 3), (0.3, 0), (0.3, 2)]
+    assert drive(by_step) == expected
+    assert drive(lambda sim: sim.run_until(1.0)) == expected
+
+
 def test_duplicate_process_id_rejected():
     sim = make_sim()
     sim.add_process(Recorder(0), FixedRateClock())

@@ -59,11 +59,32 @@ def test_cancel_is_idempotent():
     assert queue.pop() is None
 
 
-def test_event_cancel_method_marks_cancelled():
+def test_cancel_after_pop_is_a_noop():
     queue = EventQueue()
-    event = queue.push(1.0, lambda: None)
-    event.cancel()
-    assert queue.pop() is None
+    first = queue.push(1.0, lambda: None)
+    queue.push(2.0, lambda: None)
+    assert queue.pop() is first
+    queue.cancel(first)  # already fired: must not eat the live event's count
+    assert len(queue) == 1
+    assert queue
+    assert queue.peek_time() == 2.0
+    assert queue.pop().time == 2.0
+    assert len(queue) == 0
+    assert not first.cancelled
+
+
+def test_cancel_after_clear_is_a_noop():
+    queue = EventQueue()
+    dropped = queue.push(1.0, lambda: None)
+    queue.clear()
+    queue.push(2.0, lambda: None)
+    queue.cancel(dropped)
+    assert len(queue) == 1
+
+
+def test_queue_is_the_only_cancellation_path():
+    # Event.cancel() used to flip the flag behind the live count's back.
+    assert not hasattr(Event, "cancel")
 
 
 def test_peek_time_skips_cancelled():
@@ -106,10 +127,29 @@ def test_bool_reflects_liveness():
     assert not queue
 
 
-def test_event_ordering_ignores_action():
-    early = Event(time=1.0, seq=0, action=lambda: None)
-    late = Event(time=2.0, seq=1, action=lambda: None)
-    assert early < late
+def test_equal_time_events_pop_in_push_order_across_other_times():
+    queue = EventQueue()
+    pushed = []
+    for i in range(20):
+        # Equal-time pushes interleaved with earlier and later ones.
+        queue.push(0.5, lambda: None)
+        pushed.append(queue.push(1.0, lambda: None, i))
+        queue.push(1.5, lambda: None)
+    tied = [event for event in iter(queue.pop, None) if event.time == 1.0]
+    assert tied == pushed
+    assert [event.args for event in tied] == [(i,) for i in range(20)]
+
+
+def test_incomparable_actions_and_args_at_equal_time_never_compared():
+    # Ordering is decided by (time, seq) alone; lambdas and dicts have no "<".
+    queue = EventQueue()
+    payloads = [{"k": i} for i in range(50)]
+    for payload in payloads:
+        queue.push(1.0, lambda p: None, payload)
+        queue.push(1.0, print, {"other": payload}, object())
+    popped = [queue.pop() for _ in range(100)]
+    assert [event.args[0] for event in popped[::2]] == payloads
+    assert queue.pop() is None
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=100))
@@ -138,3 +178,38 @@ def test_cancelling_random_subset_preserves_order(times, data):
     while queue:
         popped.append(queue.pop().time)
     assert popped == expected
+
+
+@given(
+    st.lists(
+        st.one_of(
+            # Few distinct times, so ties (decided by push order) are common.
+            st.tuples(st.just("push"), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+            st.tuples(st.just("pop"), st.none()),
+            st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=200)),
+        ),
+        max_size=200,
+    )
+)
+def test_interleaved_push_pop_cancel_matches_sorted_model(ops):
+    """Pops come out in (time, push order) whatever pops and cancels interleave."""
+    queue = EventQueue()
+    handles = []  # every event ever pushed, in push order (index == seq)
+    live = set()  # indices still pending in the model
+    for op, arg in ops:
+        if op == "push":
+            live.add(len(handles))
+            handles.append(queue.push(arg, lambda: None))
+        elif op == "cancel":
+            if handles:
+                index = arg % len(handles)
+                queue.cancel(handles[index])  # may already be popped or cancelled
+                live.discard(index)
+        else:
+            expected = min(live, key=lambda i: (handles[i].time, i), default=None)
+            event = queue.pop()
+            assert event is (None if expected is None else handles[expected])
+            live.discard(expected)
+        assert len(queue) == len(live)
+        assert bool(queue) == bool(live)
+        assert queue.peek_time() == min((handles[i].time for i in live), default=None)

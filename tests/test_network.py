@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 
 import pytest
 
@@ -165,6 +166,33 @@ def test_delay_policy_nan_rejected():
     sim, _ = make_net(FunctionDelay(lambda s, d, p, t, rng: float("nan")))
     with pytest.raises(ValueError):
         sim.network.send(0, 1, "x")
+
+
+def test_policy_reassigned_after_construction_is_honoured_by_next_send():
+    sim, _ = make_net(UniformDelay(), tmin=0.002, tdel=0.01, seed=5)
+    network = sim.network
+    mirror = random.Random(5 + 1)  # the network's own stream
+    assert network.send(0, 1, "x").deliver_time == 0.002 + mirror.random() * (0.01 - 0.002)
+    network.policy = TargetedDelay(fast_destinations=[1])  # clamped, not scaled
+    assert network.send(0, 1, "x").deliver_time == 0.002
+    assert network.send(0, 2, "x").deliver_time == 0.01
+    network.policy = UniformDelay()  # and back: scaled again, the stream continues
+    assert network.send(0, 1, "x").deliver_time == 0.002 + mirror.random() * (0.01 - 0.002)
+    network.policy = FunctionDelay(lambda s, d, p, t, rng: float("nan"))
+    with pytest.raises(ValueError):
+        network.send(0, 1, "x")
+
+
+def test_broadcast_after_unregister_skips_removed_pid():
+    sim, sinks = make_net(FixedDelay(0.001))
+    assert [env.dest for env in sim.network.broadcast(0, "a")] == [1, 2]
+    sim.network.unregister(1)
+    assert [env.dest for env in sim.network.broadcast(0, "b")] == [2]
+    assert sim.network.participants() == [0, 2]
+    sim.network.register(1, sinks[1])
+    assert [env.dest for env in sim.network.broadcast(0, "c")] == [1, 2]
+    sim.run_until(1.0)
+    assert [payload for _, _, payload in sinks[1].received] == ["a", "c"]
 
 
 def test_uniform_delay_deterministic_per_seed():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.broadcast.authenticated import SignatureTracker
 from repro.core.messages import RoundContent
-from repro.crypto.signatures import KeyStore, forge_attempt, sign
+from repro.crypto.signatures import KeyStore, digest_cache_info, forge_attempt, sign
 
 
 def make_tracker(n=5, threshold=3, seed=0, **kwargs):
@@ -75,6 +75,33 @@ def test_add_many_counts_only_new_valid():
     bad = forge_attempt(4, RoundContent(1))
     assert tracker.add_many(1, sigs + [bad] + sigs) == 3
     assert tracker.reached(1)
+
+
+def test_add_many_out_of_window_bundle_touches_no_signature():
+    pki, tracker = make_tracker(threshold=3, max_round_lookahead=10)
+    tracker.set_floor(5)
+    # Never-digested contents: looking at either bundle would show as a digest miss.
+    stale = [sign(pki.secret_key(i), RoundContent(4)) for i in range(3)]
+    beyond = [sign(pki.secret_key(i), RoundContent(16)) for i in range(3)]
+    verified = []
+    pki.verify = lambda *args, **kwargs: verified.append(args) or True
+    before = digest_cache_info()
+    assert tracker.add_many(4, stale) == 0
+    assert tracker.add_many(16, beyond) == 0
+    assert digest_cache_info() == before
+    assert verified == []
+    assert tracker.rounds_with_support() == []
+
+
+def test_add_many_in_window_bundle_still_verifies_every_signature():
+    pki, tracker = make_tracker(threshold=3)
+    valid = [sign(pki.secret_key(i), RoundContent(1)) for i in range(2)]
+    forged = forge_attempt(2, RoundContent(1), guess=7)
+    wrong_round = sign(pki.secret_key(3), RoundContent(2))  # real key, other statement
+    assert tracker.add_many(1, [forged, valid[0], wrong_round, valid[1]]) == 2
+    assert [s.signer for s in tracker.signatures(1)] == [0, 1]
+    assert not tracker.reached(1)
+    assert tracker.support(2) == 0
 
 
 def test_acceptance_proof_has_exactly_threshold_signatures():
