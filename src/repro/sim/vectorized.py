@@ -65,8 +65,9 @@ exactly the failed lanes on the event loop.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from random import Random
 from typing import Optional
 
@@ -301,6 +302,12 @@ class _Layout:
                     M[s, col] = True
         self.D = D
         self.M = M
+        # Lets the exact walk find a batch's deliveries landing on an instant
+        # per distinct delay value instead of per destination.
+        self.delay_classes = {
+            pid: _delay_classes(self.dests[pid], self.delays[pid], self.actor_col)
+            for pid in sender_order
+        }
 
     def _pair_delay(self, role: str, dest: int) -> float:
         # Exactly Network.send's clamp min(tdel, max(tmin, raw)) for each
@@ -317,6 +324,35 @@ class _Layout:
             raw = 0.0 if dest in self.fast_set else float("inf")
             return min(self.tdel, max(self.tmin, raw))
         raise LaneFallback(f"delay_mode {self.delay_mode!r} is not deterministic")
+
+
+def _delay_classes(dests, delays, actor_col) -> tuple:
+    """Group one sender's actor destinations by delay value.
+
+    Returns ``((delay, ((position, dest), ...)), ...)``: every destination
+    in ``actor_col`` appears in exactly one class, each class in send
+    order.  Deterministic delay policies give a sender one or two classes.
+    """
+    classes: dict = {}
+    for p, d in enumerate(dests):
+        if d in actor_col:
+            classes.setdefault(delays[p], []).append((p, d))
+    return tuple((delay, tuple(pairs)) for delay, pairs in classes.items())
+
+
+def _arrivals(classes, batch, tau) -> list:
+    """The ``(batch, dest)`` deliveries of ``batch`` landing exactly on ``tau``.
+
+    ``classes`` is the sender's :func:`_delay_classes` table.  Two distinct
+    delay values can round onto the same instant; their classes are then
+    merged by send position, so the order is the per-destination scan's.
+    """
+    time = batch.time
+    hits = [pairs for delay, pairs in classes if time + delay == tau]
+    if not hits:
+        return []
+    pairs = hits[0] if len(hits) == 1 else sorted(p for h in hits for p in h)
+    return [(batch, d) for _, d in pairs]
 
 
 def _honest_drifting_clocks(layout: _Layout, scenario) -> list:
@@ -776,18 +812,19 @@ class _LaneAssembly:
         # order; batches created during the instant append their zero-delay
         # arrivals at the tail, which is exactly where their event-queue
         # sequence numbers put them.
+        delay_classes = layout.delay_classes
         deliveries = []
-        for b in sorted(self.batches, key=lambda b: (b.time, b.seq)):
-            if not b.time < tau:
-                continue
-            for p, d in enumerate(b.dests):
-                if b.time + b.delays[p] == tau and d in layout.actor_col:
-                    deliveries.append((b, d))
+        # Every clamped delay is <= tdel and float addition is monotone, so
+        # only batches sent within tdel of the instant can land on it.
+        tdel = layout.tdel
+        recent = [b for b in self.batches if b.time < tau <= b.time + tdel]
+        for b in sorted(recent, key=lambda b: (b.time, b.seq)):
+            deliveries += _arrivals(delay_classes[b.sender], b, tau)
 
         def spawn(batch):
-            for p, d in enumerate(batch.dests):
-                if batch.delays[p] == 0.0 and d in layout.actor_col:
-                    deliveries.append((batch, d))
+            for delay, pairs in delay_classes[batch.sender]:
+                if delay == 0.0:
+                    deliveries.extend([(batch, d) for _, d in pairs])
 
         def accept_in_walk(j):
             if not (rd.valid[j] and rd.Acc[j] == tau):
@@ -981,9 +1018,12 @@ class _ExactReplay:
     stream replayed draw for draw.  Deliveries that are provably no-ops on
     the event loop (payload kinds the receiving algorithm ignores, forged
     signatures that fail verification, deliveries to non-protocol faulty
-    processes) are never pushed -- popping a no-op has no side effects and
-    skipping pushes preserves the relative ``seq`` order of everything
-    else, so the execution is unchanged.  The per-message constants the
+    or already halted processes, and rounds already below the
+    destination's tracker floor when sent -- ``floor`` is monotone, so they
+    are still below the window on arrival) are never pushed -- popping a
+    no-op has no side effects and ``seq`` still advances once per message,
+    so every surviving event keeps its exact ``(time, seq)`` key and the
+    execution is unchanged.  The per-message constants the
     event loop pays (envelope/event allocation, handler dispatch,
     signature verification, per-message recorder and stats calls) are
     replaced by set operations and batch-level accounting.
@@ -1038,7 +1078,8 @@ class _ExactReplay:
         self.floor = [0] * self.n
         self.broadcasted = [set() for _ in range(self.n)]
         if self.is_echo:
-            # round -> [init_senders, echo_senders, echoed, accept_reported]
+            # round -> [echoed, accept_reported, init_senders, echo_senders];
+            # a delivery's kind code indexes its sender set.
             self.est = [dict() for _ in range(self.n)]
         else:
             # round -> set of signer ids holding a valid signature
@@ -1058,6 +1099,9 @@ class _ExactReplay:
         self.heap: list = []
         self.seq = self.n  # boot events consumed seqs 0 .. n-1
         self.now = 0.0
+        #: ``kernel.replay`` span telemetry: heap events popped, stale pushes skipped.
+        self.events = 0
+        self.pruned = 0
         self.batches: list = []
         self.emissions: list = []
         self.batch_seq = 0
@@ -1066,9 +1110,6 @@ class _ExactReplay:
         self.done = False
 
     # -- scheduling mirrors ---------------------------------------------------
-
-    def _push(self, item) -> None:
-        heapq.heappush(self.heap, item)
 
     def _arm_timer(self, pid: int, k: int) -> None:
         # ClockSyncProcess.schedule_round -> set_logical_timer ->
@@ -1081,7 +1122,7 @@ class _ExactReplay:
             real = 0.0 if hw <= offs else (hw - offs) / self.rate[pid]
         if real < self.now:
             real = self.now
-        self._push((real, self.seq, _EV_TIMER, pid, k))
+        heappush(self.heap, (real, self.seq, _EV_TIMER, pid, k))
         self.seq += 1
 
     def _broadcast(self, sender: int, kind: str, round_: int, deliver: bool,
@@ -1141,77 +1182,99 @@ class _ExactReplay:
         if delays is None:
             # Network._choose_delay under UniformDelay: one unit draw per
             # message in destination order, scaled into [tmin, tdel].
-            rng = self.net_rng
+            draw = self.net_rng.random
             width = self.tdel - self.tmin
             tmin = self.tmin
-            delays = tuple(tmin + rng.random() * width for _ in dests)
+            delays = [tmin + draw() * width for _ in dests]
         now = self.now
         self.batches.append(
             _Batch(now, sender, kind, round_, dests, delays, self.batch_seq)
         )
         self.batch_seq += 1
         if not deliver:
+            self.seq += len(dests)
             return
+        heap = self.heap
         actor_set = self.actor_set
         halted = self.halted
+        floor = self.floor
         kind_code = _KIND_CODES[kind]
-        for p, d in enumerate(dests):
+        seq = self.seq
+        pruned = 0
+        for d, delay in zip(dests, delays):
             if d in actor_set and d not in halted:
-                self._push((
-                    now + delays[p], self.seq, _EV_DELIVER,
-                    d, kind_code, sender, round_, payload,
-                ))
-            self.seq += 1
+                if round_ < floor[d]:
+                    pruned += 1
+                else:
+                    heappush(heap, (
+                        now + delay, seq, _EV_DELIVER,
+                        d, kind_code, sender, round_, payload,
+                    ))
+            seq += 1
+        self.seq = seq
+        self.pruned += pruned
 
     # -- protocol mirrors -----------------------------------------------------
 
-    def _auth_add(self, pid: int, round_: int, signer: int) -> bool:
-        # SignatureTracker.add for a *valid* signature: window check, then
-        # per-round signer dedup (forged signatures never reach this).
+    def _auth_add(self, pid: int, round_: int, signer: int) -> None:
+        # SignatureTracker.add_own: window check, then record the signer.
+        fl = self.floor[pid]
+        if fl <= round_ <= fl + TRACKER_LOOKAHEAD:
+            self.sigs[pid].setdefault(round_, set()).add(signer)
+
+    def _auth_record(self, pid: int, kind_code: int, sender: int, round_: int,
+                     proof) -> None:
+        # AuthSyncProcess.on_message: SignatureTracker.add / add_many for
+        # *valid* signatures (forged ones never reach this) -- one window
+        # check per delivery, then the signer set -- followed by try_accept.
         fl = self.floor[pid]
         if round_ < fl or round_ > fl + TRACKER_LOOKAHEAD:
-            return False
-        per_round = self.sigs[pid].setdefault(round_, set())
-        if signer in per_round:
-            return False
-        per_round.add(signer)
-        return True
-
-    def _echo_state(self, pid: int, round_):
-        fl = self.floor[pid]
-        if round_ < fl or round_ > fl + TRACKER_LOOKAHEAD:
-            return None
-        return self.est[pid].setdefault(round_, [set(), set(), False, False])
-
-    def _echo_eval(self, state):
-        # EchoTracker._evaluate: f+1 inits or echoes -> echo (once);
-        # 2f+1 echoes -> accept (reported once).
-        send_echo = not state[2] and (
-            len(state[0]) >= self.echo_threshold
-            or len(state[1]) >= self.echo_threshold
-        )
-        accept = False
-        if not state[3] and len(state[1]) >= self.accept_threshold:
-            accept = True
-            state[3] = True
-        return send_echo, accept
-
-    def _echo_apply(self, pid: int, round_: int, actions) -> None:
-        send_echo, accept = actions
-        if send_echo:
-            self._echo_send(pid, round_)
-        if accept:
+            return
+        sigs = self.sigs[pid]
+        signers = sigs.get(round_)
+        if signers is None:
+            signers = sigs[round_] = set()
+        if kind_code == _KIND_SIG:
+            signers.add(sender)
+        else:  # bundle: the whole proof in one update
+            signers.update(proof)
+        # Every earlier mutation ran try_accept to a fixpoint, so only the
+        # touched round can be newly reached -- and only matters at >= cur.
+        if len(signers) >= self.echo_threshold and round_ >= self.cur[pid]:
             self._try_accept(pid)
 
-    def _echo_send(self, pid: int, round_: int) -> None:
-        # EchoSyncProcess._send_echo: broadcast first, then count own echo.
-        state = self.est[pid].get(round_)
-        if state is None or state[2]:
+    def _echo_record(self, pid: int, slot: int, sender: int, round_: int) -> None:
+        # EchoTracker.record_init / record_echo (``slot`` is the kind code)
+        # followed by EchoSyncProcess._apply_actions.
+        fl = self.floor[pid]
+        if round_ < fl or round_ > fl + TRACKER_LOOKAHEAD:
             return
+        rounds = self.est[pid]
+        state = rounds.get(round_)
+        if state is None:
+            state = rounds[round_] = [False, False, set(), set()]
+        state[slot].add(sender)
+        # EchoTracker._evaluate: f+1 inits or echoes -> echo (once);
+        # 2f+1 echoes -> accept (reported once).
+        echoes = len(state[3])
+        accept = not state[1] and echoes >= self.accept_threshold
+        if accept:
+            state[1] = True
+        if not state[0] and (
+            echoes >= self.echo_threshold
+            or len(state[2]) >= self.echo_threshold
+        ):
+            self._echo_send(pid, round_, state)
+        # As in _auth_record: only the touched round can be newly reached.
+        if accept and round_ >= self.cur[pid]:
+            self._try_accept(pid)
+
+    def _echo_send(self, pid: int, round_: int, state) -> None:
+        # EchoSyncProcess._send_echo: broadcast first, then count own echo
+        # (EchoTracker.note_own_echo marks the round echoed and records it).
         self._broadcast(pid, _ECHO, round_, deliver=True)
-        state[2] = True
-        state[1].add(pid)
-        self._echo_apply(pid, round_, self._echo_eval(state))
+        state[0] = True
+        self._echo_record(pid, _KIND_ECHO, pid, round_)
 
     def _announce(self, pid: int, k: int) -> None:
         if k in self.broadcasted[pid]:
@@ -1220,10 +1283,7 @@ class _ExactReplay:
         if self.is_echo:
             # EchoSyncProcess.announce_round: broadcast init, then count own.
             self._broadcast(pid, _INIT, k, deliver=True)
-            state = self._echo_state(pid, k)
-            if state is not None:
-                state[0].add(pid)
-                self._echo_apply(pid, k, self._echo_eval(state))
+            self._echo_record(pid, _KIND_INIT, pid, k)
         else:
             # AuthSyncProcess.announce_round: record own signature, then
             # broadcast it, then check the threshold.
@@ -1239,7 +1299,7 @@ class _ExactReplay:
             if self.is_echo:
                 reached = [
                     r for r, st in rounds.items()
-                    if r >= cur and len(st[1]) >= self.accept_threshold
+                    if r >= cur and len(st[3]) >= self.accept_threshold
                 ]
             else:
                 reached = [
@@ -1301,7 +1361,7 @@ class _ExactReplay:
         rng.getrandbits(16)                    # garbage blob
         self._emit(pid, _GARBAGE, None, deliver=False)
         self._emit(pid, _INIT, round_, deliver=self.is_echo)
-        self._push((self.now + FLOOD_INTERVAL, self.seq, _EV_FLOOD, pid))
+        heappush(self.heap, (self.now + FLOOD_INTERVAL, self.seq, _EV_FLOOD, pid))
         self.seq += 1
 
     # -- driving --------------------------------------------------------------
@@ -1313,20 +1373,21 @@ class _ExactReplay:
         layout = self.layout
         roles = layout.roles
         crash_time = layout.crash_time
+        heap = self.heap
         for pid in range(self.n):
             role = roles.get(pid, "honest")
             if pid in self.actor_set:
                 self._arm_timer(pid, 1)
                 if role == "crash":
-                    self._push((crash_time, self.seq, _EV_HALT, pid))
+                    heappush(heap, (crash_time, self.seq, _EV_HALT, pid))
                     self.seq += 1
             elif role == "eager":
                 for k in range(1, EAGER_MAX_ROUND + 1):
                     te = max(0.0, EAGER_FACTOR * k * self.P)
-                    self._push((te, self.seq, _EV_EAGER, pid, k))
+                    heappush(heap, (te, self.seq, _EV_EAGER, pid, k))
                     self.seq += 1
             elif role == "flood":
-                self._push((0.0 + FLOOD_INTERVAL, self.seq, _EV_FLOOD, pid))
+                heappush(heap, (0.0 + FLOOD_INTERVAL, self.seq, _EV_FLOOD, pid))
                 self.seq += 1
             # silent faulty processes schedule nothing
 
@@ -1338,13 +1399,14 @@ class _ExactReplay:
         horizon = self.scenario.horizon()
         heap = self.heap
         halted = self.halted
+        is_echo = self.is_echo
         self._boot()
-        while True:
+        for events in itertools.count(1):
             if not heap:
                 raise LaneFallback(
                     "event queue drained before the target round completed"
                 )
-            ev = heapq.heappop(heap)
+            ev = heappop(heap)
             t = ev[0]
             if t > horizon:
                 raise LaneFallback("run exceeds the static horizon")
@@ -1353,7 +1415,10 @@ class _ExactReplay:
             if code == _EV_DELIVER:
                 dest = ev[3]
                 if dest not in halted:
-                    self._deliver(dest, ev[4], ev[5], ev[6], ev[7])
+                    if is_echo:
+                        self._echo_record(dest, ev[4], ev[5], ev[6])
+                    else:
+                        self._auth_record(dest, ev[4], ev[5], ev[6], ev[7])
             elif code == _EV_TIMER:
                 pid = ev[3]
                 if pid not in halted and self.cur[pid] == ev[4]:
@@ -1361,7 +1426,7 @@ class _ExactReplay:
             elif code == _EV_EAGER:
                 pid = ev[3]
                 if pid not in halted:
-                    if self.is_echo:
+                    if is_echo:
                         # EagerEchoer._push_round: init then echo.
                         self._emit(pid, _INIT, ev[4], deliver=True)
                         self._emit(pid, _ECHO, ev[4], deliver=True)
@@ -1374,35 +1439,12 @@ class _ExactReplay:
             else:  # _EV_HALT
                 halted.add(ev[3])
             if self.done:
+                self.events = events
                 return _finalize_lane(
                     self.layout, self.lane_offsets, self.batches,
                     self.emissions, self.now, self.mergeable,
                     self.sample_messages, clocks=self.clocks,
                 )
-
-    def _deliver(self, dest: int, kind_code: int, sender: int, round_,
-                 payload) -> None:
-        if self.is_echo:
-            if kind_code == _KIND_INIT:
-                state = self._echo_state(dest, round_)
-                if state is not None:
-                    state[0].add(sender)
-                    self._echo_apply(dest, round_, self._echo_eval(state))
-            else:  # echo
-                state = self._echo_state(dest, round_)
-                if state is not None:
-                    state[1].add(sender)
-                    self._echo_apply(dest, round_, self._echo_eval(state))
-        elif kind_code == _KIND_SIG:
-            if self._auth_add(dest, round_, sender):
-                self._try_accept(dest)
-        else:  # bundle: add every new signer, then check the threshold once
-            added = 0
-            for signer in payload:
-                if self._auth_add(dest, round_, signer):
-                    added += 1
-            if added:
-                self._try_accept(dest)
 
 
 _KIND_SIG = 0
@@ -1464,9 +1506,12 @@ def run_lanes(scenarios, *, mergeable: bool = False,
                 try:
                     with obs.span("kernel.replay") as sp:
                         sp.set("lane", i)
-                        outcomes[i] = _ExactReplay(
+                        replay = _ExactReplay(
                             layout, group[pos], mergeable, sample_messages
-                        ).run()
+                        )
+                        outcomes[i] = replay.run()
+                        sp.set("events", replay.events)
+                        sp.set("pruned", replay.pruned)
                 except LaneFallback as fb:
                     outcomes[i] = LaneOutcome(fallback=fb.reason)
                 except Exception as exc:  # pragma: no cover - defensive
