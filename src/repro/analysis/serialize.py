@@ -11,6 +11,7 @@ adjustment/resynchronization history are.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from pathlib import Path
@@ -21,9 +22,23 @@ from ..sim.trace import ProcessTrace, Trace
 from .optimality import GuaranteeReport
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def _fields_to_dict(instance) -> dict[str, Any]:
+    """``dataclasses.asdict`` without its deep-copying walk, for scalar-valued fields.
+
+    Same dictionary, key order included (``tests/test_cache_fastpath.py`` keeps
+    ``asdict`` as the oracle); the result cache builds one per lookup.
+    """
+    return {name: getattr(instance, name) for name in _field_names(type(instance))}
+
+
 def params_to_dict(params: SyncParams) -> dict[str, Any]:
     """Serialize model parameters (including the resolved alpha)."""
-    data = dataclasses.asdict(params)
+    data = _fields_to_dict(params)
     data["alpha_value"] = params.alpha_value
     return data
 
@@ -89,7 +104,7 @@ def trace_to_dict(trace: Trace) -> dict[str, Any]:
 
 def scenario_to_dict(scenario) -> dict[str, Any]:
     """Serialize a scenario description (its parameters become a nested dict)."""
-    data = dataclasses.asdict(scenario)
+    data = _fields_to_dict(scenario)
     data["params"] = params_to_dict(scenario.params)
     return data
 

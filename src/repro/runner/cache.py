@@ -18,6 +18,7 @@ regeneration possible.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -63,7 +64,33 @@ from ..workloads.scenarios import Scenario, ScenarioResult, resolve_adaptive, re
 #: strategies, drifting (``random``-mode) clocks and ``min`` delays --
 #: changing which runs ``"auto"`` resolves to the vector engine (results
 #: stay float-identical; only provenance and notes depend on the engine).
-SCHEMA_VERSION = 8
+#: 9: entries are framed ``magic + blake2b-16(payload) + payload`` and verified
+#: before unpickling, so a damaged file is a miss, never a different number.
+SCHEMA_VERSION = 9
+
+#: Entry frame: ``_MAGIC``, the 16-byte BLAKE2b digest of the pickle, the
+#: pickle.  Pickle decodes many damaged streams into plausible objects, so the
+#: digest is checked first and a damaged stream is never unpickled.
+_MAGIC = b"repro-result-v9\n"
+_DIGEST_SIZE = 16
+_HEADER_SIZE = len(_MAGIC) + _DIGEST_SIZE
+
+
+def _digest(payload) -> bytes:
+    return hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest()
+
+
+def _unframe(entry: memoryview) -> Optional[ScenarioResult]:
+    """The result an entry frame holds, or None when the entry is damaged, stale or foreign."""
+    payload = entry[_HEADER_SIZE:]
+    if entry[: len(_MAGIC)] != _MAGIC or entry[len(_MAGIC) : _HEADER_SIZE] != _digest(payload):
+        return None
+    try:
+        result = pickle.loads(payload)
+    except Exception:  # verified bytes, so a stale class layout: pickle documents no closed list
+        return None
+    return result if isinstance(result, ScenarioResult) else None
+
 
 #: Source files that cannot influence a simulation result and are therefore
 #: excluded from the code-version salt (editing them must not invalidate the
@@ -75,6 +102,9 @@ _SALT_EXCLUDED_PARTS = ("runner", "experiments", "obs")
 _SALT_EXCLUDED_FILES = ("cli.py", "__main__.py", "worker.py")
 
 _code_salt: Optional[str] = None
+
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, the encoder built once.
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def code_salt() -> str:
@@ -142,8 +172,7 @@ def cache_key(
         "trace_level": trace_level,
         "salt": salt if salt is not None else code_salt(),
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
 
 def default_cache_dir() -> Path:
@@ -177,8 +206,8 @@ class ResultCache:
 
     Entries are sharded into 256 subdirectories by key prefix and written
     atomically (temp file + rename), so concurrent sweep runs can share a
-    cache directory safely.  Unreadable or corrupt entries count as misses
-    and are deleted.
+    cache directory safely.  A damaged, stale or foreign entry is deleted and
+    counts as a miss: it is recomputed, never served and never raised.
     """
 
     def __init__(self, directory: Union[str, Path, None] = None) -> None:
@@ -188,8 +217,10 @@ class ResultCache:
     def __repr__(self) -> str:
         return f"ResultCache({str(self.directory)!r})"
 
-    def _path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.pkl"
+    def _path(self, key: str) -> str:
+        # A string, not two ``Path`` objects per lookup; ``directory`` is read on
+        # every call, so re-assigning it re-points the cache.
+        return os.path.join(self.directory, key[:2], key + ".pkl")
 
     def _count(self, what: str, key: str) -> None:
         """Bump a :class:`CacheStats` field and mirror it into telemetry.
@@ -207,15 +238,18 @@ class ResultCache:
         """Return the cached result for ``key``, or None on a miss."""
         path = self._path(key)
         try:
-            with path.open("rb") as handle:
-                result = pickle.load(handle)
+            with open(path, "rb", buffering=0) as handle:  # one whole-file read needs no buffer
+                result = _unframe(memoryview(handle.read()))
         except FileNotFoundError:
             self._count("misses", key)
             return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError):
-            # A corrupt or stale entry (e.g. interrupted write, renamed class):
+        except OSError:
+            result = None
+        if result is None:
+            # Unreadable or damaged (torn write, bit rot, foreign content):
             # drop it and recompute.
-            path.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):
+                os.unlink(path)
             self._count("misses", key)
             return None
         self._count("hits", key)
@@ -226,27 +260,31 @@ class ResultCache:
 
         Best-effort: an unwritable or full cache directory must not kill the
         sweep that produced the result, so storage errors are swallowed (the
-        entry simply is not cached).
+        entry simply is not cached).  Whatever interrupts the write, the temp
+        file does not outlive it.
         """
         path = self._path(key)
+        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         tmp_name = None
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            parent = os.path.dirname(path)
+            os.makedirs(parent, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=parent, suffix=".tmp")
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(_MAGIC + _digest(payload))
+                handle.write(payload)
             os.replace(tmp_name, path)
+            tmp_name = None  # renamed into place: nothing left to clean up
         except OSError:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
             return
+        finally:
+            if tmp_name is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp_name)
         self._count("stores", key)
 
     def __contains__(self, key: str) -> bool:
-        return self._path(key).exists()
+        return os.path.exists(self._path(key))
 
     def __len__(self) -> int:
         if not self.directory.exists():
@@ -254,10 +292,12 @@ class ResultCache:
         return sum(1 for _ in self.directory.glob("*/*.pkl"))
 
     def clear(self) -> int:
-        """Delete every entry; return how many were removed."""
+        """Delete every entry and every orphaned temp file; return how many entries were removed."""
         removed = 0
         if self.directory.exists():
             for path in self.directory.glob("*/*.pkl"):
                 path.unlink(missing_ok=True)
                 removed += 1
+            for path in self.directory.glob("*/*.tmp"):
+                path.unlink(missing_ok=True)
         return removed

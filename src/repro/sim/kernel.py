@@ -28,7 +28,7 @@ Contract
   refuses (lane by lane) whenever an execution leaves the regime where that
   derivation is proven -- again with an ``on_note`` naming the reason.
 
-The result cache keys on the resolved kernel (cache schema v8), so switching
+The result cache keys on the resolved kernel (since cache schema v6), so switching
 kernels never serves a result recorded under the other engine even though the
 two are float-identical by construction -- parity is *enforced* by tests and
 the bench gate (``tests/test_kernel_parity.py``, ``scripts/bench.py
@@ -115,7 +115,7 @@ def resolve_kernel(scenario) -> str:
 
     ``Scenario.kernel`` wins when set; otherwise the ``REPRO_KERNEL``
     environment variable; otherwise ``"auto"``.  The result cache keys on
-    this resolved value (schema v8), so an environment override changes the
+    this resolved value (since schema v6), so an environment override changes the
     cache identity exactly like the explicit field does.
     """
     kernel = getattr(scenario, "kernel", None)
