@@ -159,7 +159,7 @@ as replications grow -- the quantity a single seeded run cannot measure.""",
     "E14": """**System claim.** Scenarios are pure functions of their declarative
 description, so the distributed execution subsystem -- pluggable executor
 backends behind the sweep runner, with a fault-tolerant scheduler
-(heartbeats, bounded retries with worker exclusion, work stealing) over a
+(heartbeats, bounded retries with worker exclusion, one pending queue) over a
 length-prefixed pickle wire protocol -- cannot change any measured value.
 
 **Measured.** The same sweep produces float-for-float identical results on

@@ -76,27 +76,6 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker count for the chosen executor backend (overrides --jobs)",
     )
     parser.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="let the subprocess/ssh fleet autoscale between --min-workers and --max-workers "
-        "(spawn while the backlog exceeds the live capacity, reap idle workers); "
-        "default: REPRO_AUTOSCALE",
-    )
-    parser.add_argument(
-        "--min-workers",
-        type=_positive_int,
-        default=None,
-        dest="min_workers",
-        help="autoscale floor (implies --autoscale; default 1)",
-    )
-    parser.add_argument(
-        "--max-workers",
-        type=_positive_int,
-        default=None,
-        dest="max_workers",
-        help="autoscale ceiling (implies --autoscale; default: the worker count)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         dest="no_cache",
@@ -117,9 +96,6 @@ def _configure_runner(args: argparse.Namespace) -> None:
         cache_dir=args.cache_dir,
         executor=args.executor,
         workers=args.workers,
-        autoscale=True if args.autoscale else None,
-        min_workers=args.min_workers,
-        max_workers=args.max_workers,
     )
     if runner.executor_spec == "ssh":
         # Validate eagerly: a missing host list should be one clear sentence
@@ -132,17 +108,7 @@ def _fleet_summary(stats: dict) -> Optional[str]:
     """One provenance line from an executor's cumulative scheduler counters."""
     if not stats:
         return None
-    order = (
-        "tasks",
-        "retries",
-        "workers_lost",
-        "steals",
-        "respawns",
-        "quarantines",
-        "joins",
-        "scale_ups",
-        "scale_downs",
-    )
+    order = ("tasks", "retries", "workers_lost", "respawns", "quarantines", "joins")
     parts = [f"{stats[key]} {key.replace('_', ' ')}" for key in order if stats.get(key)]
     return ", ".join(parts) if parts else "idle"
 

@@ -62,7 +62,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "E12": Experiment("E12", "Head-to-head comparison with baseline synchronizers", e12_baselines.run_experiment),
     "E13": Experiment("E13", "Shard-plan invariance of replicated worst-case statistics", e13_shards.run_experiment),
     "E14": Experiment("E14", "Executor-backend invariance and worker-crash recovery", e14_executors.run_experiment),
-    "E15": Experiment("E15", "Fleet churn invariance and elastic autoscaling", e15_fleet.run_experiment),
+    "E15": Experiment("E15", "Fleet churn invariance", e15_fleet.run_experiment),
 }
 
 

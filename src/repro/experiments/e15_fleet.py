@@ -1,29 +1,24 @@
-"""E15 -- Fleet churn invariance and elastic autoscaling.
+"""E15 -- Fleet churn invariance.
 
 E14 proved one killed worker costs nothing but time; this experiment proves
-the *fleet* property the self-healing scheduler adds in the elastic rewrite:
-a sweep survives **continuous worker murder** -- a scripted chaos schedule
-that kills every initial worker at least once -- because lost workers
-respawn, parked chunks dispatch to the replacements, and late joiners steal
-from the longest backlog.  Since every scenario is a pure function of its
-declarative description, all that churn may cost throughput but can never
-move a float: the sweep's results must remain exactly the serial results.
+the *fleet* property the self-healing scheduler adds: a sweep survives
+**continuous worker murder** -- a scripted chaos schedule that kills every
+initial worker at least once -- because lost workers respawn, a chunk lost
+in flight goes back to the front of the pending queue, and a replacement
+takes the oldest pending chunk the moment it says hello.  Since every
+scenario is a pure function of its declarative description, all that churn
+may cost throughput but can never move a float: the sweep's results must
+remain exactly the serial results.
 
-Reproduced properties:
+Reproduced property:
 
 * **Churn invariance** (E15a): a sweep on the subprocess backend under a
   deterministic kill schedule (one kill per initial worker, victims chosen
   by seeded RNG) completes without executor failure, reports the respawns in
   its scheduler stats, and is float-for-float identical to the serial path.
-* **Elastic autoscaling** (E15b): the same sweep runs on a fleet that starts
-  at one worker and autoscales toward a ceiling under backlog pressure,
-  then reaps back to its floor when the sweep drains -- scale-ups and
-  scale-downs happen, and the results are still exactly the serial results.
 """
 
 from __future__ import annotations
-
-import time
 
 from ..analysis.report import Table
 from ..runner.core import SweepRunner
@@ -103,57 +98,12 @@ def run_churn_invariance(quick: bool = True) -> Table:
     table.add_note(
         "The chaos schedule SIGKILLs a never-before-hit worker after the 1st "
         "and 3rd completed chunks, so every member of the initial fleet dies "
-        "mid-sweep; respawned replacements handshake, take the parked and "
-        "requeued chunks, and the sweep finishes float-identical to serial."
-    )
-    return table
-
-
-def run_elastic_autoscale(quick: bool = True) -> Table:
-    """E15b: an autoscaling fleet grows under backlog, reaps when idle."""
-    scenarios = _sweep_scenarios(quick)
-    with SweepRunner(jobs=1, cache=None) as runner:
-        reference = runner.run_sweep(scenarios, trace_level="metrics")
-
-    executor = SubprocessWorkerExecutor(
-        1,
-        autoscale=True,
-        min_workers=1,
-        max_workers=3,
-        scale_backlog_factor=1.0,
-        idle_grace=0.2,
-        **_FAST_FLEET,
-    )
-    with SweepRunner(jobs=1, cache=None, executor=executor, chunk_size=1) as runner:
-        results = runner.run_sweep(scenarios, trace_level="metrics")
-        # Give the policy loop a beat to reap the now-idle fleet.
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline and executor.live_worker_count() > executor.min_workers:
-            time.sleep(0.05)
-        stats = runner.executor_stats()
-        settled = executor.live_worker_count()
-
-    identical = all(results_exactly_equal(result, ref) for result, ref in zip(results, reference))
-    table = Table(
-        title="E15b: elastic autoscaling (subprocess backend, min 1 / max 3 workers)",
-        headers=["chunks", "scale-ups", "scale-downs", "workers at rest", "completed", "== serial"],
-    )
-    table.add_row(
-        len(scenarios) + 1,
-        stats["scale_ups"],
-        stats["scale_downs"],
-        settled,
-        len(results) == len(scenarios),
-        identical,
-    )
-    table.add_note(
-        "The policy loop spawns workers while the chunk backlog exceeds the "
-        "live capacity and retires them after the idle grace; sizing the "
-        "fleet is pure throughput -- the measured values are exactly serial's."
+        "mid-sweep; respawned replacements handshake, take the oldest pending "
+        "chunks, and the sweep finishes float-identical to serial."
     )
     return table
 
 
 def run_experiment(quick: bool = True) -> list[Table]:
-    """Both fleet tables: churn invariance and elastic autoscaling."""
-    return [run_churn_invariance(quick), run_elastic_autoscale(quick)]
+    """The fleet table: churn invariance."""
+    return [run_churn_invariance(quick)]

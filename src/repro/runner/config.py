@@ -21,12 +21,6 @@ Environment defaults (used until :func:`configure` is called):
   multiprocessing), ``subprocess`` (local protocol workers with
   fault-tolerant scheduling) or ``ssh`` (protocol workers on
   ``REPRO_SSH_HOSTS``),
-* ``REPRO_AUTOSCALE`` -- autoscaling policy for the protocol backends:
-  ``1``/``on`` enables it with the default bounds (floor 1, ceiling
-  ``jobs``), a single integer sets the ceiling (``REPRO_AUTOSCALE=8``), and
-  ``min:max`` sets both bounds (``REPRO_AUTOSCALE=2:8``).  Unset or falsy
-  leaves the fleet at its fixed size.  Rejected (loudly) with the ``pool``
-  backend, which cannot scale,
 * ``REPRO_CACHE`` -- set to ``0``/``false``/``no``/``off`` to disable the
   result cache (default: enabled),
 * ``REPRO_CACHE_DIR`` -- cache location (default ``~/.cache/repro-sweeps``).
@@ -76,33 +70,12 @@ def _env_cache_enabled() -> bool:
     return os.environ.get("REPRO_CACHE", "1").strip().lower() not in _FALSY
 
 
-def _env_autoscale() -> dict:
-    """Fleet options from ``REPRO_AUTOSCALE`` (empty dict when unset/falsy)."""
-    raw = os.environ.get("REPRO_AUTOSCALE", "").strip().lower()
-    if not raw or raw in _FALSY:
-        return {}
-    if raw in {"1", "true", "yes", "on"}:
-        return {"autoscale": True}
-    try:
-        if ":" in raw:
-            low, _, high = raw.partition(":")
-            return {"autoscale": True, "min_workers": int(low), "max_workers": int(high)}
-        return {"autoscale": True, "max_workers": int(raw)}
-    except ValueError:
-        raise ValueError(
-            f"REPRO_AUTOSCALE must be a flag, an integer ceiling, or min:max bounds, got {raw!r}"
-        ) from None
-
-
 def configure(
     jobs: Optional[int] = None,
     use_cache: Optional[bool] = None,
     cache_dir: Union[str, Path, None] = None,
     executor: ExecutorSpec = None,
     workers: Optional[int] = None,
-    autoscale: Optional[bool] = None,
-    min_workers: Optional[int] = None,
-    max_workers: Optional[int] = None,
 ) -> SweepRunner:
     """Install (and return) the process-wide default runner.
 
@@ -111,11 +84,8 @@ def configure(
     otherwise be silently ignored under ``REPRO_CACHE=0``).  ``executor``
     selects the execution backend (``REPRO_EXECUTOR`` otherwise); ``workers``
     is the backend-flavoured spelling of ``jobs`` (the CLI's ``--executor
-    subprocess --workers 4``) and overrides it when both are given.
-    ``autoscale``/``min_workers``/``max_workers`` set the protocol backends'
-    elasticity policy (``REPRO_AUTOSCALE`` otherwise; giving scale bounds
-    implies ``autoscale=True``).  The previously installed runner is closed
-    first, reaping its workers.
+    subprocess --workers 4``) and overrides it when both are given.  The
+    previously installed runner is closed first, reaping its workers.
     """
     global _default_runner
     if jobs is None:
@@ -128,22 +98,12 @@ def configure(
         raise ValueError(f"executor must be one of {EXECUTOR_SPECS}, got {executor!r}")
     elif not isinstance(executor, (str, Executor)):
         raise TypeError(f"executor must be a spec name or Executor instance, got {executor!r}")
-    if autoscale is None and min_workers is None and max_workers is None:
-        options = _env_autoscale()
-    else:
-        options = {}
-        if autoscale is not None:
-            options["autoscale"] = autoscale
-        if min_workers is not None:
-            options["min_workers"] = min_workers
-        if max_workers is not None:
-            options["max_workers"] = max_workers
     if use_cache is None:
         use_cache = True if cache_dir is not None else _env_cache_enabled()
     cache = ResultCache(cache_dir) if use_cache else None
     if _default_runner is not None:
         _default_runner.close()
-    _default_runner = SweepRunner(jobs=jobs, cache=cache, executor=executor, executor_options=options or None)
+    _default_runner = SweepRunner(jobs=jobs, cache=cache, executor=executor)
     return _default_runner
 
 

@@ -37,7 +37,7 @@ Guarantees:
   ``pool`` backend is the historical in-process multiprocessing pool, while
   ``subprocess`` and ``ssh`` run the same chunk tasks on protocol workers
   behind a fault-tolerant scheduler (heartbeats, bounded retries of chunks
-  lost to worker crashes, work stealing).  Scenarios are pure functions of
+  lost to worker crashes, one shared pending queue).  Scenarios are pure functions of
   their declarative description, so backend choice -- and even a mid-sweep
   worker crash with retry -- never changes a result float.
 * Replicated scenarios shard transparently: a grid point with
@@ -162,12 +162,6 @@ class SweepRunner:
         :class:`~repro.runner.exec.base.Executor` instance.  Spawned
         backends size themselves from ``jobs``; results are identical
         across backends by construction.
-    executor_options:
-        Fleet-policy keyword arguments forwarded to the spawned protocol
-        backend (``autoscale``, ``min_workers``, ``max_workers``,
-        ``respawn``, ...).  Only meaningful with the ``subprocess``/``ssh``
-        specs; the pool backend rejects them, and an executor *instance*
-        carries its own policy already.
     """
 
     def __init__(
@@ -176,7 +170,6 @@ class SweepRunner:
         cache: Optional[ResultCache] = None,
         chunk_size: Optional[int] = None,
         executor: ExecutorSpec = None,
-        executor_options: Optional[dict] = None,
     ) -> None:
         if jobs is None or jobs == 0:
             jobs = os.cpu_count() or 1
@@ -188,25 +181,14 @@ class SweepRunner:
         self.cache = cache
         self.chunk_size = chunk_size
         self.executor_spec = executor
-        self.executor_options = dict(executor_options) if executor_options else {}
         #: Scheduler counters absorbed from spec-spawned backends this runner
         #: has already dropped (see :meth:`executor_stats`).
         self._stats_total: dict = {}
         if isinstance(executor, Executor):
-            if self.executor_options:
-                raise ValueError(
-                    "executor_options were given alongside a ready Executor instance; "
-                    "configure the instance directly instead"
-                )
             self._executor: Optional[Executor] = executor
         else:
             if executor is not None and executor not in EXECUTOR_SPECS:
                 raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTOR_SPECS}")
-            if self.executor_options and executor in (None, "pool"):
-                raise ValueError(
-                    f"the pool executor does not support fleet options "
-                    f"{sorted(self.executor_options)}; use executor='subprocess' or 'ssh'"
-                )
             self._executor = None
 
     # -- execution backend -------------------------------------------------
@@ -234,20 +216,12 @@ class SweepRunner:
         """
         if isinstance(self.executor_spec, Executor):
             return self.executor_spec.worker_count
-        capacity = self.jobs
-        max_workers = self.executor_options.get("max_workers")
-        if max_workers is not None:
-            # An autoscaling fleet may grow past ``jobs``; size the
-            # submission window for the ceiling so backlog exists to scale on.
-            capacity = max(capacity, max_workers)
-        return capacity
+        return self.jobs
 
     def _ensure_executor(self) -> Executor:
         """The persistent execution backend (created lazily, reused across sweeps)."""
         if self._executor is None:
-            self._executor = make_executor(
-                self.executor_spec, workers=self.jobs, **self.executor_options
-            )
+            self._executor = make_executor(self.executor_spec, workers=self.jobs)
         return self._executor
 
     @property

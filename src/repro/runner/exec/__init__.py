@@ -13,17 +13,17 @@ backends ship:
                           subprocesses speaking the length-prefixed pickle
                           protocol over stdio, scheduled fault-tolerantly
                           (heartbeats, bounded retries with worker
-                          exclusion, work stealing).
+                          exclusion, one shared pending queue).
 ``ssh``                   :class:`~repro.runner.exec.remote.SSHExecutor` --
                           the same protocol over ``ssh host python -m
                           repro.worker``; configured via ``REPRO_SSH_HOSTS``.
 ========================  ====================================================
 
-The protocol backends are a self-healing elastic fleet: lost workers
+The protocol backends are a self-healing fleet of fixed size: lost workers
 respawn with backoff, crash-looping slots are quarantined and re-probed,
-late joiners steal from the longest backlog, and an optional autoscaling
-policy sizes the fleet between ``min_workers`` and ``max_workers`` (see the
-``repro.runner.exec.remote`` module docstring for the slot state machine).
+and every idle worker -- a late joiner included -- takes the oldest task
+from one pending queue (see the ``repro.runner.exec.remote`` module
+docstring for the slot state machine).
 
 Because every task in this system is a pure function of its payload, backend
 choice can never change a measured value -- only where and how reliably the

@@ -96,7 +96,7 @@ class Executor(ABC):
     def stats(self) -> dict:
         """Cumulative scheduler counters for this instance (may be empty).
 
-        Backends that count (retries, workers lost, steals, respawns, ...)
+        Backends that count (retries, workers lost, respawns, ...)
         never reset the numbers -- not on :meth:`close`, not on a respawn
         cycle -- so post-sweep provenance survives mid-sweep recovery.
         """
@@ -109,40 +109,28 @@ class Executor(ABC):
         self.close()
 
 
-def make_executor(spec: ExecutorSpec, workers: int, **options) -> Executor:
+def make_executor(spec: ExecutorSpec, workers: int) -> Executor:
     """Build the executor ``spec`` names (or pass a ready instance through).
 
     ``None`` and ``"pool"`` give the historical in-process pool;
     ``"subprocess"`` spawns ``workers`` protocol workers on this machine;
     ``"ssh"`` reads its host list from ``REPRO_SSH_HOSTS`` (and raises a
-    clear error when none are configured).  Extra keyword ``options`` reach
-    the protocol backends' fleet policy (``autoscale``, ``min_workers``,
-    ``max_workers``, ``respawn`` and friends); the local pool accepts none
-    and rejects them with a clear error rather than ignoring a policy the
-    caller asked for.
+    clear error when none are configured).  A caller that needs a
+    non-default fleet policy (``respawn``, backoffs, heartbeat deadlines)
+    constructs the backend itself and passes the instance.
     """
     if isinstance(spec, Executor):
-        if options:
-            raise ValueError(
-                "executor options were given alongside a ready Executor instance; "
-                "configure the instance directly instead"
-            )
         return spec
     if spec is None or spec == "pool":
-        if options:
-            raise ValueError(
-                f"the pool executor does not support fleet options {sorted(options)}; "
-                f"use --executor subprocess or ssh for elasticity"
-            )
         from .local import LocalPoolExecutor
 
         return LocalPoolExecutor(workers)
     if spec == "subprocess":
         from .remote import SubprocessWorkerExecutor
 
-        return SubprocessWorkerExecutor(workers, **options)
+        return SubprocessWorkerExecutor(workers)
     if spec == "ssh":
         from .remote import SSHExecutor
 
-        return SSHExecutor(workers=workers, **options)
+        return SSHExecutor(workers=workers)
     raise ValueError(f"unknown executor {spec!r}; expected one of {EXECUTOR_SPECS} or an Executor instance")

@@ -112,7 +112,7 @@ def hang_until_file_task(payload):
     """Block until the file named by ``payload`` exists, then return it.
 
     A controllable straggler: the parent decides when the task may finish,
-    which makes work-stealing scenarios deterministic.
+    which makes queue-order scenarios deterministic.
     """
     path = str(payload)
     while not os.path.exists(path):

@@ -1,4 +1,4 @@
-"""Remote protocol executors: a self-healing, elastic worker fleet.
+"""Remote protocol executors: a self-healing, fixed-size worker fleet.
 
 Both backends here run the length-prefixed pickle protocol of
 :mod:`repro.runner.exec.protocol` against long-lived ``repro.worker``
@@ -14,48 +14,43 @@ the local pool never needed:
   silent -- is detected and killed, not just a dead one).  A worker silent
   for half the deadline is marked *suspect* and sent a ``probe`` frame; any
   frame it produces clears the suspicion.
-* **bounded retries with worker exclusion** -- a chunk that was in flight on
-  a lost worker is requeued on the surviving workers, never on the same
-  worker *incarnation* that already failed it (each task carries its own
-  excluded-incarnation set, so a respawned replacement in the same slot is
-  eligible again), and after ``max_attempts`` losses its future fails with a
-  clear :class:`~repro.runner.exec.base.ExecutorFailure`.
-* **work-stealing rebalancing** -- tasks are assigned to the least-loaded
-  eligible worker's queue at submission, and a worker that drains its queue
-  takes the oldest parked task or steals the newest eligible task from the
-  longest backlog, so an uneven drain self-balances.
+* **one pending queue** -- every task not on a worker waits in a single
+  FIFO, and three rules place it: an idle dispatchable worker takes the
+  *oldest* pending task that was not already lost on it; a task lost in
+  flight goes back to the *front*; a late joiner dispatches at its
+  handshake.  Nothing ever waits behind a busy worker while another idles.
+* **bounded retries with worker exclusion** -- a retried chunk never runs on
+  the worker *incarnation* that already lost it (each task carries its own
+  excluded-incarnation set; a respawned replacement in the same slot is a
+  fresh incarnation), and after ``max_attempts`` losses its future fails
+  with a clear :class:`~repro.runner.exec.base.ExecutorFailure`.
 * **respawn** (``respawn=True``, the default) -- a lost worker's *slot* is
-  refilled after a capped exponential backoff with jitter.  Tasks that have
-  no eligible live worker are *parked* instead of failed and dispatch to the
-  replacement the moment it completes its handshake, so a fleet that loses
-  every worker recovers instead of degrading monotonically.  A slot that
-  loses :attr:`crash_loop_threshold` workers within
-  :attr:`crash_loop_window` seconds is **quarantined**: it stops thrashing
-  and is re-probed on a growing backoff schedule -- the spawn-deadline
-  handshake doubles as the liveness probe, so an unreachable SSH host
-  rejoins the rotation mid-sweep the first time a probe spawn says hello.
-* **autoscaling** (``autoscale=True``) -- a policy loop sizes the fleet
-  between ``min_workers`` and ``max_workers``: it grows one slot per tick
-  while the backlog exceeds ``scale_backlog_factor`` x the live capacity,
-  and retires a worker that has been idle past ``idle_grace`` seconds.
+  refilled after a capped exponential backoff with jitter; pending tasks
+  just stay queued until a replacement says hello, so a fleet that loses
+  every worker recovers.  A slot that loses :attr:`crash_loop_threshold`
+  workers within :attr:`crash_loop_window` seconds is **quarantined**: it
+  stops thrashing and is re-probed on a growing backoff -- the spawn
+  handshake doubles as the probe, so an unreachable SSH host rejoins
+  mid-sweep the first time a probe spawn says hello.  When *every* slot is
+  quarantined nothing can run, so the pending tasks fail (naming the last
+  loss) instead of waiting forever; the probes go on, and a later submit
+  succeeds once one of them says hello.
 
-The per-slot lifecycle is a small state machine (documented in
+The fleet never changes size: ``workers`` slots, each hosting successive
+worker incarnations through a small state machine (documented in
 ``docs/architecture.md``)::
 
     spawning -> live <-> suspect
        ^         |
        |         v
     (rejoin)   lost --K losses in T--> quarantined --probe ok--> (rejoin)
-                                       retired  (autoscale reap; terminal
-                                                until a scale-up revives it)
 
 Tasks that *raise* on a live worker are not retried: every task in this
 system is a deterministic pure function of its payload, so a task error
 would simply repeat -- it propagates to the future exactly as the local
 pool would propagate it.  Only worker *loss* triggers retry, and because
 tasks are pure, a retried chunk returns float-for-float what the first
-attempt would have -- elasticity and recovery are pure throughput, never a
-result risk.
+attempt would have -- recovery is pure throughput, never a result risk.
 """
 
 from __future__ import annotations
@@ -102,10 +97,6 @@ CRASH_LOOP_WINDOW = 30.0
 #: to :data:`QUARANTINE_BACKOFF_CAP`.
 QUARANTINE_BACKOFF = 5.0
 QUARANTINE_BACKOFF_CAP = 120.0
-#: Autoscale policy defaults: grow while ``backlog > factor x live``, retire
-#: a worker idle longer than the grace.
-SCALE_BACKLOG_FACTOR = 2.0
-IDLE_GRACE = 10.0
 
 
 class _Task:
@@ -132,7 +123,7 @@ class _Task:
         self.future: Future = Future()
         #: Worker incarnations (wids) this task was lost on -- never
         #: rescheduled there.  A respawned replacement has a fresh wid, so
-        #: requeued chunks are eligible on it.
+        #: a retried chunk is eligible on it.
         self.excluded: set[int] = set()
         #: How many worker incarnations this task was dispatched to and lost.
         self.attempts = 0
@@ -166,11 +157,9 @@ class _Worker:
         "write_lock",
         "alive",
         "current",
-        "queue",
         "last_seen",
         "remote_pid",
         "born_late",
-        "idle_since",
         "span",
         "probe_sent",
     )
@@ -183,23 +172,18 @@ class _Worker:
         self.write_lock = threading.Lock()
         self.alive = True
         self.current: Optional[_Task] = None
-        self.queue: deque[_Task] = deque()
         self.last_seen = time.monotonic()
         self.remote_pid: Optional[int] = None
         #: Whether this incarnation joined after the initial fleet spawn
-        #: (respawn, quarantine probe, or scale-up).  Late joiners receive
-        #: work only after their handshake, so a probe spawn against an
-        #: unreachable host never burns a task's retry budget.
+        #: (respawn or quarantine probe).  Late joiners receive work only
+        #: after their handshake, so a probe spawn against an unreachable
+        #: host never burns a task's retry budget.
         self.born_late = born_late
-        self.idle_since: Optional[float] = None
         #: Telemetry: the ``fleet.worker`` incarnation span (when tracing is
         #: on) and the send time of an outstanding liveness probe, consumed
         #: by the pong handler into the ``fleet.probe_rtt_s`` histogram.
         self.span = None
         self.probe_sent: Optional[float] = None
-
-    def load(self) -> int:
-        return len(self.queue) + (1 if self.current is not None else 0)
 
 
 class _Slot:
@@ -209,7 +193,7 @@ class _Slot:
 
     def __init__(self, index: int) -> None:
         self.index = index
-        #: One of: spawning, live, suspect, lost, quarantined, retired.
+        #: One of: spawning, live, suspect, lost, quarantined.
         self.state = "lost"
         self.worker: Optional[_Worker] = None
         #: Monotonic timestamps of recent worker losses (crash-loop window).
@@ -220,8 +204,17 @@ class _Slot:
         self.next_attempt: Optional[float] = None
 
 
+def _kill(proc: subprocess.Popen) -> None:
+    """SIGKILL ``proc`` (already gone is fine) and reap it."""
+    try:
+        proc.kill()
+    except OSError:
+        pass
+    proc.wait()
+
+
 class ProtocolExecutor(Executor):
-    """Self-healing elastic scheduler over spawn-command-defined workers.
+    """Self-healing scheduler over spawn-command-defined workers.
 
     Workers spawn lazily on the first submit and persist across sweeps;
     :meth:`close` reaps every process (shutdown frame, then escalating to
@@ -245,11 +238,6 @@ class ProtocolExecutor(Executor):
         crash_loop_window: float = CRASH_LOOP_WINDOW,
         quarantine_backoff: float = QUARANTINE_BACKOFF,
         quarantine_backoff_cap: float = QUARANTINE_BACKOFF_CAP,
-        autoscale: Optional[bool] = None,
-        min_workers: Optional[int] = None,
-        max_workers: Optional[int] = None,
-        scale_backlog_factor: float = SCALE_BACKLOG_FACTOR,
-        idle_grace: float = IDLE_GRACE,
         spawn_deadline: float = SPAWN_DEADLINE,
         monitor_period: Optional[float] = None,
     ) -> None:
@@ -257,21 +245,6 @@ class ProtocolExecutor(Executor):
             raise ValueError(f"workers must be positive, got {workers}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be positive, got {max_attempts}")
-        if autoscale is None:
-            # Scale bounds imply the policy: asking for a min/max *is* asking
-            # for elasticity.
-            autoscale = min_workers is not None or max_workers is not None
-        if autoscale:
-            min_workers = 1 if min_workers is None else min_workers
-            max_workers = max(workers, min_workers) if max_workers is None else max_workers
-            if min_workers < 1:
-                raise ValueError(f"min_workers must be positive, got {min_workers}")
-            if max_workers < min_workers:
-                raise ValueError(
-                    f"max_workers ({max_workers}) must be at least min_workers ({min_workers})"
-                )
-        else:
-            min_workers = max_workers = workers
         self.workers = workers
         self.max_attempts = max_attempts
         self.heartbeat_interval = heartbeat_interval
@@ -285,16 +258,13 @@ class ProtocolExecutor(Executor):
         self.crash_loop_window = crash_loop_window
         self.quarantine_backoff = quarantine_backoff
         self.quarantine_backoff_cap = quarantine_backoff_cap
-        self.autoscale = autoscale
-        self.min_workers = min_workers
-        self.max_workers = max_workers
-        self.scale_backlog_factor = scale_backlog_factor
-        self.idle_grace = idle_grace
         self.spawn_deadline = spawn_deadline
         self.monitor_period = monitor_period
         self._lock = threading.Lock()
         self._slots: list[_Slot] = []
-        self._parked: deque[_Task] = deque()
+        #: Every task not currently on a worker, oldest first; a task lost in
+        #: flight re-enters at the front.
+        self._pending: deque[_Task] = deque()
         self._started = False
         self._task_ids = itertools.count()
         self._wids = itertools.count()
@@ -307,12 +277,10 @@ class ProtocolExecutor(Executor):
             "tasks": 0,
             "retries": 0,
             "workers_lost": 0,
-            "steals": 0,
+            "steals": 0,  # one shared queue: nothing to steal; key kept for perfbench
             "respawns": 0,
             "quarantines": 0,
             "joins": 0,
-            "scale_ups": 0,
-            "scale_downs": 0,
         }
 
     # -- spawning ----------------------------------------------------------
@@ -349,17 +317,12 @@ class ProtocolExecutor(Executor):
         worker.reader.start()
         return worker
 
-    def _initial_fleet_size(self) -> int:
-        # An autoscaling fleet starts at its floor and earns its workers from
-        # backlog pressure; a fixed fleet spawns at full strength.
-        return self.min_workers if self.autoscale else self.workers
-
     def _ensure_started_locked(self) -> None:
         if self._started:
             return
         self._started = True
         self._fleet_stop = threading.Event()
-        self._slots = [_Slot(index) for index in range(self._initial_fleet_size())]
+        self._slots = [_Slot(index) for index in range(self.workers)]
         for slot in self._slots:
             slot.worker = self._spawn_worker(slot, born_late=False)
             slot.state = "spawning"
@@ -372,8 +335,7 @@ class ProtocolExecutor(Executor):
 
     @property
     def worker_count(self) -> int:
-        """The capacity ceiling callers should size submission windows by."""
-        return self.max_workers if self.autoscale else self.workers
+        return self.workers
 
     def submit(self, fn: Callable, payload) -> Future:
         task = _Task(next(self._task_ids), fn, payload)
@@ -389,103 +351,56 @@ class ProtocolExecutor(Executor):
                 task.span.set("task_id", task.task_id)
                 ctx = dict(ctx, parent=task.span.span_id)
             task.ctx = ctx
-        failure: Optional[str] = None
         assignments: Sequence[tuple[_Worker, _Task]] = ()
         with self._lock:
             self._ensure_started_locked()
             self._stats["tasks"] += 1
-            failure = self._requeue_locked(task)
-            if failure is None:
+            stranded = not self.respawn and not self._dispatchable_locked()
+            if not stranded:
+                self._pending.append(task)
                 assignments = self._dispatch_locked()
-        if failure is not None:
-            self._fail(task, failure)
-            return task.future
+        if stranded:
+            self._fail(
+                task,
+                f"cannot run task {task.label}: no live workers "
+                f"({self._stats['workers_lost']} lost, respawn disabled); "
+                f"close() resets the backend",
+            )
         self._send_assignments(assignments)
         return task.future
+
+    def _live_workers_locked(self) -> list[_Worker]:
+        return [
+            slot.worker
+            for slot in self._slots
+            if slot.worker is not None and slot.worker.alive
+        ]
 
     def _dispatchable_locked(self) -> list[_Worker]:
         """Workers that may be assigned tasks right now.
 
-        Late joiners (respawns, probes, scale-ups) only become dispatchable
-        after their handshake -- a probe spawn against a dead host must not
-        hold tasks hostage until the spawn deadline.
+        Late joiners (respawns, probes) only become dispatchable after their
+        handshake -- a probe spawn against a dead host must not hold tasks
+        hostage until the spawn deadline.
         """
-        workers = []
-        for slot in self._slots:
-            worker = slot.worker
-            if worker is None or not worker.alive or slot.state == "retired":
-                continue
-            if worker.born_late and worker.remote_pid is None:
-                continue
-            workers.append(worker)
-        return workers
-
-    def _eligible_locked(self, task: _Task) -> list[_Worker]:
-        return [w for w in self._dispatchable_locked() if w.wid not in task.excluded]
-
-    def _requeue_locked(self, task: _Task) -> Optional[str]:
-        """Queue ``task`` on the least-loaded eligible worker.
-
-        With respawn enabled a task with no eligible worker is *parked* (it
-        dispatches when a replacement joins); otherwise the failure message
-        to put on its future is returned.
-        """
-        eligible = self._eligible_locked(task)
-        if eligible:
-            target = min(eligible, key=lambda w: (w.load(), w.slot.index))
-            target.queue.append(task)
-            return None
-        if self.respawn and self._started:
-            self._parked.append(task)
-            return None
-        return (
-            f"cannot run task {task.label}: no live workers "
-            f"({self._stats['workers_lost']} lost, respawn disabled); "
-            f"close() resets the backend"
-        )
-
-    def _unpark_locked(self, worker: _Worker) -> Optional[_Task]:
-        for task in self._parked:
-            if worker.wid not in task.excluded:
-                self._parked.remove(task)
-                return task
-        return None
-
-    def _steal_locked(self, thief: _Worker) -> Optional[_Task]:
-        for victim in sorted(self._slots, key=lambda s: len(s.worker.queue) if s.worker else 0, reverse=True):
-            if victim.worker is None or victim.worker is thief or not victim.worker.alive:
-                continue
-            # Steal the newest eligible backlog entry (classic work stealing:
-            # the victim keeps the work it is about to reach).
-            for task in reversed(victim.worker.queue):
-                if thief.wid not in task.excluded:
-                    victim.worker.queue.remove(task)
-                    self._stats["steals"] += 1
-                    return task
-        return None
+        return [w for w in self._live_workers_locked() if not w.born_late or w.remote_pid is not None]
 
     def _dispatch_locked(self) -> list[tuple[_Worker, _Task]]:
-        """Pair idle workers with runnable tasks; caller sends outside the lock."""
+        """Hand each idle worker the oldest pending task it may run; caller sends outside the lock."""
         assignments: list[tuple[_Worker, _Task]] = []
-        now = time.monotonic()
+        if not self._pending:
+            return assignments
         for worker in self._dispatchable_locked():
             while worker.current is None:
-                task = worker.queue.popleft() if worker.queue else None
-                if task is None:
-                    task = self._unpark_locked(worker) or self._steal_locked(worker)
+                task = next((t for t in self._pending if worker.wid not in t.excluded), None)
                 if task is None:
                     break
-                if not task.started:
-                    if not task.future.set_running_or_notify_cancel():
-                        continue  # cancelled while queued; try the next task
+                self._pending.remove(task)
+                # A task cancelled while queued is dropped here; try the next one.
+                if task.started or task.future.set_running_or_notify_cancel():
                     task.started = True
-                worker.current = task
-                assignments.append((worker, task))
-            if worker.current is None and not worker.queue:
-                if worker.idle_since is None:
-                    worker.idle_since = now
-            else:
-                worker.idle_since = None
+                    worker.current = task
+                    assignments.append((worker, task))
         return assignments
 
     def _send_assignments(self, assignments: Sequence[tuple[_Worker, _Task]]) -> None:
@@ -527,8 +442,8 @@ class ProtocolExecutor(Executor):
                     worker.proc.stdin.write(frame)
                     worker.proc.stdin.flush()
             except Exception:
-                # The pipe died under us; the loss handling requeues the task
-                # and accounts the lost worker.
+                # The pipe died under us; the loss handling puts the task back
+                # in the queue and accounts the lost worker.
                 self._lose_worker(worker, "write to worker failed")
 
     # -- completion and loss ------------------------------------------------
@@ -626,8 +541,8 @@ class ProtocolExecutor(Executor):
                         slot.probe_failures = 0
                         if worker.born_late:
                             self._stats["joins"] += 1
-                    # The handshake makes a late joiner dispatchable: hand it
-                    # parked work, or let it steal from the longest backlog.
+                    # The handshake makes a late joiner dispatchable: it takes
+                    # the oldest pending task right here.
                     assignments = self._dispatch_locked()
                 elif tag in ("result", "error"):
                     task = worker.current
@@ -644,14 +559,23 @@ class ProtocolExecutor(Executor):
                 self._send_assignments(assignments)
         self._lose_worker(worker, reason)
 
-    def _loss_backoff_locked(self, slot: _Slot, now: float) -> None:
-        """Record a loss on ``slot`` and schedule its respawn / quarantine."""
+    def _record_loss_locked(self, slot: _Slot, reason: str) -> list[tuple[_Task, str]]:
+        """Record a loss on ``slot`` and schedule its respawn / quarantine.
+
+        Once *every* slot is quarantined nothing can run, and a sweep must
+        not wait on hosts that may never return: the pending tasks are
+        removed and returned with their failure messages.  The probes go on,
+        so a later submit can still succeed.
+        """
+        now = time.monotonic()
         slot.loss_times.append(now)
         while slot.loss_times and now - slot.loss_times[0] > self.crash_loop_window:
             slot.loss_times.popleft()
         recent = len(slot.loss_times)
         if recent >= self.crash_loop_threshold:
-            if slot.state != "quarantined":
+            if slot.probe_failures == 0:
+                # Entering quarantine; a failed probe passes through
+                # ``spawning`` and back without being a new quarantine.
                 self._stats["quarantines"] += 1
             slot.state = "quarantined"
             slot.probe_failures += 1
@@ -663,6 +587,12 @@ class ProtocolExecutor(Executor):
             slot.state = "lost"
             delay = min(self.respawn_backoff_cap, self.respawn_backoff * (2.0 ** (recent - 1)))
         slot.next_attempt = now + delay + self._jitter.uniform(0.0, delay / 2.0)
+        if any(s.state != "quarantined" for s in self._slots):
+            return []
+        doomed = list(self._pending)
+        self._pending.clear()
+        why = f"all {len(self._slots)} fleet slots are quarantined (last loss: slot {slot.index}, {reason})"
+        return [(task, f"cannot run task {task.label}: {why}; probes continue") for task in doomed]
 
     def _lose_worker(self, worker: _Worker, reason: str) -> None:
         failures: list[tuple[_Task, str]] = []
@@ -671,74 +601,59 @@ class ProtocolExecutor(Executor):
                 return
             worker.alive = False
             slot = worker.slot
-            retired = slot.state == "retired"
             if worker.span is not None:
-                # A retirement is an expected exit; anything else is a loss.
-                worker.span.finish("ok" if retired else "lost")
+                worker.span.finish("lost")
             if slot.worker is worker:
                 slot.worker = None
+            self._stats["workers_lost"] += 1
             in_flight = worker.current
             worker.current = None
-            if in_flight is not None and in_flight.attempt_span is not None:
-                # The attempt died with the worker: the orphaned span closes
-                # with a definite ``lost`` status instead of dangling open.
-                in_flight.attempt_span.finish("lost")
-                in_flight.attempt_span = None
-            orphans = list(worker.queue)
-            worker.queue.clear()
-            if not retired:
-                self._stats["workers_lost"] += 1
-                if self.respawn and self._started:
-                    self._loss_backoff_locked(slot, time.monotonic())
-                else:
-                    slot.state = "lost"
-                    slot.next_attempt = None
             if in_flight is not None:
+                if in_flight.attempt_span is not None:
+                    # The attempt died with the worker: the orphaned span
+                    # closes with a definite ``lost`` status, not dangling.
+                    in_flight.attempt_span.finish("lost")
+                    in_flight.attempt_span = None
                 in_flight.attempts += 1
                 in_flight.excluded.add(worker.wid)
                 if in_flight.attempts >= self.max_attempts:
-                    failures.append(
-                        (
-                            in_flight,
-                            f"task {in_flight.label} was lost with {in_flight.attempts} worker(s) "
-                            f"(last: slot {slot.index}, {reason}); "
-                            f"retry budget of {self.max_attempts} attempts exhausted",
-                        )
+                    message = (
+                        f"task {in_flight.label} was lost with {in_flight.attempts} worker(s) "
+                        f"(last: slot {slot.index}, {reason}); "
+                        f"retry budget of {self.max_attempts} attempts exhausted"
                     )
+                    failures.append((in_flight, message))
                 else:
-                    message = self._requeue_locked(in_flight)
-                    if message is None:
-                        self._stats["retries"] += 1
+                    # Back to the front: a retry is older than anything queued.
+                    self._pending.appendleft(in_flight)
+            if self.respawn:
+                failures += self._record_loss_locked(slot, reason)
+            else:
+                # Nobody will join later: whatever no survivor may take fails now.
+                slot.state = "lost"
+                survivors = self._dispatchable_locked()
+                for task in [t for t in self._pending if all(w.wid in t.excluded for w in survivors)]:
+                    self._pending.remove(task)
+                    if task is in_flight:
+                        message = (
+                            f"task {task.label} was in flight on slot {slot.index} ({reason}) and no "
+                            f"surviving worker can take it ({self._stats['workers_lost']} workers lost)"
+                        )
                     else:
-                        failures.append(
-                            (
-                                in_flight,
-                                f"task {in_flight.label} was in flight on slot {slot.index} "
-                                f"({reason}) and no surviving worker can take it "
-                                f"({self._stats['workers_lost']} workers lost)",
-                            )
-                        )
-            for task in orphans:
-                message = self._requeue_locked(task)
-                if message is not None:
-                    failures.append(
-                        (
-                            task,
+                        message = (
                             f"no surviving worker can run queued task {task.label} "
-                            f"after slot {slot.index} lost its worker ({reason})",
+                            f"after slot {slot.index} lost its worker ({reason})"
                         )
-                    )
+                    failures.append((task, message))
+            if in_flight in self._pending:
+                self._stats["retries"] += 1  # still queued after the checks above: a real retry
             assignments = self._dispatch_locked()
         for task, message in failures:
             self._fail(task, message)
         self._send_assignments(assignments)
-        try:
-            worker.proc.kill()
-        except OSError:
-            pass
-        worker.proc.wait()
+        _kill(worker.proc)
 
-    # -- the fleet thread: health, respawn, autoscale ------------------------
+    # -- the fleet thread: health and respawn -------------------------------
 
     def _fleet_period(self) -> float:
         if self.monitor_period is not None:
@@ -748,8 +663,6 @@ class ProtocolExecutor(Executor):
             candidates.append(self.heartbeat_timeout / 4.0)
         if self.respawn:
             candidates.append(max(self.respawn_backoff / 2.0, 0.02))
-        if self.autoscale:
-            candidates.append(max(self.idle_grace / 4.0, 0.02))
         return max(0.02, min(candidates))
 
     def _fleet_loop(self, stop: threading.Event) -> None:
@@ -758,8 +671,6 @@ class ProtocolExecutor(Executor):
             self._check_heartbeats()
             if self.respawn:
                 self._respawn_due(stop)
-            if self.autoscale:
-                self._autoscale_tick(stop)
 
     def _check_heartbeats(self) -> None:
         if self.heartbeat_timeout is None or self.heartbeat_interval <= 0:
@@ -823,114 +734,29 @@ class ProtocolExecutor(Executor):
         for slot in due:
             if stop.is_set():
                 return
-            self._attach_replacement(slot, counted_as="respawns")
+            self._attach_replacement(slot)
 
-    def _attach_replacement(self, slot: _Slot, counted_as: str) -> None:
-        """Spawn a late-joining worker into ``slot`` (respawn, probe, scale-up)."""
+    def _attach_replacement(self, slot: _Slot) -> None:
+        """Spawn a late-joining worker into ``slot`` (respawn or quarantine probe)."""
         try:
             worker = self._spawn_worker(slot, born_late=True)
-        except Exception:
+        except Exception as exc:
             # The spawn itself failed (fork/exec error): treat it like an
             # instant loss so the backoff/quarantine machinery applies.
             with self._lock:
-                self._loss_backoff_locked(slot, time.monotonic())
+                failures = self._record_loss_locked(slot, f"spawn failed: {type(exc).__name__}: {exc}")
+            for task, message in failures:
+                self._fail(task, message)
             return
-        reap = False
         with self._lock:
-            if not self._started or slot.state == "retired":
-                reap = True
-            else:
+            if self._started:
                 slot.worker = worker
                 slot.state = "spawning"
-                self._stats[counted_as] += 1
-        if reap:
-            worker.alive = False
-            try:
-                worker.proc.kill()
-            except OSError:
-                pass
-            worker.proc.wait()
-
-    def _autoscale_tick(self, stop: threading.Event) -> None:
-        now = time.monotonic()
-        grow_slot: Optional[_Slot] = None
-        shutdown_worker: Optional[_Worker] = None
-        with self._lock:
-            if not self._started:
+                self._stats["respawns"] += 1
                 return
-            active = [s for s in self._slots if s.state != "retired"]
-            live = self._dispatchable_locked()
-            backlog = len(self._parked) + sum(len(w.queue) for w in live)
-            if backlog > self.scale_backlog_factor * max(1, len(live)) and len(active) < self.max_workers:
-                # Revive a retired slot if one exists, else open a new one.
-                for slot in self._slots:
-                    if slot.state == "retired":
-                        grow_slot = slot
-                        break
-                else:
-                    grow_slot = _Slot(len(self._slots))
-                    self._slots.append(grow_slot)
-                grow_slot.state = "lost"
-                grow_slot.loss_times.clear()
-                grow_slot.probe_failures = 0
-                grow_slot.next_attempt = None
-            elif len(live) > self.min_workers:
-                for worker in live:
-                    if (
-                        worker.current is None
-                        and not worker.queue
-                        and worker.idle_since is not None
-                        and now - worker.idle_since > self.idle_grace
-                        and worker.slot.state == "live"
-                    ):
-                        # Retire before shutting down so the coming EOF reads
-                        # as an expected exit, not a loss to respawn.
-                        worker.slot.state = "retired"
-                        worker.slot.next_attempt = None
-                        self._stats["scale_downs"] += 1
-                        shutdown_worker = worker
-                        break
-        if grow_slot is not None and not stop.is_set():
-            with self._lock:
-                self._stats["scale_ups"] += 1
-            self._attach_replacement(grow_slot, counted_as="joins")
-            with self._lock:
-                # _attach_replacement counts the handshake via born_late;
-                # undo the double-credit (joins is bumped again on hello).
-                self._stats["joins"] -= 1
-        if shutdown_worker is not None:
-            try:
-                with shutdown_worker.write_lock:
-                    write_frame(shutdown_worker.proc.stdin, ("shutdown",))
-            except Exception:
-                self._lose_worker(shutdown_worker, "write to retiring worker failed")
-
-    # -- manual elasticity ---------------------------------------------------
-
-    def grow(self, count: int = 1) -> None:
-        """Open ``count`` new fleet slots and spawn late-joining workers.
-
-        The manual form of a scale-up: the new workers handshake and
-        immediately take parked work or steal from the longest backlog.
-        ``max_workers`` is raised if needed, so a grown fleet stays grown.
-        """
-        if count < 1:
-            raise ValueError(f"count must be positive, got {count}")
-        slots = []
-        with self._lock:
-            self._ensure_started_locked()
-            for _ in range(count):
-                slot = _Slot(len(self._slots))
-                self._slots.append(slot)
-                slots.append(slot)
-            active = sum(1 for s in self._slots if s.state != "retired")
-            self.max_workers = max(self.max_workers, active)
-            if not self.autoscale:
-                self.workers = max(self.workers, active)
-        for slot in slots:
-            self._attach_replacement(slot, counted_as="joins")
-            with self._lock:
-                self._stats["joins"] -= 1  # credited on hello instead
+        # close() won the race: this worker was born into a torn-down fleet.
+        worker.alive = False
+        _kill(worker.proc)
 
     # -- lifecycle and introspection ----------------------------------------
 
@@ -948,8 +774,8 @@ class ProtocolExecutor(Executor):
             self._started = False
             self._fleet_thread = None
             workers = [slot.worker for slot in slots if slot.worker is not None]
-            leftovers: list[_Task] = list(self._parked)
-            self._parked.clear()
+            leftovers: list[_Task] = list(self._pending)
+            self._pending.clear()
             for worker in workers:
                 worker.alive = False
                 if worker.span is not None:
@@ -957,8 +783,6 @@ class ProtocolExecutor(Executor):
                 if worker.current is not None:
                     leftovers.append(worker.current)
                     worker.current = None
-                leftovers.extend(worker.queue)
-                worker.queue.clear()
         for task in leftovers:
             self._fail(task, f"executor closed with task {task.label} outstanding")
         for worker in workers:
@@ -976,18 +800,10 @@ class ProtocolExecutor(Executor):
             try:
                 worker.proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
-                worker.proc.kill()
-                worker.proc.wait()
+                _kill(worker.proc)
         for worker in workers:
             if worker.reader is not None:
                 worker.reader.join(timeout=5)
-
-    def _live_workers_locked(self) -> list[_Worker]:
-        return [
-            slot.worker
-            for slot in self._slots
-            if slot.worker is not None and slot.worker.alive
-        ]
 
     def worker_pids(self) -> list[int]:
         with self._lock:
@@ -1014,7 +830,7 @@ class ProtocolExecutor(Executor):
         Closing the parent side of the worker's stdin simulates a network
         partition on a transport the scheduler can observe: the worker sees
         EOF and exits, the parent sees the pipe close, and the ordinary loss
-        path (requeue, respawn) takes over.  Returns whether a live worker
+        path (retry, respawn) takes over.  Returns whether a live worker
         with that pid was found.
         """
         with self._lock:
@@ -1039,8 +855,7 @@ class ProtocolExecutor(Executor):
             return dict(self._stats)
 
     def __repr__(self) -> str:
-        with self._lock:
-            alive = len(self._live_workers_locked())
+        alive = self.live_worker_count()
         return f"{type(self).__name__}(workers={self.workers}, alive={alive}, stats={self.stats()})"
 
 
@@ -1052,9 +867,9 @@ def _package_search_path() -> str:
 class SubprocessWorkerExecutor(ProtocolExecutor):
     """N long-lived local worker subprocesses speaking the stdio protocol.
 
-    The full remote wire format -- framing, heartbeats, retry scheduling,
-    respawn and autoscaling -- exercised entirely on localhost, so
-    distribution bugs surface in CI rather than on a cluster.  Workers
+    The full remote wire format -- framing, heartbeats, retry scheduling and
+    respawn -- exercised entirely on localhost, so distribution bugs surface
+    in CI rather than on a cluster.  Workers
     inherit the parent's environment plus a ``PYTHONPATH`` entry for this
     package, and run tasks one at a time.
     """
@@ -1098,9 +913,7 @@ class SSHExecutor(ProtocolExecutor):
     it).  ``workers`` controls how many of the configured hosts are used:
     the list is cycled when more workers than hosts are requested and
     truncated when fewer (the runner passes its ``jobs``, so ``--executor
-    ssh --workers 4`` uses four host entries); an autoscaling fleet whose
-    ``max_workers`` exceeds the host list cycles it again, stacking extra
-    workers onto the existing hosts.  ``REPRO_SSH_PYTHON`` selects
+    ssh --workers 4`` uses four host entries).  ``REPRO_SSH_PYTHON`` selects
     the remote interpreter (default ``python3``) and
     ``REPRO_SSH_PYTHONPATH``, when set, is exported on the remote side so a
     checkout-only deployment works without installation.
@@ -1144,5 +957,4 @@ class SSHExecutor(ProtocolExecutor):
         remote_path = os.environ.get("REPRO_SSH_PYTHONPATH")
         if remote_path:
             remote = f"env PYTHONPATH={shlex.quote(remote_path)} {remote}"
-        # Autoscaled slots beyond the configured host list cycle it again.
-        return ["ssh", "-o", "BatchMode=yes", self.hosts[index % len(self.hosts)], remote]
+        return ["ssh", "-o", "BatchMode=yes", self.hosts[index], remote]

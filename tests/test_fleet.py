@@ -1,4 +1,4 @@
-"""The self-healing elastic fleet: respawn, quarantine, late join, autoscale.
+"""The self-healing fleet: respawn, quarantine, late join, the pending queue.
 
 Recovery-timing coverage for :mod:`repro.runner.exec.remote`'s fleet
 machinery, driven by the deterministic chaos harness
@@ -20,7 +20,8 @@ import time
 
 import pytest
 
-from repro.runner import SubprocessWorkerExecutor, SweepRunner, reset_runner
+from repro.cli import main as cli_main
+from repro.runner import ExecutorFailure, SubprocessWorkerExecutor, SweepRunner, configure, reset_runner
 from repro.runner.exec import ChaosController, ChaosEvent, ChaosSchedule
 from repro.runner.exec import faultinject
 
@@ -69,8 +70,8 @@ def test_respawned_worker_takes_parked_work_after_total_fleet_loss():
         assert executor.submit(faultinject.echo_task, "warm").result(timeout=60) == "warm"
         for pid in executor.worker_pids():
             os.kill(pid, signal.SIGKILL)
-        # Every worker is dead; with self-healing on, new work parks and then
-        # dispatches to the replacements instead of failing fast.
+        # Every worker is dead; with self-healing on, new work stays pending
+        # and dispatches to the replacements instead of failing fast.
         futures = [executor.submit(faultinject.square_task, n) for n in range(8)]
         assert [f.result(timeout=60) for f in futures] == [n**2 for n in range(8)]
         stats = executor.stats()
@@ -127,10 +128,28 @@ def test_crash_looping_slot_is_quarantined_not_thrashed():
         assert [f.result(timeout=60) for f in futures] == [n**2 for n in range(6)]
         wait_for(lambda: "quarantined" in executor.slot_states())
         stats = executor.stats()
-        assert stats["quarantines"] >= 1
+        assert stats["quarantines"] == 1  # one crash-looping slot, one entry
         # The healthy slot carried the sweep; the broken one stopped burning
         # spawns once the crash-loop threshold tripped.
         assert stats["workers_lost"] <= executor.crash_loop_threshold + 1
+    finally:
+        executor.close()
+
+
+def test_failed_quarantine_probes_are_not_counted_as_new_quarantines():
+    executor = _HalfBrokenExecutor(
+        2,
+        crash_loop_threshold=2,
+        crash_loop_window=30.0,
+        quarantine_backoff=0.05,
+        quarantine_backoff_cap=0.1,
+        **FLEET,
+    )
+    try:
+        assert executor.submit(faultinject.echo_task, "up").result(timeout=60) == "up"
+        # Let several probes fail: each passes through ``spawning`` and back.
+        wait_for(lambda: executor.stats()["workers_lost"] >= executor.crash_loop_threshold + 4)
+        assert executor.stats()["quarantines"] == 1
     finally:
         executor.close()
 
@@ -181,57 +200,91 @@ def test_quarantined_host_rejoins_when_probe_succeeds(tmp_path):
         executor.close()
 
 
-# -- late join and autoscale -----------------------------------------------------------
+class _BrokenExecutor(SubprocessWorkerExecutor):
+    """Every spawn dies instantly: no slot ever says hello."""
+
+    def _spawn_command(self, index):
+        return [sys.executable, "-c", "raise SystemExit(3)"]
 
 
-def test_grow_adds_worker_that_steals_backlog(tmp_path):
-    gate = str(tmp_path / "gate")
-    with SubprocessWorkerExecutor(1, **FLEET) as executor:
-        futures = [executor.submit(faultinject.hang_until_file_task, gate) for _ in range(4)]
-        wait_for(lambda: executor.busy_worker_pids())
-        executor.grow(1)
-        # The joiner handshakes and immediately pulls queued work: two gate
-        # tasks are in flight at once even though the fleet started at one.
-        wait_for(lambda: len(executor.busy_worker_pids()) == 2)
-        assert executor.stats()["joins"] >= 1
-        open(gate, "w").close()
-        assert [f.result(timeout=60) for f in futures] == [gate] * 4
-        assert executor.worker_count >= 2
-
-
-def test_autoscale_grows_under_backlog_and_reaps_idle(tmp_path):
-    gate = str(tmp_path / "gate")
-    executor = SubprocessWorkerExecutor(
-        1,
-        autoscale=True,
-        min_workers=1,
-        max_workers=3,
-        scale_backlog_factor=1.0,
-        idle_grace=0.3,
+def test_fleet_with_every_slot_quarantined_fails_pending_tasks():
+    executor = _BrokenExecutor(
+        2,
+        crash_loop_threshold=3,
+        crash_loop_window=30.0,
+        quarantine_backoff=0.05,
+        quarantine_backoff_cap=0.2,
         **FLEET,
     )
     try:
-        assert executor.worker_count == 3  # window sizing sees the ceiling
-        futures = [executor.submit(faultinject.hang_until_file_task, gate) for _ in range(9)]
-        wait_for(lambda: executor.live_worker_count() == 3)
-        assert executor.stats()["scale_ups"] >= 2
-        open(gate, "w").close()
-        assert [f.result(timeout=60) for f in futures] == [gate] * 9
-        # Drained: the policy reaps idle workers back down to the floor.
-        wait_for(lambda: executor.live_worker_count() == 1)
-        stats = executor.stats()
-        assert stats["scale_downs"] >= 2
-        # Reaping is retirement, not failure: no losses, no respawns.
-        assert stats["workers_lost"] == 0 and stats["respawns"] == 0
+        future = executor.submit(faultinject.echo_task, "never")
+        # Nothing can ever run it: the sweep must hear so, not wait forever.
+        with pytest.raises(ExecutorFailure, match=r"all 2 fleet slots are quarantined .*worker process exited"):
+            future.result(timeout=30)
+        assert executor.stats()["quarantines"] == 2
+        # Probes keep running: a task submitted to the dead fleet waits for
+        # the next one and fails when that fails too.
+        with pytest.raises(ExecutorFailure, match="quarantined"):
+            executor.submit(faultinject.echo_task, "still down").result(timeout=30)
     finally:
         executor.close()
 
 
-def test_autoscale_bounds_validated():
-    with pytest.raises(ValueError, match="min_workers"):
-        SubprocessWorkerExecutor(2, autoscale=True, min_workers=0)
-    with pytest.raises(ValueError, match="max_workers"):
-        SubprocessWorkerExecutor(2, autoscale=True, min_workers=4, max_workers=2)
+# -- the pending queue -----------------------------------------------------------------
+
+
+def test_respawned_worker_takes_pending_work_at_hello(tmp_path):
+    gate = str(tmp_path / "gate")
+    with SubprocessWorkerExecutor(2, **FLEET) as executor:
+        futures = [executor.submit(faultinject.hang_until_file_task, gate) for _ in range(4)]
+        wait_for(lambda: len(executor.busy_worker_pids()) == 2)
+        victim, survivor = executor.busy_worker_pids()
+        os.kill(victim, signal.SIGKILL)
+        # Both workers were busy with two tasks pending: the replacement is
+        # handed pending work by its handshake, not by the survivor finishing.
+        wait_for(lambda: len(set(executor.busy_worker_pids()) - {victim}) == 2)
+        assert survivor in executor.busy_worker_pids()
+        assert executor.stats()["joins"] >= 1
+        open(gate, "w").close()
+        assert [f.result(timeout=60) for f in futures] == [gate] * 4
+
+
+class _RecordingExecutor(SubprocessWorkerExecutor):
+    """Records every dispatch as ``(task_id, wid)`` in order."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.dispatched: list[tuple[int, int]] = []
+
+    def _send_assignments(self, assignments):
+        self.dispatched += [(task.task_id, worker.wid) for worker, task in assignments]
+        super()._send_assignments(assignments)
+
+
+def test_task_lost_in_flight_is_dispatched_next_on_a_fresh_incarnation(tmp_path):
+    with _RecordingExecutor(1, **FLEET) as executor:
+        futures = [executor.submit(faultinject.crash_once_task, str(tmp_path / "latch"))]
+        futures += [executor.submit(faultinject.square_task, n) for n in (2, 3)]
+        assert [f.result(timeout=60) for f in futures] == ["recovered", 4, 9]
+        (_, first), (_, second) = executor.dispatched[:2]
+        # Task 0 crashed its worker with tasks 1 and 2 pending: it re-enters
+        # at the front of the queue and runs on the replacement incarnation.
+        assert first != second
+        assert executor.dispatched == [(0, first), (0, second), (1, second), (2, second)]
+        assert executor.stats()["retries"] == 1
+
+
+def test_removed_fleet_options_are_rejected_not_ignored(capsys):
+    with pytest.raises(TypeError):
+        SweepRunner(jobs=2, executor="subprocess", executor_options={"respawn": False})
+    with pytest.raises(TypeError):
+        configure(executor="subprocess", autoscale=True)
+    with pytest.raises(TypeError):
+        SubprocessWorkerExecutor(2, max_workers=4)
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["run", "--executor", "subprocess", "--autoscale"])
+    assert exit_info.value.code == 2
+    assert "--autoscale" in capsys.readouterr().err
 
 
 # -- the chaos harness -----------------------------------------------------------------
@@ -345,6 +398,9 @@ def test_executor_stats_survive_mid_sweep_respawn_cycle():
             os.kill(pid, signal.SIGKILL)
         assert executor.submit(faultinject.echo_task, 2).result(timeout=60) == 2
         wait_for(lambda: executor.stats()["respawns"] >= 2)
+        # Both replacements must have said hello (a counted join each) before
+        # the snapshot, or one landing during close() would move ``joins``.
+        wait_for(lambda: executor.slot_states() == ["live", "live"])
         before = executor.stats()
         executor.close()
         assert executor.stats() == before  # close() never zeroes provenance
