@@ -109,8 +109,8 @@ class AuthSyncProcess(ClockSyncProcess):
     def on_message(self, sender: int, payload: object) -> None:
         if isinstance(payload, SignedRound):
             if self.tracker.add(payload.round, payload.signature):
-                self.try_accept()
+                self.try_accept_touched(payload.round)
         elif isinstance(payload, SignatureBundle):
             if self.tracker.add_many(payload.round, payload.signatures) > 0:
-                self.try_accept()
+                self.try_accept_touched(payload.round)
         # Everything else (garbage, baseline messages, echo messages) is ignored.

@@ -151,6 +151,10 @@ class ClockSyncProcess(Process):
         self.after_acceptance(round_)
         self.current_round = round_ + 1
         self.on_round_advanced(round_ + 1)
+        if not self.faulty:
+            # The tracker floor moved: the network may skip what is stale when
+            # sent.  Behaviours may react to anything, so the faulty never publish.
+            self.network.publish_floor(self.pid, round_ + 1)
         self.schedule_round(self.current_round)
 
     def after_acceptance(self, round_: int) -> None:
@@ -164,6 +168,16 @@ class ClockSyncProcess(Process):
     def pending_accepts(self) -> list[int]:
         """Rounds at or above ``current_round`` whose threshold has been reached."""
         raise NotImplementedError
+
+    def try_accept_touched(self, round_: int) -> None:
+        """:meth:`try_accept`, entered only if the round a message just touched can be pending.
+
+        The **touched-round rule** (``docs/kernel.md``): every earlier tracker
+        change ran :meth:`try_accept` to a fixpoint, so no other round can be
+        newly reached; a passive joiner accepts whatever round is.
+        """
+        if (self.current_round is None or round_ >= self.current_round) and self.tracker.reached(round_):
+            self.try_accept()
 
     def try_accept(self) -> None:
         """Accept every pending round in order (normally at most one)."""

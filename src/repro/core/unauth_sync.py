@@ -97,7 +97,7 @@ class EchoSyncProcess(ClockSyncProcess):
         if actions.send_echo:
             self._send_echo(round_)
         if actions.accept:
-            self.try_accept()
+            self.try_accept_touched(round_)
 
     # -- message handling -------------------------------------------------------------
 

@@ -197,6 +197,9 @@ class KeyStore:
             secret = rng.getrandbits(128)
             self._secret_keys[pid] = SecretKey(owner=pid, secret=secret)
             self._public_keys[pid] = PublicKey(owner=pid)
+        #: ``(signer, digest) -> tag`` the signer's secret yields, filled by
+        #: :meth:`verify`: one entry per registered signer and statement checked.
+        self._expected_tags: dict[tuple[int, str], str] = {}
 
     @classmethod
     def generate(cls, n: int, seed: int = 0) -> "KeyStore":
@@ -220,14 +223,20 @@ class KeyStore:
         """Check that ``signature`` is a valid signature on ``message``.
 
         If ``claimed_signer`` is given the signature must additionally have
-        been produced by that process.
+        been produced by that process.  Every call compares this signature's
+        digest and tag; the expected tag, a pure function of (signer, digest),
+        is hashed once per signed statement.
         """
-        if claimed_signer is not None and signature.signer != claimed_signer:
+        signer = signature.signer
+        if claimed_signer is not None and signer != claimed_signer:
             return False
-        secret_key = self._secret_keys.get(signature.signer)
+        secret_key = self._secret_keys.get(signer)
         if secret_key is None:
             return False
         digest = message_digest(message)
         if digest != signature.digest:
             return False
-        return signature.tag == _compute_tag(secret_key.secret, digest)
+        expected = self._expected_tags.get((signer, digest))
+        if expected is None:
+            expected = self._expected_tags[signer, digest] = _compute_tag(secret_key.secret, digest)
+        return signature.tag == expected

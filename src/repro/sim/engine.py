@@ -49,6 +49,8 @@ class Simulation:
         self._boot_times: dict[int, float] = {}
         self.stop_condition: Optional[Callable[["Simulation"], bool]] = None
         self._stopped = False
+        #: Events popped and fired so far, over every run segment and ``step``.
+        self.events_fired = 0
 
     # -- time ----------------------------------------------------------------
 
@@ -137,6 +139,7 @@ class Simulation:
         if event.time < self._now:
             raise RuntimeError("event queue returned an event in the past")
         self._now = event.time
+        self.events_fired += 1
         event.fire()
         return True
 
@@ -154,6 +157,7 @@ class Simulation:
         # leak into this one (it previously suppressed the advance to t_end).
         self._stopped = False
         queue = self.queue
+        fired = 0
         while True:
             next_time = queue.peek_time()
             if next_time is None or next_time > t_end:
@@ -163,10 +167,12 @@ class Simulation:
             # step() inlined: peek_time just returned this event's time.
             event = queue.pop()
             self._now = next_time
+            fired += 1
             event.action(*event.args)
             if self.stop_condition is not None and self.stop_condition(self):
                 self._stopped = True
                 break
+        self.events_fired += fired
         if not self._stopped:
             self._now = t_end
         return self.recorder.finalize(self._now, self.network.stats)
@@ -234,6 +240,7 @@ class Simulation:
         recorder = self.recorder
         queue = self.queue
         recorder.set_round_target(target_round, now=self._now)
+        fired = 0
         try:
             deadline: Optional[float] = None
             while True:
@@ -255,6 +262,7 @@ class Simulation:
                     raise RuntimeError("event queue returned an event in the past")
                 event = queue.pop()  # step() inlined, as in run_until
                 self._now = next_time
+                fired += 1
                 event.action(*event.args)
                 if grace == 0.0 and recorder.round_reached_at is not None:
                     # Halt on the completing event itself, exactly like the
@@ -278,6 +286,7 @@ class Simulation:
             self._now = end
             return recorder.finalize(self._now, self.network.stats)
         finally:
+            self.events_fired += fired
             recorder.set_round_target(None, now=self._now)
 
     @property

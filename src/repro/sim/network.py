@@ -19,7 +19,7 @@ import itertools
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 from .recorder import Recorder
 
@@ -27,9 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from .engine import Simulation
 
 
-@dataclass(frozen=True, slots=True)
-class Envelope:
-    """A message in flight (or delivered).
+class Envelope(NamedTuple):
+    """A message in flight (or delivered); immutable, compared by value.
 
     The payload is opaque to the network; algorithms define their own message
     dataclasses in :mod:`repro.core.messages`.
@@ -62,6 +61,7 @@ class FixedDelay(DelayPolicy):
         self.value = float(value)
 
     def delay(self, sender, dest, payload, time, rng):
+        """The fixed value, whatever the message."""
         return self.value
 
 
@@ -69,14 +69,16 @@ class MaxDelay(DelayPolicy):
     """Every message takes the maximum allowed delay (worst-case latency)."""
 
     def delay(self, sender, dest, payload, time, rng):
-        return float("inf")  # clamped to tdel by the network
+        """Infinity, which the network clamps to ``tdel``."""
+        return float("inf")
 
 
 class MinDelay(DelayPolicy):
     """Every message takes the minimum allowed delay."""
 
     def delay(self, sender, dest, payload, time, rng):
-        return 0.0  # clamped to tmin by the network
+        """Zero, which the network clamps to ``tmin``."""
+        return 0.0
 
 
 class UniformDelay(DelayPolicy):
@@ -85,7 +87,8 @@ class UniformDelay(DelayPolicy):
     unit_sample = True
 
     def delay(self, sender, dest, payload, time, rng):
-        return rng.random()  # scaled into [tmin, tdel] by the network
+        """One unit sample, which the network scales into ``[tmin, tdel]``."""
+        return rng.random()
 
 
 class TargetedDelay(DelayPolicy):
@@ -102,6 +105,7 @@ class TargetedDelay(DelayPolicy):
         self.jitter = float(jitter)
 
     def delay(self, sender, dest, payload, time, rng):
+        """Zero (plus jitter) toward the favoured set, infinity toward the rest."""
         base = 0.0 if dest in self.fast_destinations else float("inf")
         if self.jitter > 0.0:
             return base + rng.uniform(0.0, self.jitter)
@@ -115,6 +119,7 @@ class FunctionDelay(DelayPolicy):
         self.fn = fn
 
     def delay(self, sender, dest, payload, time, rng):
+        """Whatever the wrapped callable returns."""
         return self.fn(sender, dest, payload, time, rng)
 
 
@@ -165,6 +170,9 @@ class Network:
         self._participants: Optional[tuple[int, ...]] = None
         self._msg_ids = itertools.count()
         self._dropped_destinations: set[int] = set()
+        self._floors: dict[int, int] = {}
+        #: Messages the stale-round rule sent without a delivery event.
+        self.pruned = 0
 
     # -- registration -------------------------------------------------------
 
@@ -191,17 +199,72 @@ class Network:
         """Silently drop all future deliveries to ``pid`` (crash modelling)."""
         self._dropped_destinations.add(pid)
 
+    def publish_floor(self, pid: int, floor: int) -> None:
+        """Declare that ``pid`` ignores rounds below ``floor`` from now on (honest trackers only)."""
+        self._floors[pid] = floor
+
     # -- sending ------------------------------------------------------------
 
-    def _choose_delay(self, sender: int, dest: int, payload: object) -> float:
-        # ``policy`` is read per message: scenarios swap it after construction.
+    def _emit(
+        self, sender: int, destinations: Iterable[int], payload: object, delay: Optional[float] = None
+    ) -> list[Envelope]:
+        """The one message path: ``payload`` from ``sender`` to each destination in order.
+
+        Per destination: one delay (``delay``, else one policy draw) brought
+        into ``[tmin, tdel]``, the next ``msg_id``, one envelope shown to the
+        recorder, one delivery event.  The **stale-round rule**
+        (``docs/kernel.md``) skips only the event: a round below the floor the
+        destination published is a no-op on arrival.  The hottest path of a
+        run, so whatever does not depend on the destination is hoisted.
+        """
+        sim = self.sim
+        now = sim.now
+        tmin, tdel = self.tmin, self.tdel
+        # ``policy`` is read per call: scenarios swap it after construction.
         policy = self.policy
-        raw = policy.delay(sender, dest, payload, self.sim.now, self.rng)
-        if raw != raw:  # NaN guard
-            raise ValueError("delay policy returned NaN")
-        if policy.unit_sample:
-            return self.tmin + raw * (self.tdel - self.tmin)
-        return min(self.tdel, max(self.tmin, raw))
+        draw, rng = policy.delay, self.rng
+        width = tdel - tmin if policy.unit_sample and delay is None else None
+        raw = None if delay is None else float(delay)
+        floors = self._floors
+        round_ = getattr(payload, "round", None) if floors else None
+        floor_of = floors.get if isinstance(round_, int) else None
+        on_message = self.recorder.on_message if self._records_messages else None
+        # Bound method + args instead of a per-message closure.  deliver_time
+        # >= now (tmin >= 0), so schedule_at's past clamp cannot apply.
+        push, deliver = sim.queue.push, self._deliver
+        # tuple.__new__ is the namedtuple constructor minus its Python frame.
+        next_id, new = self._msg_ids.__next__, tuple.__new__
+        envelopes = []
+        pruned = 0
+        try:
+            for dest in destinations:
+                if delay is None:
+                    raw = draw(sender, dest, payload, now, rng)
+                if raw != raw:
+                    raise ValueError("message delay is NaN")
+                if width is not None:
+                    deliver_time = now + (tmin + raw * width)
+                else:
+                    deliver_time = now + (tmin if raw < tmin else tdel if raw > tdel else raw)
+                envelope = new(Envelope, (next_id(), sender, dest, payload, now, deliver_time))
+                envelopes.append(envelope)
+                if on_message is not None:
+                    on_message(envelope)
+                if floor_of is not None and round_ < floor_of(dest, 0):
+                    pruned += 1
+                else:
+                    push(deliver_time, deliver, envelope)
+        finally:
+            # Once per call, and also when a destination raised part-way:
+            # every msg_id issued is a message counted.
+            count = len(envelopes)
+            if count:
+                self.pruned += pruned
+                stats, kind = self.stats, type(payload).__name__
+                stats.total_messages += count
+                stats.messages_by_sender[sender] = stats.messages_by_sender.get(sender, 0) + count
+                stats.messages_by_type[kind] = stats.messages_by_type.get(kind, 0) + count
+        return envelopes
 
     def send(self, sender: int, dest: int, payload: object, delay: Optional[float] = None) -> Envelope:
         """Send ``payload`` from ``sender`` to ``dest``.
@@ -210,43 +273,19 @@ class Network:
         coordinate with the delay adversary); it is still clamped to the
         model's ``[tmin, tdel]`` window, so not even faulty processes can beat
         the minimum delay or exceed the delivery bound.
-
-        The hottest path of a run (one call per message): the stats counters
-        and the scheduling are written out here rather than called.
         """
-        sim = self.sim
-        now = sim.now
-        if delay is None:
-            chosen = self._choose_delay(sender, dest, payload)
-        else:
-            chosen = min(self.tdel, max(self.tmin, float(delay)))
-        envelope = Envelope(next(self._msg_ids), sender, dest, payload, now, now + chosen)
-        stats = self.stats
-        stats.total_messages += 1
-        by_sender = stats.messages_by_sender
-        by_sender[sender] = by_sender.get(sender, 0) + 1
-        by_type = stats.messages_by_type
-        kind = type(payload).__name__
-        by_type[kind] = by_type.get(kind, 0) + 1
-        if self._records_messages:
-            self.recorder.on_message(envelope)
-        # deliver_time >= now (chosen >= tmin >= 0), so schedule_at's past
-        # clamp cannot apply.  Bound method + args instead of a per-message
-        # closure: one event per message sent.
-        sim.queue.push(envelope.deliver_time, self._deliver, envelope)
-        return envelope
+        return self._emit(sender, (dest,), payload, delay)[0]
 
     def broadcast(self, sender: int, payload: object, include_self: bool = False) -> list[Envelope]:
         """Send ``payload`` to every registered process (excluding the sender by default)."""
-        return [
-            self.send(sender, pid, payload)
-            for pid in self._sorted_participants()
-            if include_self or pid != sender
-        ]
+        destinations = self._sorted_participants()
+        if not include_self:
+            destinations = [pid for pid in destinations if pid != sender]
+        return self._emit(sender, destinations, payload)
 
     def multicast(self, sender: int, destinations: Iterable[int], payload: object) -> list[Envelope]:
         """Send ``payload`` to an explicit set of destinations (two-faced sends)."""
-        return [self.send(sender, dest, payload) for dest in destinations]
+        return self._emit(sender, destinations, payload)
 
     # -- delivery -----------------------------------------------------------
 

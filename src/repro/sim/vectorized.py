@@ -1180,7 +1180,7 @@ class _ExactReplay:
             dests = layout.dests[sender]
             delays = layout.delays[sender]
         if delays is None:
-            # Network._choose_delay under UniformDelay: one unit draw per
+            # Network._emit under UniformDelay: one unit draw per
             # message in destination order, scaled into [tmin, tdel].
             draw = self.net_rng.random
             width = self.tdel - self.tmin

@@ -955,7 +955,7 @@ def run_scenario(
         sp.set("algorithm", scenario.algorithm)
         sp.set("n", scenario.params.n)
         sp.set("trace_level", trace_level)
-        result = _run_scenario(scenario, check_guarantees, trace_level)
+        result = _run_scenario(scenario, check_guarantees, trace_level, sp)
         provenance = result.kernel_provenance
         if scenario.replications <= 1 and provenance is not None:
             # Replicated scenarios already accounted per shard inside
@@ -973,6 +973,7 @@ def _run_scenario(
     scenario: Scenario,
     check_guarantees: Optional[bool],
     trace_level: str,
+    sp,
 ) -> ScenarioResult:
     if scenario.replications > 1:
         if trace_level != "metrics":
@@ -1031,6 +1032,9 @@ def _run_scenario(
         adaptive=resolve_adaptive(scenario, trace_level),
         abort_unreachable=scenario.abort_unreachable,
     )
+    # The pair kernel.replay reports for the mirror.
+    sp.set("events", sim.events_fired)
+    sp.set("pruned", sim.network.pruned)
 
     if trace_level == "metrics":
         result = _measure_streamed(scenario, observed, check, stopped_early=sim.stopped_early)

@@ -379,7 +379,7 @@ def test_replayed_rng_streams_pin_fault_and_network_layers():
     probe, mirror = random.Random(7), random.Random(7)
     raw = handles.sim.network.policy.delay(0, 1, None, 0.0, probe)
     assert raw == mirror.random()
-    assert handles.sim.network._choose_delay(0, 1, None) == (
+    assert handles.sim.network.send(0, 1, None).deliver_time == (
         scenario.params.tmin
         + random.Random(scenario.seed + 1).random()
         * (scenario.params.tdel - scenario.params.tmin)

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from repro.core.messages import InitMessage
 from repro.sim.engine import Simulation
 from repro.sim.network import (
+    Envelope,
     FixedDelay,
     FunctionDelay,
     MaxDelay,
@@ -168,6 +170,14 @@ def test_delay_policy_nan_rejected():
         sim.network.send(0, 1, "x")
 
 
+def test_explicit_nan_delay_rejected_like_a_policy_nan():
+    # max(tmin, nan) is tmin: the per-message path used to deliver this at tmin.
+    sim, _ = make_net(FixedDelay(0.004), tmin=0.001)
+    with pytest.raises(ValueError):
+        sim.network.send(0, 1, "x", delay=float("nan"))
+    assert sim.network.stats.total_messages == 0 and len(sim.queue) == 0
+
+
 def test_policy_reassigned_after_construction_is_honoured_by_next_send():
     sim, _ = make_net(UniformDelay(), tmin=0.002, tdel=0.01, seed=5)
     network = sim.network
@@ -210,3 +220,110 @@ def test_uniform_delay_deterministic_per_seed():
 def test_participants_sorted():
     sim, _ = make_net(FixedDelay(0.001))
     assert sim.network.participants() == [0, 1, 2]
+
+
+# -- the emit core: one path under send, broadcast and multicast ---------------------------
+
+
+def test_multicast_accepts_a_one_shot_iterable():
+    sim, sinks = make_net(FixedDelay(0.001))
+    envelopes = sim.network.multicast(0, (pid for pid in (2, 1, 2)), "msg")
+    assert [env.dest for env in envelopes] == [2, 1, 2]  # caller's order, duplicates kept
+    assert sim.network.stats.total_messages == 3
+    sim.run_until(1.0)
+    assert len(sinks[1].received) == 1 and len(sinks[2].received) == 2
+
+
+def test_empty_multicast_leaves_the_stats_untouched():
+    sim, _ = make_net(FixedDelay(0.001))
+    assert sim.network.multicast(0, [], "msg") == []
+    assert sim.network.stats.total_messages == 0
+    assert sim.network.stats.messages_by_sender == {} and sim.network.stats.messages_by_type == {}
+
+
+def test_broadcast_including_self_keeps_sorted_pid_order():
+    sim = Simulation(delay_policy=FixedDelay(0.001))
+    for pid in (5, 1, 3):
+        sim.network.register(pid, lambda envelope: None)
+    assert [env.dest for env in sim.network.broadcast(3, "msg", include_self=True)] == [1, 3, 5]
+    assert [env.dest for env in sim.network.broadcast(3, "msg")] == [1, 5]
+
+
+def test_stats_are_bumped_once_per_call_with_the_call_total():
+    sim, _ = make_net(FixedDelay(0.001))
+    sim.network.broadcast(0, "a", include_self=True)
+    sim.network.multicast(1, [0, 2], 7)
+    stats = sim.network.stats
+    assert stats.total_messages == 5
+    assert stats.messages_by_sender == {0: 3, 1: 2}
+    assert stats.messages_by_type == {"str": 3, "int": 2}
+
+
+def test_envelope_is_immutable_and_compares_by_value():
+    sim, _ = make_net(FixedDelay(0.004))
+    env = sim.network.send(0, 1, "x")
+    assert isinstance(env, Envelope)
+    with pytest.raises(AttributeError):
+        env.dest = 1
+    with pytest.raises(AttributeError):
+        env.extra = 1
+    twin = Envelope(env.msg_id, 0, 1, "x", env.send_time, env.deliver_time)
+    assert env == twin and hash(env) == hash(twin) and len({env, twin}) == 1
+    assert env != twin._replace(dest=2)
+    assert env._fields == ("msg_id", "sender", "dest", "payload", "send_time", "deliver_time")
+
+
+class Recording:
+    """A recorder stand-in that keeps every envelope the network shows it."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_message(self, envelope):
+        self.seen.append(envelope)
+
+
+def test_pruned_messages_keep_their_id_draw_count_and_recorder_call():
+    sim, sinks = make_net(UniformDelay(), tmin=0.002, tdel=0.01, seed=5)
+    network = sim.network
+    network.recorder, network._records_messages = Recording(), True
+    mirror = random.Random(5 + 1)
+    network.publish_floor(1, 3)  # pid 1 ignores rounds below 3; pid 2 published nothing
+    sent = []
+    for round_ in (2, 3, 1):
+        sent += network.broadcast(0, InitMessage(round=round_))
+    sent.append(network.send(0, 1, "no round attribute"))
+
+    assert [env.msg_id for env in sent] == list(range(7))  # strictly increasing, no gaps
+    assert network.recorder.seen == sent
+    assert [env.deliver_time for env in sent] == [0.002 + mirror.random() * 0.008 for _ in sent]
+    assert network.stats.total_messages == 7 and network.stats.messages_by_type == {"InitMessage": 6, "str": 1}
+    assert network.pruned == 2 and len(sim.queue) == 5
+    sim.run_until(1.0)
+    to_one = [payload for _, _, payload in sinks[1].received]
+    assert "no round attribute" in to_one
+    assert [payload.round for payload in to_one if isinstance(payload, InitMessage)] == [3]
+    assert sorted(payload.round for _, _, payload in sinks[2].received) == [1, 2, 3]
+
+
+def test_a_nan_mid_broadcast_still_counts_every_message_it_issued():
+    # Destinations 1 and 2 get their msg_id, recorder call and delivery event
+    # before the policy fails on 3: the stats must not lose them.
+    policy = FunctionDelay(lambda s, dest, p, t, rng: float("nan") if dest == 3 else 0.003)
+    sim = Simulation(delay_policy=policy)
+    received = []
+    for pid in range(5):
+        sim.network.register(pid, received.append)
+    network = sim.network
+    network.recorder, network._records_messages = Recording(), True
+    network.publish_floor(1, 4)  # so one of the two is a pruned message
+    with pytest.raises(ValueError):
+        network.broadcast(0, InitMessage(round=2))
+    stats = network.stats
+    assert stats.total_messages == 2 and network.pruned == 1 and len(sim.queue) == 1
+    assert stats.messages_by_sender == {0: 2} and stats.messages_by_type == {"InitMessage": 2}
+    assert [env.msg_id for env in network.recorder.seen] == [0, 1]
+    network.policy = FixedDelay(0.003)
+    assert network.send(0, 4, "next").msg_id == 2 and stats.total_messages == 3  # ids issued == messages counted
+    sim.run_until(1.0)
+    assert [env.dest for env in received] == [2, 4]

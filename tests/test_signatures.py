@@ -75,6 +75,50 @@ def test_tampered_digest_rejected(pki):
     assert not pki.verify(tampered, RoundContent(2))
 
 
+# -- the expected-tag memo: verify hashes once per (signer, statement), checks every call --
+
+
+@pytest.mark.parametrize("genuine_first", [False, True], ids=["memo-cold-on-bad", "memo-warm"])
+def test_memo_never_turns_a_bad_signature_good(pki, genuine_first):
+    message = RoundContent(3)
+    genuine = sign(pki.secret_key(2), message)
+    bad = [
+        forge_attempt(claimed_signer=2, message=message, guess=12345),
+        Signature(signer=1, digest=genuine.digest, tag=genuine.tag),  # replayed under another signer id
+        sign(pki.secret_key(2), RoundContent(4)),  # genuine, on different content
+    ]
+    order = [genuine] + bad if genuine_first else bad + [genuine]
+    for _ in range(3):  # first and repeated calls
+        for signature in order:
+            assert pki.verify(signature, message) is (signature is genuine)
+    assert not pki.verify(genuine, message, claimed_signer=1)
+    assert pki.verify(genuine, message, claimed_signer=2)
+
+
+def test_memo_is_per_keystore():
+    a, b = KeyStore.generate(3, seed=7), KeyStore.generate(3, seed=8)
+    message = RoundContent(1)
+    sig_a, sig_b = sign(a.secret_key(0), message), sign(b.secret_key(0), message)
+    assert sig_a.tag != sig_b.tag
+    for _ in range(2):  # warm both memos, then ask again
+        assert a.verify(sig_a, message) and b.verify(sig_b, message)
+        assert not a.verify(sig_b, message) and not b.verify(sig_a, message)
+
+
+def test_verify_hashes_the_tag_once_per_signed_statement(pki, monkeypatch):
+    from repro.crypto import signatures
+
+    calls = []
+    compute = signatures._compute_tag
+    monkeypatch.setattr(signatures, "_compute_tag", lambda secret, digest: calls.append(digest) or compute(secret, digest))
+    messages = [RoundContent(k) for k in range(3)]
+    sigs = {(pid, k): sign(pki.secret_key(pid), messages[k]) for pid in range(4) for k in range(3)}
+    del calls[:]
+    for _ in range(5):
+        assert all(pki.verify(sig, messages[k]) for (_, k), sig in sigs.items())
+    assert len(calls) == len(sigs)
+
+
 def test_participants_and_membership(pki):
     assert pki.participants() == [0, 1, 2, 3]
     assert pki.has_participant(2)
