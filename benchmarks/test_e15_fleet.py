@@ -2,8 +2,7 @@
 
 The assertion layer over the E15 table -- the bare CLI renders it but
 only fails on table-generation errors, so the churn-invariance claim is
-gated here (and in ``tests/test_fleet.py`` and the
-BENCH_PR10 recovery grid).
+gated here (and in ``tests/test_fleet.py``).
 """
 
 from conftest import run_and_print

@@ -63,7 +63,7 @@ def test_metrics_memory_constant_in_run_length(benchmark):
     def observe(rounds: int) -> tuple[int, int]:
         scenario = _scaled_scenario(rounds)
         handles = build_cluster(scenario, trace_level="metrics")
-        handles.sim.run_until_round(scenario.rounds, t_max=scenario.horizon(), adaptive=True)
+        handles.sim.run_until_round(scenario.rounds, t_max=scenario.horizon())
         recorder = handles.sim.recorder
         assert isinstance(recorder, OnlineMetricsRecorder)
         return recorder.retained_state_size(), recorder.retained_window_samples()

@@ -11,10 +11,9 @@ flushed to the output file immediately (with an in-progress marker while
 later experiments still run), so a long full regeneration can be inspected --
 or resumed from its cache -- midway.  Each section carries a provenance
 footer gathered from the results that flowed through the experiment --
-effective horizons (the adaptive-horizon engine's actual end times),
-replication/shard plans of sharded runs, early stops, and the result cache's
-hit/miss counters for the section (schema v4 keys: resolved adaptive horizon
-and shard plan included).
+effective horizons (the runs' actual end times: each stops when its target
+round completes), replication/shard plans of sharded runs, early stops, and
+the result cache's hit/miss counters for the section.
 
 Sweeps execute through the shared runner subsystem: ``--jobs N`` spreads the
 grid points (and the shard tasks of replicated scenarios) across worker

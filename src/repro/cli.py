@@ -159,18 +159,10 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         help="observation depth: 'full' records the whole trace, 'metrics' streams scalar metrics in O(n) memory",
     )
     parser.add_argument(
-        "--adaptive-horizon",
-        choices=["auto", "on", "off"],
-        default="auto",
-        dest="adaptive_horizon",
-        help="halt as soon as the target round completes instead of polling the round per event "
-        "(auto: adaptive for metrics runs, historical for full traces)",
-    )
-    parser.add_argument(
         "--grace",
         type=float,
         default=0.0,
-        help="real time to keep simulating past target-round completion on adaptive runs (default 0)",
+        help="real time to keep simulating past target-round completion, at either trace level (default 0)",
     )
     parser.add_argument(
         "--abort-unreachable",
@@ -232,7 +224,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     """Build the declarative scenario a ``run``/``stats`` invocation describes."""
     authenticated = args.algorithm == "auth"
     params = _params_from_args(args, authenticated=authenticated)
-    scenario = Scenario(
+    return Scenario(
         params=params,
         algorithm=args.algorithm,
         attack=args.attack,
@@ -253,9 +245,6 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
         kernel=args.kernel,
         seed=args.seed,
     )
-    if args.adaptive_horizon != "auto":
-        scenario.adaptive_horizon = args.adaptive_horizon == "on"
-    return scenario
 
 
 def _resolve_trace_level(args: argparse.Namespace) -> str:
@@ -341,7 +330,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not exporting:
         return _run_and_report(args, exporting=False)
     # Telemetry watches wall-clock scheduling only; the measured result is
-    # float-identical either way (pinned by tests and the bench gate).  The
+    # float-identical either way (pinned by tests/test_obs_integration.py).  The
     # disable() makes enabling command-scoped, so in-process callers (the
     # test suite drives main() directly) never leak an installed tracer.
     obs.enable()

@@ -104,7 +104,7 @@ def replicated(scenario: Scenario, replications: int, shards: Optional[int] = No
 #: sharded, or on a remote executor backend.  The accuracy summary compares
 #: as a whole dataclass (window-rate extremes included); execution
 #: provenance (``shard_count``, ``shard_horizons``) is deliberately absent.
-#: Every parity gate (E13, E14, ``scripts/bench.py``) compares this one
+#: Every parity gate (E13, E14, the ``perfbench`` digests) compares this one
 #: list, so a newly added measured field is either covered everywhere or
 #: visibly missing here.
 MEASURED_RESULT_FIELDS = (

@@ -8,8 +8,8 @@ are no-ops that allocate nothing until :func:`enable` installs a
 :class:`~repro.obs.trace.Tracer` and/or a
 :class:`~repro.obs.metrics.MetricsRegistry`.  Telemetry never reads
 simulated time and never consumes a seeded RNG stream, so a traced run is
-float-identical to an untraced run (pinned in tests, gated in
-``scripts/bench.py``).
+float-identical to an untraced run (pinned in
+``tests/test_obs_integration.py``).
 
 Typical use::
 

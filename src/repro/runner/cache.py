@@ -32,7 +32,7 @@ from typing import Optional, Union
 from .. import obs
 from ..analysis.serialize import scenario_to_dict
 from ..sim.kernel import resolve_kernel
-from ..workloads.scenarios import Scenario, ScenarioResult, resolve_adaptive, resolve_shards
+from ..workloads.scenarios import Scenario, ScenarioResult, resolve_shards
 
 #: Bump when the on-disk entry format changes (pickled object layout, key schema).
 #: 2: ScenarioResult gained ``trace_level`` (and an optional trace); keys carry
@@ -53,7 +53,7 @@ from ..workloads.scenarios import Scenario, ScenarioResult, resolve_adaptive, re
 #: 6: scenarios carry the simulation kernel (``kernel``); keys carry the
 #: *resolved* selection (field -> ``REPRO_KERNEL`` env -> ``"auto"``).  The
 #: kernels are float-identical by contract, but that parity is enforced by
-#: tests and the bench gate, not assumed by the cache -- a result recorded
+#: tests and the benchmark, not assumed by the cache -- a result recorded
 #: under one engine is never served for a request pinning the other (and
 #: fallback notes in the summary depend on the selection).
 #: 7: ScenarioResult carries per-sweep kernel provenance
@@ -66,7 +66,9 @@ from ..workloads.scenarios import Scenario, ScenarioResult, resolve_adaptive, re
 #: stay float-identical; only provenance and notes depend on the engine).
 #: 9: entries are framed ``magic + blake2b-16(payload) + payload`` and verified
 #: before unpickling, so a damaged file is a miss, never a different number.
-SCHEMA_VERSION = 9
+#: 10: key schema only -- ``Scenario`` lost its stop-rule selector (one stop
+#: rule) and ``grace`` is keyed at both trace levels; the entry frame is v9's.
+SCHEMA_VERSION = 10
 
 #: Entry frame: ``_MAGIC``, the 16-byte BLAKE2b digest of the pickle, the
 #: pickle.  Pickle decodes many damaged streams into plausible objects, so the
@@ -146,10 +148,8 @@ def cache_key(
     share one cache entry; the runner re-attaches the requested scenario on
     a hit.  ``trace_level`` is part of the key because it changes what the
     stored result contains (a full trace versus streamed scalars only).
-    The adaptive-horizon fields are keyed by their *resolved* values: the
-    ``None`` default and its per-trace-level resolution share one entry, and
-    ``grace`` only keys adaptive runs (historical runs ignore it).  The shard
-    plan is likewise keyed *resolved* (``shards=None`` and an explicit equal
+    ``grace`` is keyed as given at both trace levels (every run honours it).
+    The shard plan is keyed *resolved* (``shards=None`` and an explicit equal
     count share one entry); it is part of the key because the stored result's
     provenance (``shard_count``, ``shard_horizons``) records it, even though
     the measured values are shard-invariant by construction.  The simulation
@@ -161,9 +161,6 @@ def cache_key(
     """
     description = scenario_to_dict(scenario)
     description.pop("name", None)
-    adaptive = resolve_adaptive(scenario, trace_level)
-    description["adaptive_horizon"] = adaptive
-    description["grace"] = scenario.grace if adaptive else 0.0
     description["shards"] = resolve_shards(scenario)
     description["kernel"] = resolve_kernel(scenario)
     payload = {

@@ -47,7 +47,6 @@ class Simulation:
         )
         self.processes: dict[int, Process] = {}
         self._boot_times: dict[int, float] = {}
-        self.stop_condition: Optional[Callable[["Simulation"], bool]] = None
         self._stopped = False
         #: Events popped and fired so far, over every run segment and ``step``.
         self.events_fired = 0
@@ -153,8 +152,7 @@ class Simulation:
         """
         if t_end < self._now:
             raise ValueError("cannot run into the past")
-        # A stop condition that triggered in an earlier run segment must not
-        # leak into this one (it previously suppressed the advance to t_end).
+        # An early stop in an earlier run segment must not leak into this one.
         self._stopped = False
         queue = self.queue
         fired = 0
@@ -169,12 +167,8 @@ class Simulation:
             self._now = next_time
             fired += 1
             event.action(*event.args)
-            if self.stop_condition is not None and self.stop_condition(self):
-                self._stopped = True
-                break
         self.events_fired += fired
-        if not self._stopped:
-            self._now = t_end
+        self._now = t_end
         return self.recorder.finalize(self._now, self.network.stats)
 
     def run_until_round(
@@ -182,23 +176,18 @@ class Simulation:
         target_round: int,
         t_max: float,
         grace: float = 0.0,
-        adaptive: bool = False,
         abort_unreachable: bool = False,
+        adaptive: bool = True,
     ):
         """Run until every honest process accepted ``target_round`` (or ``t_max``).
 
-        With ``adaptive=False`` (historical behaviour) the engine polls the
-        recorder's completed round after every event and halts on the event
-        that completes the target round; ``t_max`` is the static real-time
-        budget.  With ``adaptive=True`` the horizon adapts: the recorder
-        timestamps the completing resynchronization itself
+        The recorder timestamps the completing resynchronization itself
         (:meth:`~repro.sim.recorder.Recorder.set_round_target`), the loop
-        only checks a flag per event, and the run ends at the completion
-        instant plus the ``grace`` window (still capped by ``t_max``).  With
-        ``grace=0`` the adaptive stop is the exact event the historical poll
-        stops on, so both modes observe identical executions; a positive
-        grace keeps simulating ``grace`` units of real time past completion.
-        ``grace`` is ignored in the historical mode.
+        checks one flag per event, and the run ends at the completion
+        instant plus the ``grace`` window (capped by ``t_max``, the real-time
+        budget of a run that never completes).  With ``grace=0`` the run
+        halts on the completing event itself; a positive grace keeps
+        simulating ``grace`` units of real time past completion.
 
         ``abort_unreachable`` (opt-in) ends the run the moment the recorder's
         crash ceiling proves the target round can never complete -- an honest
@@ -207,31 +196,13 @@ class Simulation:
         only fires when the target cannot complete), but it does change the
         measured end time of infeasible ones, which is why it is off by
         default.
+
+        ``adaptive`` selects nothing: this is the only stop rule.  The keyword
+        is accepted (``True`` only) because ``perfbench/layers.py`` passes it
+        and only a benchmark PR may edit that file.
         """
         if not adaptive:
-            if abort_unreachable:
-                def reached(sim: "Simulation") -> bool:
-                    recorder = sim.recorder
-                    if recorder.min_completed_round() >= target_round:
-                        return True
-                    if recorder.crash_ceiling < target_round:
-                        recorder.on_note(
-                            f"abort: round {target_round} unreachable "
-                            f"(crash ceiling {recorder.crash_ceiling})"
-                        )
-                        return True
-                    return False
-            else:
-                def reached(sim: "Simulation") -> bool:
-                    return sim.recorder.min_completed_round() >= target_round
-
-            previous = self.stop_condition
-            self.stop_condition = reached
-            try:
-                return self.run_until(t_max)
-            finally:
-                self.stop_condition = previous
-
+            raise ValueError("run_until_round has one stop rule; adaptive=False no longer exists")
         if t_max < self._now:
             raise ValueError("cannot run into the past")
         if grace < 0:
@@ -265,8 +236,7 @@ class Simulation:
                 fired += 1
                 event.action(*event.args)
                 if grace == 0.0 and recorder.round_reached_at is not None:
-                    # Halt on the completing event itself, exactly like the
-                    # historical per-event poll would.
+                    # Halt on the completing event itself.
                     self._stopped = True
                     return recorder.finalize(self._now, self.network.stats)
                 if abort_unreachable and recorder.round_target_unreachable:
@@ -291,5 +261,5 @@ class Simulation:
 
     @property
     def stopped_early(self) -> bool:
-        """Whether the last run ended because the stop condition triggered."""
+        """Whether the last run ended before its real-time budget ran out."""
         return self._stopped

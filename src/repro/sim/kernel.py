@@ -30,9 +30,9 @@ Contract
 
 The result cache keys on the resolved kernel (since cache schema v6), so switching
 kernels never serves a result recorded under the other engine even though the
-two are float-identical by construction -- parity is *enforced* by tests and
-the bench gate (``tests/test_kernel_parity.py``, ``scripts/bench.py
---gate``), not assumed by the cache.
+two are float-identical by construction -- parity is *enforced* by
+``tests/test_kernel_parity.py`` and the ``perfbench`` digests, not assumed by
+the cache.
 """
 
 from __future__ import annotations

@@ -32,11 +32,10 @@ Two implementations ship here:
   results are float-for-float identical to the full-trace pipeline for every
   metric it reports (see ``tests/test_recorder_parity.py``).
 
-Recorders also power the engine's adaptive horizon: the engine arms a target
-round via :meth:`Recorder.set_round_target` and both recorders timestamp the
-completing resynchronization in O(1) amortized time, so a run can halt the
-moment the target round completes without polling an O(n) round scan after
-every event.
+Recorders also decide when a run stops: the engine arms a target round via
+:meth:`Recorder.set_round_target` and both recorders timestamp the
+completing resynchronization in O(1) amortized time, so a run halts the
+moment the target round completes with no O(n) round scan per event.
 
 The recorder seam is where execution backends beyond the single in-process
 engine plug in without touching the analysis layer: the sharded backend
@@ -128,7 +127,7 @@ class Recorder(ABC):
     def finalize(self, end_time: float, network_stats: "NetworkStats"):
         """Close the recording at ``end_time`` and return the result object."""
 
-    # -- round-target tracking (adaptive horizon) -----------------------------
+    # -- round-target tracking (the engine's stop rule) -----------------------
 
     #: Round the engine is waiting for, or None when no target is armed.
     _round_target: Optional[int] = None
@@ -151,7 +150,7 @@ class Recorder(ABC):
         crash capped the completable rounds below it.  The engine's opt-in
         early abort (``run_until_round(abort_unreachable=True)``) reads this
         after every event to stop infeasible runs without burning the full
-        static budget.
+        budget.
         """
         return (
             self._round_target is not None
@@ -167,9 +166,9 @@ class Recorder(ABC):
     def set_round_target(self, target: Optional[int], now: float = 0.0) -> None:
         """Arm (or with ``None`` disarm) completion tracking of ``target``.
 
-        The engine's adaptive-horizon loop arms a target instead of polling
-        :meth:`min_completed_round` after every event; recorders timestamp
-        the completing resynchronization via :meth:`_check_round_target`.
+        ``Simulation.run_until_round`` arms a target and reads
+        :attr:`round_reached_at` after every event; recorders timestamp the
+        completing resynchronization via :meth:`_check_round_target`.
         """
         self._round_target = target
         self._round_reached_at = None

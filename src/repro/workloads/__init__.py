@@ -12,7 +12,6 @@ from .scenarios import (
     Scenario,
     ScenarioResult,
     build_cluster,
-    resolve_adaptive,
     run_scenario,
 )
 from .sweeps import grid, run_sweep, scenario_sweep, stream_sweep
@@ -23,7 +22,6 @@ __all__ = [
     "KernelProvenance",
     "ClusterHandles",
     "build_cluster",
-    "resolve_adaptive",
     "run_scenario",
     "ST_ALGORITHMS",
     "BASELINE_ALGORITHMS",

@@ -113,13 +113,8 @@ class Scenario:
     joiner_count: int = 0
     #: Real time at which the joiners come up.
     join_time: float = 0.0
-    #: Adaptive horizon: halt the run as soon as the target round completes
-    #: (plus ``grace``) instead of deciding via the per-event round poll.
-    #: ``None`` resolves per observation depth -- adaptive for metrics-level
-    #: runs, historical for full-trace runs (byte-identical traces).
-    adaptive_horizon: Optional[bool] = None
-    #: Real time to keep simulating past target-round completion (adaptive
-    #: runs only).  0 reproduces the historical stop instant exactly.
+    #: Real time to keep simulating past target-round completion, at either
+    #: trace level.  0 halts on the completing event itself.
     grace: float = 0.0
     #: Opt-in early abort: end a run the moment the target round becomes
     #: unreachable (an honest crash capped the completable rounds below it)
@@ -207,25 +202,12 @@ class Scenario:
     def horizon(self) -> float:
         """Real-time budget: generous upper bound for completing ``rounds`` rounds.
 
-        Under the adaptive horizon this is only the liveness cap (a run that
-        completes the target round ends there); historical runs poll the same
-        stop but treat this as the static budget for infeasible executions.
+        Only the liveness cap: a run that completes the target round ends
+        there (plus ``grace``), an infeasible one spends this budget.
         """
         per_round = (1.0 + self.params.rho) * self.params.period + 4.0 * self.params.tdel
         startup = self.boot_spread + 10.0 * self.params.tdel + self.params.initial_offset_spread
         return startup + per_round * (self.rounds + 2) + self.join_time
-
-
-def resolve_adaptive(scenario: Scenario, trace_level: str) -> bool:
-    """The effective adaptive-horizon flag for one scenario.
-
-    ``None`` resolves to adaptive for metrics-level observation and to the
-    historical per-event poll for full traces; the result cache keys on the
-    resolved value so the default and its explicit spelling share entries.
-    """
-    if scenario.adaptive_horizon is not None:
-        return scenario.adaptive_horizon
-    return trace_level == "metrics"
 
 
 def auto_shard_count() -> int:
@@ -857,7 +839,6 @@ def _run_shard(scenario: Scenario, shard_index: int, replication_indices: Sequen
                 rep.rounds,
                 t_max=rep.horizon(),
                 grace=rep.grace,
-                adaptive=resolve_adaptive(rep, "metrics"),
                 abort_unreachable=rep.abort_unreachable,
             )
         )
@@ -931,12 +912,10 @@ def run_scenario(
     without constructing a trace: the engine streams the scalar measurements
     (identical values, O(n) memory) and ``result.trace`` is ``None``.
 
-    The horizon adapts per :func:`resolve_adaptive`: metrics-level runs halt
-    the instant the target round completes (plus ``scenario.grace``) without
-    per-event polling, full-trace runs keep the historical poll so traces
-    stay byte-identical.  Either way :attr:`Scenario.horizon` caps runs that
-    never complete the target round (``scenario.abort_unreachable`` opts into
-    ending provably infeasible runs at the fatal crash instead).
+    At either trace level the run halts the instant the target round
+    completes (plus ``scenario.grace``); :attr:`Scenario.horizon` caps runs
+    that never complete it (``scenario.abort_unreachable`` opts into ending
+    provably infeasible runs at the fatal crash instead).
 
     A replicated scenario (``replications > 1``, metrics level only) runs
     every replication here, in process, folded through the exact shard-merge
@@ -1029,7 +1008,6 @@ def _run_scenario(
         scenario.rounds,
         t_max=horizon,
         grace=scenario.grace,
-        adaptive=resolve_adaptive(scenario, trace_level),
         abort_unreachable=scenario.abort_unreachable,
     )
     # The pair kernel.replay reports for the mirror.

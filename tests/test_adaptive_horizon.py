@@ -1,13 +1,14 @@
-"""Adaptive horizon: recorder-driven stops equal the historical event poll.
+"""The stop rule: a run halts on the event that completes the target round.
 
-The engine's adaptive mode halts on the recorder's own round tracking (O(1)
-per event) instead of polling ``min_completed_round`` after every event.
-With ``grace=0`` it must stop on the *same event* the historical poll stops
-on, so every streamed metric -- and every full trace -- is identical between
-the two modes; a positive grace extends the run past completion by exactly
-that much real time.  The grid covers the cases where the round bookkeeping
-is easiest to get wrong: crash faults, start-up from scratch, late joiners,
-drifting (piecewise-linear) clocks, and tie-heavy worst-case delay policies.
+``Simulation.run_until_round`` halts on the recorder's own round tracking
+(O(1) per event).  With ``grace=0`` it must stop on the *same event* a
+per-event scan of every honest process's round stops on -- the reference
+``_polled`` below, built from the public ``step()`` -- so every streamed
+metric and every full trace is identical between the two; a positive grace
+extends the run past completion by exactly that much real time.  The grid
+covers the cases where the round bookkeeping is easiest to get wrong: crash
+faults, start-up from scratch, late joiners, drifting (piecewise-linear)
+clocks, and tie-heavy worst-case delay policies.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 
 from repro.analysis.serialize import trace_to_dict
 from repro.experiments.common import adversarial_scenario, benign_scenario, default_params
-from repro.workloads.scenarios import Scenario, build_cluster, resolve_adaptive, run_scenario
+from repro.workloads.scenarios import Scenario, build_cluster, run_scenario
 
 
 def _grid() -> list[Scenario]:
@@ -53,7 +54,7 @@ def _grid() -> list[Scenario]:
         benign_scenario(default_params(5, authenticated=True), "auth", rounds=5, seed=5),
         benign_scenario(default_params(7, authenticated=False), "echo", rounds=5, seed=6),
         # Worst-case delays produce many same-instant deliveries: the
-        # adaptive stop must break mid-instant exactly like the poll does.
+        # stop must break mid-instant exactly like the poll does.
         dataclasses.replace(
             adversarial_scenario(
                 default_params(7, authenticated=True), "auth", attack="skew_max", rounds=6, seed=2
@@ -87,60 +88,50 @@ def _result_fields(result):
     )
 
 
+def _polled(scenario: Scenario, trace_level: str):
+    """Reference stop rule: fire one event at a time, scan every honest round after each."""
+    sim = build_cluster(scenario, trace_level=trace_level).sim
+    while sim.recorder.min_completed_round() < scenario.rounds:
+        assert sim.step(), "every scenario here completes its target round"
+    assert sim.now <= scenario.horizon()
+    return sim.recorder.finalize(sim.now, sim.network.stats)
+
+
+def _stopped(scenario: Scenario, trace_level: str):
+    sim = build_cluster(scenario, trace_level=trace_level).sim
+    observed = sim.run_until_round(scenario.rounds, t_max=scenario.horizon())
+    assert sim.stopped_early
+    return observed
+
+
 @pytest.mark.parametrize("scenario", _grid(), ids=lambda s: f"{s.name}-seed{s.seed}")
 def test_adaptive_metrics_run_equals_static(scenario: Scenario) -> None:
-    static = run_scenario(
-        dataclasses.replace(scenario, adaptive_horizon=False), trace_level="metrics"
-    )
-    adaptive = run_scenario(
-        dataclasses.replace(scenario, adaptive_horizon=True), trace_level="metrics"
-    )
-    assert _result_fields(adaptive) == _result_fields(static)
+    assert _stopped(scenario, "metrics") == _polled(scenario, "metrics")
 
 
 @pytest.mark.parametrize("scenario", _grid()[:3], ids=lambda s: f"{s.name}-seed{s.seed}")
 def test_adaptive_full_trace_is_byte_identical(scenario: Scenario) -> None:
-    historical = run_scenario(scenario, trace_level="full")  # default: historical poll
-    adaptive = run_scenario(
-        dataclasses.replace(scenario, adaptive_horizon=True), trace_level="full"
-    )
-    assert trace_to_dict(adaptive.trace) == trace_to_dict(historical.trace)
+    assert trace_to_dict(_stopped(scenario, "full")) == trace_to_dict(_polled(scenario, "full"))
 
 
 def test_adaptive_summary_equality_at_engine_level() -> None:
     scenario = adversarial_scenario(
         default_params(7, authenticated=True), "auth", attack="skew_max", rounds=8, seed=17
     )
-    summaries = []
-    for adaptive in (False, True):
-        handles = build_cluster(scenario, trace_level="metrics")
-        summary = handles.sim.run_until_round(
-            scenario.rounds, t_max=scenario.horizon(), adaptive=adaptive
-        )
-        assert handles.sim.stopped_early
-        summaries.append(summary)
-    assert summaries[0] == summaries[1]
+    assert _stopped(scenario, "metrics") == _polled(scenario, "metrics")
 
 
 def test_stop_never_fires_before_target_round_under_worst_case_delays() -> None:
     # Every message takes the full tdel: round completion is as late as the
     # model allows, and acceptances pile up on identical timestamps.  The
-    # adaptive stop must still wait for the last process of the last round.
+    # stop must still wait for the last process of the last round.
     scenario = dataclasses.replace(
         adversarial_scenario(
-            default_params(7, authenticated=True),
-            "auth",
-            attack="skew_max",
-            rounds=7,
-            seed=23,
-            adaptive_horizon=True,
+            default_params(7, authenticated=True), "auth", attack="skew_max", rounds=7, seed=23
         ),
         delay_mode="max",
     )
-    handles = build_cluster(scenario, trace_level="metrics")
-    sim = handles.sim
-    summary = sim.run_until_round(scenario.rounds, t_max=scenario.horizon(), adaptive=True)
-    assert sim.stopped_early
+    summary = _stopped(scenario, "metrics")
     assert summary.completed_round >= scenario.rounds
     # The completing instant cannot precede `rounds` sequential broadcasts.
     assert summary.end_time >= scenario.rounds * scenario.params.tdel
@@ -150,34 +141,33 @@ def test_grace_extends_the_adapted_horizon_exactly() -> None:
     scenario = adversarial_scenario(
         default_params(5, authenticated=True), "auth", attack="eager", rounds=5, seed=31
     )
-    tight = run_scenario(dataclasses.replace(scenario, adaptive_horizon=True), trace_level="metrics")
-    graced = run_scenario(
-        dataclasses.replace(scenario, adaptive_horizon=True, grace=0.5), trace_level="metrics"
-    )
-    assert tight.stopped_early and graced.stopped_early
-    assert graced.effective_horizon == tight.effective_horizon + 0.5
-    assert graced.effective_horizon < scenario.horizon()
-    assert graced.completed_round >= tight.completed_round
+    for trace_level in ("metrics", "full"):
+        tight = run_scenario(scenario, trace_level=trace_level)
+        graced = run_scenario(dataclasses.replace(scenario, grace=0.5), trace_level=trace_level)
+        assert tight.stopped_early and graced.stopped_early, trace_level
+        assert graced.effective_horizon == tight.effective_horizon + 0.5, trace_level
+        assert graced.effective_horizon < scenario.horizon()
+        assert graced.completed_round >= tight.completed_round
 
 
 def test_infeasible_run_falls_back_to_the_static_budget() -> None:
-    # A target round the execution never reaches: the adaptive run must use
-    # the full static budget, exactly like the historical poll would.
+    # A target round the execution never reaches: the run must use the full
+    # static budget.
     scenario = benign_scenario(default_params(5, authenticated=True), "auth", rounds=3, seed=41)
     t_max = scenario.horizon()
     handles = build_cluster(scenario, trace_level="metrics")
-    summary = handles.sim.run_until_round(10_000, t_max=t_max, adaptive=True)
+    summary = handles.sim.run_until_round(10_000, t_max=t_max)
     assert not handles.sim.stopped_early
     assert summary.end_time == t_max
     assert summary.completed_round < 10_000
 
 
-def test_resolve_adaptive_defaults_per_trace_level() -> None:
+def test_the_per_event_poll_cannot_be_selected() -> None:
+    # perfbench/layers.py still passes adaptive=True; False has nothing left to select.
     scenario = benign_scenario(default_params(4, authenticated=True), "auth", rounds=3, seed=1)
-    assert resolve_adaptive(scenario, "metrics") is True
-    assert resolve_adaptive(scenario, "full") is False
-    explicit = dataclasses.replace(scenario, adaptive_horizon=True)
-    assert resolve_adaptive(explicit, "full") is True
+    sim = build_cluster(scenario, trace_level="metrics").sim
+    with pytest.raises(ValueError, match="one stop rule"):
+        sim.run_until_round(scenario.rounds, t_max=scenario.horizon(), adaptive=False)
 
 
 def test_negative_grace_is_rejected() -> None:
@@ -194,7 +184,7 @@ def test_grace_on_already_completed_target_never_rewinds_time() -> None:
     sim = handles.sim
     sim.run_until_round(scenario.rounds, t_max=scenario.horizon())
     first_end = sim.now
-    trace = sim.run_until_round(scenario.rounds, t_max=scenario.horizon(), grace=0.25, adaptive=True)
+    trace = sim.run_until_round(scenario.rounds, t_max=scenario.horizon(), grace=0.25)
     assert sim.now >= first_end
     assert sim.now == first_end + 0.25
     assert trace.end_time == sim.now
@@ -211,15 +201,12 @@ def _crashing_cluster(trace_level: str, crash_at: float = 1.5):
     return scenario, handles
 
 
-@pytest.mark.parametrize("adaptive", [False, True], ids=["historical", "adaptive"])
-@pytest.mark.parametrize("trace_level", ["metrics", "full"])
-def test_abort_unreachable_stops_at_the_fatal_crash(trace_level: str, adaptive: bool) -> None:
+@pytest.mark.parametrize("trace_level", ["metrics", "full"], ids=["metrics-adaptive", "full-adaptive"])
+def test_abort_unreachable_stops_at_the_fatal_crash(trace_level: str) -> None:
     crash_at = 1.5
     scenario, handles = _crashing_cluster(trace_level, crash_at)
     t_max = scenario.horizon()
-    observed = handles.sim.run_until_round(
-        scenario.rounds, t_max=t_max, adaptive=adaptive, abort_unreachable=True
-    )
+    observed = handles.sim.run_until_round(scenario.rounds, t_max=t_max, abort_unreachable=True)
     # The crash caps the completable rounds below the target; the run must
     # end on the crash event itself, not at the static budget.
     assert handles.sim.stopped_early
@@ -233,9 +220,9 @@ def test_abort_unreachable_stops_at_the_fatal_crash(trace_level: str, adaptive: 
 def test_abort_unreachable_is_off_by_default(trace_level: str) -> None:
     scenario, handles = _crashing_cluster(trace_level)
     t_max = scenario.horizon()
-    observed = handles.sim.run_until_round(scenario.rounds, t_max=t_max, adaptive=True)
+    observed = handles.sim.run_until_round(scenario.rounds, t_max=t_max)
     # Without the opt-in, the infeasible run burns the full static budget --
-    # the historical behaviour the measured end times of failed runs rely on.
+    # the behaviour the measured end times of failed runs rely on.
     assert not handles.sim.stopped_early
     assert observed.end_time == t_max
 

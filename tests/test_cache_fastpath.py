@@ -38,7 +38,6 @@ from repro.workloads.scenarios import (
     CLOCK_MODES,
     DELAY_MODES,
     Scenario,
-    resolve_adaptive,
     resolve_shards,
 )
 
@@ -60,9 +59,6 @@ def oracle_scenario_to_dict(scenario: Scenario) -> dict:
 def oracle_key_description(scenario: Scenario, check: bool, trace_level: str, salt: str) -> str:
     description = oracle_scenario_to_dict(scenario)
     description.pop("name", None)
-    adaptive = resolve_adaptive(scenario, trace_level)
-    description["adaptive_horizon"] = adaptive
-    description["grace"] = scenario.grace if adaptive else 0.0
     description["shards"] = resolve_shards(scenario)
     description["kernel"] = resolve_kernel(scenario)
     payload = {
@@ -112,7 +108,6 @@ def scenario_kwargs(draw) -> dict:
         "monotonic": draw(st.booleans()),
         "joiner_count": draw(st.integers(min_value=0, max_value=5)),
         "join_time": draw(st.floats(min_value=0.0, max_value=50.0, **finite)),
-        "adaptive_horizon": draw(st.none() | st.booleans()),
         "grace": draw(st.floats(min_value=0.0, max_value=5.0, **finite)),
         "abort_unreachable": draw(st.booleans()),
         "replications": draw(st.integers(min_value=1, max_value=16)),
@@ -209,7 +204,6 @@ BASE = Scenario(
     rounds=6,
     replications=4,
     shards=2,
-    adaptive_horizon=True,
     kernel="event",
 )
 
@@ -229,7 +223,6 @@ SCENARIO_VARIANTS = {
     "monotonic": True,
     "joiner_count": 1,
     "join_time": 2.0,
-    "adaptive_horizon": False,
     "grace": 0.25,
     "abort_unreachable": True,
     "replications": 5,
@@ -270,8 +263,8 @@ def test_every_scenario_and_params_field_reaches_the_key():
 def test_resolved_defaults_share_their_explicit_spelling(monkeypatch):
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
     monkeypatch.setenv("REPRO_SHARDS", "2")
-    implicit = dataclasses.replace(BASE, adaptive_horizon=None, shards=None, kernel=None)
-    explicit = dataclasses.replace(BASE, adaptive_horizon=True, shards=2, kernel="auto")
+    implicit = dataclasses.replace(BASE, shards=None, kernel=None)
+    explicit = dataclasses.replace(BASE, shards=2, kernel="auto")
     assert cache_key(implicit, True, "metrics", SALT) == cache_key(explicit, True, "metrics", SALT)
     # An explicit alpha equal to the default is a different description
     # (alpha=None vs a number), exactly as under the asdict builder.

@@ -109,3 +109,31 @@ def test_public_modules_have_docstrings():
         repro.workloads.scenarios,
     ):
         assert (mod.__doc__ or "").strip(), f"{mod.__name__} lacks a module docstring"
+
+
+# -- every cited file exists -------------------------------------------------------------
+
+#: Repo-relative citations of a script, test, benchmark, doc page or bench record.
+_CITATION = re.compile(
+    r"(?<![\w/.-])(?:(?:scripts|tests|benchmarks)/[\w/.-]+?\.py|docs/[\w/.-]+?\.md|BENCH\w*\.json)\b"
+)
+
+
+def _citing_files():
+    """Where citations are checked (CHANGES.md, ROADMAP.md and perfbench/ are history or out of scope)."""
+    yield REPO / "README.md"
+    yield REPO / ".claude" / "skills" / "verify" / "SKILL.md"
+    yield REPO / ".github" / "workflows" / "ci.yml"
+    yield from sorted(DOCS.glob("*.md"))
+    yield from sorted((REPO / "benchmarks").glob("*.py"))
+    yield from sorted((REPO / "src").rglob("*.py"))
+
+
+def test_no_cited_file_is_missing():
+    dangling = [
+        f"{path.relative_to(REPO)} cites {cited}"
+        for path in _citing_files()
+        for cited in sorted(set(_CITATION.findall(path.read_text())))
+        if not (REPO / cited).is_file()
+    ]
+    assert not dangling, dangling

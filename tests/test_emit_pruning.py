@@ -25,7 +25,7 @@ from repro.experiments.common import adversarial_scenario, benign_scenario, defa
 from repro.faults.behaviors import ReplayAttacker
 from repro.sim.events import EventQueue
 from repro.sim.network import Network
-from repro.workloads.scenarios import Scenario, build_cluster, resolve_adaptive, run_scenario
+from repro.workloads.scenarios import Scenario, build_cluster, run_scenario
 
 
 def auth(attack, n=7, rounds=5, **kwargs):
@@ -59,7 +59,7 @@ CELLS = {
     "auth-honest-crash": (
         benign_scenario(default_params(5, authenticated=True), "auth", rounds=50, seed=19), 1.5, True,
     ),
-    "auth-grace": (auth("skew_max", adaptive_horizon=True, grace=0.3), None, True),
+    "auth-grace": (auth("skew_max", grace=0.3), None, True),
 }
 
 
@@ -80,10 +80,7 @@ def run_cell(scenario, trace_level, crash_at) -> Run:
     sim = handles.sim
     if crash_at is not None:
         sim.schedule_at(crash_at, handles.honest[0].halt)
-    observed = sim.run_until_round(
-        scenario.rounds, t_max=scenario.horizon(), grace=scenario.grace,
-        adaptive=resolve_adaptive(scenario, trace_level),
-    )
+    observed = sim.run_until_round(scenario.rounds, t_max=scenario.horizon(), grace=scenario.grace)
     if trace_level == "full":
         observation, samples = trace_to_dict(observed), None
     else:
@@ -147,7 +144,7 @@ def test_try_accept_is_entered_only_for_a_touched_round_that_can_be_pending(scen
 
     monkeypatch.setattr(ClockSyncProcess, "try_accept", counted)
     handles = build_cluster(scenario, trace_level="metrics")
-    handles.sim.run_until_round(scenario.rounds, t_max=scenario.horizon(), adaptive=True)
+    handles.sim.run_until_round(scenario.rounds, t_max=scenario.horizon())
     for process in handles.honest:
         assert len(process.accepted_rounds) >= scenario.rounds
         # One unconditional entry per own announcement (auth only) plus one per

@@ -92,7 +92,7 @@ def test_step_returns_false_on_empty_queue():
     [
         lambda sim: sim.step(),
         lambda sim: sim.run_until(2.0),
-        lambda sim: sim.run_until_round(1, t_max=2.0, adaptive=True),
+        lambda sim: sim.run_until_round(1, t_max=2.0),
     ],
     ids=["step", "run_until", "run_until_round"],
 )

@@ -44,23 +44,22 @@ class Pinger(Process):
 
 
 def test_run_until_resets_stale_stop_flag():
-    """A stop condition that fired in one run must not freeze the next run's clock.
+    """An early stop in one run segment must not leak into the next one.
 
-    Regression: ``_stopped`` used to survive an early-stopped ``run_until``,
-    so the following ``run_until`` skipped the advance to ``t_end``.
+    Regression: ``_stopped`` used to survive an early-stopped segment, so the
+    following ``run_until`` still reported ``stopped_early``.
     """
-    sim = make_sim()
-    sim.add_process(Pinger(0), FixedRateClock())
-    sim.stop_condition = lambda s: True  # stop on the very first event
-    sim.run_until(1.0)
+    scenario = benign_scenario(default_params(4, authenticated=True), "auth", rounds=2, seed=1)
+    sim = build_cluster(scenario, trace_level="full").sim
+    t_end = scenario.horizon()
+    sim.run_until_round(1, t_max=t_end)
     assert sim.stopped_early
-    assert sim.now < 1.0
+    assert sim.now < t_end
 
-    sim.stop_condition = None
-    trace = sim.run_until(2.0)
+    trace = sim.run_until(t_end)
     assert not sim.stopped_early
-    assert sim.now == 2.0
-    assert trace.end_time == 2.0
+    assert sim.now == t_end
+    assert trace.end_time == t_end
 
 
 # -- recorder protocol ---------------------------------------------------------
@@ -255,7 +254,7 @@ def test_message_digest_cache_distinguishes_equal_but_distinct_values():
 
 def _metrics_summary(scenario, sample_messages=None):
     handles = build_cluster(scenario, trace_level="metrics", sample_messages=sample_messages)
-    return handles.sim.run_until_round(scenario.rounds, t_max=scenario.horizon(), adaptive=True)
+    return handles.sim.run_until_round(scenario.rounds, t_max=scenario.horizon())
 
 
 def test_message_sampling_retains_every_kth_envelope():
@@ -310,7 +309,7 @@ def test_message_samples_concatenate_under_merge():
 def test_message_sampling_memory_is_bounded_by_rate():
     scenario = benign_scenario(default_params(5, authenticated=True), "auth", rounds=4)
     handles = build_cluster(scenario, trace_level="metrics", sample_messages=1000000)
-    summary = handles.sim.run_until_round(scenario.rounds, t_max=scenario.horizon(), adaptive=True)
+    summary = handles.sim.run_until_round(scenario.rounds, t_max=scenario.horizon())
     recorder = handles.sim.recorder
     assert recorder.retained_message_samples() == 1  # just message 0
     assert len(summary.message_samples) == 1

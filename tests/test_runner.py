@@ -356,35 +356,16 @@ def test_persistent_pool_reused_across_sweeps():
     assert runner._executor is None
 
 
-# -- cache schema v3: adaptive horizon -------------------------------------------------
+# -- cache schema v10: grace is keyed at both trace levels ---------------------------------
 
 
-def test_cache_key_resolves_adaptive_horizon_default():
+def test_cache_key_keys_grace_at_both_trace_levels():
     scenario = small_grid()[0]
-    explicit = replace(scenario, adaptive_horizon=True)
-    historical = replace(scenario, adaptive_horizon=False)
-    # The None default resolves per trace level and shares the entry with
-    # its explicit spelling.
-    assert cache_key(scenario, True, trace_level="metrics") == cache_key(
-        explicit, True, trace_level="metrics"
-    )
-    assert cache_key(scenario, True, trace_level="full") == cache_key(
-        historical, True, trace_level="full"
-    )
-    assert cache_key(explicit, True, trace_level="metrics") != cache_key(
-        historical, True, trace_level="metrics"
-    )
-
-
-def test_cache_key_ignores_grace_on_historical_runs():
-    scenario = small_grid()[0]
-    graced = replace(scenario, grace=2.5)
-    # Historical (full-trace) runs ignore grace entirely: one entry.
-    assert cache_key(scenario, True, trace_level="full") == cache_key(graced, True, trace_level="full")
-    # Adaptive runs simulate through the grace window: distinct entries.
-    assert cache_key(scenario, True, trace_level="metrics") != cache_key(
-        graced, True, trace_level="metrics"
-    )
+    graced = replace(scenario, grace=0.3)
+    # Every run simulates through the grace window, full traces included, so
+    # a key that dropped grace would serve a result with the wrong end time.
+    for trace_level in ("metrics", "full"):
+        assert cache_key(scenario, True, trace_level=trace_level) != cache_key(graced, True, trace_level=trace_level)
 
 
 def test_effective_horizon_round_trips_through_cache(tmp_path):

@@ -27,7 +27,6 @@ from repro.workloads.scenarios import (
     build_cluster,
     plan_shards,
     replicate,
-    resolve_adaptive,
     resolve_shards,
     run_scenario,
     run_shard,
@@ -141,11 +140,7 @@ def test_mergeable_summary_equals_plain_summary():
     summaries = {}
     for mergeable in (False, True):
         handles = build_cluster(scenario, trace_level="metrics", mergeable=mergeable)
-        summaries[mergeable] = handles.sim.run_until_round(
-            scenario.rounds,
-            t_max=scenario.horizon(),
-            adaptive=resolve_adaptive(scenario, "metrics"),
-        )
+        summaries[mergeable] = handles.sim.run_until_round(scenario.rounds, t_max=scenario.horizon())
     assert summaries[False].window_samples is None
     assert summaries[True].window_samples is not None
     assert summaries[True].compact() == summaries[False]
