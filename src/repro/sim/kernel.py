@@ -139,8 +139,6 @@ def kernel_ineligibility(scenario, trace_level: str) -> Optional[str]:
     ``scenario`` is duck-typed (anything with the :class:`Scenario` fields
     works) so this module never imports the workloads layer.
     """
-    if numpy_or_none() is None:
-        return "numpy is not installed"
     if trace_level != "metrics":
         return "full traces require the event loop (vector kernel is metrics-only)"
     algorithm = getattr(scenario, "algorithm", None)
@@ -188,6 +186,10 @@ def kernel_ineligibility(scenario, trace_level: str) -> Optional[str]:
             f"{honest} honest processes cannot meet the f+1={params.f + 1} acceptance "
             "threshold (out-of-spec run); the event loop measures the stall"
         )
+    # Probed last: a process that only ever runs full traces, baselines or
+    # start-up/join never pays for an import it cannot use.
+    if numpy_or_none() is None:
+        return "numpy is not installed"
     return None
 
 

@@ -58,9 +58,11 @@ The lockstep array path evaluates a whole run round by round:
 Lanes: several single-replication scenarios that differ only in seed (the
 shape :func:`~repro.workloads.scenarios.replicate` produces) are evaluated
 in lockstep -- the static layout (roles, destination sets, delay matrix) is
-built once and phase 1's clock/arrival arrays carry a leading lane axis.
-A lane that falls back never touches a recorder, so the caller can re-run
-exactly the failed lanes on the event loop.
+built once per family and kept (:func:`_layout_for`), and every phase-1
+array, the fixpoint's included, carries a leading lane axis, so a block
+costs one set of array calls per round whatever its size.  A lane that
+falls back never touches a recorder, so the caller can re-run exactly the
+failed lanes on the event loop.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ import itertools
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from random import Random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .. import obs
 from .clocks import FixedRateClock, drifting_clock, spread_offsets
@@ -144,13 +146,25 @@ class _Batch:
         self.seq = seq
 
 
-class _Round:
-    """Per-round phase-1 output for one lane."""
+class _Round(NamedTuple):
+    """Per-round phase-1 output for one lane, as plain Python values.
 
-    __slots__ = (
-        "k", "tgt", "T", "ann", "timer_ok", "Acc", "valid", "arr",
-        "active", "before", "adj_after",
-    )
+    The per-actor fields are ``.tolist()`` rows of the block arrays, taken
+    once per round, so phase 2 never touches a NumPy scalar; ``arr`` stays
+    the lane's ``(S, A)`` arrival array for the walk's one below-``tau``
+    count.
+    """
+
+    k: int
+    tgt: float
+    T: list
+    ann: list
+    Acc: list
+    valid: list
+    active: list
+    before: list
+    adj_after: list
+    arr: object
 
 
 def _faulty_roles(attack: Optional[str], faulty_pids: list) -> dict:
@@ -288,20 +302,19 @@ class _Layout:
             self.rtf_tables[pid] = tuple(variants)
         if not self.lockstep:
             self.D = None
-            self.M = None
             return
-        # Arrival structure over (sender row, actor column).
+        # Arrival structure over (sender row, actor column): the clamped
+        # (finite) delay where the sender reaches the actor, inf where it
+        # does not -- in particular on the diagonal, no sender being its own
+        # destination -- so ``send + D`` needs no separate reach mask.
         D = np.full((self.S, self.A), np.inf)
-        M = np.zeros((self.S, self.A), dtype=bool)
         sender_order = self.actor_pids + self.eager_pids
         for s, pid in enumerate(sender_order):
             for p, d in enumerate(self.dests[pid]):
                 col = self.actor_col.get(d)
                 if col is not None:
                     D[s, col] = self.delays[pid][p]
-                    M[s, col] = True
         self.D = D
-        self.M = M
         # Lets the exact walk find a batch's deliveries landing on an instant
         # per distinct delay value instead of per destination.
         self.delay_classes = {
@@ -418,16 +431,11 @@ class _DriftTables:
         self.values = values
         self.honest = np.arange(A) < layout.h
 
-    def _tables(self, lane):
-        if lane is None:
-            return self.rates, self.values
-        return self.rates[lane], self.values[lane]
-
-    def invert(self, hw, lane=None):
+    def invert(self, hw):
         # PiecewiseLinearClock.invert: local <= offset -> 0.0, else segment
         # i = bisect_right(values, local) - 1, starts[i] + (local - v) / r.
         np = self.np
-        rates, values = self._tables(lane)
+        rates, values = self.rates, self.values
         idx = (values <= hw[..., None]).sum(axis=-1) - 1
         idx = np.clip(idx, 0, values.shape[-1] - 1)
         v = np.take_along_axis(values, idx[..., None], axis=-1)[..., 0]
@@ -439,11 +447,11 @@ class _DriftTables:
         fixed = np.where(hw <= 0.0, 0.0, hw)
         return np.where(self.honest[: drift.shape[-1]], drift, fixed)
 
-    def read(self, t, lane=None):
+    def read(self, t):
         # PiecewiseLinearClock.read: t <= 0 -> offset, else segment
         # i = bisect_right(starts, t) - 1, values[i] + rates[i] * (t - s).
         np = self.np
-        rates, values = self._tables(lane)
+        rates, values = self.rates, self.values
         idx = np.searchsorted(self.starts, t, side="right") - 1
         idx = np.clip(idx, 0, len(self.starts) - 1)
         v = np.take_along_axis(values, idx[..., None], axis=-1)[..., 0]
@@ -455,28 +463,27 @@ class _DriftTables:
         return np.where(self.honest[: drift.shape[-1]], drift, t)
 
 
-def _phase1(layout: _Layout, scenarios: list, drift=None) -> list:
+def _phase1(layout: _Layout, scenarios: list, lane_offsets: list, drift=None) -> list:
     """Lockstep round evaluation for all lanes; returns per-lane round lists.
 
-    Entries are either ``list[_Round]`` or a :class:`LaneFallback` instance
-    recording why that lane left the proven regime.
+    Every array carries a leading lane axis and every operation is
+    lane-independent along it, so a block of ``L`` lanes costs one set of
+    array calls per round, not ``L``.  Entries of the result are either
+    ``list[_Round]`` or a :class:`LaneFallback` instance recording why that
+    lane left the proven regime (the first guard it tripped, in the order
+    a lane alone would meet them); a failed lane stays in the arrays,
+    masked, and is neither waited for nor read again.
     """
     np = layout.np
-    A, S, E = layout.A, layout.S, layout.E
-    f = layout.f
+    A, S, E, h = layout.A, layout.S, layout.E, layout.h
     L = len(scenarios)
     R = scenarios[0].rounds
-    tdel = layout.tdel
-    crash_time = layout.crash_time
-    is_crash = layout.is_crash
+    rates = layout.rates
+    D_act, D_eager = layout.D[:A], layout.D[A:]
+    cand = np.empty((L, S, A))
 
     offs = np.zeros((L, A))
-    for l, sc in enumerate(scenarios):
-        lane_offsets = spread_offsets(
-            layout.h, sc.params.initial_offset_spread, seed=sc.seed + 13
-        )
-        offs[l, : layout.h] = lane_offsets
-    rates = layout.rates
+    offs[:, :h] = lane_offsets
 
     adj = np.zeros((L, A))
     arm = np.zeros((L, A))
@@ -484,89 +491,126 @@ def _phase1(layout: _Layout, scenarios: list, drift=None) -> list:
     max_prev_acc = np.zeros(L)
 
     results: list = [[] for _ in range(L)]
-    failed: dict = {}
+    failed: list = [None] * L
+    dead = np.zeros(L, dtype=bool)
 
-    def fail(l, reason):
-        if l not in failed:
-            failed[l] = LaneFallback(reason)
+    def fail(mask, reason):
+        # ``mask`` is (L,) or (L, A): any set bit refuses the lane, first
+        # reason wins.
+        if mask.any():
+            hit = mask.reshape(L, -1).any(axis=1) & ~dead
+            for l in np.flatnonzero(hit).tolist():
+                failed[l] = LaneFallback(reason)
+            dead[hit] = True
 
-    for k in range(1, R + 1):
-        kP = k * layout.P
-        tgt = kP + layout.alpha
-        hw = kP - adj
+    def timers(k):
+        # set_logical_timer -> set_timer_local: invert the hardware clock at
+        # k*P - adj, clamp to the arming instant.
+        hw = k * layout.P - adj
         if drift is not None:
             inv = drift.invert(hw)
         else:
-            inv = np.where(hw <= offs, 0.0, (hw - offs) / rates[None, :])
-        T = np.maximum(inv, arm)
-        has_eager = E > 0 and k <= EAGER_MAX_ROUND
-        te = max(0.0, EAGER_FACTOR * k * layout.P) if has_eager else None
+            inv = np.where(hw <= offs, 0.0, (hw - offs) / rates)
+        return np.maximum(inv, arm)
+
+    for k in range(1, R + 1):
+        tgt = k * layout.P + layout.alpha
+        T = timers(k)
+        # EagerSigner's round-k send instant, while it still sends.
+        te = (
+            max(0.0, EAGER_FACTOR * k * layout.P)
+            if E > 0 and k <= EAGER_MAX_ROUND else None
+        )
         # Candidate arrival matrix: sender row s announced at its own instant
-        # delivers to actor column d at send + clamped delay (inf if s never
-        # reaches d).  Actor rows are masked by the announce fixpoint below.
-        cand = np.full((L, S, A), np.inf)
-        actor_block = T[:, :, None] + layout.D[None, :A, :]
-        cand[:, :A, :] = np.where(layout.M[None, :A, :], actor_block, np.inf)
-        if has_eager:
-            eager_block = te + layout.D[None, A:, :]
-            cand[:, A:, :] = np.where(layout.M[None, A:, :], eager_block, np.inf)
+        # delivers to actor column d at send + clamped delay; ``D`` is inf
+        # exactly where s never reaches d, and so is the sum.  Actor rows
+        # are masked by the announce fixpoint below.
+        cand[:, :A] = T[:, :, None] + D_act
+        cand[:, A:] = np.inf if te is None else te + D_eager
 
-        for l in range(L):
-            if l in failed:
-                continue
-            try:
-                rd = _solve_round(
-                    layout, np, k, tgt, T[l], cand[l], active[l], arm[l],
-                    adj[l], offs[l], max_prev_acc[l], has_eager, te,
-                )
-            except LaneFallback as fb:
-                fail(l, fb.reason)
-                continue
-            results[l].append(rd)
-            # Advance lane state with the same float expressions set_to uses.
-            if drift is not None:
-                reading = drift.read(rd.Acc, lane=l)
-            else:
-                reading = offs[l] + rates * rd.Acc
-            rd.before = reading + adj[l]
-            rd.adj_after = np.where(rd.valid, tgt - reading, adj[l])
-            adj[l] = rd.adj_after
-            arm[l] = np.where(rd.valid, rd.Acc, arm[l])
-            if k < R:
-                missed = active[l] & ~rd.valid & ~is_crash
-                if missed.any():
-                    fail(l, f"a faulty participant missed round {k}")
-                    continue
-            active[l] = rd.valid
-            honest_acc = rd.Acc[: layout.h]
-            max_prev_acc[l] = float(np.max(np.where(rd.valid, rd.Acc, -np.inf)))
-        if len(failed) == L:
+        ann, Acc, valid, arr = _solve_round(
+            layout, k, T, cand, active, arm, max_prev_acc, te, dead, fail
+        )
+        # Advance lane state with the same float expressions set_to uses.
+        reading = drift.read(Acc) if drift is not None else offs + rates * Acc
+        before = reading + adj
+        adj = np.where(valid, tgt - reading, adj)
+        arm = np.where(valid, Acc, arm)
+        if k < R:
+            fail(
+                active & ~valid & ~layout.is_crash,
+                f"a faulty participant missed round {k}",
+            )
+        rows = zip(*[x.tolist() for x in (T, ann, Acc, valid, active, before, adj)])
+        for l, fields in enumerate(rows):
+            if failed[l] is None:
+                results[l].append(_Round(k, tgt, *fields, arr[l]))
+        if dead.all():
             break
+        active = valid
+        max_prev_acc = np.where(valid, Acc, -np.inf).max(axis=1)
 
-    out = []
-    for l in range(L):
-        out.append(failed.get(l, results[l]))
-    return out
+    # The run is cut at the last honest round-R acceptance: it must lie
+    # within the static horizon, and no round-(R+1) timer may fire at or
+    # before it.
+    t_star = Acc[:, :h].max(axis=1)
+    horizons = np.array([sc.horizon() for sc in scenarios])
+    fail(~(t_star <= horizons), "run exceeds the static horizon")
+    fail(
+        valid & (timers(R + 1) <= t_star[:, None]),
+        "a next-round timer lands on the final instant",
+    )
+    return [
+        results[l] if failed[l] is None else failed[l] for l in range(L)
+    ]
 
 
-def _solve_round(layout, np, k, tgt, T, cand, active, arm, adj, offs,
-                 max_prev_acc, has_eager, te):
-    """Fixpoint + guards for one lane's round ``k``; returns a `_Round`."""
-    A, S, f = layout.A, layout.S, layout.f
-    h = layout.h
-    tdel = layout.tdel
+def _order_statistics(np, arr, T, ann, f):
+    """``(X_wo, X)``: the (f+1)-th arrival per column without / with the owner's own timer.
+
+    ``arr`` is ``(..., S, A)`` with an ``inf`` diagonal (no sender is its own
+    destination), so counting column ``j``'s own announce at ``T[j]`` is
+    *inserting* ``T[j]`` into the sorted column in place of one ``inf``: the
+    (f+1)-th smallest becomes ``max(srt[f-1], T[j])`` when ``T[j] < srt[f]``
+    (just ``T[j]`` at ``f == 0``) and stays ``srt[f]`` otherwise.  One sort
+    serves both; every value is selected, none computed.
+    """
+    srt = np.sort(arr, axis=-2)
+    X_wo = srt[..., f, :]
+    own = np.maximum(srt[..., f - 1, :], T) if f else T
+    return X_wo, np.where(ann & (T < X_wo), own, X_wo)
+
+
+def _solve_round(layout, k, T, cand, active, arm, max_prev_acc, te, dead, fail):
+    """Fixpoint + guards for round ``k`` of a whole block of lanes.
+
+    ``T``/``active``/``arm`` are ``(L, A)``, ``cand`` is ``(L, S, A)``,
+    ``max_prev_acc``/``dead`` are ``(L,)``.  ``fail(mask, reason)`` refuses
+    lanes (marking them in ``dead``).  Both loops are deterministic maps
+    applied lane by lane, and a lane's converged state is a fixed point of
+    them, so iterating the block until its slowest live lane converges
+    leaves every other lane exactly where it converged alone; the iteration
+    caps depend only on the layout, so they are each lane's own.  Returns
+    ``(ann, Acc, valid, arr)`` for the block.
+    """
+    np = layout.np
+    A, f, h = layout.A, layout.f, layout.h
     crash_time = layout.crash_time
     is_crash = layout.is_crash
+    D_act = layout.D[:A]
 
-    timer_ok = active.copy()
+    timer_ok = active
     if crash_time is not None:
         crash_live = is_crash & active
-        if k == 1 and bool((crash_live & (T == crash_time)).any()):
+        if k == 1:
             # Boot-order corner: the round-1 timer (intra 0) fires before the
             # halt (intra 1), so an announce -- and possibly an acceptance --
             # happens *at* the crash instant.  Measure it on the event loop.
-            raise LaneFallback("crash instant coincides with a round-1 timer")
-        timer_ok = np.where(crash_live, timer_ok & (T < crash_time), timer_ok)
+            fail(
+                crash_live & (T == crash_time),
+                "crash instant coincides with a round-1 timer",
+            )
+        timer_ok = np.where(crash_live, active & (T < crash_time), active)
 
     # Strong round separation: every round-k event (timers, announce and
     # bundle deliveries) must lie strictly after every round-(k-1)
@@ -575,99 +619,104 @@ def _solve_round(layout, np, k, tgt, T, cand, active, arm, adj, offs,
     # (b) rounds pairwise instant-disjoint.  Eager signatures may legally
     # arrive early; the one ordering they could corrupt is checked below.
     if k >= 2:
-        armed_T = T[active]
-        if armed_T.size == 0:
-            raise LaneFallback(f"no participant armed round {k}")
-        if not float(np.min(armed_T)) > max_prev_acc:
-            raise LaneFallback(f"rounds {k - 1} and {k} share an instant")
-    if has_eager and k >= 2:
-        eager_hit = ((cand[A:, :] == T[None, :]) & layout.M[A:, :]).any(axis=0)
-        corner = timer_ok & eager_hit & (te <= arm)
-        if bool(corner.any()):
-            raise LaneFallback(
-                f"an eager signature races a round-{k} timer's arming instant"
+        first_timer = np.where(active, T, np.inf).min(axis=1)  # T is finite
+        fail(first_timer == np.inf, f"no participant armed round {k}")
+        fail(
+            ~(first_timer > max_prev_acc),
+            f"rounds {k - 1} and {k} share an instant",
+        )
+        if te is not None:
+            eager_hit = (cand[:, A:] == T[:, None, :]).any(axis=1)
+            fail(
+                timer_ok & eager_hit & (te <= arm),
+                f"an eager signature races a round-{k} timer's arming instant",
             )
 
-    rows_fixed = np.ones(S - A, dtype=bool)
-    idx = np.arange(A)
-    ann = timer_ok.copy()
-    via = np.full(A, np.inf)
-    X_wo = np.full(A, np.inf)
+    rows_on = np.ones(cand.shape[:2], dtype=bool)
+    ann = timer_ok
     for _ in range(A + 4):
-        rows_on = np.concatenate([ann, rows_fixed])
-        arr = np.where(rows_on[:, None], cand, np.inf)
-        X_wo = np.sort(arr, axis=0)[f]
-        arr_own = arr.copy()
-        arr_own[idx, idx] = np.where(ann, T, np.inf)
-        X_with = np.sort(arr_own, axis=0)[f]
-        X = np.where(ann, X_with, X_wo)
+        rows_on[:, :A] = ann
+        arr = np.where(rows_on[:, :, None], cand, np.inf)
+        X_wo, X = _order_statistics(np, arr, T, ann, f)
         # Bundle relaxation: an acceptance anywhere relays a proof that
         # accepts any pending receiver on arrival (min-plus fixpoint).
         Acc = np.where(active, X, np.inf)
-        converged = False
         for _ in range(A + 2):
-            send_ok = active & np.isfinite(Acc)
+            # A sender relays at its acceptance instant unless it crashed
+            # first; ``Acc`` is inf for whoever has not accepted and ``D``
+            # for whoever is not reached, so the sum needs no other mask.
+            relay = Acc
             if crash_time is not None:
-                send_ok &= ~is_crash | (Acc < crash_time)
-            via_mat = np.where(
-                layout.M[:A] & send_ok[:, None], Acc[:, None] + layout.D[:A], np.inf
-            )
-            via = via_mat.min(axis=0)
+                relay = np.where(~is_crash | (Acc < crash_time), Acc, np.inf)
+            via = (relay[:, :, None] + D_act).min(axis=1)
             new_acc = np.where(active, np.minimum(X, via), np.inf)
-            if np.array_equal(new_acc, Acc):
-                converged = True
-                break
+            relaxed = dead | (new_acc == Acc).all(axis=1)
             Acc = new_acc
-        if not converged:
-            raise LaneFallback(f"bundle relaxation did not converge in round {k}")
+            if relaxed.all():
+                break
+        else:
+            fail(~relaxed, f"bundle relaxation did not converge in round {k}")
         # A timer announces iff nothing else accepted its owner strictly
         # before the timer fired; at the shared instant the timer wins
         # (timers precede same-instant deliveries under the guards above).
-        others = np.minimum(X_wo, via)
-        new_ann = timer_ok & (others >= T)
-        if np.array_equal(new_ann, ann):
-            break
+        new_ann = timer_ok & (np.minimum(X_wo, via) >= T)
+        settled = dead | (new_ann == ann).all(axis=1)
         ann = new_ann
+        if settled.all():
+            break
     else:
-        raise LaneFallback(f"announce fixpoint did not converge in round {k}")
+        fail(~settled, f"announce fixpoint did not converge in round {k}")
 
-    valid = active & np.isfinite(Acc)
+    valid = np.isfinite(Acc)  # inf wherever not active
     if crash_time is not None:
         valid &= ~is_crash | (Acc < crash_time)
-    if not bool(valid[:h].all()):
-        raise LaneFallback(f"an honest process missed round {k}")
+        Acc = np.where(valid, Acc, np.inf)
+    fail(~valid[:, :h], f"an honest process missed round {k}")
+    return ann, Acc, valid, arr
 
-    rd = _Round()
-    rd.k = k
-    rd.tgt = tgt
-    rd.T = T.copy()
-    rd.ann = ann
-    rd.timer_ok = timer_ok
-    rd.Acc = np.where(valid, Acc, np.inf)
-    rd.valid = valid
-    rd.arr = np.where(np.concatenate([ann, rows_fixed])[:, None], cand, np.inf)
-    rd.active = active.copy()
-    return rd
+
+def _by_instant(times: list, flags: list) -> dict:
+    """``{instant: [flagged actor columns at it, ascending]}``."""
+    at: dict = {}
+    for j, (tau, on) in enumerate(zip(times, flags)):
+        if on:
+            at.setdefault(tau, []).append(j)
+    return at
+
+
+def _instants(rd) -> list:
+    """Round ``rd``'s instants in time order: ``[(tau, accs, anns), ...]``.
+
+    ``accs`` are the actor columns accepting at ``tau`` and ``anns`` those
+    whose timer announces at ``tau``, both ascending -- one index pass over
+    the actors instead of two scans per instant.
+    """
+    acc_at = _by_instant(rd.Acc, rd.valid)
+    ann_at = _by_instant(rd.T, rd.ann)
+    return [
+        (tau, acc_at.get(tau, ()), ann_at.get(tau, ()))
+        for tau in sorted(acc_at.keys() | ann_at.keys())
+    ]
 
 
 class _LaneAssembly:
     """Phase 2 + replay for one lane: exact timeline, stats, recorder feed."""
 
-    def __init__(self, layout: _Layout, scenario, rounds: list, mergeable, sample_messages):
+    def __init__(self, layout: _Layout, rounds: list, lane_offsets: list,
+                 clocks, mergeable, sample_messages):
         self.layout = layout
-        self.scenario = scenario
         self.rounds = rounds
+        self.lane_offsets = lane_offsets
+        #: The lane's reconstructed drifting clocks, or ``None`` (fixed rate).
+        self.clocks = clocks
         self.mergeable = mergeable
         self.sample_messages = sample_messages
-        self.np = layout.np
         self.batches: list = []
         self.eager_batches: list = []
         self.emissions: list = []
         self.seq = 0
         self.rank = [pid - layout.n for pid in layout.actor_pids]
         self.next_rank = 0
-        #: ``(_DriftTables, lane_index)`` when the lane runs drifting clocks.
-        self._drift = None
 
     # -- batch creation -------------------------------------------------------
 
@@ -683,36 +732,22 @@ class _LaneAssembly:
     # -- driving --------------------------------------------------------------
 
     def run(self) -> LaneOutcome:
-        layout = self.layout
-        np = self.np
         final = self.rounds[-1]
-        t_star = float(np.max(final.Acc[: layout.h]))
-        if not t_star <= self.scenario.horizon():
-            raise LaneFallback("run exceeds the static horizon")
-        self._check_round_after(final, t_star)
+        t_star = max(final.Acc[: self.layout.h])
         self._create_eager_batches(t_star)
         for rd in self.rounds:
-            self._process_round(rd, t_star)
-        return self._replay(t_star)
-
-    def _check_round_after(self, final, t_star):
-        """No round-(R+1) timer may fire at or before the cut instant."""
-        layout = self.layout
-        np = self.np
-        k1 = final.k + 1
-        kP = k1 * layout.P
-        adj = final.adj_after
-        hw = kP - adj
-        offs = self._offs
-        if self._drift is not None:
-            tables, lane = self._drift
-            inv = tables.invert(hw, lane=lane)
-        else:
-            inv = np.where(hw <= offs, 0.0, (hw - offs) / layout.rates)
-        T_next = np.maximum(inv, final.Acc)
-        armed = final.valid
-        if bool((armed & (T_next <= t_star)).any()):
-            raise LaneFallback("a next-round timer lands on the final instant")
+            for tau, accs, anns in _instants(rd):
+                if rd is final and tau > t_star:
+                    continue
+                final_here = rd is final and tau == t_star
+                if final_here or len(accs) >= 2:
+                    self._walk(tau, rd, accs, anns, final_here)
+                else:
+                    self._direct(tau, rd, accs, anns)
+        return _finalize_lane(
+            self.layout, self.lane_offsets, self.batches, self.emissions,
+            t_star, self.mergeable, self.sample_messages, clocks=self.clocks,
+        )
 
     def _create_eager_batches(self, t_star):
         layout = self.layout
@@ -724,35 +759,12 @@ class _LaneAssembly:
                 batch = self._add_batch(te, pid, _SIG, k)
                 self.eager_batches.append(batch)
 
-    def _process_round(self, rd, t_star):
-        layout = self.layout
-        np = self.np
-        is_last = rd is self.rounds[-1]
-        times = set(float(t) for t in rd.T[rd.ann])
-        times.update(float(t) for t in rd.Acc[rd.valid])
-        for tau in sorted(times):
-            if is_last and tau > t_star:
-                continue
-            accs = [
-                j for j in range(layout.A)
-                if rd.valid[j] and rd.Acc[j] == tau
-            ]
-            anns = [
-                j for j in range(layout.A)
-                if rd.ann[j] and rd.T[j] == tau
-            ]
-            final_here = is_last and tau == t_star
-            if final_here or len(accs) >= 2:
-                self._walk(tau, rd, final_here)
-            else:
-                self._direct(tau, rd, anns, accs)
-
     # -- uncontended instants -------------------------------------------------
 
-    def _direct(self, tau, rd, anns, accs):
+    def _direct(self, tau, rd, accs, anns):
         layout = self.layout
         acc = accs[0] if accs else None
-        timer_trig = acc is not None and bool(rd.ann[acc]) and rd.T[acc] == tau
+        timer_trig = acc is not None and rd.ann[acc] and rd.T[acc] == tau
         bundled = False
         for j in sorted(anns, key=lambda j: self.rank[j]):
             self._add_batch(tau, layout.actor_pids[j], _SIG, rd.k)
@@ -766,10 +778,9 @@ class _LaneAssembly:
         layout = self.layout
         pid = layout.actor_pids[j]
         if pid < layout.h:
-            self.emissions.append((
-                float(tau), pid, rd.k,
-                float(rd.before[j]), float(rd.adj_after[j]), float(rd.tgt),
-            ))
+            self.emissions.append(
+                (tau, pid, rd.k, rd.before[j], rd.adj_after[j], rd.tgt)
+            )
         batch = self._add_batch(tau, pid, _BUNDLE, rd.k)
         self.rank[j] = self.next_rank
         self.next_rank += 1
@@ -777,36 +788,40 @@ class _LaneAssembly:
 
     # -- contended instants: exact insertion-order walk -----------------------
 
-    def _walk(self, tau, rd, is_final):
+    def _walk(self, tau, rd, accs, anns, is_final):
         layout = self.layout
-        np = self.np
         k = rd.k
         f1 = layout.f + 1
+        h = layout.h
+        actor_pids = layout.actor_pids
         crash_time = layout.crash_time
+        crashed = crash_time is not None and crash_time <= tau
+        acc_here = set(accs)
         pending = set()
         for j in range(layout.A):
             if not rd.active[j]:
                 continue
             if rd.valid[j] and rd.Acc[j] < tau:
                 continue
-            if crash_time is not None and layout.is_crash[j] and crash_time <= tau:
+            if crashed and layout.is_crash[j]:
                 continue
             pending.add(j)
-        counts = {j: int((rd.arr[:, j] < tau).sum()) for j in pending}
-        for j in pending:
-            if rd.ann[j] and rd.T[j] < tau:
-                counts[j] += 1
+        below = (rd.arr < tau).sum(axis=0).tolist()
+        counts = {
+            j: below[j] + (1 if rd.ann[j] and rd.T[j] < tau else 0)
+            for j in pending
+        }
         honest_left = 0
         if is_final:
             for j in pending:
-                if layout.actor_pids[j] < layout.h:
-                    if not (rd.valid[j] and rd.Acc[j] == tau):
+                if actor_pids[j] < h:
+                    if j not in acc_here:
                         raise LaneFallback("final instant misses an honest acceptance")
                     honest_left += 1
             if honest_left == 0:
                 raise LaneFallback("final instant has no honest acceptance")
         accepted: set = set()
-        state = {"cut": False}
+        cut = False
 
         # Deliveries scheduled before this instant, in insertion (= creation)
         # order; batches created during the instant append their zero-delay
@@ -827,23 +842,22 @@ class _LaneAssembly:
                     deliveries.extend([(batch, d) for _, d in pairs])
 
         def accept_in_walk(j):
-            if not (rd.valid[j] and rd.Acc[j] == tau):
+            nonlocal honest_left, cut
+            if j not in acc_here:
                 raise LaneFallback(
                     f"walk and relaxation disagree on an acceptance in round {k}"
                 )
             accepted.add(j)
             spawn(self._accept(j, tau, rd))
-            if is_final and layout.actor_pids[j] < layout.h:
-                nonlocal_honest[0] -= 1
-                if nonlocal_honest[0] == 0:
-                    state["cut"] = True
-
-        nonlocal_honest = [honest_left]
+            if is_final and actor_pids[j] < h:
+                honest_left -= 1
+                if honest_left == 0:
+                    cut = True
 
         def fire_announce(j):
             if j not in pending or j in accepted:
                 raise LaneFallback(f"round-{k} timer fired for a settled process")
-            spawn(self._add_batch(tau, layout.actor_pids[j], _SIG, k))
+            spawn(self._add_batch(tau, actor_pids[j], _SIG, k))
             counts[j] += 1
             if counts[j] >= f1:
                 accept_in_walk(j)
@@ -856,11 +870,10 @@ class _LaneAssembly:
             if b.time == tau:
                 boots.append(((b.sender, b.round), "eager", b))
         if k == 1:
-            for j in range(layout.A):
-                if rd.ann[j] and rd.T[j] == tau:
-                    boots.append(((layout.actor_pids[j], 0), "timer", j))
+            for j in anns:
+                boots.append(((actor_pids[j], 0), "timer", j))
         for _, kind, payload in sorted(boots, key=lambda item: item[0]):
-            if state["cut"]:
+            if cut:
                 break
             if kind == "eager":
                 spawn(payload)
@@ -868,18 +881,14 @@ class _LaneAssembly:
                 fire_announce(payload)
         # Class 1: round>=2 timers in arming order (the rank each owner's
         # previous acceptance got).
-        if k >= 2 and not state["cut"]:
-            timers = [
-                (self.rank[j], j) for j in range(layout.A)
-                if rd.ann[j] and rd.T[j] == tau
-            ]
-            for _, j in sorted(timers):
-                if state["cut"]:
+        if k >= 2 and not cut:
+            for _, j in sorted((self.rank[j], j) for j in anns):
+                if cut:
                     break
                 fire_announce(j)
         # Class 2: deliveries, in insertion order, growing at the tail.
         i = 0
-        while i < len(deliveries) and not state["cut"]:
+        while i < len(deliveries) and not cut:
             b, d = deliveries[i]
             i += 1
             j = layout.actor_col[d]
@@ -897,24 +906,14 @@ class _LaneAssembly:
                 if counts[j] >= f1:
                     accept_in_walk(j)
 
-        if state["cut"]:
+        if cut:
             return
-        expected = {j for j in pending if rd.valid[j] and rd.Acc[j] == tau}
-        if accepted != expected:
+        if accepted != pending & acc_here:
             raise LaneFallback(
                 f"walk and relaxation disagree on round {k}'s acceptance set"
             )
         if is_final:
             raise LaneFallback("final instant did not complete the round")
-
-    # -- replay ---------------------------------------------------------------
-
-    def _replay(self, t_star) -> LaneOutcome:
-        clocks = self._drift[0].clocks[self._drift[1]] if self._drift else None
-        return _finalize_lane(
-            self.layout, self._lane_offsets, self.batches, self.emissions,
-            t_star, self.mergeable, self.sample_messages, clocks=clocks,
-        )
 
 
 def _finalize_lane(layout, lane_offsets, batches, emissions, t_star,
@@ -1238,10 +1237,13 @@ class _ExactReplay:
             signers.add(sender)
         else:  # bundle: the whole proof in one update
             signers.update(proof)
-        # Every earlier mutation ran try_accept to a fixpoint, so only the
-        # touched round can be newly reached -- and only matters at >= cur.
+        # ClockSyncProcess.try_accept accepts every reached round >= cur in
+        # order.  Every earlier mutation left none, so only the touched round
+        # can be reached now, and accepting it touches no other round: the
+        # loop is this one call.  A future round (> cur) is accepted at
+        # once; the rounds it skips fall below the floor and never are.
         if len(signers) >= self.echo_threshold and round_ >= self.cur[pid]:
-            self._try_accept(pid)
+            self._accept(pid, round_)
 
     def _echo_record(self, pid: int, slot: int, sender: int, round_: int) -> None:
         # EchoTracker.record_init / record_echo (``slot`` is the kind code)
@@ -1267,7 +1269,7 @@ class _ExactReplay:
             self._echo_send(pid, round_, state)
         # As in _auth_record: only the touched round can be newly reached.
         if accept and round_ >= self.cur[pid]:
-            self._try_accept(pid)
+            self._accept(pid, round_)
 
     def _echo_send(self, pid: int, round_: int, state) -> None:
         # EchoSyncProcess._send_echo: broadcast first, then count own echo
@@ -1286,29 +1288,12 @@ class _ExactReplay:
             self._echo_record(pid, _KIND_INIT, pid, k)
         else:
             # AuthSyncProcess.announce_round: record own signature, then
-            # broadcast it, then check the threshold.
+            # broadcast it, then check the threshold -- of round k, the only
+            # one touched (a timer fires for k == cur).
             self._auth_add(pid, k, pid)
             self._broadcast(pid, _SIG, k, deliver=True)
-            self._try_accept(pid)
-
-    def _try_accept(self, pid: int) -> None:
-        # ClockSyncProcess.try_accept: accept every pending round in order.
-        rounds = self.est[pid] if self.is_echo else self.sigs[pid]
-        while True:
-            cur = self.cur[pid]
-            if self.is_echo:
-                reached = [
-                    r for r, st in rounds.items()
-                    if r >= cur and len(st[3]) >= self.accept_threshold
-                ]
-            else:
-                reached = [
-                    r for r, signers in rounds.items()
-                    if r >= cur and len(signers) >= self.echo_threshold
-                ]
-            if not reached:
-                return
-            self._accept(pid, min(reached))
+            if len(self.sigs[pid].get(k, ())) >= self.echo_threshold:
+                self._accept(pid, k)
 
     def _accept(self, pid: int, k: int) -> None:
         # ClockSyncProcess.accept_round: resynchronize, relay (auth), then
@@ -1463,6 +1448,21 @@ def _layout_key(scenario):
     )
 
 
+#: ``(key, layout)`` of the family this process served last.  A layout is a
+#: function of its :func:`_layout_key` alone and is only read after
+#: construction; a sweep visits its cells family by family, so keeping the
+#: last one saves rebuilding roles, destination tuples, ``D`` and delay
+#: classes per call, and one entry is all the state there is.
+_last_layout: tuple = (None, None)
+
+
+def _layout_for(key, scenario, np) -> _Layout:
+    global _last_layout
+    if _last_layout[0] != key:
+        _last_layout = (key, _Layout(scenario, np))
+    return _last_layout[1]
+
+
 def run_lanes(scenarios, *, mergeable: bool = False,
               sample_messages: Optional[int] = None) -> list:
     """Evaluate single-replication scenarios on the vector kernel, as lanes.
@@ -1487,10 +1487,10 @@ def run_lanes(scenarios, *, mergeable: bool = False,
     groups: dict = {}
     for i, sc in enumerate(scenarios):
         groups.setdefault(_layout_key(sc), []).append(i)
-    for indices in groups.values():
+    for key, indices in groups.items():
         group = [scenarios[i] for i in indices]
         try:
-            layout = _Layout(group[0], np)
+            layout = _layout_for(key, group[0], np)
         except LaneFallback as fb:
             for i in indices:
                 outcomes[i] = LaneOutcome(fallback=fb.reason)
@@ -1520,13 +1520,14 @@ def run_lanes(scenarios, *, mergeable: bool = False,
                     )
             continue
         try:
+            offsets = [_lane_offsets_list(layout, sc) for sc in group]
             drift = (
                 _DriftTables(layout, group)
                 if layout.clock_mode == "random" else None
             )
             with obs.span("kernel.phase1") as sp:
                 sp.set("lanes", len(group))
-                lane_rounds = _phase1(layout, group, drift)
+                lane_rounds = _phase1(layout, group, offsets, drift)
         except LaneFallback as fb:
             for i in indices:
                 outcomes[i] = LaneOutcome(fallback=fb.reason)
@@ -1543,14 +1544,11 @@ def run_lanes(scenarios, *, mergeable: bool = False,
             try:
                 with obs.span("kernel.phase2") as sp:
                     sp.set("lane", i)
-                    assembly = _LaneAssembly(
-                        layout, group[pos], rounds, mergeable, sample_messages
-                    )
-                    assembly._offs = _lane_offs(layout, group[pos])
-                    assembly._lane_offsets = _lane_offsets_list(layout, group[pos])
-                    if drift is not None:
-                        assembly._drift = (drift, pos)
-                    outcomes[i] = assembly.run()
+                    outcomes[i] = _LaneAssembly(
+                        layout, rounds, offsets[pos],
+                        drift.clocks[pos] if drift is not None else None,
+                        mergeable, sample_messages,
+                    ).run()
             except LaneFallback as fb:
                 outcomes[i] = LaneOutcome(fallback=fb.reason)
             except Exception as exc:  # pragma: no cover - defensive fallback
@@ -1564,10 +1562,3 @@ def _lane_offsets_list(layout: _Layout, scenario) -> list:
     return spread_offsets(
         layout.h, scenario.params.initial_offset_spread, seed=scenario.seed + 13
     )
-
-
-def _lane_offs(layout: _Layout, scenario):
-    np = layout.np
-    offs = np.zeros(layout.A)
-    offs[: layout.h] = _lane_offsets_list(layout, scenario)
-    return offs

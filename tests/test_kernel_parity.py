@@ -11,10 +11,14 @@ back to the event loop with a recorded note instead of erroring.
 from __future__ import annotations
 
 import dataclasses
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
-import random
+import repro
 
 from repro.experiments.common import MEASURED_RESULT_FIELDS
 from repro.sim.kernel import (
@@ -33,6 +37,7 @@ from repro.sim.vectorized import (
     RANDOM_FAST_BIAS,
     TRACKER_LOOKAHEAD,
     LaneOutcome,
+    _ExactReplay,
     _honest_drifting_clocks,
     _Layout,
     run_lanes,
@@ -362,6 +367,48 @@ def test_parity_randomized_cross_product_grid():
         assert_results_identical(event, vector, f"cross-product {kwargs}")
 
 
+# -- touched-round acceptance: a future round first ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "algorithm, seed", [("auth", 1), ("auth", 5), ("echo", 1)]
+)
+def test_future_round_reaching_threshold_first_is_accepted_at_once(algorithm, seed):
+    """``round_ >= cur``, not ``== cur``: the replay accepts the touched round only.
+
+    With the period shorter than ``tdel`` a relayed proof (or the 2f+1-th
+    echo) for round k+1 can overtake every round-k message still in flight,
+    so a process holds a reached round *above* its current one.  The event
+    loop's ``try_accept`` accepts it at once and the skipped rounds, now
+    below the floor, never are; the replay must do the same from its one
+    touched-round check.
+    """
+    base = cell(4, algorithm=algorithm, attack=None, delay="uniform", rounds=12, seed=seed)
+    scenario = dataclasses.replace(
+        base, params=dataclasses.replace(base.params, period=0.004), name=""
+    )
+    replay = _ExactReplay(_Layout(scenario, numpy_or_none()), scenario, False, None)
+    assert replay.run().fallback is None
+    accepted: dict = {}
+    for _time, pid, round_, *_ in replay.emissions:
+        accepted.setdefault(pid, []).append(round_)
+    for rounds in accepted.values():
+        assert rounds == sorted(set(rounds))  # in order, each at most once
+    assert any(
+        rounds != list(range(1, len(rounds) + 1)) for rounds in accepted.values()
+    ), "no process skipped a round: scenario lost its point"
+    # The period is out of the bounds' validity range, so only measure.
+    event, vector = (
+        run_scenario(
+            dataclasses.replace(scenario, kernel=kernel),
+            check_guarantees=False, trace_level="metrics",
+        )
+        for kernel in ("event", "vector")
+    )
+    assert vector.kernel_provenance.vector_lanes == 1
+    assert_results_identical(event, vector, f"skipped rounds {algorithm} seed={seed}")
+
+
 # -- replayed RNG streams ----------------------------------------------------------------
 
 
@@ -566,6 +613,44 @@ def test_eligibility_reasons():
     # the vector layer must refuse statically rather than mask the error.
     bad_echo = cell(7, algorithm="echo", f=3)
     assert "n > 3f" in kernel_ineligibility(bad_echo, "metrics")
+
+
+def test_numpy_is_probed_last_and_its_absence_changes_no_number(monkeypatch):
+    import repro.sim.kernel as kernel_module
+
+    scenario = cell(7, kernel="vector")
+    served = run_scenario(scenario, trace_level="metrics")
+    assert served.kernel_provenance.vector_lanes == 1
+    monkeypatch.setattr(kernel_module, "numpy_or_none", lambda: None)
+    # Static reasons still win: they are checked before the probe.
+    assert "full" in kernel_ineligibility(scenario, "full")
+    assert "attack" in kernel_ineligibility(cell(7, attack="replay"), "metrics")
+    assert kernel_ineligibility(scenario, "metrics") == "numpy is not installed"
+    fallen = run_scenario(scenario, trace_level="metrics")
+    assert fallen.kernel_provenance.vector_lanes == 0
+    assert fallen.kernel_provenance.ineligible_reason == "numpy is not installed"
+    assert_results_identical(served, fallen, "numpy absent")
+
+
+def test_event_loop_only_process_never_imports_numpy():
+    """Full traces resolve to the event loop before the numpy probe is reached."""
+    script = (
+        "import sys\n"
+        "from repro.core.params import SyncParams\n"
+        "from repro.workloads.scenarios import Scenario, run_scenario\n"
+        "scenario = Scenario(params=SyncParams(n=7, f=3), algorithm='auth', rounds=3,\n"
+        "                    attack='skew_max', delay_mode='targeted')\n"
+        "result = run_scenario(scenario, trace_level='full')\n"
+        "assert result.guarantees_hold\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported on an event-loop-only path'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("REPRO_KERNEL", None)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_resolve_kernel_env_and_field(monkeypatch):
