@@ -658,8 +658,11 @@ class OnlineMetricsRecorder(Recorder):
         self._round_times: dict[int, list] = {}  # round -> [min_t, max_t, count]
         self._crash_ceiling = math.inf  # rounds above this can never complete
         # Incrementally maintained min over honest processes of the largest
-        # accepted round; read after every event by the engine's stop checks.
+        # accepted round (read after every event by the engine's stop checks)
+        # and how many processes still sit at it: the min can only move when
+        # the last of them leaves.
         self._min_completed = 0
+        self._at_min = 0
         self._notes: list[str] = []
 
     # -- registration --------------------------------------------------------
@@ -677,7 +680,7 @@ class OnlineMetricsRecorder(Recorder):
             return
         self._sealed = True
         self._honest = [self._procs[pid] for pid in sorted(self._procs) if not self._procs[pid].faulty]
-        self._unsynced = len(self._honest)
+        self._unsynced = self._at_min = len(self._honest)
         for index, proc in enumerate(self._honest):
             if proc.bp_seq:
                 heapq.heappush(self._heap, (proc.bp_seq[0], index))
@@ -874,12 +877,19 @@ class OnlineMetricsRecorder(Recorder):
                 self._max_backward = backward
         proc.prev_resync_time = t
         if proc.max_round != old_floor and old_floor == self._min_completed:
-            # The advancing process may have been (one of) the laggards
-            # pinning the completed round: recompute the min.  Amortized this
-            # runs once per round, not once per event.
-            self._min_completed = min(p.max_round if p.resync_count else 0 for p in self._honest)
+            # One of the laggards pinning the completed round advanced; the
+            # min moves only when the last of them has (once per completed
+            # round, not once per acceptance).
+            self._at_min -= 1
+            if self._at_min == 0:
+                self._rescan_min_completed()
         self._check_round_target(t)
         self._record_acceptance(round_, t)
+
+    def _rescan_min_completed(self) -> None:
+        rounds = [p.max_round if p.resync_count else 0 for p in self._honest]
+        self._min_completed = min(rounds)
+        self._at_min = rounds.count(self._min_completed)
 
     def _record_acceptance(self, round_: int, t: float) -> None:
         if round_ > self._crash_ceiling:

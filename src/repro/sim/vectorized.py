@@ -68,8 +68,10 @@ failed lanes on the event loop.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import attrgetter
 from random import Random
 from typing import NamedTuple, Optional
 
@@ -132,7 +134,12 @@ class LaneOutcome:
 
 
 class _Batch:
-    """One multicast: a sender emitting one payload to an ordered dest list."""
+    """One multicast: a sender emitting one payload to an ordered dest list.
+
+    ``delays`` is a per-destination sequence, or -- for a broadcast no
+    receiver acts on, under uniform delays -- the integer of
+    :func:`_unread_delay`, decoded only where a message sample lands.
+    """
 
     __slots__ = ("time", "sender", "kind", "round", "dests", "delays", "seq")
 
@@ -144,6 +151,10 @@ class _Batch:
         self.dests = dests
         self.delays = delays
         self.seq = seq
+
+
+#: Sort key of the event loop's global send order.
+_send_order = attrgetter("time", "seq")
 
 
 class _Round(NamedTuple):
@@ -740,10 +751,15 @@ class _LaneAssembly:
                 if rd is final and tau > t_star:
                     continue
                 final_here = rd is final and tau == t_star
-                if final_here or len(accs) >= 2:
+                # An acceptance among several timers of one instant may be
+                # triggered by its own timer or by a later timer's zero-delay
+                # delivery: only the walk knows where the bundle goes.
+                if final_here or len(accs) >= 2 or (accs and len(anns) >= 2):
                     self._walk(tau, rd, accs, anns, final_here)
                 else:
                     self._direct(tau, rd, accs, anns)
+        # Eager batches were created up front, ahead of their send instants.
+        self.batches.sort(key=_send_order)
         return _finalize_lane(
             self.layout, self.lane_offsets, self.batches, self.emissions,
             t_star, self.mergeable, self.sample_messages, clocks=self.clocks,
@@ -833,7 +849,7 @@ class _LaneAssembly:
         # only batches sent within tdel of the instant can land on it.
         tdel = layout.tdel
         recent = [b for b in self.batches if b.time < tau <= b.time + tdel]
-        for b in sorted(recent, key=lambda b: (b.time, b.seq)):
+        for b in sorted(recent, key=_send_order):
             deliveries += _arrivals(delay_classes[b.sender], b, tau)
 
         def spawn(batch):
@@ -916,23 +932,56 @@ class _LaneAssembly:
             raise LaneFallback("final instant did not complete the round")
 
 
+def _unread_delay(bits: int, p: int, tmin: float, tdel: float) -> float:
+    """The uniform delay of message ``p`` of a batch no receiver acts on.
+
+    ``bits`` is the ``getrandbits(64 * len(dests))`` the replay took where
+    the event loop draws ``random()`` once per message.  CPython's
+    ``random()`` consumes two 32-bit outputs ``a``, ``b`` and returns
+    ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``; ``getrandbits`` lays the same
+    outputs out little-endian, so words ``2p`` and ``2p + 1`` are draw
+    ``p``'s and the generator is left in the same state either way.
+    """
+    a = (bits >> (64 * p + 5)) & 0x7FFFFFF
+    b = (bits >> (64 * p + 38)) & 0x3FFFFFF
+    return tmin + (a * 67108864.0 + b) / 9007199254740992.0 * (tdel - tmin)
+
+
 def _finalize_lane(layout, lane_offsets, batches, emissions, t_star,
                    mergeable, sample_messages, clocks=None) -> LaneOutcome:
     """Shared finalization of one served lane (both vector engines).
 
-    Computes the network statistics arithmetically from the batch layout,
-    selects sampled messages by index stepping, and replays the acceptance
-    emissions -- in global order -- into a real
+    ``batches`` must already be in the event loop's ``(time, seq)`` send
+    order: message ids are positions in it.  One pass computes the network
+    statistics arithmetically from the batch layout and selects sampled
+    messages by index stepping; the acceptance emissions are then replayed
+    -- in global order -- into a real
     :class:`~repro.sim.recorder.OnlineMetricsRecorder`, so everything
     downstream of the recorder seam is the exact code the event loop uses.
     """
     params = layout.params
-    ordered = sorted(batches, key=lambda b: (b.time, b.seq))
+    samples = None if sample_messages is None else []
+    index = math.inf if samples is None else 0  # next sampled msg_id
     total = 0
     by_sender: dict = {}
     by_type: dict = {}
-    for b in ordered:
+    for b in batches:
         count = len(b.dests)
+        while index < total + count:
+            p = index - total
+            delays = b.delays
+            samples.append(MessageSample(
+                msg_id=index,
+                sender=b.sender,
+                dest=b.dests[p],
+                kind=b.kind,
+                send_time=b.time,
+                deliver_time=b.time + (
+                    _unread_delay(delays, p, layout.tmin, layout.tdel)
+                    if isinstance(delays, int) else delays[p]
+                ),
+            ))
+            index += sample_messages
         total += count
         by_sender[b.sender] = by_sender.get(b.sender, 0) + count
         by_type[b.kind] = by_type.get(b.kind, 0) + count
@@ -941,27 +990,6 @@ def _finalize_lane(layout, lane_offsets, batches, emissions, t_star,
         messages_by_sender=by_sender,
         messages_by_type=by_type,
     )
-
-    samples = None
-    if sample_messages is not None:
-        samples = []
-        step = sample_messages
-        base = 0
-        index = 0  # next sampled msg_id
-        for b in ordered:
-            count = len(b.dests)
-            while index < base + count:
-                p = index - base
-                samples.append(MessageSample(
-                    msg_id=index,
-                    sender=b.sender,
-                    dest=b.dests[p],
-                    kind=b.kind,
-                    send_time=b.time,
-                    deliver_time=b.time + b.delays[p],
-                ))
-                index += step
-            base += count
 
     recorder = OnlineMetricsRecorder(
         rate_low=params.min_rate,
@@ -1022,7 +1050,10 @@ class _ExactReplay:
     are still below the window on arrival) are never pushed -- popping a
     no-op has no side effects and ``seq`` still advances once per message,
     so every surviving event keeps its exact ``(time, seq)`` key and the
-    execution is unchanged.  The per-message constants the
+    execution is unchanged.  A delivery whose round fell below the floor
+    in flight is popped and dropped by the same test before any rule runs,
+    and a broadcast nobody reads (``deliver=False``) advances the network
+    RNG without drawing its delays.  The per-message constants the
     event loop pays (envelope/event allocation, handler dispatch,
     signature verification, per-message recorder and stats calls) are
     replaced by set operations and batch-level accounting.
@@ -1181,10 +1212,16 @@ class _ExactReplay:
         if delays is None:
             # Network._emit under UniformDelay: one unit draw per
             # message in destination order, scaled into [tmin, tdel].
-            draw = self.net_rng.random
-            width = self.tdel - self.tmin
-            tmin = self.tmin
-            delays = [tmin + draw() * width for _ in dests]
+            if deliver:
+                draw = self.net_rng.random
+                width = self.tdel - self.tmin
+                tmin = self.tmin
+                delays = [tmin + draw() * width for _ in dests]
+            else:
+                # Nobody reads these delays unless a sample lands on one:
+                # advance the stream by the same two words per message and
+                # keep them as one integer (see _unread_delay).
+                delays = self.net_rng.getrandbits(64 * len(dests))
         now = self.now
         self.batches.append(
             _Batch(now, sender, kind, round_, dests, delays, self.batch_seq)
@@ -1384,7 +1421,10 @@ class _ExactReplay:
         horizon = self.scenario.horizon()
         heap = self.heap
         halted = self.halted
+        floor = self.floor
         is_echo = self.is_echo
+        echo_record = self._echo_record
+        auth_record = self._auth_record
         self._boot()
         for events in itertools.count(1):
             if not heap:
@@ -1399,11 +1439,13 @@ class _ExactReplay:
             code = ev[2]
             if code == _EV_DELIVER:
                 dest = ev[3]
-                if dest not in halted:
+                # _emit's stale test again, at arrival: the floor may have
+                # risen in flight, and the rules return on a round below it.
+                if dest not in halted and ev[6] >= floor[dest]:
                     if is_echo:
-                        self._echo_record(dest, ev[4], ev[5], ev[6])
+                        echo_record(dest, ev[4], ev[5], ev[6])
                     else:
-                        self._auth_record(dest, ev[4], ev[5], ev[6], ev[7])
+                        auth_record(dest, ev[4], ev[5], ev[6], ev[7])
             elif code == _EV_TIMER:
                 pid = ev[3]
                 if pid not in halted and self.cur[pid] == ev[4]:
@@ -1463,6 +1505,21 @@ def _layout_for(key, scenario, np) -> _Layout:
     return _last_layout[1]
 
 
+def _refuse(outcomes: list, indices, exc: Exception) -> None:
+    """Hand the lanes ``indices`` back to the event loop because of ``exc``.
+
+    A :class:`LaneFallback` carries its own reason.  Anything else is a
+    defect in the vector engines: never a wrong answer, never a dead sweep,
+    and -- the reason names the error in provenance -- never a silent one.
+    """
+    if isinstance(exc, LaneFallback):
+        reason = exc.reason
+    else:
+        reason = f"vector evaluation error: {exc!r}"
+    for i in indices:
+        outcomes[i] = LaneOutcome(fallback=reason)
+
+
 def run_lanes(scenarios, *, mergeable: bool = False,
               sample_messages: Optional[int] = None) -> list:
     """Evaluate single-replication scenarios on the vector kernel, as lanes.
@@ -1491,13 +1548,8 @@ def run_lanes(scenarios, *, mergeable: bool = False,
         group = [scenarios[i] for i in indices]
         try:
             layout = _layout_for(key, group[0], np)
-        except LaneFallback as fb:
-            for i in indices:
-                outcomes[i] = LaneOutcome(fallback=fb.reason)
-            continue
-        except Exception as exc:  # pragma: no cover - defensive fallback
-            for i in indices:
-                outcomes[i] = LaneOutcome(fallback=f"vector evaluation error: {exc!r}")
+        except Exception as exc:
+            _refuse(outcomes, indices, exc)
             continue
         if not layout.lockstep:
             # Echo, uniform/min delays, and randomized attacks run per lane
@@ -1512,12 +1564,8 @@ def run_lanes(scenarios, *, mergeable: bool = False,
                         outcomes[i] = replay.run()
                         sp.set("events", replay.events)
                         sp.set("pruned", replay.pruned)
-                except LaneFallback as fb:
-                    outcomes[i] = LaneOutcome(fallback=fb.reason)
-                except Exception as exc:  # pragma: no cover - defensive
-                    outcomes[i] = LaneOutcome(
-                        fallback=f"vector evaluation error: {exc!r}"
-                    )
+                except Exception as exc:
+                    _refuse(outcomes, [i], exc)
             continue
         try:
             offsets = [_lane_offsets_list(layout, sc) for sc in group]
@@ -1528,18 +1576,13 @@ def run_lanes(scenarios, *, mergeable: bool = False,
             with obs.span("kernel.phase1") as sp:
                 sp.set("lanes", len(group))
                 lane_rounds = _phase1(layout, group, offsets, drift)
-        except LaneFallback as fb:
-            for i in indices:
-                outcomes[i] = LaneOutcome(fallback=fb.reason)
-            continue
-        except Exception as exc:  # pragma: no cover - defensive fallback
-            for i in indices:
-                outcomes[i] = LaneOutcome(fallback=f"vector evaluation error: {exc!r}")
+        except Exception as exc:
+            _refuse(outcomes, indices, exc)
             continue
         for pos, i in enumerate(indices):
             rounds = lane_rounds[pos]
             if isinstance(rounds, LaneFallback):
-                outcomes[i] = LaneOutcome(fallback=rounds.reason)
+                _refuse(outcomes, [i], rounds)
                 continue
             try:
                 with obs.span("kernel.phase2") as sp:
@@ -1549,12 +1592,8 @@ def run_lanes(scenarios, *, mergeable: bool = False,
                         drift.clocks[pos] if drift is not None else None,
                         mergeable, sample_messages,
                     ).run()
-            except LaneFallback as fb:
-                outcomes[i] = LaneOutcome(fallback=fb.reason)
-            except Exception as exc:  # pragma: no cover - defensive fallback
-                outcomes[i] = LaneOutcome(
-                    fallback=f"vector evaluation error: {exc!r}"
-                )
+            except Exception as exc:
+                _refuse(outcomes, [i], exc)
     return outcomes
 
 

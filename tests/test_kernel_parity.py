@@ -20,9 +20,15 @@ import pytest
 
 import repro
 
+from repro import obs
 from repro.experiments.common import MEASURED_RESULT_FIELDS
+from repro.sim import vectorized
 from repro.sim.kernel import (
+    ELIGIBLE_ATTACKS,
+    ELIGIBLE_CLOCK_MODES,
+    ELIGIBLE_DELAY_MODES,
     FALLBACK_NOTE_PREFIX,
+    fallback_note,
     kernel_ineligibility,
     numpy_or_none,
     resolve_kernel,
@@ -120,6 +126,25 @@ def run_both(scenario):
     outcome = run_lanes([vector_scenario], sample_messages=scenario.sample_messages)[0]
     assert outcome.fallback is None, f"unexpected fallback: {outcome.fallback}"
     vector = run_scenario(vector_scenario, trace_level="metrics")
+    return event, vector
+
+
+def measure_both(scenario):
+    """``(event, vector)`` results with the guarantees only measured, not checked.
+
+    For scenarios outside the bounds' validity range (periods shorter than
+    ``tdel`` and the like); asserts the vector kernel actually served.
+    """
+    event, vector = (
+        run_scenario(
+            dataclasses.replace(scenario, kernel=kernel),
+            check_guarantees=False, trace_level="metrics",
+        )
+        for kernel in ("event", "vector")
+    )
+    assert vector.kernel_provenance.vector_lanes == 1, (
+        f"{scenario}: {vector.kernel_provenance.fallback_reasons}"
+    )
     return event, vector
 
 
@@ -250,17 +275,28 @@ def test_parity_echo_uniform_forge_flood_grid(seed):
         dict(algorithm="echo", delay="uniform", sample=3),
         dict(delay="uniform", attack="laggard", sample=1),
         dict(delay="uniform", attack="forge_flood", sample=2),
+        dict(delay="uniform", attack="forge_flood", sample=5),
+        dict(algorithm="echo", delay="uniform", attack="forge_flood", sample=1),
+        dict(algorithm="echo", delay="uniform", attack="forge_flood", sample=7),
     ],
 )
 def test_parity_message_sampling_new_families(kwargs):
     """Sampled wire provenance (send/deliver instants included) stays identical.
 
     The laggard cell pins the no-draw rule (explicit delays bypass the
-    network RNG); the forge_flood cell pins the adversary-stream interleaving.
+    network RNG); the forge_flood cells pin the adversary-stream interleaving
+    and the unread-traffic rule: their forged and garbage broadcasts take no
+    delay draws on the replay, yet a sample landing on one must carry the
+    delay the event loop drew.
     """
+    kwargs = dict(kwargs)
     sample = kwargs.pop("sample")
     event, vector = run_both(cell(9, sample=sample, **kwargs))
     assert event.message_samples is not None
+    if kwargs.get("attack") == "forge_flood":
+        unread = [s for s in vector.message_samples if s.kind == "GarbageMessage"]
+        assert unread, "no sample inside an undelivered batch: cell lost its point"
+        assert all(s.deliver_time > s.send_time for s in unread)
     assert_results_identical(event, vector, f"sampling {kwargs}")
 
 
@@ -367,6 +403,103 @@ def test_parity_randomized_cross_product_grid():
         assert_results_identical(event, vector, f"cross-product {kwargs}")
 
 
+# -- several timers and an acceptance on one instant --------------------------------------
+
+
+def shared_instant_cell(n, attack, period=1.0, tdel=0.01, rounds=4, seed=0, sample=3):
+    """Equal-rate clocks, zero spread, ``tmin = 0``, targeted delays.
+
+    Every round-k timer fires at the same instant and the fast group's
+    zero-delay deliveries land on it too, so the acceptor's bundle goes out
+    after *every* announce of the instant (timers hold the smaller event
+    seqs), not right after the acceptor's own.
+    """
+    params = SyncParams(
+        n=n, f=(n - 1) // 2, rho=1e-5, tdel=tdel, tmin=0.0, period=period,
+        initial_offset_spread=0.0,
+    )
+    return Scenario(
+        params=params, algorithm="auth", rounds=rounds, attack=attack,
+        clock_mode="nominal", delay_mode="targeted", seed=seed,
+        sample_messages=sample,
+    )
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        shared_instant_cell(
+            5, "skew_max", period=0.25, tdel=0.005, rounds=6, seed=217329, sample=1
+        ),
+        shared_instant_cell(4, None),
+        shared_instant_cell(5, None),
+        shared_instant_cell(4, "two_faced"),
+        shared_instant_cell(5, "two_faced"),
+        shared_instant_cell(4, "crash", rounds=3, seed=917209, sample=1),
+    ],
+    ids=lambda scenario: f"{scenario.attack}-n{scenario.params.n}",
+)
+def test_parity_acceptance_among_several_timers_of_one_instant(scenario):
+    event, vector = run_both(scenario)
+    assert_results_identical(event, vector, scenario.name)
+
+
+# -- generated scenarios -------------------------------------------------------------------
+
+
+#: The first seed whose draws reach an acceptance among several timers of one
+#: instant (draw 90: auth n=5, crash, targeted, zero spread, every message
+#: sampled), the cell the lockstep walk used to mis-order.
+GENERATED_SWEEP_SEED = 14
+
+
+def generated_scenario(rng):
+    """One draw from the whole eligible space, degenerate corners included."""
+    algorithm = rng.choice(["auth", "echo"])
+    n = rng.randint(3, 12)
+    f = rng.randint(0, (n - 1) // (3 if algorithm == "echo" else 2))
+    tdel = rng.choice([0.005, 0.01])
+    params = SyncParams(
+        n=n,
+        f=f,
+        rho=rng.choice([1e-5, 1e-4]),
+        tdel=tdel,
+        tmin=rng.choice([0.0, tdel / 4, tdel]),
+        period=rng.choice([0.05, 0.25, 1.0]),
+        initial_offset_spread=rng.choice([0.0, 0.001, 0.01]),
+    )
+    return Scenario(
+        params=params,
+        algorithm=algorithm,
+        rounds=rng.randint(3, 6),
+        attack=rng.choice(sorted(ELIGIBLE_ATTACKS, key=str)),
+        actual_faults=rng.choice([f, f, rng.randint(0, f)]),
+        clock_mode=rng.choice(sorted(ELIGIBLE_CLOCK_MODES)),
+        delay_mode=rng.choice(sorted(ELIGIBLE_DELAY_MODES)),
+        sample_messages=rng.choice([None, 1, 2, 5, 7]),
+        seed=rng.randrange(1_000_000),
+    )
+
+
+def test_parity_generated_scenario_sweep():
+    """Seeded draws over every eligible dimension at once, not a hand-picked grid.
+
+    Each kept draw must be vector-served (no dynamic refusal hides behind the
+    event loop) and equal the event loop in every measured field and every
+    sampled message.  The periods reach below the bounds' validity range, so
+    the guarantees are only measured.
+    """
+    rng = random.Random(GENERATED_SWEEP_SEED)
+    kept = 0
+    while kept < 240:
+        scenario = generated_scenario(rng)
+        if kernel_ineligibility(scenario, "metrics") is not None:
+            continue
+        kept += 1
+        event, vector = measure_both(scenario)
+        assert_results_identical(event, vector, repr(scenario))
+
+
 # -- touched-round acceptance: a future round first ---------------------------------------
 
 
@@ -398,14 +531,7 @@ def test_future_round_reaching_threshold_first_is_accepted_at_once(algorithm, se
         rounds != list(range(1, len(rounds) + 1)) for rounds in accepted.values()
     ), "no process skipped a round: scenario lost its point"
     # The period is out of the bounds' validity range, so only measure.
-    event, vector = (
-        run_scenario(
-            dataclasses.replace(scenario, kernel=kernel),
-            check_guarantees=False, trace_level="metrics",
-        )
-        for kernel in ("event", "vector")
-    )
-    assert vector.kernel_provenance.vector_lanes == 1
+    event, vector = measure_both(scenario)
     assert_results_identical(event, vector, f"skipped rounds {algorithm} seed={seed}")
 
 
@@ -697,6 +823,46 @@ def test_run_lanes_reports_fallback_without_recording():
     outcomes = run_lanes([scenario, dataclasses.replace(scenario, seed=9)])
     for outcome in outcomes:
         assert (outcome.summary is None) == (outcome.fallback is not None)
+
+
+@pytest.mark.parametrize(
+    "owner, name, scenario",
+    [
+        (_Layout, "__init__", cell(7, kernel="vector")),
+        (_ExactReplay, "run", cell(7, delay="uniform", kernel="vector")),
+        (vectorized, "_phase1", cell(7, kernel="vector")),
+        (vectorized._LaneAssembly, "run", cell(7, kernel="vector")),
+    ],
+    ids=["layout", "replay", "phase1", "phase2"],
+)
+def test_a_defect_in_a_vector_engine_is_served_by_the_event_loop(monkeypatch, owner, name, scenario):
+    """Never a wrong answer, never a dead sweep -- and never a silent one."""
+
+    def broken(*args, **kwargs):
+        raise UnboundLocalError("planted by the test")
+
+    monkeypatch.setattr(owner, name, broken)
+    monkeypatch.setattr(vectorized, "_last_layout", (None, None))  # so the layout is built
+
+    outcome = run_lanes([scenario])[0]
+    assert outcome.summary is None
+    assert outcome.fallback.startswith("vector evaluation error: UnboundLocalError")
+
+    obs.enable(trace=False)
+    try:
+        served = run_scenario(scenario, trace_level="metrics")
+        assert obs.registry().counter("kernel.fallback_lanes") == 1
+        assert not obs.registry().counter("kernel.vector_lanes")
+    finally:
+        obs.disable()
+    provenance = served.kernel_provenance
+    assert provenance.fallback_lanes == 1 and provenance.vector_lanes == 0
+    assert provenance.fallback_reasons == ((outcome.fallback, 1),)
+    sharded = run_shard(dataclasses.replace(scenario, replications=2, shards=1), 0, (0, 1))
+    assert fallback_note(outcome.fallback) + " (2 lanes)" in sharded.summary.notes
+    monkeypatch.undo()
+    event = run_scenario(dataclasses.replace(scenario, kernel="event"), trace_level="metrics")
+    assert_results_identical(event, served, name)
 
 
 # -- mirrored adversary constants --------------------------------------------------------

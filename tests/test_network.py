@@ -217,6 +217,28 @@ def test_uniform_delay_deterministic_per_seed():
     assert delivery_times(3) != delivery_times(4)
 
 
+@pytest.mark.parametrize("count", [1, 2, 24, 97])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 + 5])
+def test_getrandbits_is_the_same_stream_as_repeated_random(seed, count):
+    """What the vector replay's unread-traffic rule rests on (needs no NumPy).
+
+    ``random()`` consumes two 32-bit generator outputs and ``getrandbits(64 *
+    m)`` exactly ``2m`` of them, little-endian: one call advances the stream
+    as ``m`` draws do, and every draw can still be decoded from the integer.
+    """
+    from repro.sim.vectorized import _unread_delay
+
+    drawn, advanced = random.Random(seed), random.Random(seed)
+    draws = [drawn.random() for _ in range(count)]
+    bits = advanced.getrandbits(64 * count)
+    assert [_unread_delay(bits, p, 0.0, 1.0) for p in range(count)] == draws
+    assert [_unread_delay(bits, p, 0.002, 0.01) for p in range(count)] == [
+        0.002 + draw * (0.01 - 0.002) for draw in draws
+    ]
+    assert advanced.random() == drawn.random()
+    assert advanced.getstate() == drawn.getstate()
+
+
 def test_participants_sorted():
     sim, _ = make_net(FixedDelay(0.001))
     assert sim.network.participants() == [0, 1, 2]

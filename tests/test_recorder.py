@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.signatures import digest_cache_info, message_digest, sign
 from repro.experiments.common import benign_scenario, default_params
@@ -201,6 +202,76 @@ def test_liveness_replica_matches_semantics():
     assert not summary_with(((0, 3, 2),)).liveness(3)  # gap at round 2
     assert summary_with(((0, 3, None),)).liveness(3)  # round 0 counts from 1
     assert summary_with(((5, 6, None),)).liveness(3)  # late joiner: needed range empty
+
+
+# -- completed-round tracking ---------------------------------------------------
+
+
+def _round_tracking_recorder(h):
+    recorder = OnlineMetricsRecorder()
+    for pid in range(h):
+        recorder.register_process(pid, FixedRateClock(rate=1.0, offset=0.0))
+    recorder.register_process(h, FixedRateClock(rate=1.0, offset=0.0), faulty=True)
+    scans = []
+    rescan = recorder._rescan_min_completed
+
+    def counted_rescan():
+        scans.append(1)
+        rescan()
+
+    recorder._rescan_min_completed = counted_rescan
+    return recorder, scans
+
+
+def _accept(recorder, pid, round_, time):
+    recorder.on_resync(ResyncEvent(
+        pid=pid, round=round_, time=time, logical_before=time, logical_after=time
+    ))
+
+
+def test_min_completed_rescans_once_per_round_not_per_acceptance():
+    """The O(h) min is recomputed when the last laggard leaves, not on every acceptance."""
+    h, rounds = 9, 12
+    recorder, scans = _round_tracking_recorder(h)
+    time = 0.0
+    for round_ in range(1, rounds + 1):
+        for pid in range(h):
+            time += 0.125
+            _accept(recorder, (pid + round_) % h, round_, time)
+            _accept(recorder, h, round_, time)  # the faulty process never counts
+        assert recorder.min_completed_round() == round_
+    assert len(scans) <= rounds + 1
+
+
+@given(
+    h=st.integers(min_value=1, max_value=5),
+    steps=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=4),  # process (mod h)
+            st.integers(min_value=1, max_value=3),  # round jump: > 1 skips rounds
+            st.integers(min_value=0, max_value=11),  # 0: crash instead of accepting
+        ),
+        max_size=60,
+    ),
+)
+@settings(max_examples=120, deadline=None)
+def test_min_completed_round_equals_brute_force_after_every_event(h, steps):
+    """Any acceptance order: skipped rounds, a late first resync, a crash."""
+    recorder, scans = _round_tracking_recorder(h)
+    levels = [0] * h
+    crashed = set()
+    for tick, (raw_pid, jump, crash) in enumerate(steps, start=1):
+        pid = raw_pid % h
+        if pid in crashed:
+            continue
+        if crash == 0:
+            crashed.add(pid)
+            recorder.on_crash(pid, float(tick))
+        else:
+            levels[pid] += jump
+            _accept(recorder, pid, levels[pid], float(tick))
+        assert recorder.min_completed_round() == min(levels)
+    assert len(scans) <= min(levels) + 1
 
 
 # -- signature digest memoization ----------------------------------------------

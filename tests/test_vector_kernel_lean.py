@@ -12,6 +12,9 @@ version:
 * a deterministic run where the prune demonstrably fires (slow honest clocks
   announce a round their fast peers already left) reports it on the
   ``kernel.replay`` span and still matches the event loop;
+* ``_finalize_lane`` sorts nothing: the replay's batch list is in send order
+  as made, on every family it serves, and the lockstep caller -- whose eager
+  batches are created up front -- sorts its own;
 * the lockstep walk's per-sender delay-class table returns exactly the
   per-destination scan's arrival list, which lives here as the oracle;
 * the lockstep fixpoint's one-sort order statistics equal the two-sort
@@ -118,6 +121,57 @@ def test_emit_time_prune_fires_and_changes_nothing():
     for span in spans:
         assert span.attrs["pruned"] == replay.pruned
         assert span.attrs["events"] == replay.events > 0
+
+
+# -- ordered finalize: batches arrive in send order -------------------------------------
+
+
+def in_send_order(batches):
+    keys = [(b.time, b.seq) for b in batches]
+    return keys == sorted(keys)
+
+
+def test_replay_batches_are_made_in_send_order_and_eager_lockstep_ones_are_not(monkeypatch):
+    """``_finalize_lane`` numbers messages by position and sorts nothing.
+
+    The replay appends a batch when the event it mirrors fires, so its list
+    is in ``(time, seq)`` order as made, on every family it serves.  The
+    lockstep assembly creates the eager signers' batches up front, ahead of
+    their send instants: creation order is not send order there, which is
+    why that caller sorts before the call.
+    """
+    handed = []
+    finalize = vectorized._finalize_lane
+
+    def spy(layout, lane_offsets, batches, *args, **kwargs):
+        handed.append(list(batches))
+        return finalize(layout, lane_offsets, batches, *args, **kwargs)
+
+    monkeypatch.setattr(vectorized, "_finalize_lane", spy)
+
+    def finalized_batches(scenario):
+        assert run_lanes([scenario])[0].fallback is None
+        return handed.pop()
+
+    replay_cells = [
+        cell(9, algorithm=algorithm, attack=attack, delay=delay, rounds=4)
+        for algorithm in ("auth", "echo")
+        for attack in [None, "skew_max", "laggard", *REPLAY_ATTACKS]
+        for delay in ("uniform", "min")
+    ] + [
+        cell(9, algorithm="echo", attack=attack, delay=delay, clock=clock, rounds=4)
+        for attack in ("skew_max", "eager", "forge_flood")
+        for delay, clock in (("targeted", "extreme"), ("max", "random"))
+    ] + [cell(9, attack="forge_flood", rounds=4), cell(9, attack="random_silence", rounds=4)]
+    for scenario in replay_cells:
+        assert not _Layout(scenario, numpy_or_none()).lockstep, scenario.name
+        batches = finalized_batches(scenario)
+        assert [b.seq for b in batches] == list(range(len(batches))), scenario.name
+        assert in_send_order(batches), scenario.name
+
+    batches = finalized_batches(cell(9, attack="eager", delay="max", rounds=4))
+    assert in_send_order(batches)  # the contract, kept by the caller's sort ...
+    assert [b.seq for b in batches] != list(range(len(batches)))  # ... which it needed
 
 
 # -- lockstep walk: the delay-class table -----------------------------------------------
