@@ -13,7 +13,7 @@ Two consumption styles share one execution core:
   order) -- the right tool when the caller post-processes results together.
 * :meth:`SweepRunner.stream_sweep` is the incremental-consumer path: an
   ``on_result(index, result)`` reducer fires as each grid point completes and
-  the runner retains nothing, so the parent process holds O(1)
+  the runner retains nothing, so the parent process holds a bounded number of
   :class:`~repro.workloads.scenarios.ScenarioResult` objects regardless of
   sweep size.  Chunks are submitted in a bounded window (a few per worker),
   so neither pending futures nor completed-but-unconsumed ones can
@@ -27,6 +27,15 @@ Guarantees:
 * With ``jobs=1`` the progress ``callback``/``on_result`` fires in input
   order, exactly like the historical ``run_sweep`` loop; with ``jobs>1`` it
   fires in completion order (still once per scenario, cache hits included).
+* A chunk is a block: every chunk -- a worker task, or with ``jobs=1`` a
+  window of at most :data:`MAX_CHUNK` consecutive cells -- goes through one
+  :func:`~repro.workloads.scenarios.run_scenarios` call, which hands its
+  eligible metrics-level cells to the vector kernel together.  The serial
+  walk looks up every key of a window, runs the misses, stores, and emits
+  the window in input order, so at most one window of results is in flight
+  (cells a block cannot take -- full traces above all -- are still computed
+  and emitted one at a time).  A key repeated inside one window is computed
+  once and counts as one miss and one store; its repeats share the result.
 * Batching (``chunk_size``) amortizes per-task pickling and scheduling
   overhead; the default targets a few chunks per worker so stragglers do not
   serialize the tail of the sweep.
@@ -66,7 +75,7 @@ from ..workloads.scenarios import (
     Scenario,
     ScenarioResult,
     resolve_shards,
-    run_scenario,
+    run_scenarios,
 )
 from .cache import ResultCache, cache_key, code_salt
 from .exec import EXECUTOR_SPECS, Executor, ExecutorFailure, ExecutorSpec, LocalPoolExecutor, make_executor
@@ -133,11 +142,8 @@ def _normalize_trace_levels(scenarios: Sequence[Scenario], trace_level: TraceSpe
 
 
 def _run_chunk(chunk: list[tuple[int, Scenario, bool, str]]) -> list[tuple[int, ScenarioResult]]:
-    """Worker task: run a batch of (index, scenario, check, trace_level) tuples."""
-    return [
-        (index, run_scenario(scenario, check_guarantees=check, trace_level=level))
-        for index, scenario, check, level in chunk
-    ]
+    """Worker task: run a batch of (index, scenario, check, trace_level) tuples as one block."""
+    return list(zip([cell[0] for cell in chunk], run_scenarios(cell[1:] for cell in chunk)))
 
 
 class SweepRunner:
@@ -363,13 +369,40 @@ class SweepRunner:
         with obs.span("runner.sweep") as sweep:
             sweep.set("mode", "serial")
             sweep.set("scenarios", len(scenarios))
-            for index, (scenario, check, level) in enumerate(zip(scenarios, checks, levels)):
-                key, result = self._cached(scenario, check, level, salt)
-                if result is None:
-                    result = run_scenario(scenario, check_guarantees=check, trace_level=level)
-                    if key is not None:
-                        self.cache.put(key, result)
-                emit(index, result)
+            for start in range(0, len(scenarios), MAX_CHUNK):
+                # One window: look every key up, run the misses as one block
+                # (a key that missed is not asked for again: its repeats share
+                # the one computation), store, and emit in input order.
+                stop = start + MAX_CHUNK
+                window = list(zip(scenarios[start:stop], checks[start:stop], levels[start:stop]))
+                looked = []  # (key, hit) per cell
+                fresh: dict = {}  # key -> the result computed for it in this window
+                misses = []
+                for cell in window:
+                    key = hit = None
+                    if self.cache is not None:
+                        key = cache_key(cell[0], cell[1], trace_level=cell[2], salt=salt)
+                        if key not in fresh:
+                            hit = self.cache.get(key)
+                    if hit is None and key not in fresh:
+                        misses.append(cell)
+                        if key is not None:
+                            fresh[key] = None
+                    looked.append((key, hit))
+                computed = run_scenarios(misses)
+                for offset, (cell, (key, result)) in enumerate(zip(window, looked)):
+                    if result is None:
+                        result = fresh.get(key)
+                    if result is None:
+                        result = next(computed)
+                        if key is not None:
+                            self.cache.put(key, result)
+                            fresh[key] = result
+                    if result.scenario != cell[0]:
+                        # The key ignores the cosmetic display name; hand back
+                        # the scenario the caller actually asked for.
+                        result = dataclasses.replace(result, scenario=cell[0])
+                    emit(start + offset, result)
 
     def _execute_parallel(
         self,
@@ -398,8 +431,7 @@ class SweepRunner:
         shard_tasks: list = []
         folder = ShardFold()
         # With the cache on, repeated grid points are computed once: the first
-        # occurrence runs, the rest share its result (as a serial cached run
-        # would, where later repeats hit the just-stored entry).
+        # occurrence runs, the rest share its result (as a serial window does).
         first_for_key: dict[str, int] = {}
         duplicates: dict[int, list[int]] = {}
         for index, (scenario, check, level) in enumerate(zip(scenarios, checks, levels)):

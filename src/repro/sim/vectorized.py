@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import attrgetter
 from random import Random
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .. import obs
 from .clocks import FixedRateClock, drifting_clock, spread_offsets
@@ -160,21 +160,20 @@ _send_order = attrgetter("time", "seq")
 class _Round(NamedTuple):
     """Per-round phase-1 output for one lane, as plain Python values.
 
-    The per-actor fields are ``.tolist()`` rows of the block arrays, taken
-    once per round, so phase 2 never touches a NumPy scalar; ``arr`` stays
-    the lane's ``(S, A)`` arrival array for the walk's one below-``tau``
-    count.
+    The per-actor fields are ``.tolist()`` rows of the block arrays, so
+    phase 2 never touches a NumPy scalar; ``arr`` stays the lane's ``(S, A)``
+    arrival array for the walk's one below-``tau`` count.
     """
 
     k: int
     tgt: float
     T: list
-    ann: list
     Acc: list
-    valid: list
-    active: list
     before: list
     adj_after: list
+    ann: list
+    valid: list
+    active: list
     arr: object
 
 
@@ -474,15 +473,16 @@ class _DriftTables:
         return np.where(self.honest[: drift.shape[-1]], drift, t)
 
 
-def _phase1(layout: _Layout, scenarios: list, lane_offsets: list, drift=None) -> list:
-    """Lockstep round evaluation for all lanes; returns per-lane round lists.
+def _phase1(layout: _Layout, scenarios: list, lane_offsets: list, drift=None) -> Iterator:
+    """Lockstep round evaluation for all lanes; returns an iterator of per-lane round lists.
 
     Every array carries a leading lane axis and every operation is
     lane-independent along it, so a block of ``L`` lanes costs one set of
-    array calls per round, not ``L``.  Entries of the result are either
-    ``list[_Round]`` or a :class:`LaneFallback` instance recording why that
-    lane left the proven regime (the first guard it tripped, in the order
-    a lane alone would meet them); a failed lane stays in the arrays,
+    array calls per round, not ``L``.  The block is solved before this
+    returns; the iterator it returns converts one lane per ``next``, to its
+    ``list[_Round]`` or by raising the :class:`LaneFallback` that records
+    why the lane left the proven regime (the first guard it tripped, in the
+    order a lane alone would meet them); a failed lane stays in the arrays,
     masked, and is neither waited for nor read again.
     """
     np = layout.np
@@ -501,7 +501,12 @@ def _phase1(layout: _Layout, scenarios: list, lane_offsets: list, drift=None) ->
     active = np.ones((L, A), dtype=bool)
     max_prev_acc = np.zeros(L)
 
-    results: list = [[] for _ in range(L)]
+    # Per-round ``(L, A)`` rows: ``T, Acc, before, adj_after`` and ``ann,
+    # valid, active``.  They stay arrays until a lane's Phase 2 asks for
+    # them, so a block holds one lane's worth of Python lists, not L.
+    values: list = []
+    flags: list = []
+    arrivals: list = []
     failed: list = [None] * L
     dead = np.zeros(L, dtype=bool)
 
@@ -552,10 +557,9 @@ def _phase1(layout: _Layout, scenarios: list, lane_offsets: list, drift=None) ->
                 active & ~valid & ~layout.is_crash,
                 f"a faulty participant missed round {k}",
             )
-        rows = zip(*[x.tolist() for x in (T, ann, Acc, valid, active, before, adj)])
-        for l, fields in enumerate(rows):
-            if failed[l] is None:
-                results[l].append(_Round(k, tgt, *fields, arr[l]))
+        values += (T, Acc, before, adj)
+        flags += (ann, valid, active)
+        arrivals.append(arr)
         if dead.all():
             break
         active = valid
@@ -571,9 +575,19 @@ def _phase1(layout: _Layout, scenarios: list, lane_offsets: list, drift=None) ->
         valid & (timers(R + 1) <= t_star[:, None]),
         "a next-round timer lands on the final instant",
     )
-    return [
-        results[l] if failed[l] is None else failed[l] for l in range(L)
-    ]
+    values, flags = np.array(values), np.array(flags)  # (4R, L, A), (3R, L, A)
+
+    def lane(l):
+        if failed[l] is not None:
+            raise failed[l]
+        v, f = values[:, l].tolist(), flags[:, l].tolist()
+        return [
+            _Round(k + 1, (k + 1) * layout.P + layout.alpha,
+                   *v[4 * k:4 * k + 4], *f[3 * k:3 * k + 3], arrivals[k][l])
+            for k in range(R)
+        ]
+
+    return map(lane, range(L))
 
 
 def _order_statistics(np, arr, T, ann, f):
@@ -1064,11 +1078,11 @@ class _ExactReplay:
     floats.
     """
 
-    def __init__(self, layout: _Layout, scenario, mergeable, sample_messages):
+    def __init__(self, layout: _Layout, scenario, mergeable):
         self.layout = layout
         self.scenario = scenario
         self.mergeable = mergeable
-        self.sample_messages = sample_messages
+        self.sample_messages = scenario.sample_messages
         params = layout.params
         self.n = layout.n
         self.h = layout.h
@@ -1520,14 +1534,15 @@ def _refuse(outcomes: list, indices, exc: Exception) -> None:
         outcomes[i] = LaneOutcome(fallback=reason)
 
 
-def run_lanes(scenarios, *, mergeable: bool = False,
-              sample_messages: Optional[int] = None) -> list:
+def run_lanes(scenarios, *, mergeable: bool = False) -> list:
     """Evaluate single-replication scenarios on the vector kernel, as lanes.
 
     Every scenario must already have passed
     :func:`repro.sim.kernel.kernel_ineligibility` (metrics level); lanes
     sharing a family (same params/attack/modes/rounds, different seeds) run
-    in lockstep off one static layout.  Returns one :class:`LaneOutcome`
+    in lockstep off one static layout, whether they are one scenario's
+    replications or a chunk's cells (``mergeable`` says which; each lane
+    samples messages at its own rate).  Returns one :class:`LaneOutcome`
     per scenario, in order: either a finalized
     :class:`~repro.sim.recorder.OnlineMetricsSummary` float-identical to
     the event loop's, or a ``fallback`` reason for the caller to re-run
@@ -1558,9 +1573,7 @@ def run_lanes(scenarios, *, mergeable: bool = False,
                 try:
                     with obs.span("kernel.replay") as sp:
                         sp.set("lane", i)
-                        replay = _ExactReplay(
-                            layout, group[pos], mergeable, sample_messages
-                        )
+                        replay = _ExactReplay(layout, group[pos], mergeable)
                         outcomes[i] = replay.run()
                         sp.set("events", replay.events)
                         sp.set("pruned", replay.pruned)
@@ -1573,6 +1586,7 @@ def run_lanes(scenarios, *, mergeable: bool = False,
                 _DriftTables(layout, group)
                 if layout.clock_mode == "random" else None
             )
+            obs.inc("kernel.blocks")  # fill = kernel.vector_lanes / kernel.blocks
             with obs.span("kernel.phase1") as sp:
                 sp.set("lanes", len(group))
                 lane_rounds = _phase1(layout, group, offsets, drift)
@@ -1580,17 +1594,14 @@ def run_lanes(scenarios, *, mergeable: bool = False,
             _refuse(outcomes, indices, exc)
             continue
         for pos, i in enumerate(indices):
-            rounds = lane_rounds[pos]
-            if isinstance(rounds, LaneFallback):
-                _refuse(outcomes, [i], rounds)
-                continue
             try:
+                rounds = next(lane_rounds)  # or the lane's LaneFallback, raised
                 with obs.span("kernel.phase2") as sp:
                     sp.set("lane", i)
                     outcomes[i] = _LaneAssembly(
                         layout, rounds, offsets[pos],
                         drift.clocks[pos] if drift is not None else None,
-                        mergeable, sample_messages,
+                        mergeable, group[pos].sample_messages,
                     ).run()
             except Exception as exc:
                 _refuse(outcomes, [i], exc)

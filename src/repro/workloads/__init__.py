@@ -13,6 +13,7 @@ from .scenarios import (
     ScenarioResult,
     build_cluster,
     run_scenario,
+    run_scenarios,
 )
 from .sweeps import grid, run_sweep, scenario_sweep, stream_sweep
 
@@ -23,6 +24,7 @@ __all__ = [
     "ClusterHandles",
     "build_cluster",
     "run_scenario",
+    "run_scenarios",
     "ST_ALGORITHMS",
     "BASELINE_ALGORITHMS",
     "ALL_ALGORITHMS",

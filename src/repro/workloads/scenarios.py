@@ -783,9 +783,7 @@ def _run_shard(scenario: Scenario, shard_index: int, replication_indices: Sequen
     if reps and resolved != "event":
         static_reason = kernel_ineligibility(reps[0], "metrics")
         if static_reason is None:
-            outcomes = run_lanes(
-                reps, mergeable=True, sample_messages=scenario.sample_messages
-            )
+            outcomes = run_lanes(reps, mergeable=True)
             # Cache-identity guard: the result cache keys on the *static*
             # resolution, so a lane that dynamically fell back to the event
             # loop must still present the same resolved kernel and the same
@@ -930,11 +928,59 @@ def run_scenario(
     vector evaluator refuses -- by the event loop, with the fallback reason
     recorded via ``on_note`` when the vector kernel was in play.
     """
+    return next(run_scenarios([(scenario, check_guarantees, trace_level)]))
+
+
+def run_scenarios(cells):
+    """Run ``(scenario, check_guarantees, trace_level)`` cells; yield their results in order.
+
+    The plural of :func:`run_scenario`, and what a runner chunk calls.  Every
+    statically eligible, single-replication, metrics-level cell rides one
+    :func:`~repro.sim.vectorized.run_lanes` call, so a chunk's same-family
+    cells share one lockstep block (lanes are independent: a cell's floats
+    are the ones it has alone).  Everything else -- full traces,
+    ``kernel="event"``, ineligible or replicated cells, and a lane its block
+    refused -- runs alone on the per-cell path when its turn comes, so a
+    consumer that drops what it is handed never holds a chunk of traces.
+    """
+    cells = list(cells)
+    block = [
+        i for i, (scenario, _check, level) in enumerate(cells)
+        if scenario.replications <= 1 and resolve_kernel(scenario) != "event"
+        and kernel_ineligibility(scenario, level) is None
+    ]
+    served: dict = {}  # cell index -> result of a lane the block served
+    refused: dict = {}  # cell index -> why its lane fell back
+    if block:
+        with obs.span("scenario.run") as sp:
+            sp.set("lanes", len(block))
+            for i, outcome in zip(block, run_lanes([cells[i][0] for i in block])):
+                scenario, check, _level = cells[i]
+                if outcome.fallback is not None:
+                    refused[i] = outcome.fallback
+                    continue
+                result = _measure_streamed(
+                    scenario, outcome.summary, _resolve_check(scenario, check),
+                    stopped_early=outcome.stopped_early,
+                )
+                served[i] = dataclasses_replace(
+                    result, kernel_provenance=KernelProvenance(resolved=resolve_kernel(scenario), vector_lanes=1)
+                )
+            _account_kernel_lanes(len(served), 0, 0, ())
+    for i, (scenario, check, level) in enumerate(cells):
+        result = served.pop(i, None)
+        yield result if result is not None else _run_alone(scenario, check, level, refused.get(i))
+
+
+def _run_alone(
+    scenario: Scenario, check_guarantees: Optional[bool], trace_level: str, fallback_reason: Optional[str]
+) -> ScenarioResult:
+    """One cell on the per-cell path; ``fallback_reason`` is its block's refusal, if it rode in one."""
     with obs.span("scenario.run") as sp:
         sp.set("algorithm", scenario.algorithm)
         sp.set("n", scenario.params.n)
         sp.set("trace_level", trace_level)
-        result = _run_scenario(scenario, check_guarantees, trace_level, sp)
+        result = _run_scenario(scenario, check_guarantees, trace_level, fallback_reason, sp)
         provenance = result.kernel_provenance
         if scenario.replications <= 1 and provenance is not None:
             # Replicated scenarios already accounted per shard inside
@@ -952,6 +998,7 @@ def _run_scenario(
     scenario: Scenario,
     check_guarantees: Optional[bool],
     trace_level: str,
+    fallback_reason: Optional[str],
     sp,
 ) -> ScenarioResult:
     if scenario.replications > 1:
@@ -968,36 +1015,20 @@ def _run_scenario(
 
     check = _resolve_check(scenario, check_guarantees)
     resolved = resolve_kernel(scenario)
-    fallback_reason: Optional[str] = None
     provenance = KernelProvenance(resolved=resolved, ineligible_lanes=1)
-    if resolved != "event":
+    if fallback_reason is not None:
+        provenance = KernelProvenance(
+            resolved=resolved, fallback_lanes=1, fallback_reasons=((fallback_reason, 1),)
+        )
+    elif resolved != "event":
         reason = kernel_ineligibility(scenario, trace_level)
-        if reason is None:
-            outcome = run_lanes([scenario], sample_messages=scenario.sample_messages)[0]
-            if outcome.fallback is None:
-                result = _measure_streamed(
-                    scenario, outcome.summary, check, stopped_early=outcome.stopped_early
-                )
-                return dataclasses_replace(
-                    result,
-                    kernel_provenance=KernelProvenance(
-                        resolved=resolved, vector_lanes=1
-                    ),
-                )
-            fallback_reason = outcome.fallback
-            provenance = KernelProvenance(
-                resolved=resolved,
-                fallback_lanes=1,
-                fallback_reasons=((fallback_reason, 1),),
-            )
-        else:
-            provenance = KernelProvenance(
-                resolved=resolved, ineligible_lanes=1, ineligible_reason=reason
-            )
-            if resolved == "vector":
-                # An explicit vector request never errors: run on the event
-                # loop (float-identical by contract) and annotate why.
-                fallback_reason = reason
+        provenance = KernelProvenance(
+            resolved=resolved, ineligible_lanes=1, ineligible_reason=reason
+        )
+        if resolved == "vector":
+            # An explicit vector request never errors: run on the event
+            # loop (float-identical by contract) and annotate why.
+            fallback_reason = reason
 
     handles = build_cluster(scenario, trace_level=trace_level, sample_messages=scenario.sample_messages)
     sim = handles.sim

@@ -123,7 +123,7 @@ def run_both(scenario):
         dataclasses.replace(scenario, kernel="event"), trace_level="metrics"
     )
     vector_scenario = dataclasses.replace(scenario, kernel="vector")
-    outcome = run_lanes([vector_scenario], sample_messages=scenario.sample_messages)[0]
+    outcome = run_lanes([vector_scenario])[0]
     assert outcome.fallback is None, f"unexpected fallback: {outcome.fallback}"
     vector = run_scenario(vector_scenario, trace_level="metrics")
     return event, vector
@@ -520,7 +520,7 @@ def test_future_round_reaching_threshold_first_is_accepted_at_once(algorithm, se
     scenario = dataclasses.replace(
         base, params=dataclasses.replace(base.params, period=0.004), name=""
     )
-    replay = _ExactReplay(_Layout(scenario, numpy_or_none()), scenario, False, None)
+    replay = _ExactReplay(_Layout(scenario, numpy_or_none()), scenario, False)
     assert replay.run().fallback is None
     accepted: dict = {}
     for _time, pid, round_, *_ in replay.emissions:

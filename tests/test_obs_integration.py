@@ -80,6 +80,7 @@ def test_subprocess_sweep_reconstructs_cross_process_span_tree(tmp_path):
         for bucket in ("vector_lanes", "fallback_lanes", "ineligible_lanes")
     )
     assert lanes == 4
+    assert registry.counter("kernel.blocks") == 4  # one lockstep block per shard task
     assert registry.snapshot()["histograms"]["fleet.queue_wait_s"]["count"] >= 1
 
     # The exported timeline holds together: unique ids, resolvable parents,

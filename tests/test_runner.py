@@ -327,6 +327,52 @@ def test_stream_sweep_parent_holds_o1_results():
     assert sum(1 for ref in alive if ref() is not None) == 0
 
 
+def test_stream_sweep_parent_holds_one_window_of_metrics_results():
+    """The metrics-level twin: cells that share a block are computed together.
+
+    A serial window's packed results exist at once, before any is emitted
+    (so they are counted as live objects, not through weak references taken
+    at emission); the bound is one window, whatever the sweep's size.
+    """
+    import gc
+
+    from repro.runner.core import MAX_CHUNK
+    from repro.workloads.scenarios import ScenarioResult
+
+    def results_alive() -> int:
+        gc.collect()
+        return sum(1 for candidate in gc.get_objects() if isinstance(candidate, ScenarioResult))
+
+    scenarios = [replace(small_grid()[index % 4], seed=index, name="") for index in range(2 * MAX_CHUNK + 8)]
+    before = results_alive()
+    live: dict[int, int] = {}
+
+    def fold(index, result):
+        if index % MAX_CHUNK == 0:  # a window's first emission: nothing of it dropped yet
+            live[index] = results_alive() - before
+
+    SweepRunner(jobs=1).stream_sweep(scenarios, fold, trace_level="metrics")
+    assert live == {0: MAX_CHUNK, MAX_CHUNK: MAX_CHUNK, 2 * MAX_CHUNK: 8}
+    assert max(live.values()) <= MAX_CHUNK + 1
+    assert results_alive() == before
+
+
+def test_serial_window_computes_a_repeated_key_once(tmp_path):
+    """``[s, twin(s), s]`` with ``jobs=1``: one miss, one store, input order; then three hits."""
+    scenario = small_grid()[0]
+    scenarios = [scenario, replace(scenario, name="twin"), scenario]
+    cache = ResultCache(tmp_path)
+    emitted: list = []
+    SweepRunner(jobs=1, cache=cache).stream_sweep(scenarios, lambda i, r: emitted.append((i, r)))
+    assert cache.stats.as_dict() == {"hits": 0, "misses": 1, "stores": 1}
+    assert [index for index, _ in emitted] == [0, 1, 2]
+    assert [result.scenario.name for _, result in emitted] == [scenario.name, "twin", scenario.name]
+    assert len(set(results_fingerprint([replace(r, scenario=scenario) for _, r in emitted]))) == 1
+
+    SweepRunner(jobs=1, cache=cache).run_sweep(scenarios)
+    assert cache.stats.as_dict() == {"hits": 3, "misses": 1, "stores": 1}
+
+
 def test_stream_sweep_serves_cache_hits_and_duplicates(tmp_path):
     scenario = small_grid()[0]
     scenarios = [scenario, replace(scenario, name="twin"), scenario]

@@ -96,7 +96,7 @@ def test_emit_time_prune_fires_and_changes_nothing():
     # moment later, before the relayed bundle lands, and announces round k to
     # peers whose floor is already k + 1.
     scenario = cell(7, attack="eager", delay="uniform", rounds=4, spread=0.0, seed=0)
-    replay = _ExactReplay(_Layout(scenario, numpy_or_none()), scenario, False, None)
+    replay = _ExactReplay(_Layout(scenario, numpy_or_none()), scenario, False)
     assert replay.run().fallback is None
     accepted = {}
     for time, pid, round_, *_ in replay.emissions:
