@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..crypto.signatures import KeyStore, SecretKey, Signature, sign
+from ..sim.adversary import TRACKER_LOOKAHEAD
 from .primitive import BroadcastTracker
 
 
@@ -47,7 +48,7 @@ class SignatureTracker(BroadcastTracker):
         keystore: KeyStore,
         threshold: int,
         content_factory,
-        max_round_lookahead: Optional[int] = 1000,
+        max_round_lookahead: Optional[int] = TRACKER_LOOKAHEAD,
     ) -> None:
         if threshold <= 0:
             raise ValueError(f"threshold must be positive, got {threshold}")

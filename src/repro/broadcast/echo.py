@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..sim.adversary import TRACKER_LOOKAHEAD
 from .primitive import BroadcastTracker, PrimitiveActions
 
 
@@ -47,7 +48,7 @@ class _RoundState:
 class EchoTracker(BroadcastTracker):
     """Per-round init/echo bookkeeping with thresholds ``f+1`` (echo) and ``2f+1`` (accept)."""
 
-    def __init__(self, n: int, f: int, max_round_lookahead: Optional[int] = 1000) -> None:
+    def __init__(self, n: int, f: int, max_round_lookahead: Optional[int] = TRACKER_LOOKAHEAD) -> None:
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
         if f < 0 or 3 * f >= n:

@@ -2,21 +2,15 @@
 
 from .behaviors import (
     AdversaryContext,
-    AlternatingTwoFacedAuth,
-    AlternatingTwoFacedEcho,
-    CrashFaultyAuth,
-    CrashFaultyEcho,
     EagerEchoer,
     EagerSigner,
     EchoCabalMember,
+    FaultyAuth,
+    FaultyEcho,
     ForgeAndFlood,
-    LaggardAuth,
-    LaggardEcho,
     ReplayAttacker,
     RushingCabalLeader,
     SilentFaulty,
-    TwoFacedAuth,
-    TwoFacedEcho,
 )
 from .strategies import (
     ALL_ATTACKS,
@@ -25,22 +19,15 @@ from .strategies import (
     available_attacks,
     breaking_attack_for,
     make_faulty_processes,
-    register_attack,
 )
 
 __all__ = [
     "AdversaryContext",
     "SilentFaulty",
-    "CrashFaultyAuth",
-    "CrashFaultyEcho",
+    "FaultyAuth",
+    "FaultyEcho",
     "EagerSigner",
     "EagerEchoer",
-    "TwoFacedAuth",
-    "TwoFacedEcho",
-    "AlternatingTwoFacedAuth",
-    "AlternatingTwoFacedEcho",
-    "LaggardAuth",
-    "LaggardEcho",
     "ForgeAndFlood",
     "ReplayAttacker",
     "RushingCabalLeader",
@@ -49,7 +36,6 @@ __all__ = [
     "BREAKING_ATTACKS",
     "ALL_ATTACKS",
     "available_attacks",
-    "register_attack",
     "make_faulty_processes",
     "breaking_attack_for",
 ]

@@ -8,6 +8,11 @@ forgery and flooding, replay) and, beyond the resilience threshold, attacks
 that actually break the algorithms (the "cabal" behaviours used by the
 resilience experiments E3/E4).
 
+Faulty *participants* -- processes that run the honest protocol and only bend
+their sends (crash, two-faced, laggard, the ``random_*`` family) -- are one
+mixin, :class:`FaultyParticipant`, driven by the role table in
+:mod:`repro.sim.adversary`; the scripted attackers are classes of their own.
+
 All behaviours are ordinary :class:`~repro.sim.process.Process` subclasses
 marked ``faulty = True``; being adversarial, they are allowed to read real
 time, coordinate through shared :class:`AdversaryContext` state, and use the
@@ -33,6 +38,18 @@ from ..core.messages import (
 from ..core.params import SyncParams
 from ..core.unauth_sync import EchoSyncProcess
 from ..crypto.signatures import KeyStore, SecretKey, forge_attempt, sign
+from ..sim.adversary import (
+    ALL,
+    CRASH_PERIODS,
+    EAGER_FACTOR,
+    EAGER_MAX_ROUND,
+    FAST,
+    FLOOD_INTERVAL,
+    FLOOD_MAX_ROUND,
+    ROLES,
+    flood_draws,
+    split_groups,
+)
 from ..sim.process import Process
 
 
@@ -62,7 +79,7 @@ class AdversaryContext:
         seed: int = 0,
     ) -> "AdversaryContext":
         """Create a context, splitting the honest processes into a fast and a slow group."""
-        half = max(1, len(honest_pids) // 2)
+        fast_group, slow_group = split_groups(honest_pids)
         secret_keys = {}
         if keystore is not None:
             secret_keys = {pid: keystore.secret_key(pid) for pid in faulty_pids if keystore.has_participant(pid)}
@@ -70,8 +87,8 @@ class AdversaryContext:
             params=params,
             faulty_pids=list(faulty_pids),
             honest_pids=list(honest_pids),
-            fast_group=list(honest_pids[:half]),
-            slow_group=list(honest_pids[half:]),
+            fast_group=fast_group,
+            slow_group=slow_group,
             keystore=keystore,
             secret_keys=secret_keys,
             seed=seed,
@@ -88,35 +105,25 @@ class SilentFaulty(Process):
         self.context = context
 
 
-class CrashFaultyAuth(AuthSyncProcess):
-    """Runs the authenticated algorithm correctly, then crashes at ``crash_time``."""
+class _EagerSupporter(Process):
+    """Supports round ``k`` at real time ``early_factor * k * P``, for ``k = 1 .. rounds``."""
 
     faulty = True
 
-    def __init__(self, pid, params, keystore, secret_key, crash_time: float, **kwargs) -> None:
-        super().__init__(pid, params, keystore, secret_key, **kwargs)
-        self.crash_time = crash_time
-
-    def on_start(self) -> None:
-        super().on_start()
-        self.sim.schedule_at(self.crash_time, self.halt)
-
-
-class CrashFaultyEcho(EchoSyncProcess):
-    """Runs the non-authenticated algorithm correctly, then crashes at ``crash_time``."""
-
-    faulty = True
-
-    def __init__(self, pid, params, crash_time: float, **kwargs) -> None:
-        super().__init__(pid, params, **kwargs)
-        self.crash_time = crash_time
-
-    def on_start(self) -> None:
-        super().on_start()
-        self.sim.schedule_at(self.crash_time, self.halt)
+    def __init__(
+        self,
+        pid: int,
+        context: AdversaryContext,
+        rounds: int = EAGER_MAX_ROUND,
+        early_factor: float = EAGER_FACTOR,
+    ) -> None:
+        super().__init__(pid)
+        self.context = context
+        self.rounds = rounds
+        self.early_factor = early_factor
 
 
-class EagerSigner(Process):
+class EagerSigner(_EagerSupporter):
     """Signs and broadcasts every round as early as it plausibly can (authenticated).
 
     The goal is to accelerate acceptances: honest processes still need one
@@ -126,15 +133,8 @@ class EagerSigner(Process):
     canonical skew-maximising adversary within the resilience bound.
     """
 
-    faulty = True
-
-    def __init__(self, pid: int, context: AdversaryContext, rounds: int = 200, early_factor: float = 0.75) -> None:
-        super().__init__(pid)
-        self.context = context
-        self.rounds = rounds
-        self.early_factor = early_factor
-
     def on_start(self) -> None:
+        """Schedule one early signature per round (nothing without this pid's key)."""
         secret = self.context.secret_keys.get(self.pid)
         if secret is None:
             return
@@ -150,18 +150,11 @@ class EagerSigner(Process):
         self.broadcast(SignedRound(round=round_, signature=signature))
 
 
-class EagerEchoer(Process):
+class EagerEchoer(_EagerSupporter):
     """Sends init and echo messages for every round as early as possible (echo variant)."""
 
-    faulty = True
-
-    def __init__(self, pid: int, context: AdversaryContext, rounds: int = 200, early_factor: float = 0.75) -> None:
-        super().__init__(pid)
-        self.context = context
-        self.rounds = rounds
-        self.early_factor = early_factor
-
     def on_start(self) -> None:
+        """Schedule one early init + echo per round."""
         period = self.context.params.period
         for k in range(1, self.rounds + 1):
             when = max(0.0, self.early_factor * k * period)
@@ -174,233 +167,63 @@ class EagerEchoer(Process):
         self.broadcast(EchoMessage(round=round_))
 
 
-class TwoFacedAuth(AuthSyncProcess):
-    """Participates correctly but only talks to the adversary's favoured group.
+class FaultyParticipant:
+    """A faulty process that runs the honest protocol but sends by its role's policy.
 
-    The disfavoured honest processes never hear from it, which delays their
-    acceptances by up to one relay hop relative to the favoured group.
+    A mixin in front of :class:`~repro.core.auth_sync.AuthSyncProcess` /
+    :class:`~repro.core.unauth_sync.EchoSyncProcess`: timers, trackers,
+    acceptances and relays are the honest ones; every ``broadcast`` asks the
+    role's send policy (:data:`repro.sim.adversary.ROLES`) what to do with it,
+    and a crashing role halts at ``CRASH_PERIODS * P``.  Drawing roles own a
+    ``Random(context.seed + pid)`` stream, which the vector kernel replays.
     """
 
     faulty = True
 
-    def __init__(self, pid, params, keystore, secret_key, context: AdversaryContext, **kwargs) -> None:
-        super().__init__(pid, params, keystore, secret_key, **kwargs)
+    def __init__(self, *args, context: AdversaryContext, role: str, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.context = context
+        self.role = role
+        entry = ROLES[role]
+        self._policy = entry.policy
+        self._rng = random.Random(context.seed + self.pid) if entry.draws else None
+        self.crash_time = CRASH_PERIODS * context.params.period if entry.crashes else None
+
+    def on_start(self) -> None:
+        """Boot as the honest protocol does, then schedule the role's crash (if any)."""
+        self._peers = self.other_peers()  # every process is attached before the run starts
+        super().on_start()
+        if self.crash_time is not None:
+            self.sim.schedule_at(self.crash_time, self.halt)
 
     def broadcast(self, payload: object) -> None:  # type: ignore[override]
-        self.multicast(self.context.fast_group, payload)
-
-
-class TwoFacedEcho(EchoSyncProcess):
-    """Echo-variant process that echoes only toward the favoured group."""
-
-    faulty = True
-
-    def __init__(self, pid, params, context: AdversaryContext, **kwargs) -> None:
-        super().__init__(pid, params, **kwargs)
-        self.context = context
-
-    def broadcast(self, payload: object) -> None:  # type: ignore[override]
-        self.multicast(self.context.fast_group, payload)
-
-
-#: Per-broadcast drop probability of the ``random_silence`` strategy, and the
-#: probability with which ``random_two_faced`` favours the fast group.  The
-#: vector kernel's exact-replay engine mirrors these values (and each
-#: behaviour's exact draw table) to replay the ``Random(seed + pid)`` streams
-#: draw-for-draw; ``tests/test_kernel_parity.py`` pins the two copies equal.
-RANDOM_DROP_PROBABILITY = 0.5
-RANDOM_FAST_BIAS = 0.5
-
-
-class RandomSilenceAuth(AuthSyncProcess):
-    """Participates correctly but drops each of its own broadcasts at random.
-
-    Draw table (replayed by the vector kernel): exactly one ``random()`` per
-    broadcast attempt, drawn before the halt check and regardless of whether
-    the broadcast is then sent or dropped.
-    """
-
-    faulty = True
-
-    def __init__(self, pid, params, keystore, secret_key, context: AdversaryContext, **kwargs) -> None:
-        super().__init__(pid, params, keystore, secret_key, **kwargs)
-        self.context = context
-        self._rng = random.Random(context.seed + pid)
-
-    def broadcast(self, payload: object) -> None:  # type: ignore[override]
-        if self._rng.random() < RANDOM_DROP_PROBABILITY:
-            return
-        super().broadcast(payload)
-
-
-class RandomSilenceEcho(EchoSyncProcess):
-    """Echo-variant random silence: one ``random()`` per broadcast attempt."""
-
-    faulty = True
-
-    def __init__(self, pid, params, context: AdversaryContext, **kwargs) -> None:
-        super().__init__(pid, params, **kwargs)
-        self.context = context
-        self._rng = random.Random(context.seed + pid)
-
-    def broadcast(self, payload: object) -> None:  # type: ignore[override]
-        if self._rng.random() < RANDOM_DROP_PROBABILITY:
-            return
-        super().broadcast(payload)
-
-
-class RandomTwoFacedAuth(AuthSyncProcess):
-    """Two-faced participant whose favoured half is re-flipped per broadcast.
-
-    Draw table (replayed by the vector kernel): exactly one ``random()`` per
-    broadcast, drawn before any network-delay draws for the chosen group.
-    """
-
-    faulty = True
-
-    def __init__(self, pid, params, keystore, secret_key, context: AdversaryContext, **kwargs) -> None:
-        super().__init__(pid, params, keystore, secret_key, **kwargs)
-        self.context = context
-        self._rng = random.Random(context.seed + pid)
-
-    def broadcast(self, payload: object) -> None:  # type: ignore[override]
-        group = (
-            self.context.fast_group
-            if self._rng.random() < RANDOM_FAST_BIAS
-            else self.context.slow_group
-        )
-        self.multicast(group or self.context.honest_pids, payload)
-
-
-class RandomTwoFacedEcho(EchoSyncProcess):
-    """Echo-variant coin-flipped two-faced participant."""
-
-    faulty = True
-
-    def __init__(self, pid, params, context: AdversaryContext, **kwargs) -> None:
-        super().__init__(pid, params, **kwargs)
-        self.context = context
-        self._rng = random.Random(context.seed + pid)
-
-    def broadcast(self, payload: object) -> None:  # type: ignore[override]
-        group = (
-            self.context.fast_group
-            if self._rng.random() < RANDOM_FAST_BIAS
-            else self.context.slow_group
-        )
-        self.multicast(group or self.context.honest_pids, payload)
-
-
-class RandomLaggardAuth(AuthSyncProcess):
-    """Participates correctly with an independent in-bounds random delay per message.
-
-    Draw table (replayed by the vector kernel): one ``uniform(tmin, tdel)``
-    per destination, in ``other_peers()`` (ascending pid) order; the explicit
-    delay bypasses the network's delay policy (and its RNG) entirely.
-    """
-
-    faulty = True
-
-    def __init__(self, pid, params, keystore, secret_key, context: AdversaryContext, **kwargs) -> None:
-        super().__init__(pid, params, keystore, secret_key, **kwargs)
-        self.context = context
-        self._rng = random.Random(context.seed + pid)
-
-    def broadcast(self, payload: object) -> None:  # type: ignore[override]
+        """Send ``payload`` the way the role's policy plans this attempt."""
         if self.halted:
             return
-        for pid in self.other_peers():
-            self.send(pid, payload, delay=self._rng.uniform(self.params.tmin, self.params.tdel))
-
-
-class RandomLaggardEcho(EchoSyncProcess):
-    """Echo-variant random laggard: correct content, random in-bounds delays."""
-
-    faulty = True
-
-    def __init__(self, pid, params, context: AdversaryContext, **kwargs) -> None:
-        super().__init__(pid, params, **kwargs)
-        self.context = context
-        self._rng = random.Random(context.seed + pid)
-
-    def broadcast(self, payload: object) -> None:  # type: ignore[override]
-        if self.halted:
+        if self._policy is None:
+            super().broadcast(payload)
             return
-        for pid in self.other_peers():
-            self.send(pid, payload, delay=self._rng.uniform(self.params.tmin, self.params.tdel))
-
-
-class LaggardAuth(AuthSyncProcess):
-    """Participates correctly but delivers everything at the latest allowed moment.
-
-    A "slow but formally correct" faulty node: every message it sends takes the
-    full delay bound.  It cannot hurt safety (the bound is part of the model),
-    but it maximises the timing uncertainty it contributes.
-    """
-
-    faulty = True
-
-    def broadcast(self, payload: object) -> None:  # type: ignore[override]
-        if self.halted:
+        plan = self._policy(self._rng, self.params.tmin, self.params.tdel, self._peers, self.current_round)
+        if plan is None:
             return
-        for pid in self.other_peers():
-            self.send(pid, payload, delay=self.params.tdel)
+        group, delays = plan
+        if delays is not None:
+            for pid, delay in zip(self._peers, delays):
+                self.send(pid, payload, delay=delay)
+        elif group == ALL:
+            super().broadcast(payload)
+        else:
+            context = self.context
+            chosen = context.fast_group if group == FAST else context.slow_group
+            self.multicast(chosen or context.honest_pids, payload)
 
 
-class LaggardEcho(EchoSyncProcess):
-    """Echo-variant laggard: correct content, always worst-case delay."""
-
-    faulty = True
-
-    def broadcast(self, payload: object) -> None:  # type: ignore[override]
-        if self.halted:
-            return
-        for pid in self.other_peers():
-            self.send(pid, payload, delay=self.params.tdel)
+class FaultyAuth(FaultyParticipant, AuthSyncProcess):
+    """A faulty participant of the authenticated algorithm (it signs with its own key)."""
 
 
-class AlternatingTwoFacedAuth(AuthSyncProcess):
-    """Supports even rounds only toward one half of the system and odd rounds toward the other.
-
-    A time-varying variant of the two-faced attack: whichever group is starved
-    of this signer's support in a given round must rely on the remaining
-    correct signers plus the relay property.
-    """
-
-    faulty = True
-
-    def __init__(self, pid, params, keystore, secret_key, context: "AdversaryContext", **kwargs) -> None:
-        super().__init__(pid, params, keystore, secret_key, **kwargs)
-        self.context = context
-
-    def _destinations(self) -> list[int]:
-        group = self.context.fast_group if self.current_round is not None and self.current_round % 2 == 0 else self.context.slow_group
-        return group or self.context.honest_pids
-
-    def broadcast(self, payload: object) -> None:  # type: ignore[override]
-        if self.halted:
-            return
-        self.multicast(self._destinations(), payload)
-
-
-class AlternatingTwoFacedEcho(EchoSyncProcess):
-    """Echo-variant alternating two-faced participant."""
-
-    faulty = True
-
-    def __init__(self, pid, params, context: "AdversaryContext", **kwargs) -> None:
-        super().__init__(pid, params, **kwargs)
-        self.context = context
-
-    def _destinations(self) -> list[int]:
-        group = self.context.fast_group if self.current_round is not None and self.current_round % 2 == 0 else self.context.slow_group
-        return group or self.context.honest_pids
-
-    def broadcast(self, payload: object) -> None:  # type: ignore[override]
-        if self.halted:
-            return
-        self.multicast(self._destinations(), payload)
+class FaultyEcho(FaultyParticipant, EchoSyncProcess):
+    """A faulty participant of the echo-broadcast algorithm."""
 
 
 class ForgeAndFlood(Process):
@@ -414,7 +237,13 @@ class ForgeAndFlood(Process):
 
     faulty = True
 
-    def __init__(self, pid: int, context: AdversaryContext, interval: float = 0.05, rounds: int = 200) -> None:
+    def __init__(
+        self,
+        pid: int,
+        context: AdversaryContext,
+        interval: float = FLOOD_INTERVAL,
+        rounds: int = FLOOD_MAX_ROUND,
+    ) -> None:
         super().__init__(pid)
         self.context = context
         self.interval = interval
@@ -422,17 +251,17 @@ class ForgeAndFlood(Process):
         self._rng = random.Random(context.seed + pid)
 
     def on_start(self) -> None:
+        """Schedule the first flood tick."""
         self.sim.schedule_after(self.interval, self._flood)
 
     def _flood(self) -> None:
         if self.halted:
             return
-        victim = self._rng.choice(self.context.honest_pids)
-        round_ = self._rng.randint(1, self.rounds)
-        forged = forge_attempt(victim, RoundContent(round_), guess=self._rng.getrandbits(32))
+        victim, round_, guess, tag = flood_draws(self._rng, self.context.honest_pids, self.rounds)
+        forged = forge_attempt(victim, RoundContent(round_), guess=guess)
         self.broadcast(SignedRound(round=round_, signature=forged))
         self.broadcast(SignatureBundle(round=round_, signatures=(forged,)))
-        self.broadcast(GarbageMessage(blob=f"junk-{self._rng.getrandbits(16)}"))
+        self.broadcast(GarbageMessage(blob=f"junk-{tag}"))
         self.broadcast(InitMessage(round=round_))
         self.sim.schedule_after(self.interval, self._flood)
 
@@ -460,6 +289,7 @@ class ReplayAttacker(Process):
         self._replayed = 0
 
     def on_message(self, sender: int, payload: object) -> None:
+        """Record an honest protocol message for replay ``replay_delay`` later."""
         # Only honest traffic is interesting to replay; replaying other faulty
         # nodes' (possibly replayed) messages would just amplify noise without
         # adding adversarial power, so the cap below also keeps the attack
@@ -499,6 +329,7 @@ class RushingCabalLeader(Process):
         self.pump_rounds = pump_rounds
 
     def on_start(self) -> None:
+        """Schedule the attack."""
         self.sim.schedule_at(self.attack_time, self._attack)
 
     def _attack(self) -> None:
@@ -533,6 +364,7 @@ class EchoCabalMember(Process):
         self.pump_rounds = pump_rounds
 
     def on_start(self) -> None:
+        """Schedule the attack."""
         self.sim.schedule_at(self.attack_time, self._attack)
 
     def _attack(self) -> None:

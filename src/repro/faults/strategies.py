@@ -2,9 +2,10 @@
 
 A *strategy* turns the set of faulty process ids into concrete
 :class:`~repro.sim.process.Process` instances (one per faulty id) given the
-shared :class:`~repro.faults.behaviors.AdversaryContext`.  Strategies are
-registered under short names so scenarios, tests and benchmarks can refer to
-them declaratively ("run E10 under every registered attack").
+shared :class:`~repro.faults.behaviors.AdversaryContext`.  Which role each
+faulty id plays under a named attack, and what a role does to its sends, is
+stated once in :mod:`repro.sim.adversary`; this module only picks the object
+that plays the role on the event loop.
 
 Strategies within the resilience bound (the guarantees must survive them):
 
@@ -30,34 +31,23 @@ the guarantees; experiments E3/E4 verify that they indeed do):
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..core.bounds import AUTH, ECHO
 from ..crypto.signatures import KeyStore
+from ..sim.adversary import ROLES, roles_for
 from ..sim.process import Process
 from .behaviors import (
     AdversaryContext,
-    AlternatingTwoFacedAuth,
-    AlternatingTwoFacedEcho,
-    CrashFaultyAuth,
-    CrashFaultyEcho,
     EagerEchoer,
     EagerSigner,
     EchoCabalMember,
+    FaultyAuth,
+    FaultyEcho,
     ForgeAndFlood,
-    LaggardAuth,
-    LaggardEcho,
-    RandomLaggardAuth,
-    RandomLaggardEcho,
-    RandomSilenceAuth,
-    RandomSilenceEcho,
-    RandomTwoFacedAuth,
-    RandomTwoFacedEcho,
     ReplayAttacker,
     RushingCabalLeader,
     SilentFaulty,
-    TwoFacedAuth,
-    TwoFacedEcho,
 )
 
 #: Strategies that the algorithms must tolerate (used by E1/E10 and the test suite).
@@ -81,138 +71,50 @@ BREAKING_ATTACKS = ("rushing_cabal", "echo_cabal")
 
 ALL_ATTACKS = TOLERATED_ATTACKS + BREAKING_ATTACKS
 
-StrategyFactory = Callable[[int, AdversaryContext, str, Optional[KeyStore]], Process]
-
-
-def _auth_kwargs(context: AdversaryContext, pid: int, keystore: KeyStore) -> dict:
-    return {
-        "params": context.params,
-        "keystore": keystore,
-        "secret_key": keystore.secret_key(pid),
-    }
-
-
-def _make_silent(pid, context, algorithm, keystore):
-    return SilentFaulty(pid, context)
-
-
-def _make_crash(pid, context, algorithm, keystore):
-    crash_time = 2.5 * context.params.period
-    if algorithm == AUTH and keystore is not None:
-        return CrashFaultyAuth(pid, crash_time=crash_time, **_auth_kwargs(context, pid, keystore))
-    return CrashFaultyEcho(pid, context.params, crash_time=crash_time)
-
-
-def _make_eager(pid, context, algorithm, keystore):
-    if algorithm == AUTH:
-        return EagerSigner(pid, context)
-    return EagerEchoer(pid, context)
-
-
-def _make_two_faced(pid, context, algorithm, keystore):
-    if algorithm == AUTH and keystore is not None:
-        return TwoFacedAuth(pid, context=context, **_auth_kwargs(context, pid, keystore))
-    return TwoFacedEcho(pid, context.params, context=context)
-
-
-def _make_alternating(pid, context, algorithm, keystore):
-    if algorithm == AUTH and keystore is not None:
-        return AlternatingTwoFacedAuth(pid, context=context, **_auth_kwargs(context, pid, keystore))
-    return AlternatingTwoFacedEcho(pid, context.params, context=context)
-
-
-def _make_laggard(pid, context, algorithm, keystore):
-    if algorithm == AUTH and keystore is not None:
-        return LaggardAuth(pid, **_auth_kwargs(context, pid, keystore))
-    return LaggardEcho(pid, context.params)
-
-
-def _make_random_silence(pid, context, algorithm, keystore):
-    if algorithm == AUTH and keystore is not None:
-        return RandomSilenceAuth(pid, context=context, **_auth_kwargs(context, pid, keystore))
-    return RandomSilenceEcho(pid, context.params, context=context)
-
-
-def _make_random_two_faced(pid, context, algorithm, keystore):
-    if algorithm == AUTH and keystore is not None:
-        return RandomTwoFacedAuth(pid, context=context, **_auth_kwargs(context, pid, keystore))
-    return RandomTwoFacedEcho(pid, context.params, context=context)
-
-
-def _make_random_laggard(pid, context, algorithm, keystore):
-    if algorithm == AUTH and keystore is not None:
-        return RandomLaggardAuth(pid, context=context, **_auth_kwargs(context, pid, keystore))
-    return RandomLaggardEcho(pid, context.params, context=context)
-
-
-def _make_forge_flood(pid, context, algorithm, keystore):
-    return ForgeAndFlood(pid, context)
-
-
-def _make_replay(pid, context, algorithm, keystore):
-    return ReplayAttacker(pid, context)
-
-
-def _make_skew_max(pid, context, algorithm, keystore):
-    # Alternate between eager supporters and two-faced participants so that the
-    # adversary both accelerates acceptances and starves half of the system.
-    index = context.faulty_pids.index(pid)
-    if index % 2 == 0:
-        return _make_eager(pid, context, algorithm, keystore)
-    return _make_two_faced(pid, context, algorithm, keystore)
-
-
-def _make_rushing_cabal(pid, context, algorithm, keystore):
-    if pid == min(context.faulty_pids):
-        return RushingCabalLeader(pid, context)
-    return SilentFaulty(pid, context)
-
-
-def _make_echo_cabal(pid, context, algorithm, keystore):
-    return EchoCabalMember(pid, context)
-
-
-_REGISTRY: dict[str, StrategyFactory] = {
-    "silent": _make_silent,
-    "crash": _make_crash,
-    "eager": _make_eager,
-    "two_faced": _make_two_faced,
-    "alternating": _make_alternating,
-    "laggard": _make_laggard,
-    "random_silence": _make_random_silence,
-    "random_two_faced": _make_random_two_faced,
-    "random_laggard": _make_random_laggard,
-    "forge_flood": _make_forge_flood,
-    "replay": _make_replay,
-    "skew_max": _make_skew_max,
-    "rushing_cabal": _make_rushing_cabal,
-    "echo_cabal": _make_echo_cabal,
+#: Roles that follow a script of their own instead of the protocol:
+#: ``role -> (authenticated class, echo class)``, each built as ``cls(pid, context)``.
+_SCRIPTED = {
+    "silent": (SilentFaulty, SilentFaulty),
+    "eager": (EagerSigner, EagerEchoer),
+    "forge_flood": (ForgeAndFlood, ForgeAndFlood),
+    "replay": (ReplayAttacker, ReplayAttacker),
+    "rushing_cabal": (RushingCabalLeader, RushingCabalLeader),
+    "echo_cabal": (EchoCabalMember, EchoCabalMember),
 }
 
 
 def available_attacks() -> list[str]:
-    """Names of all registered adversary strategies."""
-    return sorted(_REGISTRY)
+    """Names of all adversary strategies."""
+    return sorted(ALL_ATTACKS)
 
 
-def register_attack(name: str, factory: StrategyFactory) -> None:
-    """Register a custom strategy (used by tests and extensions)."""
-    _REGISTRY[name] = factory
+def _participant(pid: int, context: AdversaryContext, algorithm: str, keystore: Optional[KeyStore], role: str):
+    """The process that runs ``algorithm`` honestly but sends by ``role``'s policy."""
+    if algorithm == ECHO:
+        return FaultyEcho(pid, context.params, context=context, role=role)
+    if keystore is None:
+        raise ValueError(
+            f"faulty participant {pid} ({role}) of the authenticated algorithm needs a keystore to sign with"
+        )
+    return FaultyAuth(pid, context.params, keystore, keystore.secret_key(pid), context=context, role=role)
 
 
 def make_faulty_processes(
-    attack: str,
+    attack: Optional[str],
     context: AdversaryContext,
     algorithm: str = AUTH,
     keystore: Optional[KeyStore] = None,
 ) -> list[Process]:
     """Instantiate one faulty process per id in ``context.faulty_pids``."""
-    if attack not in _REGISTRY:
-        raise ValueError(f"unknown attack {attack!r}; available: {available_attacks()}")
     if algorithm not in (AUTH, ECHO):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    factory = _REGISTRY[attack]
-    return [factory(pid, context, algorithm, keystore) for pid in context.faulty_pids]
+    roles = roles_for(attack, context.faulty_pids)
+    return [
+        _participant(pid, context, algorithm, keystore, role)
+        if ROLES[role].participant
+        else _SCRIPTED[role][algorithm == ECHO](pid, context)
+        for pid, role in roles.items()
+    ]
 
 
 def breaking_attack_for(algorithm: str) -> str:

@@ -13,6 +13,9 @@ this constraint.  This module provides concrete clock functions:
 * :class:`PiecewiseLinearClock` -- arbitrary monotone piecewise-linear clocks,
   the general adversarial choice (and the one used to model wander).
 * :func:`drifting_clock` -- randomly wandering clock within the drift bound.
+* :func:`honest_clock` / :func:`honest_offsets` -- the clocks a scenario gives
+  its honest processes, from plain values (the event loop and the vector
+  kernel both build from these).
 
 All clocks are strictly increasing and invertible, which the simulator relies
 on to translate "wake me up when my clock reads X" timers into real time.
@@ -215,3 +218,51 @@ def spread_offsets(n: int, spread: float, seed: int = 0) -> list[float]:
         return [0.0]
     offsets = [0.0, spread] + [rng.uniform(0.0, spread) for _ in range(n - 2)]
     return offsets[:n]
+
+
+# -- the honest plant of a scenario: one recipe, read by every engine ---------------------
+
+
+def honest_offsets(count: int, spread: float, seed: int) -> list[float]:
+    """Initial offsets of the ``count`` honest clocks of a run seeded ``seed``."""
+    return spread_offsets(count, spread, seed=seed + 13)
+
+
+def honest_rate(clock_mode: str, index: int, rho: float) -> float:
+    """Rate of honest clock ``index`` under a fixed-rate ``clock_mode``.
+
+    ``"nominal"`` runs every clock at rate 1; ``"extreme"`` alternates the
+    fastest and the slowest admissible rate by index parity.
+    """
+    if clock_mode == "nominal":
+        return 1.0
+    lo, hi = rate_bounds(rho)
+    return hi if index % 2 == 0 else lo
+
+
+def honest_clock(
+    clock_mode: str,
+    index: int,
+    offset: float,
+    *,
+    rho: float,
+    seed: int,
+    period: float,
+    tdel: float,
+    horizon: float,
+) -> HardwareClock:
+    """Hardware clock of honest process ``index``.
+
+    Fixed-rate modes follow :func:`honest_rate`; ``"random"`` wanders within
+    the drift bound, one ``Random(seed * 1009 + index)`` draw per segment of
+    ``max(period, 4 * tdel)``, out to 1.2 run horizons.
+    """
+    if clock_mode != "random":
+        return FixedRateClock(rate=honest_rate(clock_mode, index, rho), offset=offset)
+    return drifting_clock(
+        rho,
+        offset=offset,
+        seed=seed * 1009 + index,
+        segment_length=max(period, 4.0 * tdel),
+        horizon=horizon * 1.2 + 1.0,
+    )

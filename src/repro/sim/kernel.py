@@ -59,8 +59,9 @@ ELIGIBLE_ALGORITHMS = frozenset(["auth", "echo"])
 #: Attacks whose faulty behaviour the vector evaluator models exactly --
 #: deterministic ones, plus the randomized ones (``forge_flood`` and the
 #: ``random_*`` strategies) whose per-adversary ``random.Random(seed + pid)``
-#: streams the evaluator replays draw for draw through per-behaviour replay
-#: tables.
+#: streams the evaluator replays draw for draw by calling the role's send
+#: policy in :mod:`repro.sim.adversary`.  A role being in that table grants
+#: nothing here: a name enters this list only after its parity family passes.
 ELIGIBLE_ATTACKS = frozenset(
     [None, "silent", "crash", "eager", "two_faced", "laggard", "skew_max",
      "forge_flood", "random_silence", "random_two_faced", "random_laggard"]

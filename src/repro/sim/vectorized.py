@@ -20,8 +20,9 @@ sampling, recorder replay):
   loop's exact push order (which is what resolves ``min``-mode zero-delay
   cascades exactly), the network RNG (``random.Random(seed + 1)``) is
   consumed in the exact global send order, and each randomized adversary's
-  ``random.Random(seed + pid)`` stream is replayed draw for draw through a
-  per-behaviour draw table (see :meth:`_ExactReplay._broadcast`).  Being
+  ``random.Random(seed + pid)`` stream is replayed draw for draw by calling
+  the role's own send policy (:mod:`repro.sim.adversary`; see
+  :meth:`_ExactReplay._broadcast`).  Being
   order-exact by construction, it needs none of the tie-breaking guards of
   the array path; its speed comes from eliminating the event loop's
   per-message constants (envelope/event allocation, handler dispatch,
@@ -76,33 +77,26 @@ from random import Random
 from typing import Iterator, NamedTuple, Optional
 
 from .. import obs
-from .clocks import FixedRateClock, drifting_clock, spread_offsets
+from .adversary import (
+    ALL,
+    CRASH_PERIODS,
+    EAGER_FACTOR,
+    EAGER_MAX_ROUND,
+    FAST,
+    FLOOD_INTERVAL,
+    FLOOD_MAX_ROUND,
+    ROLES,
+    SLOW,
+    TRACKER_LOOKAHEAD,
+    flood_draws,
+    roles_for,
+    split_groups,
+)
+from .clocks import FixedRateClock, honest_clock, honest_offsets, honest_rate
 from .kernel import numpy_or_none
 from .network import NetworkStats
 from .recorder import MessageSample, OnlineMetricsRecorder, OnlineMetricsSummary
 from .trace import ResyncEvent
-
-#: Mirrors of the adversary constants in :mod:`repro.faults.behaviors` /
-#: :mod:`repro.faults.strategies`.  The sim layer cannot import the faults
-#: layer (it sits above), so the values are duplicated here and pinned
-#: against the originals by a parity test.
-EAGER_FACTOR = 0.75
-EAGER_MAX_ROUND = 200
-CRASH_PERIODS = 2.5
-#: ``ForgeAndFlood``'s tick interval and ``randint`` round ceiling.
-FLOOD_INTERVAL = 0.05
-FLOOD_MAX_ROUND = 200
-#: ``random_silence``'s per-broadcast drop probability and
-#: ``random_two_faced``'s fast-group bias (``RANDOM_DROP_PROBABILITY`` /
-#: ``RANDOM_FAST_BIAS`` in :mod:`repro.faults.behaviors`).
-RANDOM_DROP_PROBABILITY = 0.5
-RANDOM_FAST_BIAS = 0.5
-#: Default ``max_round_lookahead`` of both broadcast trackers.
-TRACKER_LOOKAHEAD = 1000
-
-#: Faulty roles whose behaviour consumes a per-adversary RNG stream; each
-#: declares its exact draw table in :meth:`_ExactReplay._broadcast`.
-_RANDOM_ROLES = frozenset(["random_silence", "random_two_faced", "random_laggard"])
 
 _SIG = "SignedRound"
 _BUNDLE = "SignatureBundle"
@@ -177,22 +171,10 @@ class _Round(NamedTuple):
     arr: object
 
 
-def _faulty_roles(attack: Optional[str], faulty_pids: list) -> dict:
-    if attack in (None, "silent"):
-        return {pid: "silent" for pid in faulty_pids}
-    if attack in (
-        "crash", "eager", "two_faced", "laggard",
-        "random_silence", "random_two_faced", "random_laggard",
-    ):
-        return {pid: attack for pid in faulty_pids}
-    if attack == "skew_max":
-        return {
-            pid: ("eager" if index % 2 == 0 else "two_faced")
-            for index, pid in enumerate(faulty_pids)
-        }
-    if attack == "forge_flood":
-        return {pid: "flood" for pid in faulty_pids}
-    raise LaneFallback(f"attack {attack!r} has no vectorized role assignment")
+#: Scripted (non-participant) roles the engines mirror: silent processes only
+#: occupy network slots, eager ones inject early support on a fixed schedule,
+#: flooding ones tick :func:`~repro.sim.adversary.flood_draws`.
+_SCRIPTED_ROLES = frozenset(["silent", "eager", "forge_flood"])
 
 
 class _Layout:
@@ -214,102 +196,69 @@ class _Layout:
         self.h = params.n - scenario.actual_faults
         self.honest_pids = list(range(self.h))
         faulty_pids = list(range(self.h, self.n))
-        self.roles = _faulty_roles(scenario.attack, faulty_pids)
-        # AdversaryContext.build: fast group = first half of the honest ids.
-        half = max(1, len(self.honest_pids) // 2)
-        self.fast_group = self.honest_pids[:half]
-        self.slow_group = self.honest_pids[half:]
+        roles = roles_for(scenario.attack, faulty_pids)
+        entries = {pid: ROLES[role] for pid, role in roles.items()}
+        for role in roles.values():
+            if not ROLES[role].participant and role not in _SCRIPTED_ROLES:
+                raise LaneFallback(
+                    f"attack {scenario.attack!r} has no vectorized role assignment"
+                )
+        self.fast_group, self.slow_group = split_groups(self.honest_pids)
         self.fast_set = frozenset(self.fast_group)
-        # Actors drive timers/acceptances: honest plus protocol-following
-        # faulty roles.  Eager signers only inject signatures; silent ones
-        # only occupy network slots.
-        self.actor_pids = list(self.honest_pids) + [
-            pid for pid in faulty_pids
-            if self.roles[pid] in (
-                "crash", "two_faced", "laggard",
-                "random_silence", "random_two_faced", "random_laggard",
-            )
+        # Actors drive timers/acceptances: honest plus the faulty participants.
+        self.actor_pids = self.honest_pids + [
+            pid for pid in faulty_pids if entries[pid].participant
         ]
         self.A = len(self.actor_pids)
         self.actor_col = {pid: i for i, pid in enumerate(self.actor_pids)}
-        self.eager_pids = [pid for pid in faulty_pids if self.roles[pid] == "eager"]
+        self.eager_pids = [pid for pid in faulty_pids if roles[pid] == "eager"]
         self.E = len(self.eager_pids)
         self.S = self.A + self.E
-        self.flood_pids = [pid for pid in faulty_pids if self.roles[pid] == "flood"]
-        self.random_pids = [
-            pid for pid in faulty_pids if self.roles[pid] in _RANDOM_ROLES
-        ]
+        self.flood_pids = [pid for pid in faulty_pids if roles[pid] == "forge_flood"]
+        self.random_pids = [pid for pid in faulty_pids if entries[pid].draws]
+        #: Policies the replay asks once per broadcast (``pid -> policy``);
+        #: a static policy is asked once, below, and becomes the sender's table.
+        self.policies = {
+            pid: entry.policy for pid, entry in entries.items()
+            if entry.policy is not None and not entry.static
+        }
         # The lockstep array path (phases 1/2) covers exactly the regime it
         # was proven in; everything else eligible goes through _ExactReplay.
         self.lockstep = (
             self.algorithm == "auth"
             and self.delay_mode not in ("uniform", "min")
             and not self.flood_pids
-            and not self.random_pids
+            and not self.policies
         )
-        self.crash_time = (
-            CRASH_PERIODS * params.period
-            if any(self.roles[pid] == "crash" for pid in faulty_pids)
-            else None
-        )
+        self.crash_pids = frozenset(pid for pid in faulty_pids if entries[pid].crashes)
+        self.crash_time = CRASH_PERIODS * params.period if self.crash_pids else None
         self.is_crash = np.array(
-            [self.roles.get(pid) == "crash" for pid in self.actor_pids], dtype=bool
+            [pid in self.crash_pids for pid in self.actor_pids], dtype=bool
         )
-        # Honest clock rates follow _honest_clock's index-parity assignment.
-        rates = []
-        for i, pid in enumerate(self.actor_pids):
-            if pid < self.h:
-                if self.clock_mode == "nominal":
-                    rates.append(1.0)
-                else:
-                    rates.append(params.max_rate if i % 2 == 0 else params.min_rate)
-            else:
-                rates.append(1.0)  # faulty clocks: FixedRateClock(1.0, 0.0)
-        self.rates = np.array(rates, dtype=float)
-        # Destination lists and per-destination clamped delays, in the event
-        # loop's send order (broadcast: ascending pids minus self; two-faced:
-        # the fast group; laggard: ascending pids minus self at tdel).
-        all_pids = list(range(self.n))
+        # Honest clocks of the fixed-rate modes; faulty ones are
+        # FixedRateClock(1.0, 0.0).  Drifting lanes read _DriftTables instead.
+        self.honest_rates = [
+            honest_rate(self.clock_mode, i, params.rho) for i in range(self.h)
+        ]
+        self.rates = np.array(
+            self.honest_rates + [1.0] * (self.A - self.h), dtype=float
+        )
+        # Every sender's (dests, delays) in the event loop's send order: a
+        # plain broadcast (ascending pids minus self) unless the role's
+        # static policy plans otherwise.
         self.dests = {}
         self.delays = {}
         for pid in self.actor_pids + self.eager_pids + self.flood_pids:
-            role = self.roles.get(pid, "honest")
-            if role == "two_faced":
-                dest_list = list(self.fast_group)
-            else:
-                dest_list = [d for d in all_pids if d != pid]
-            self.dests[pid] = tuple(dest_list)
-            if (
-                self.delay_mode == "uniform"
-                and role not in ("laggard", "random_laggard")
-            ):
-                # Drawn per message from the network RNG at emit time.
-                self.delays[pid] = None
-            elif role == "random_laggard":
-                # Drawn per message from the adversary RNG at emit time.
-                self.delays[pid] = None
-            else:
-                self.delays[pid] = tuple(
-                    self._pair_delay(role, d) for d in dest_list
-                )
-        # random_two_faced multicasts to a coin-flipped group per broadcast;
-        # precompute both (dests, delays) variants.  multicast falls back to
-        # every honest pid when the chosen group is empty (h == 1).
-        self.rtf_tables = {}
-        for pid in self.random_pids:
-            if self.roles[pid] != "random_two_faced":
-                continue
-            variants = []
-            for group in (self.fast_group, self.slow_group or self.honest_pids):
-                dests = tuple(group)
-                if self.delay_mode == "uniform":
-                    delays = None
-                else:
-                    delays = tuple(
-                        self._pair_delay("random_two_faced", d) for d in dests
-                    )
-                variants.append((dests, delays))
-            self.rtf_tables[pid] = tuple(variants)
+            entry = entries.get(pid)
+            plan = (ALL, None)
+            if entry is not None and entry.static:
+                plan = entry.policy(None, self.tmin, self.tdel, self._peers(pid), None)
+            self.dests[pid], self.delays[pid] = self.resolve(pid, *plan)
+        #: ``pid -> {group: (dests, delays)}`` for the per-broadcast policies.
+        self.plans = {
+            pid: {group: self.resolve(pid, group, None) for group in (ALL, FAST, SLOW)}
+            for pid in self.policies
+        }
         if not self.lockstep:
             self.D = None
             return
@@ -332,11 +281,39 @@ class _Layout:
             for pid in sender_order
         }
 
-    def _pair_delay(self, role: str, dest: int) -> float:
+    def _peers(self, pid: int) -> tuple:
+        # Process.other_peers(): every other process, ascending.
+        return tuple(d for d in range(self.n) if d != pid)
+
+    def resolve(self, sender: int, group: str, explicit) -> tuple:
+        """One plan of ``sender`` as the ``(dests, delays)`` the network carries.
+
+        ``dests`` is ``group`` in send order (an empty half falls back to
+        every honest pid, as the behaviour's multicast does); ``delays`` are
+        the ``explicit`` ones through :meth:`clamp`, else the delay policy's
+        -- ``None`` under uniform delays, drawn per message from the network
+        RNG at emit time.
+        """
+        if group == ALL:
+            dests = self._peers(sender)
+        else:
+            dests = tuple(
+                (self.fast_group if group == FAST else self.slow_group)
+                or self.honest_pids
+            )
+        if explicit is not None:
+            return dests, tuple(map(self.clamp, explicit))
+        if self.delay_mode == "uniform":
+            return dests, None
+        return dests, tuple(self._pair_delay(d) for d in dests)
+
+    def clamp(self, raw: float) -> float:
+        """``Network._emit``'s window: an explicit delay crosses it too."""
+        return min(self.tdel, max(self.tmin, raw))
+
+    def _pair_delay(self, dest: int) -> float:
         # Exactly Network.send's clamp min(tdel, max(tmin, raw)) for each
-        # deterministic policy (and the laggard's explicit delay=tdel).
-        if role == "laggard":
-            return min(self.tdel, max(self.tmin, self.tdel))
+        # deterministic policy.
         if self.delay_mode == "min":
             return min(self.tdel, max(self.tmin, 0.0))
         if self.delay_mode == "max":
@@ -379,23 +356,14 @@ def _arrivals(classes, batch, tau) -> list:
 
 
 def _honest_drifting_clocks(layout: _Layout, scenario) -> list:
-    """Reconstruct the honest drifting clocks exactly as ``_honest_clock``.
-
-    ``drifting_clock`` consumes ``Random(seed * 1009 + index)`` draw for
-    draw (one ``uniform(lo, hi)`` per segment), so the returned
-    :class:`~repro.sim.clocks.PiecewiseLinearClock` objects are the same
-    objects -- float for float -- the event loop builds.
-    """
+    """The lane's honest drifting clocks, from the recipe ``build_cluster`` uses."""
     params = layout.params
     offsets = _lane_offsets_list(layout, scenario)
     horizon = scenario.horizon()
     return [
-        drifting_clock(
-            params.rho,
-            offset=offsets[i],
-            seed=scenario.seed * 1009 + i,
-            segment_length=max(params.period, 4.0 * params.tdel),
-            horizon=horizon * 1.2 + 1.0,
+        honest_clock(
+            "random", i, offsets[i], rho=params.rho, seed=scenario.seed,
+            period=params.period, tdel=params.tdel, horizon=horizon,
         )
         for i in range(layout.h)
     ]
@@ -1013,12 +981,9 @@ def _finalize_lane(layout, lane_offsets, batches, emissions, t_star,
     )
     for i, pid in enumerate(layout.honest_pids):
         if clocks is not None:
-            clock = clocks[i]  # reconstructed drifting clock, same floats
-        elif layout.clock_mode == "nominal":
-            clock = FixedRateClock(rate=1.0, offset=lane_offsets[i])
+            clock = clocks[i]  # the lane's drifting clock
         else:
-            rate = params.max_rate if i % 2 == 0 else params.min_rate
-            clock = FixedRateClock(rate=rate, offset=lane_offsets[i])
+            clock = FixedRateClock(rate=layout.honest_rates[i], offset=lane_offsets[i])
         recorder.register_process(pid, clock, faulty=False)
     for pid in range(layout.h, layout.n):
         recorder.register_process(
@@ -1083,7 +1048,6 @@ class _ExactReplay:
         self.scenario = scenario
         self.mergeable = mergeable
         self.sample_messages = scenario.sample_messages
-        params = layout.params
         self.n = layout.n
         self.h = layout.h
         self.f = layout.f
@@ -1098,19 +1062,13 @@ class _ExactReplay:
         self.R = scenario.rounds
 
         # Per-process clock functions as pure Python floats (H(t) = offset
-        # + rate * t), mirroring build_cluster's assignment: honest clocks
-        # by index parity under "extreme", faulty clocks at rate 1 /
-        # offset 0.  Drifting ("random") honest clocks are reconstructed
-        # as the exact PiecewiseLinearClock objects instead.
+        # + rate * t): build_cluster's honest clocks, faulty clocks at rate
+        # 1 / offset 0.  Drifting ("random") honest clocks are the exact
+        # PiecewiseLinearClock objects instead.
+        faulty = self.n - self.h
         self.lane_offsets = _lane_offsets_list(layout, scenario)
-        self.offs = [0.0] * self.n
-        self.rate = [1.0] * self.n
-        for pid in layout.honest_pids:
-            self.offs[pid] = self.lane_offsets[pid]
-            if layout.clock_mode == "extreme":
-                self.rate[pid] = (
-                    params.max_rate if pid % 2 == 0 else params.min_rate
-                )
+        self.offs = self.lane_offsets + [0.0] * faulty
+        self.rate = layout.honest_rates + [1.0] * faulty
         self.clocks = (
             _honest_drifting_clocks(layout, scenario)
             if layout.clock_mode == "random" else None
@@ -1134,11 +1092,11 @@ class _ExactReplay:
         self.net_rng = (
             Random(scenario.seed + 1) if layout.delay_mode == "uniform" else None
         )
+        self.policies = layout.policies
         self.adv_rng = {
             pid: Random(scenario.seed + pid)
             for pid in layout.flood_pids + layout.random_pids
         }
-        self.honest_list = list(layout.honest_pids)
 
         self.heap: list = []
         self.seq = self.n  # boot events consumed seqs 0 .. n-1
@@ -1171,50 +1129,34 @@ class _ExactReplay:
 
     def _broadcast(self, sender: int, kind: str, round_: int, deliver: bool,
                    payload=None) -> None:
-        """A protocol-level ``broadcast`` call, routed through the sender's
-        behaviour override when it has one.
+        """A protocol-level ``broadcast`` call of ``sender``.
 
-        This is the per-behaviour replay table: each randomized behaviour
-        documents its exact draw sequence in
-        :mod:`repro.faults.behaviors`, and the matching branch here
-        consumes the mirrored ``Random(seed + pid)`` stream draw for draw.
+        A faulty participant whose plan changes per broadcast asks its
+        policy (:mod:`repro.sim.adversary` -- the function *is* the draw
+        table) with the replayed ``Random(seed + pid)``; only the plan is
+        resolved here.
         """
-        role = self.layout.roles.get(sender, "honest")
-        if role == "random_silence":
-            # RandomSilence*.broadcast: one drop draw per broadcast.  A
-            # dropped broadcast never reaches the network: no batch, no
-            # stats, no seqs, no network-RNG draws.
-            if self.adv_rng[sender].random() < RANDOM_DROP_PROBABILITY:
-                return
+        policy = self.policies.get(sender)
+        if policy is None:
             self._emit(sender, kind, round_, deliver, payload)
-        elif role == "random_two_faced":
-            # RandomTwoFaced*.broadcast: one bias draw picks the favoured
-            # group, then a plain multicast to it.
-            pick = (
-                0 if self.adv_rng[sender].random() < RANDOM_FAST_BIAS else 1
-            )
-            dests, delays = self.layout.rtf_tables[sender][pick]
-            self._emit(
-                sender, kind, round_, deliver, payload,
-                dests=dests, delays=delays,
-            )
-        elif role == "random_laggard":
-            # RandomLaggard*.broadcast: one uniform(tmin, tdel) draw per
-            # peer in ascending-pid order, passed as an explicit delay --
-            # which skips the network RNG but still crosses Network.send's
-            # min(tdel, max(tmin, .)) clamp.
-            rng = self.adv_rng[sender]
-            dests = self.layout.dests[sender]
-            tmin, tdel = self.tmin, self.tdel
-            delays = tuple(
-                min(tdel, max(tmin, rng.uniform(tmin, tdel))) for _ in dests
-            )
-            self._emit(
-                sender, kind, round_, deliver, payload,
-                dests=dests, delays=delays,
-            )
-        else:
-            self._emit(sender, kind, round_, deliver, payload)
+            return
+        layout = self.layout
+        plan = policy(
+            self.adv_rng.get(sender), self.tmin, self.tdel,
+            layout.dests[sender], self.cur[sender],
+        )
+        if plan is None:
+            # Dropped before the network: no batch, no stats, no seqs, no
+            # network-RNG draws.
+            return
+        group, explicit = plan
+        dests, delays = layout.plans[sender][group]
+        if explicit is not None:
+            # Explicit delays skip the network RNG but still cross its clamp.
+            delays = tuple(map(layout.clamp, explicit))
+        self._emit(
+            sender, kind, round_, deliver, payload, dests=dests, delays=delays
+        )
 
     def _emit(self, sender: int, kind: str, round_: int, deliver: bool,
               payload=None, *, dests=None, delays=None) -> None:
@@ -1388,13 +1330,11 @@ class _ExactReplay:
         # ForgeAndFlood._flood, draw for draw.  The forged signature and
         # bundle fail verification and the garbage is ignored by both
         # algorithms; the init only matters to echo trackers.
-        rng = self.adv_rng[pid]
-        rng.choice(self.honest_list)           # victim (forged signer id)
-        round_ = rng.randint(1, FLOOD_MAX_ROUND)
-        rng.getrandbits(32)                    # forgery tag guess
+        _, round_, _, _ = flood_draws(
+            self.adv_rng[pid], self.layout.honest_pids, FLOOD_MAX_ROUND
+        )
         self._emit(pid, _SIG, round_, deliver=False)
         self._emit(pid, _BUNDLE, round_, deliver=False)
-        rng.getrandbits(16)                    # garbage blob
         self._emit(pid, _GARBAGE, None, deliver=False)
         self._emit(pid, _INIT, round_, deliver=self.is_echo)
         heappush(self.heap, (self.now + FLOOD_INTERVAL, self.seq, _EV_FLOOD, pid))
@@ -1407,22 +1347,19 @@ class _ExactReplay:
         # seq = pid; nothing else can fire at time 0 before the last boot,
         # so processing them directly, in pid order, is order-exact.
         layout = self.layout
-        roles = layout.roles
-        crash_time = layout.crash_time
         heap = self.heap
         for pid in range(self.n):
-            role = roles.get(pid, "honest")
             if pid in self.actor_set:
                 self._arm_timer(pid, 1)
-                if role == "crash":
-                    heappush(heap, (crash_time, self.seq, _EV_HALT, pid))
+                if pid in layout.crash_pids:
+                    heappush(heap, (layout.crash_time, self.seq, _EV_HALT, pid))
                     self.seq += 1
-            elif role == "eager":
+            elif pid in layout.eager_pids:
                 for k in range(1, EAGER_MAX_ROUND + 1):
                     te = max(0.0, EAGER_FACTOR * k * self.P)
                     heappush(heap, (te, self.seq, _EV_EAGER, pid, k))
                     self.seq += 1
-            elif role == "flood":
+            elif pid in layout.flood_pids:
                 heappush(heap, (0.0 + FLOOD_INTERVAL, self.seq, _EV_FLOOD, pid))
                 self.seq += 1
             # silent faulty processes schedule nothing
@@ -1609,6 +1546,6 @@ def run_lanes(scenarios, *, mergeable: bool = False) -> list:
 
 
 def _lane_offsets_list(layout: _Layout, scenario) -> list:
-    return spread_offsets(
-        layout.h, scenario.params.initial_offset_spread, seed=scenario.seed + 13
+    return honest_offsets(
+        layout.h, scenario.params.initial_offset_spread, scenario.seed
     )

@@ -39,9 +39,10 @@ from ..core.params import SyncParams
 from ..core.startup import staggered_boot_times
 from ..core.unauth_sync import EchoSyncProcess
 from ..crypto.signatures import KeyStore
-from ..faults.behaviors import AdversaryContext, SilentFaulty
+from ..faults.behaviors import AdversaryContext
 from ..faults.strategies import make_faulty_processes
-from ..sim.clocks import FixedRateClock, HardwareClock, drifting_clock, spread_offsets
+from ..sim.adversary import roles_for
+from ..sim.clocks import FixedRateClock, HardwareClock, honest_clock, honest_offsets
 from ..sim.engine import Simulation
 from ..sim.kernel import (
     KERNELS,
@@ -426,18 +427,15 @@ class ScenarioResult:
 
 def _honest_clock(scenario: Scenario, index: int, offset: float) -> HardwareClock:
     params = scenario.params
-    if scenario.clock_mode == "nominal":
-        return FixedRateClock(rate=1.0, offset=offset)
-    if scenario.clock_mode == "extreme":
-        rate = params.max_rate if index % 2 == 0 else params.min_rate
-        return FixedRateClock(rate=rate, offset=offset)
-    horizon = scenario.horizon()
-    return drifting_clock(
-        params.rho,
-        offset=offset,
-        seed=scenario.seed * 1009 + index,
-        segment_length=max(params.period, 4.0 * params.tdel),
-        horizon=horizon * 1.2 + 1.0,
+    return honest_clock(
+        scenario.clock_mode,
+        index,
+        offset,
+        rho=params.rho,
+        seed=scenario.seed,
+        period=params.period,
+        tdel=params.tdel,
+        horizon=scenario.horizon(),
     )
 
 
@@ -475,17 +473,14 @@ def _make_honest_process(scenario: Scenario, pid: int, keystore: Optional[KeySto
 
 
 def _make_faulty_processes(scenario: Scenario, context: AdversaryContext, keystore: Optional[KeyStore]):
-    if not scenario.faulty_pids:
-        return []
     attack = scenario.attack
-    if attack is None or attack == "silent":
-        return [SilentFaulty(pid, context) for pid in scenario.faulty_pids]
-    if scenario.algorithm in ST_ALGORITHMS:
-        return make_faulty_processes(attack, context, algorithm=scenario.st_algorithm, keystore=keystore)
-    # Baseline-specific adversaries.
-    if attack == "inflated_clock":
-        return [InflatedClockAttacker(pid, scenario.params) for pid in scenario.faulty_pids]
-    raise ValueError(f"attack {attack!r} is not applicable to baseline algorithm {scenario.algorithm!r}")
+    if scenario.algorithm not in ST_ALGORITHMS:
+        # Baselines ignore the Srikanth-Toueg messages: their own adversary, or silence.
+        if attack == "inflated_clock":
+            return [InflatedClockAttacker(pid, scenario.params) for pid in scenario.faulty_pids]
+        if any(role != "silent" for role in roles_for(attack, scenario.faulty_pids).values()):
+            raise ValueError(f"attack {attack!r} is not applicable to baseline algorithm {scenario.algorithm!r}")
+    return make_faulty_processes(attack, context, algorithm=scenario.st_algorithm, keystore=keystore)
 
 
 def _make_recorder(
@@ -551,7 +546,7 @@ def build_cluster(
     )
     sim.network.policy = _delay_policy(scenario, fast_group=context.fast_group)
 
-    offsets = spread_offsets(len(honest_pids), params.initial_offset_spread, seed=scenario.seed + 13)
+    offsets = honest_offsets(len(honest_pids), params.initial_offset_spread, scenario.seed)
     if scenario.use_startup:
         boot_times = staggered_boot_times(len(honest_pids), scenario.boot_spread, seed=scenario.seed + 17)
     else:

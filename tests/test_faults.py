@@ -1,6 +1,8 @@
-"""Unit tests for the Byzantine behaviours and strategy registry."""
+"""Unit tests for the Byzantine behaviours, the adversary table and the strategies."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -13,19 +15,20 @@ from repro.faults.behaviors import (
     EagerEchoer,
     EagerSigner,
     EchoCabalMember,
+    FaultyAuth,
     ForgeAndFlood,
     ReplayAttacker,
     RushingCabalLeader,
     SilentFaulty,
-    TwoFacedAuth,
 )
 from repro.faults.strategies import (
     ALL_ATTACKS,
     available_attacks,
     breaking_attack_for,
     make_faulty_processes,
-    register_attack,
 )
+from repro.sim import adversary, kernel
+from repro.sim.adversary import ALL, FAST, ROLES, SLOW, roles_for
 from repro.sim.clocks import FixedRateClock
 from repro.sim.engine import Simulation
 from repro.sim.network import FixedDelay
@@ -111,7 +114,7 @@ def test_two_faced_auth_only_talks_to_fast_group():
     params, keystore, context = make_context(n=5, f=1)
     sim, received = make_sim_with_sinks()
     attach_sinks(sim, received, range(4))
-    proc = TwoFacedAuth(4, params, keystore, keystore.secret_key(4), context=context)
+    proc = FaultyAuth(4, params, keystore, keystore.secret_key(4), context=context, role="two_faced")
     sim.add_process(proc, FixedRateClock(), faulty=True)
     sim.run_until(1.2)
     for pid in context.fast_group:
@@ -226,12 +229,126 @@ def test_breaking_attack_for_each_algorithm():
     assert breaking_attack_for(ECHO) == "echo_cabal"
 
 
-def test_register_custom_attack():
-    params, keystore, context = make_context()
+PARTICIPANT_ROLES = [name for name, role in ROLES.items() if role.participant]
 
-    def factory(pid, ctx, algorithm, ks):
-        return SilentFaulty(pid, ctx)
 
-    register_attack("custom_silent", factory)
-    procs = make_faulty_processes("custom_silent", context, AUTH, keystore)
-    assert all(isinstance(p, SilentFaulty) for p in procs)
+@pytest.mark.parametrize("role", PARTICIPANT_ROLES)
+def test_authenticated_participant_without_keystore_is_refused(role):
+    """It used to become an echo process inside the authenticated cluster, without a word."""
+    attack = role  # every participant role is an attack of the same name
+    params, _, context = make_context(n=7, f=2, with_keys=False)
+    with pytest.raises(ValueError, match=r"participant 5 .*keystore"):
+        make_faulty_processes(attack, context, AUTH, keystore=None)
+    echo = make_faulty_processes(attack, context, ECHO, keystore=None)
+    assert [p.pid for p in echo] == context.faulty_pids
+
+
+# -- the adversary table ----------------------------------------------------------------------
+
+
+def test_every_attack_resolves_to_table_roles_in_faulty_pid_order():
+    faulty = [4, 5, 6, 7]
+    for attack in (None, *ALL_ATTACKS):
+        roles = roles_for(attack, faulty)
+        assert list(roles) == faulty
+        assert set(roles.values()) <= set(ROLES)
+    assert list(roles_for("skew_max", faulty).values()) == ["eager", "two_faced", "eager", "two_faced"]
+    assert roles_for("rushing_cabal", [6, 4, 5]) == {6: "silent", 4: "rushing_cabal", 5: "silent"}
+    assert roles_for(None, faulty) == roles_for("silent", faulty)
+    assert roles_for("echo_cabal", []) == {}
+    with pytest.raises(ValueError):
+        roles_for("inflated_clock", faulty)  # a baseline's adversary, not a Srikanth-Toueg role
+
+
+def test_role_flags_are_consistent():
+    for name, role in ROLES.items():
+        if role.policy is None:
+            assert not (role.draws or role.static), name
+        else:
+            assert role.participant and not (role.draws and role.static), name
+        assert role.participant or not role.crashes, name
+
+
+def test_every_kernel_eligible_attack_resolves_to_roles_the_layout_serves():
+    """One assertion for what were three hand-kept lists (whitelist, roles, actors)."""
+    np = kernel.numpy_or_none()
+    if np is None:
+        pytest.skip("numpy not installed")
+    from repro.sim.vectorized import _Layout
+    from repro.workloads.scenarios import Scenario
+
+    params = params_for(9, f=2, rho=1e-4, tdel=0.01, period=1.0)
+    for attack in sorted(a for a in kernel.ELIGIBLE_ATTACKS if a is not None):
+        for algorithm in ("auth", "echo"):
+            layout = _Layout(Scenario(params=params, algorithm=algorithm, attack=attack), np)
+            roles = roles_for(attack, range(layout.h, layout.n))
+            served = set(layout.actor_pids) | set(layout.eager_pids) | set(layout.flood_pids)
+            for pid, role in roles.items():
+                assert (pid in served) != (role == "silent"), (attack, pid, role)
+                assert (pid in layout.actor_pids) == ROLES[role].participant
+                assert (pid in layout.policies) == (ROLES[role].policy is not None and not ROLES[role].static)
+
+
+class CountingRandom(random.Random):
+    """Counts the stream draws a policy makes."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+def ask(role, current_round=1, peers=(0, 1, 2, 4), seed=3):
+    rng = CountingRandom(seed) if ROLES[role].draws else None
+    plan = ROLES[role].policy(rng, 0.002, 0.01, list(peers), current_round)
+    return plan, (rng.draws if rng is not None else 0)
+
+
+def test_static_policies_draw_nothing():
+    assert ask("two_faced") == ((FAST, None), 0)
+    assert ask("laggard") == ((ALL, [0.01] * 4), 0)
+
+
+def test_alternating_policy_follows_the_round_parity():
+    assert ask("alternating", current_round=None) == ((SLOW, None), 0)
+    assert ask("alternating", current_round=1) == ((SLOW, None), 0)
+    assert ask("alternating", current_round=2) == ((FAST, None), 0)
+
+
+def test_random_silence_draws_once_whether_or_not_it_sends():
+    plans = set()
+    for seed in range(20):
+        plan, draws = ask("random_silence", seed=seed)
+        assert draws == 1
+        assert plan == (None if random.Random(seed).random() < adversary.RANDOM_DROP_PROBABILITY else (ALL, None))
+        plans.add(plan)
+    assert plans == {None, (ALL, None)}
+
+
+def test_random_two_faced_draws_its_bias_once():
+    groups = set()
+    for seed in range(20):
+        (group, delays), draws = ask("random_two_faced", seed=seed)
+        assert draws == 1 and delays is None
+        assert group == (FAST if random.Random(seed).random() < adversary.RANDOM_FAST_BIAS else SLOW)
+        groups.add(group)
+    assert groups == {FAST, SLOW}
+
+
+def test_random_laggard_draws_one_in_bounds_delay_per_peer_in_peer_order():
+    (group, delays), draws = ask("random_laggard", seed=11)
+    mirror = random.Random(11)
+    assert group == ALL and draws == 4  # uniform() is one random() each
+    assert delays == [mirror.uniform(0.002, 0.01) for _ in range(4)]
+    assert all(0.002 <= d <= 0.01 for d in delays)
+
+
+def test_flood_draws_stream_order():
+    rng, mirror = random.Random(5), random.Random(5)
+    assert adversary.flood_draws(rng, [0, 1, 2], 200) == (
+        mirror.choice([0, 1, 2]), mirror.randint(1, 200), mirror.getrandbits(32), mirror.getrandbits(16)
+    )
+    assert rng.getstate() == mirror.getstate()

@@ -8,7 +8,7 @@ from repro.core.bounds import AUTH, ECHO, precision_bound
 from repro.core.messages import SignedRound
 from repro.core.params import params_for
 from repro.crypto.signatures import KeyStore
-from repro.faults.behaviors import AdversaryContext, AlternatingTwoFacedAuth, LaggardAuth
+from repro.faults.behaviors import AdversaryContext, FaultyAuth
 from repro.faults.strategies import TOLERATED_ATTACKS, make_faulty_processes
 from repro.sim.clocks import FixedRateClock
 from repro.sim.engine import Simulation
@@ -25,7 +25,8 @@ def test_laggard_messages_take_the_maximum_delay():
     params = params_for(4, f=1, rho=1e-4, tdel=0.01, period=1.0)
     keystore = KeyStore.generate(4, seed=0)
     sim = Simulation(tmin=0.0, tdel=params.tdel, delay_policy=FixedDelay(0.001), seed=0)
-    laggard = LaggardAuth(3, params, keystore, keystore.secret_key(3))
+    context = AdversaryContext.build(params, faulty_pids=[3], honest_pids=[0, 1, 2], keystore=keystore)
+    laggard = FaultyAuth(3, params, keystore, keystore.secret_key(3), context=context, role="laggard")
     sim.add_process(laggard, FixedRateClock(), faulty=True)
     arrivals = []
     sim.network.register(0, lambda env: arrivals.append((sim.now, env.send_time)))
@@ -42,7 +43,7 @@ def test_alternating_two_faced_switches_destination_group():
     keystore = KeyStore.generate(5, seed=0)
     context = AdversaryContext.build(params, faulty_pids=[4], honest_pids=[0, 1, 2, 3], keystore=keystore)
     sim = Simulation(tmin=0.0, tdel=params.tdel, delay_policy=FixedDelay(0.001), seed=0)
-    attacker = AlternatingTwoFacedAuth(4, params, keystore, keystore.secret_key(4), context=context)
+    attacker = FaultyAuth(4, params, keystore, keystore.secret_key(4), context=context, role="alternating")
     sim.add_process(attacker, FixedRateClock(), faulty=True)
     received: dict[int, list] = {pid: [] for pid in range(4)}
     for pid in range(4):

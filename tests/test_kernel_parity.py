@@ -34,24 +34,15 @@ from repro.sim.kernel import (
     resolve_kernel,
 )
 from repro.sim.vectorized import (
-    CRASH_PERIODS,
-    EAGER_FACTOR,
-    EAGER_MAX_ROUND,
-    FLOOD_INTERVAL,
-    FLOOD_MAX_ROUND,
-    RANDOM_DROP_PROBABILITY,
-    RANDOM_FAST_BIAS,
-    TRACKER_LOOKAHEAD,
     LaneOutcome,
     _ExactReplay,
     _honest_drifting_clocks,
     _Layout,
     run_lanes,
 )
-from repro.sim.clocks import rate_bounds, spread_offsets
+from repro.sim.clocks import rate_bounds
 from repro.workloads.scenarios import (
     Scenario,
-    _honest_clock,
     build_cluster,
     run_scenario,
     run_shard,
@@ -574,22 +565,11 @@ def test_random_behavior_streams_pin_fault_layer(attack):
 
 
 def test_drift_rate_trajectory_pins_clock_layer():
-    """The kernel rebuilds the event loop's drifting clocks float for float."""
+    """A lane's drifting clocks are Random(seed * 1009 + index), draw for draw."""
     scenario = cell(7, clock="random")
     layout = _Layout(scenario, numpy_or_none())
-    rebuilt = _honest_drifting_clocks(layout, scenario)
-    offsets = spread_offsets(
-        len(scenario.honest_pids),
-        scenario.params.initial_offset_spread,
-        seed=scenario.seed + 13,
-    )
     lo, hi = rate_bounds(scenario.params.rho)
-    for index, clock in enumerate(rebuilt):
-        oracle = _honest_clock(scenario, index, offsets[index])
-        assert list(clock._starts) == list(oracle._starts)
-        assert list(clock._rates) == list(oracle._rates)
-        assert list(clock._values) == list(oracle._values)
-        # ... and the trajectory is Random(seed * 1009 + index) draw for draw.
+    for index, clock in enumerate(_honest_drifting_clocks(layout, scenario)):
         mirror = random.Random(scenario.seed * 1009 + index)
         assert list(clock._rates) == [mirror.uniform(lo, hi) for _ in clock._rates]
 
@@ -863,42 +843,3 @@ def test_a_defect_in_a_vector_engine_is_served_by_the_event_loop(monkeypatch, ow
     monkeypatch.undo()
     event = run_scenario(dataclasses.replace(scenario, kernel="event"), trace_level="metrics")
     assert_results_identical(event, served, name)
-
-
-# -- mirrored adversary constants --------------------------------------------------------
-
-
-def test_mirrored_constants_match_fault_layer():
-    """The kernel mirrors the faults-layer constants; they must never drift."""
-    crash = cell(6, attack="crash")
-    handles = build_cluster(crash, trace_level="metrics")
-    for proc in handles.faulty:
-        assert proc.crash_time == CRASH_PERIODS * crash.params.period
-
-    eager = cell(6, attack="eager")
-    handles = build_cluster(eager, trace_level="metrics")
-    for proc in handles.faulty:
-        assert proc.rounds == EAGER_MAX_ROUND
-        assert proc.early_factor == EAGER_FACTOR
-
-    flood = cell(8, attack="forge_flood")
-    handles = build_cluster(flood, trace_level="metrics")
-    assert handles.faulty
-    for proc in handles.faulty:
-        assert proc.interval == FLOOD_INTERVAL
-        assert proc.rounds == FLOOD_MAX_ROUND
-
-    from repro.faults import behaviors
-
-    assert behaviors.RANDOM_DROP_PROBABILITY == RANDOM_DROP_PROBABILITY
-    assert behaviors.RANDOM_FAST_BIAS == RANDOM_FAST_BIAS
-
-    from repro.broadcast.authenticated import SignatureTracker
-    from repro.broadcast.echo import EchoTracker
-    from repro.crypto.signatures import KeyStore
-
-    keystore = KeyStore.generate(4, seed=0)
-    sig_tracker = SignatureTracker(keystore, threshold=2, content_factory=lambda k: ("round", k))
-    assert sig_tracker.max_round_lookahead == TRACKER_LOOKAHEAD
-    echo_tracker = EchoTracker(n=4, f=1)
-    assert echo_tracker.max_round_lookahead == TRACKER_LOOKAHEAD
