@@ -62,7 +62,6 @@ from .runner import (
     Executor,
     LocalPoolExecutor,
     ResultCache,
-    ShardedRunner,
     SSHExecutor,
     SubprocessWorkerExecutor,
     SweepRunner,
@@ -102,7 +101,6 @@ __all__ = [
     "sign",
     # sweep execution
     "SweepRunner",
-    "ShardedRunner",
     "Executor",
     "LocalPoolExecutor",
     "SubprocessWorkerExecutor",

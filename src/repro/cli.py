@@ -36,7 +36,7 @@ from .faults.strategies import available_attacks
 from .runner.config import configure as configure_runner
 from .runner.config import get_runner
 from .runner.exec import SSHConfigError, ssh_hosts_from_env
-from .workloads.scenarios import ALL_ALGORITHMS, CLOCK_MODES, DELAY_MODES, TRACE_LEVELS, Scenario
+from .workloads.scenarios import ALL_ALGORITHMS, CLOCK_MODES, DELAY_MODES, TRACE_LEVELS, Scenario, classify_lane
 
 
 def _nonnegative_int(raw: str) -> int:
@@ -138,7 +138,7 @@ def _params_from_args(args: argparse.Namespace, authenticated: bool):
 
 
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
-    """The full scenario description, shared by ``run`` and ``stats``."""
+    """The full scenario description, shared by ``run``, ``kernel`` and ``stats``."""
     parser.add_argument("--algorithm", choices=list(ALL_ALGORITHMS), default="auth")
     parser.add_argument("--attack", default="eager", help="adversary strategy (see list-attacks); default eager")
     parser.add_argument("--actual-faults", type=int, default=None, dest="actual_faults",
@@ -221,7 +221,7 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    """Build the declarative scenario a ``run``/``stats`` invocation describes."""
+    """Build the declarative scenario a ``run``/``kernel``/``stats`` invocation describes."""
     authenticated = args.algorithm == "auth"
     params = _params_from_args(args, authenticated=authenticated)
     return Scenario(
@@ -385,48 +385,37 @@ def _run_and_report(args: argparse.Namespace, exporting: bool) -> int:
 def _cmd_kernel(args: argparse.Namespace) -> int:
     """Explain the kernel policy for one scenario without grepping notes.
 
-    Prints the resolved selection (field -> ``REPRO_KERNEL`` env -> auto),
-    the static eligibility verdict with the whitelist-derived reason, and --
-    when ``--run`` is given -- the per-lane :class:`KernelProvenance`
-    breakdown of an actual metrics-level run.
+    Prints the run path's own verdict on the scenario's lanes
+    (:func:`~repro.workloads.scenarios.classify_lane`): the resolved
+    selection (field -> ``REPRO_KERNEL`` env -> auto), whether the vector
+    kernel is offered them, and the static reason when it is not.  With
+    ``--run`` the scenario is then run and its per-lane
+    :class:`KernelProvenance` breakdown printed.
     """
-    from .sim.kernel import kernel_ineligibility, resolve_kernel
-
-    authenticated = args.algorithm == "auth"
-    params = _params_from_args(args, authenticated=authenticated)
-    scenario = Scenario(
-        params=params,
-        algorithm=args.algorithm,
-        attack=args.attack,
-        actual_faults=args.actual_faults,
-        rounds=args.rounds,
-        clock_mode=args.clock_mode,
-        delay_mode=args.delay_mode,
-        replications=args.replications,
-        shards=args.shards,
-        kernel=args.kernel,
-        seed=args.seed,
-    )
-    resolved = resolve_kernel(scenario)
-    reason = kernel_ineligibility(scenario, "metrics")
-    table = Table(title=f"Kernel policy for {scenario.name}", headers=["quantity", "value"])
-    table.add_row("resolved kernel", resolved)
-    table.add_row("static verdict", "eligible" if reason is None else "ineligible")
-    if reason is not None:
-        table.add_row("reason", reason)
-    if resolved == "event":
-        table.add_row("serves", "event loop (selected)")
-    elif reason is None:
-        table.add_row("serves", "vector kernel (may fall back per lane)")
-    elif resolved == "vector":
-        table.add_row("serves", "event loop, with a recorded fallback note")
+    scenario = _scenario_from_args(args)
+    trace_level = _resolve_trace_level(args)
+    record = classify_lane(scenario, trace_level)
+    if record.vector_lanes:
+        verdict, serves = "eligible", "vector kernel (may fall back per lane)"
+    elif record.resolved == "event":
+        verdict, serves = "not asked", "event loop (selected)"
+    elif record.noted_reason is not None:
+        verdict, serves = "ineligible", "event loop, with a recorded fallback note"
     else:
-        table.add_row("serves", "event loop")
+        verdict, serves = "ineligible", "event loop"
+    table = Table(title=f"Kernel policy for {scenario.name}", headers=["quantity", "value"])
+    table.add_row("resolved kernel", record.resolved)
+    table.add_row("static verdict", verdict)
+    if record.ineligible_reason is not None:
+        table.add_row("reason", record.ineligible_reason)
+    table.add_row("serves", serves)
     print(table.render())
     if not args.run:
         return 0
     _configure_runner(args)
-    result = get_runner().run(scenario, trace_level="metrics")
+    result = _run_with_chaos(args, get_runner(), scenario, trace_level)
+    if result is None:
+        return 2
     print()
     if result.kernel_provenance is None:
         print("run provenance: not recorded")
@@ -613,39 +602,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="explain which simulation kernel serves a scenario (and why)",
     )
     _add_param_arguments(kernel)
-    kernel.add_argument("--algorithm", choices=list(ALL_ALGORITHMS), default="auth")
-    kernel.add_argument("--attack", default="eager", help="adversary strategy (see list-attacks); default eager")
-    kernel.add_argument("--actual-faults", type=int, default=None, dest="actual_faults",
-                        help="how many processes actually misbehave (default: f)")
-    kernel.add_argument("--rounds", type=int, default=10)
-    kernel.add_argument("--clock-mode", choices=list(CLOCK_MODES), default="extreme", dest="clock_mode")
-    kernel.add_argument("--delay-mode", choices=list(DELAY_MODES), default="targeted", dest="delay_mode")
-    kernel.add_argument(
-        "--kernel",
-        choices=["auto", "event", "vector"],
-        default=None,
-        help="selection to explain (default: REPRO_KERNEL or auto)",
-    )
-    kernel.add_argument("--seed", type=int, default=0)
-    kernel.add_argument(
-        "--replications",
-        type=_positive_int,
-        default=1,
-        help="replications for --run (each is one provenance lane)",
-    )
-    kernel.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=None,
-        help="shard tasks for --run (default: one per core)",
-    )
+    _add_runner_arguments(kernel)
+    _add_scenario_arguments(kernel)
+    kernel.set_defaults(func=_cmd_kernel, trace_level="metrics")
     kernel.add_argument(
         "--run",
         action="store_true",
-        help="also run the scenario (metrics level) and print the per-lane provenance breakdown",
+        help="also run the scenario and print the per-lane provenance breakdown",
     )
-    _add_runner_arguments(kernel)
-    kernel.set_defaults(func=_cmd_kernel)
 
     stats = sub.add_parser(
         "stats",

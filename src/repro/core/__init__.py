@@ -37,8 +37,6 @@ from .messages import (
     EchoMessage,
     GarbageMessage,
     InitMessage,
-    JoinInfo,
-    JoinRequest,
     Message,
     RoundContent,
     SignatureBundle,
@@ -94,8 +92,6 @@ __all__ = [
     "SignatureBundle",
     "InitMessage",
     "EchoMessage",
-    "JoinRequest",
-    "JoinInfo",
     "ClockSample",
     "SyncPulse",
     "GarbageMessage",

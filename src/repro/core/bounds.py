@@ -113,14 +113,6 @@ def acceptance_latency(params: SyncParams, algorithm: str = AUTH) -> float:
     return params.tdel if algorithm == AUTH else 2.0 * params.tdel
 
 
-def required_honest_majority(params: SyncParams, algorithm: str = AUTH) -> bool:
-    """Whether ``(n, f)`` satisfies the algorithm's resilience requirement."""
-    _check_algorithm(algorithm)
-    if algorithm == AUTH:
-        return params.n > 2 * params.f
-    return params.n > 3 * params.f
-
-
 def gamma_min(params: SyncParams, algorithm: str = AUTH) -> float:
     """Lower bound on the gap between consecutive first-acceptance times."""
     sigma = acceptance_spread(params, algorithm)

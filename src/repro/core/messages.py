@@ -72,29 +72,6 @@ class EchoMessage(Message):
     round: int
 
 
-# -- join / integration --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JoinRequest(Message):
-    """Sent by a process that wants to (re)join the synchronized system."""
-
-    joiner: int
-
-
-@dataclass(frozen=True)
-class JoinInfo(Message):
-    """Reply to a join request: the responder's current round number.
-
-    The joiner only uses this to know which round to listen for; the actual
-    synchronization still happens through the regular acceptance rule, so a
-    faulty responder cannot desynchronize the joiner.
-    """
-
-    responder: int
-    current_round: int
-
-
 # -- baseline algorithms --------------------------------------------------------
 
 

@@ -43,11 +43,10 @@ from .exec import (
     SubprocessWorkerExecutor,
     make_executor,
 )
-from .sharded import ShardedRunner, ShardFold
+from .sharded import ShardFold
 
 __all__ = [
     "SweepRunner",
-    "ShardedRunner",
     "ShardFold",
     "Executor",
     "ExecutorError",

@@ -70,10 +70,10 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .. import obs
 from ..sim.kernel import resolve_kernel
 from ..workloads.scenarios import (
-    ST_ALGORITHMS,
     TRACE_LEVELS,
     Scenario,
     ScenarioResult,
+    resolve_check_guarantees,
     resolve_shards,
     run_scenarios,
 )
@@ -101,22 +101,6 @@ CHUNK_WINDOW = 2
 #: An ``on_result`` reducer: receives the scenario's input index and its
 #: result, in completion order.
 OnResult = Callable[[int, "ScenarioResult"], None]
-
-
-def resolve_check_guarantees(scenario: Scenario, check_guarantees: Optional[bool]) -> bool:
-    """The effective guarantee-checking flag for one scenario.
-
-    Mirrors the defaulting inside
-    :func:`~repro.workloads.scenarios.run_scenario`: guarantees are verified
-    exactly when the scenario runs a Srikanth-Toueg algorithm, and (absent an
-    explicit flag) only within its resilience bound.  The resolved flag is
-    what the result cache keys on, so ``None`` and its resolved value share
-    one cache entry.
-    """
-    st_scenario = scenario.algorithm in ST_ALGORITHMS
-    if check_guarantees is None:
-        check_guarantees = scenario.actual_faults <= scenario.params.f
-    return st_scenario and bool(check_guarantees)
 
 
 def _normalize_checks(scenarios: Sequence[Scenario], check_guarantees: CheckSpec) -> list[bool]:

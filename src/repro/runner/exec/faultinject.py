@@ -46,12 +46,6 @@ def square_task(payload):
     return payload**2
 
 
-def sleep_task(payload):
-    """Sleep ``payload`` seconds, then return it."""
-    time.sleep(payload)
-    return payload
-
-
 def raise_task(payload):
     """Raise ``ValueError(payload)`` -- a deterministic *task* failure (the
     worker survives; the error must propagate without retry)."""

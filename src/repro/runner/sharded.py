@@ -21,14 +21,12 @@ parallelism share one bounded pool:
   scenario's shard outcomes and emits the folded
   :class:`~repro.workloads.scenarios.ScenarioResult` the moment the last
   shard lands (outcomes are dropped immediately after, so the parent holds
-  O(in-flight scenarios) shard summaries, never O(grid)),
-* :class:`ShardedRunner` -- the single-scenario facade: run one replicated
-  scenario across the shared pool and get its folded result.
+  O(in-flight scenarios) shard summaries, never O(grid)).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..workloads.scenarios import (
     Scenario,
@@ -39,9 +37,6 @@ from ..workloads.scenarios import (
     resolve_shards,
     run_shard,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .core import SweepRunner
 
 #: One shard task: (scenario index, scenario, shard index, replication block).
 ShardTask = tuple[int, Scenario, int, tuple]
@@ -96,14 +91,6 @@ class ShardFold:
         self._scenarios[index] = scenario
         self._outcomes[index] = []
 
-    def pending(self) -> int:
-        """Scenarios still waiting for at least one shard."""
-        return len(self._expected)
-
-    def outcomes_held(self) -> int:
-        """Shard outcomes currently buffered (memory introspection for tests)."""
-        return sum(len(outcomes) for outcomes in self._outcomes.values())
-
     def add(self, index: int, outcome: ShardOutcome) -> Optional[ScenarioResult]:
         """Fold one shard outcome in; return the final result when complete."""
         outcomes = self._outcomes[index]
@@ -115,31 +102,3 @@ class ShardFold:
         del self._expected[index]
         del self._outcomes[index]
         return measure_sharded(scenario, outcomes, check_guarantees=check)
-
-
-class ShardedRunner:
-    """Single-scenario facade over the sharded backend.
-
-    Wraps a :class:`~repro.runner.core.SweepRunner` (the process-wide default
-    when none is given) and runs one replicated scenario across its
-    lazily-spawned worker pool, returning the folded result.  Sweeps do not
-    need this class -- ``run_sweep``/``stream_sweep`` shard replicated
-    scenarios transparently -- but it is the convenient entry point for
-    "one configuration, many replications, all my cores" workloads.
-    """
-
-    def __init__(self, runner: Optional["SweepRunner"] = None) -> None:
-        if runner is None:
-            from .config import get_runner
-
-            runner = get_runner()
-        self.runner = runner
-
-    def run(self, scenario: Scenario, check_guarantees: Optional[bool] = None) -> ScenarioResult:
-        """Run ``scenario``'s replications across the pool and fold the result."""
-        if scenario.replications <= 1:
-            raise ValueError("ShardedRunner.run needs a replicated scenario (replications > 1)")
-        return self.runner.run(scenario, check_guarantees=check_guarantees, trace_level="metrics")
-
-    def __repr__(self) -> str:
-        return f"ShardedRunner(runner={self.runner!r})"

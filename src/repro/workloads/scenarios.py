@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace as dataclasses_replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .. import obs
 from ..analysis import metrics
@@ -321,6 +321,18 @@ class KernelProvenance:
         """All lanes this provenance accounts for."""
         return self.vector_lanes + self.fallback_lanes + self.ineligible_lanes
 
+    @property
+    def noted_reason(self) -> Optional[str]:
+        """The reason a lane with this record notes when the event loop runs it, or ``None``.
+
+        A per-run refusal is always noted; a static reason only when the
+        vector kernel was requested explicitly (``"auto"`` runs ineligible
+        lanes on the event loop and says nothing).
+        """
+        if self.fallback_reasons:
+            return self.fallback_reasons[0][0]
+        return self.ineligible_reason if self.resolved == "vector" else None
+
     def describe(self) -> str:
         """One human-readable provenance line (used by the CLI and reports)."""
         parts = [f"kernel {self.resolved}:"]
@@ -360,6 +372,30 @@ def merge_kernel_provenance(resolved: str, parts: Sequence["KernelProvenance"]) 
         ineligible_lanes=sum(part.ineligible_lanes for part in parts),
         fallback_reasons=tuple(sorted(reasons.items())),
         ineligible_reason=ineligible_reason,
+    )
+
+
+def classify_lane(scenario: Scenario, trace_level: str) -> KernelProvenance:
+    """The static verdict on one lane, as the provenance record it starts with.
+
+    A lane -- one single run, a grid cell or one replication of a cell alike
+    -- is offered to the vector kernel exactly when its kernel does not
+    resolve to ``"event"`` and
+    :func:`~repro.sim.kernel.kernel_ineligibility` names no reason; its
+    record then counts it as vector-served (the evaluator may still refuse it
+    per run, which moves it to the fallback bucket).  Any other lane counts
+    as ineligible, with the static reason -- ``None`` under ``"event"``,
+    which is selection, not eligibility.  This is the one place the run path
+    asks the question, and what ``repro kernel`` prints.
+    """
+    resolved = resolve_kernel(scenario)
+    reason = None if resolved == "event" else kernel_ineligibility(scenario, trace_level)
+    offered = resolved != "event" and reason is None
+    return KernelProvenance(
+        resolved=resolved,
+        vector_lanes=int(offered),
+        ineligible_lanes=int(not offered),
+        ineligible_reason=reason,
     )
 
 
@@ -582,11 +618,17 @@ def build_cluster(
     )
 
 
-def _resolve_check(scenario: Scenario, check_guarantees: Optional[bool]) -> bool:
+def resolve_check_guarantees(scenario: Scenario, check_guarantees: Optional[bool]) -> bool:
+    """The effective guarantee-checking flag for one scenario.
+
+    Guarantees are verified exactly when the scenario runs a Srikanth-Toueg
+    algorithm, and (absent an explicit flag) only within its resilience
+    bound.  The resolved flag is what the result cache keys on, so ``None``
+    and its resolved value share one cache entry.
+    """
     st_scenario = scenario.algorithm in ST_ALGORITHMS
     if check_guarantees is None:
-        within_spec = scenario.actual_faults <= scenario.params.f
-        check_guarantees = st_scenario and within_spec
+        check_guarantees = scenario.actual_faults <= scenario.params.f
     return st_scenario and bool(check_guarantees)
 
 
@@ -701,9 +743,12 @@ def _measure_streamed(
     )
 
 
-@dataclass(frozen=True)
-class ShardOutcome:
-    """One shard task's folded observation of its block of replications."""
+class ShardOutcome(NamedTuple):
+    """One shard task's folded observation of its block of replications.
+
+    A tuple because it is what a shard task ships home: it pickles without
+    its field names.
+    """
 
     shard_index: int
     #: Global replication indices this shard ran, in execution order.
@@ -713,18 +758,13 @@ class ShardOutcome:
     summary: OnlineMetricsSummary
     #: Whether every replication in the block ended before its static budget.
     stopped_early: bool
-    #: Per-shard kernel accounting, folded into the scenario-level
-    #: :class:`KernelProvenance` by :func:`measure_sharded`.
-    vector_lanes: int = 0
-    fallback_lanes: int = 0
-    ineligible_lanes: int = 0
-    #: Deduplicated ``(reason, lane_count)`` pairs, sorted by reason.
-    fallback_reasons: tuple = ()
-    ineligible_reason: Optional[str] = None
+    #: Which engine served each of the shard's lanes; :func:`measure_sharded`
+    #: folds these into the scenario-level record.
+    provenance: KernelProvenance
 
 
-def _account_kernel_lanes(vector: int, fallback: int, ineligible: int, reasons: Sequence[tuple]) -> None:
-    """Fold one block's lane accounting into the live ``kernel.*`` telemetry.
+def _account_kernel_lanes(provenance: KernelProvenance) -> None:
+    """Fold a computed record into the live ``kernel.*`` telemetry.
 
     These are the *worker-side* counters: they ride result frames home and
     merge into the parent's registry, so a sweep's ``kernel.vector_lanes``
@@ -732,121 +772,111 @@ def _account_kernel_lanes(vector: int, fallback: int, ineligible: int, reasons: 
     served entry computes nothing).  The distinct ``provenance.*`` namespace
     the CLI folds a finished result's record into never overlaps with these.
     """
-    if not (obs.enabled() or obs.metrics_enabled()):
-        return
-    obs.inc("kernel.vector_lanes", vector)
-    obs.inc("kernel.fallback_lanes", fallback)
-    obs.inc("kernel.ineligible_lanes", ineligible)
+    if obs.metrics_enabled():
+        obs.registry().absorb_kernel_provenance(provenance)
     if obs.enabled():
-        for reason, count in reasons:
+        for reason, count in provenance.fallback_reasons:
             obs.event("kernel.fallback", {"reason": reason, "lanes": count})
 
 
+def _offer_lanes(scenarios: Sequence[Scenario], records: list, mergeable: bool) -> list:
+    """Offer the lanes classified vector-served to the kernel, as one block.
+
+    The one :func:`~repro.sim.vectorized.run_lanes` call behind cells and
+    replications alike (``mergeable`` says which).  Returns each lane's
+    :class:`~repro.sim.vectorized.LaneOutcome` (``None`` for a lane never
+    offered) and moves a refused lane's entry in ``records`` to the fallback
+    bucket, so afterwards ``record.vector_lanes`` says whether the outcome
+    holds the lane's summary or the event loop still has to run it.
+    """
+    outcomes: list = [None] * len(records)
+    offered = [i for i, record in enumerate(records) if record.vector_lanes]
+    if not offered:
+        return outcomes
+    for i, outcome in zip(offered, run_lanes([scenarios[i] for i in offered], mergeable=mergeable)):
+        outcomes[i] = outcome
+        if outcome.fallback is not None:
+            # Cache-identity guard: the result cache keys on the *static*
+            # resolution, so a lane that dynamically fell back must still
+            # present the same resolved kernel and the same (absent) static
+            # reason -- dynamic fallback never forks cache identity.  Both
+            # are pure functions of the scenario, so a violation means a
+            # mid-run mutation or a policy/mechanism split, which must fail
+            # loudly rather than poison the cache.
+            assert classify_lane(scenarios[i], "metrics") == records[i], (
+                "dynamic fallback changed the static kernel resolution"
+            )
+            records[i] = dataclasses_replace(
+                records[i], vector_lanes=0, fallback_lanes=1, fallback_reasons=((outcome.fallback, 1),)
+            )
+    return outcomes
+
+
+def _run_on_event_loop(scenario: Scenario, trace_level: str, mergeable: bool, note: Optional[str]):
+    """Run one lane on the event loop; return what it observed and the finished simulation.
+
+    ``note`` is the caller's fallback annotation (a shard words it for all
+    its lanes with one reason, a cell for itself); this only records it.
+    """
+    sim = build_cluster(
+        scenario, trace_level=trace_level, mergeable=mergeable, sample_messages=scenario.sample_messages
+    ).sim
+    if note is not None:
+        sim.recorder.on_note(note)
+    observed = sim.run_until_round(
+        scenario.rounds,
+        t_max=scenario.horizon(),
+        grace=scenario.grace,
+        abort_unreachable=scenario.abort_unreachable,
+    )
+    return observed, sim
+
+
 def run_shard(scenario: Scenario, shard_index: int, replication_indices: Sequence[int]) -> ShardOutcome:
-    """Run one shard's block of replications serially and fold their summaries.
+    """Run one shard's block of replications and fold their summaries.
 
     This is the worker-side unit of the sharded backend (and the building
-    block of the serial reference path): each replication runs at metrics
-    level under a mergeable recorder, and the block folds through
-    :func:`~repro.sim.recorder.merge_summaries` in replication order.
-
-    When the resolved kernel allows it, the whole block is evaluated
-    *lane-batched* on the vector kernel first -- all replications stepped in
-    lockstep as array lanes (:func:`repro.sim.vectorized.run_lanes`) -- and
-    only lanes that individually fell back re-run on the event loop, with
-    the reason annotated.  The fold order is replication order either way,
-    so lane batching never changes the merged summary.
+    block of the serial reference path): each replication is a lane at
+    metrics level under a mergeable recorder.  The lanes the classifier
+    allows are evaluated together on the vector kernel
+    (:func:`repro.sim.vectorized.run_lanes`); every other lane -- and every
+    lane the evaluator refused -- runs on the event loop, the first lane
+    with each distinct reason noting it with the lane count.  The block
+    folds through :func:`~repro.sim.recorder.merge_summaries` in replication
+    order either way, so lane batching never changes the merged summary.
     """
     with obs.span("scenario.shard") as sp:
         sp.set("shard", shard_index)
         sp.set("replications", len(replication_indices))
-        outcome = _run_shard(scenario, shard_index, replication_indices)
-        _account_kernel_lanes(
-            outcome.vector_lanes,
-            outcome.fallback_lanes,
-            outcome.ineligible_lanes,
-            outcome.fallback_reasons,
+        reps = [replicate(scenario, index) for index in replication_indices]
+        records = [classify_lane(rep, "metrics") for rep in reps]
+        outcomes = _offer_lanes(reps, records, mergeable=True)
+        provenance = merge_kernel_provenance(resolve_kernel(scenario), records)
+        unnoted = dict(provenance.fallback_reasons)
+        unnoted[provenance.ineligible_reason] = provenance.ineligible_lanes
+        summaries: list[OnlineMetricsSummary] = []
+        stopped = True
+        for rep, record, outcome in zip(reps, records, outcomes):
+            if record.vector_lanes:
+                summaries.append(outcome.summary)
+                stopped = stopped and outcome.stopped_early
+                continue
+            reason = record.noted_reason
+            note = None
+            if reason is not None and reason in unnoted:
+                count = unnoted.pop(reason)
+                note = fallback_note(reason) + (f" ({count} lanes)" if count > 1 else "")
+            summary, sim = _run_on_event_loop(rep, "metrics", True, note)
+            summaries.append(summary)
+            stopped = stopped and sim.stopped_early
+        _account_kernel_lanes(provenance)
+        return ShardOutcome(
+            shard_index=shard_index,
+            replication_indices=tuple(replication_indices),
+            summary=merge_summaries(summaries),
+            stopped_early=stopped,
+            provenance=provenance,
         )
-        return outcome
-
-
-def _run_shard(scenario: Scenario, shard_index: int, replication_indices: Sequence[int]) -> ShardOutcome:
-    reps = [replicate(scenario, index) for index in replication_indices]
-    resolved = resolve_kernel(scenario)
-    static_reason: Optional[str] = None
-    outcomes: list = [None] * len(reps)
-    if reps and resolved != "event":
-        static_reason = kernel_ineligibility(reps[0], "metrics")
-        if static_reason is None:
-            outcomes = run_lanes(reps, mergeable=True)
-            # Cache-identity guard: the result cache keys on the *static*
-            # resolution, so a lane that dynamically fell back to the event
-            # loop must still present the same resolved kernel and the same
-            # (absent) static reason -- dynamic fallback never forks cache
-            # identity.  Both inputs are pure functions of the scenario, so
-            # a violation here means a mid-run mutation or a policy/
-            # mechanism split, which must fail loudly rather than poison
-            # the cache.
-            assert resolve_kernel(scenario) == resolved and (
-                kernel_ineligibility(reps[0], "metrics") is None
-            ), "dynamic fallback changed the static kernel resolution"
-
-    # Kernel accounting up front, so fallback notes are recorded once per
-    # distinct reason (with a lane count) rather than once per lane.
-    fallback_counts: dict = {}
-    vector_lanes = 0
-    for outcome in outcomes:
-        if outcome is None:
-            continue
-        if outcome.fallback is None:
-            vector_lanes += 1
-        else:
-            fallback_counts[outcome.fallback] = fallback_counts.get(outcome.fallback, 0) + 1
-    ineligible_lanes = len(reps) - vector_lanes - sum(fallback_counts.values())
-
-    def deduped_note(reason: str, count: int) -> str:
-        suffix = f" ({count} lanes)" if count > 1 else ""
-        return fallback_note(reason) + suffix
-
-    summaries: list[OnlineMetricsSummary] = []
-    stopped = True
-    noted: set = set()
-    for rep, outcome in zip(reps, outcomes):
-        if outcome is not None and outcome.fallback is None:
-            summaries.append(outcome.summary)
-            stopped = stopped and outcome.stopped_early
-            continue
-        handles = build_cluster(rep, trace_level="metrics", mergeable=True, sample_messages=rep.sample_messages)
-        sim = handles.sim
-        if outcome is not None:
-            if outcome.fallback not in noted:
-                noted.add(outcome.fallback)
-                sim.recorder.on_note(
-                    deduped_note(outcome.fallback, fallback_counts[outcome.fallback])
-                )
-        elif resolved == "vector" and static_reason is not None and static_reason not in noted:
-            noted.add(static_reason)
-            sim.recorder.on_note(deduped_note(static_reason, len(reps)))
-        summaries.append(
-            sim.run_until_round(
-                rep.rounds,
-                t_max=rep.horizon(),
-                grace=rep.grace,
-                abort_unreachable=rep.abort_unreachable,
-            )
-        )
-        stopped = stopped and sim.stopped_early
-    return ShardOutcome(
-        shard_index=shard_index,
-        replication_indices=tuple(replication_indices),
-        summary=merge_summaries(summaries),
-        stopped_early=stopped,
-        vector_lanes=vector_lanes,
-        fallback_lanes=sum(fallback_counts.values()),
-        ineligible_lanes=ineligible_lanes,
-        fallback_reasons=tuple(sorted(fallback_counts.items())),
-        ineligible_reason=static_reason if resolved != "event" else None,
-    )
 
 
 def measure_sharded(
@@ -862,32 +892,19 @@ def measure_sharded(
     """
     outcomes = sorted(outcomes, key=lambda outcome: outcome.shard_index)
     merged = merge_summaries([outcome.summary for outcome in outcomes])
-    check = _resolve_check(scenario, check_guarantees)
     result = _measure_streamed(
         scenario,
         merged.compact(),  # drop the retained samples: results stay lean
-        check,
+        resolve_check_guarantees(scenario, check_guarantees),
         stopped_early=all(outcome.stopped_early for outcome in outcomes),
-    )
-    provenance = merge_kernel_provenance(
-        resolve_kernel(scenario),
-        [
-            KernelProvenance(
-                resolved=resolve_kernel(scenario),
-                vector_lanes=outcome.vector_lanes,
-                fallback_lanes=outcome.fallback_lanes,
-                ineligible_lanes=outcome.ineligible_lanes,
-                fallback_reasons=outcome.fallback_reasons,
-                ineligible_reason=outcome.ineligible_reason,
-            )
-            for outcome in outcomes
-        ],
     )
     return dataclasses_replace(
         result,
         shard_count=len(outcomes),
         shard_horizons=tuple(outcome.summary.end_time for outcome in outcomes),
-        kernel_provenance=provenance,
+        kernel_provenance=merge_kernel_provenance(
+            resolve_kernel(scenario), [outcome.provenance for outcome in outcomes]
+        ),
     )
 
 
@@ -930,118 +947,68 @@ def run_scenarios(cells):
     """Run ``(scenario, check_guarantees, trace_level)`` cells; yield their results in order.
 
     The plural of :func:`run_scenario`, and what a runner chunk calls.  Every
-    statically eligible, single-replication, metrics-level cell rides one
-    :func:`~repro.sim.vectorized.run_lanes` call, so a chunk's same-family
-    cells share one lockstep block (lanes are independent: a cell's floats
-    are the ones it has alone).  Everything else -- full traces,
-    ``kernel="event"``, ineligible or replicated cells, and a lane its block
-    refused -- runs alone on the per-cell path when its turn comes, so a
-    consumer that drops what it is handed never holds a chunk of traces.
+    single-replication cell is a lane: the ones :func:`classify_lane` allows
+    ride one :func:`~repro.sim.vectorized.run_lanes` call, so a chunk's
+    same-family cells share one lockstep block (lanes are independent: a
+    cell's floats are the ones it has alone).  Everything else -- full
+    traces, ``kernel="event"``, ineligible cells, a lane its block refused,
+    and replicated cells (whose shards walk their own lanes) -- runs alone
+    when its turn comes, so a consumer that drops what it is handed never
+    holds a chunk of traces.
     """
     cells = list(cells)
-    block = [
-        i for i, (scenario, _check, level) in enumerate(cells)
-        if scenario.replications <= 1 and resolve_kernel(scenario) != "event"
-        and kernel_ineligibility(scenario, level) is None
-    ]
+    lanes = [i for i, cell in enumerate(cells) if cell[0].replications <= 1]
+    records = [classify_lane(cells[i][0], cells[i][2]) for i in lanes]
     served: dict = {}  # cell index -> result of a lane the block served
-    refused: dict = {}  # cell index -> why its lane fell back
-    if block:
+    offered = sum(record.vector_lanes for record in records)
+    if offered:
         with obs.span("scenario.run") as sp:
-            sp.set("lanes", len(block))
-            for i, outcome in zip(block, run_lanes([cells[i][0] for i in block])):
-                scenario, check, _level = cells[i]
-                if outcome.fallback is not None:
-                    refused[i] = outcome.fallback
-                    continue
-                result = _measure_streamed(
-                    scenario, outcome.summary, _resolve_check(scenario, check),
-                    stopped_early=outcome.stopped_early,
-                )
-                served[i] = dataclasses_replace(
-                    result, kernel_provenance=KernelProvenance(resolved=resolve_kernel(scenario), vector_lanes=1)
-                )
-            _account_kernel_lanes(len(served), 0, 0, ())
-    for i, (scenario, check, level) in enumerate(cells):
+            sp.set("lanes", offered)
+            outcomes = _offer_lanes([cells[i][0] for i in lanes], records, mergeable=False)
+            for i, record, outcome in zip(lanes, records, outcomes):
+                if record.vector_lanes:
+                    served[i] = _finish_lane(cells[i], record, outcome.summary, outcome.stopped_early)
+    verdicts = dict(zip(lanes, records))
+    for i, cell in enumerate(cells):
         result = served.pop(i, None)
-        yield result if result is not None else _run_alone(scenario, check, level, refused.get(i))
+        yield result if result is not None else _run_alone(cell, verdicts.get(i))
 
 
-def _run_alone(
-    scenario: Scenario, check_guarantees: Optional[bool], trace_level: str, fallback_reason: Optional[str]
-) -> ScenarioResult:
-    """One cell on the per-cell path; ``fallback_reason`` is its block's refusal, if it rode in one."""
+def _finish_lane(cell, record: KernelProvenance, observed, stopped_early: bool) -> ScenarioResult:
+    """Measure one single-run cell from what its lane observed, under its (accounted) record."""
+    scenario, check_guarantees, trace_level = cell
+    measure = _measure_streamed if trace_level == "metrics" else _measure_full
+    result = measure(
+        scenario, observed, resolve_check_guarantees(scenario, check_guarantees), stopped_early=stopped_early
+    )
+    _account_kernel_lanes(record)
+    return dataclasses_replace(result, kernel_provenance=record)
+
+
+def _run_alone(cell, record: Optional[KernelProvenance]) -> ScenarioResult:
+    """One cell outside a block: its shards if replicated (no ``record``), else its lane on the event loop."""
+    scenario, check_guarantees, trace_level = cell
     with obs.span("scenario.run") as sp:
         sp.set("algorithm", scenario.algorithm)
         sp.set("n", scenario.params.n)
         sp.set("trace_level", trace_level)
-        result = _run_scenario(scenario, check_guarantees, trace_level, fallback_reason, sp)
-        provenance = result.kernel_provenance
-        if scenario.replications <= 1 and provenance is not None:
-            # Replicated scenarios already accounted per shard inside
-            # run_shard; counting the merged provenance again would double.
-            _account_kernel_lanes(
-                provenance.vector_lanes,
-                provenance.fallback_lanes,
-                provenance.ineligible_lanes,
-                provenance.fallback_reasons,
-            )
-        return result
-
-
-def _run_scenario(
-    scenario: Scenario,
-    check_guarantees: Optional[bool],
-    trace_level: str,
-    fallback_reason: Optional[str],
-    sp,
-) -> ScenarioResult:
-    if scenario.replications > 1:
-        if trace_level != "metrics":
-            raise ValueError(
-                f"replications require trace_level='metrics' (full traces do not merge); "
-                f"got {trace_level!r} with replications={scenario.replications}"
-            )
-        outcomes = [
-            run_shard(scenario, shard_index, block)
-            for shard_index, block in enumerate(plan_shards(scenario))
-        ]
-        return measure_sharded(scenario, outcomes, check_guarantees)
-
-    check = _resolve_check(scenario, check_guarantees)
-    resolved = resolve_kernel(scenario)
-    provenance = KernelProvenance(resolved=resolved, ineligible_lanes=1)
-    if fallback_reason is not None:
-        provenance = KernelProvenance(
-            resolved=resolved, fallback_lanes=1, fallback_reasons=((fallback_reason, 1),)
+        if record is None:
+            if trace_level != "metrics":
+                raise ValueError(
+                    f"replications require trace_level='metrics' (full traces do not merge); "
+                    f"got {trace_level!r} with replications={scenario.replications}"
+                )
+            # Each shard accounts its own lanes.
+            outcomes = [
+                run_shard(scenario, shard_index, block)
+                for shard_index, block in enumerate(plan_shards(scenario))
+            ]
+            return measure_sharded(scenario, outcomes, check_guarantees)
+        reason = record.noted_reason
+        observed, sim = _run_on_event_loop(
+            scenario, trace_level, False, fallback_note(reason) if reason is not None else None
         )
-    elif resolved != "event":
-        reason = kernel_ineligibility(scenario, trace_level)
-        provenance = KernelProvenance(
-            resolved=resolved, ineligible_lanes=1, ineligible_reason=reason
-        )
-        if resolved == "vector":
-            # An explicit vector request never errors: run on the event
-            # loop (float-identical by contract) and annotate why.
-            fallback_reason = reason
-
-    handles = build_cluster(scenario, trace_level=trace_level, sample_messages=scenario.sample_messages)
-    sim = handles.sim
-    if fallback_reason is not None:
-        sim.recorder.on_note(fallback_note(fallback_reason))
-    horizon = scenario.horizon()
-    observed = sim.run_until_round(
-        scenario.rounds,
-        t_max=horizon,
-        grace=scenario.grace,
-        abort_unreachable=scenario.abort_unreachable,
-    )
-    # The pair kernel.replay reports for the mirror.
-    sp.set("events", sim.events_fired)
-    sp.set("pruned", sim.network.pruned)
-
-    if trace_level == "metrics":
-        result = _measure_streamed(scenario, observed, check, stopped_early=sim.stopped_early)
-    else:
-        result = _measure_full(scenario, observed, check, stopped_early=sim.stopped_early)
-    return dataclasses_replace(result, kernel_provenance=provenance)
+        # The pair kernel.replay reports for the mirror.
+        sp.set("events", sim.events_fired)
+        sp.set("pruned", sim.network.pruned)
+        return _finish_lane(cell, record, observed, sim.stopped_early)

@@ -216,3 +216,40 @@ def test_cli_run_kernel_flag(capsys):
     ])
     assert code == 0
     assert "Scenario" in capsys.readouterr().out
+
+
+def test_cli_kernel_plain_output_is_unchanged(capsys, monkeypatch):
+    pytest.importorskip("numpy")
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    assert main(["kernel"]) == 0
+    assert capsys.readouterr().out == (
+        "Kernel policy for auth-n7-f3-eager\n"
+        "==================================\n"
+        "quantity         value                                 \n"
+        "---------------  --------------------------------------\n"
+        "resolved kernel  auto                                  \n"
+        "static verdict   eligible                              \n"
+        "serves           vector kernel (may fall back per lane)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (["--startup"], "start-up protocol runs are not vectorized"),
+        (["--joiners", "1"], "joiner scenarios are not vectorized"),
+        (["--monotonic"], "monotonic (no-backward-correction) ablation is not vectorized"),
+        (["--grace", "0.1"], "grace windows past round completion are not vectorized"),
+        (["--trace-level", "full"], "full traces require the event loop (vector kernel is metrics-only)"),
+    ],
+)
+def test_cli_kernel_names_every_static_reason(flags, reason, capsys, monkeypatch):
+    """The subparser takes ``run``'s scenario flags, so each static reason can be asked about."""
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    assert main(["kernel", *flags]) == 0
+    out = capsys.readouterr().out
+    assert "static verdict   ineligible" in out
+    assert f"reason           {reason}" in out
+    assert "serves           event loop" in out and "fallback note" not in out
+    assert main(["kernel", "--kernel", "vector", *flags]) == 0
+    assert "serves           event loop, with a recorded fallback note" in capsys.readouterr().out

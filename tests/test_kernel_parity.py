@@ -41,9 +41,12 @@ from repro.sim.vectorized import (
     run_lanes,
 )
 from repro.sim.clocks import rate_bounds
+from repro.sim.recorder import FullTraceRecorder, OnlineMetricsRecorder
 from repro.workloads.scenarios import (
     Scenario,
     build_cluster,
+    classify_lane,
+    merge_kernel_provenance,
     run_scenario,
     run_shard,
 )
@@ -613,10 +616,10 @@ def test_run_shard_lane_fold_order(base_kwargs):
         dataclasses.replace(base, replications=4, kernel="event"), 0, (0, 1, 2, 3)
     )
     assert lane.summary == serial.summary
-    assert lane.vector_lanes == 4
-    assert lane.fallback_lanes == 0
-    assert serial.vector_lanes == 0
-    assert serial.ineligible_lanes == 4
+    assert lane.provenance.vector_lanes == 4
+    assert lane.provenance.fallback_lanes == 0
+    assert serial.provenance.vector_lanes == 0
+    assert serial.provenance.ineligible_lanes == 4
 
 
 # -- selection, fallback and eligibility -------------------------------------------------
@@ -642,8 +645,8 @@ def test_fallback_note_recorded_in_summary():
     # One deduplicated note per distinct reason, annotated with the lane count.
     assert len(notes) == 1
     assert notes[0].endswith("(2 lanes)")
-    assert outcome.ineligible_lanes == 2
-    assert outcome.ineligible_reason is not None
+    assert outcome.provenance.ineligible_lanes == 2
+    assert outcome.provenance.ineligible_reason is not None
 
 
 def test_dynamic_fallback_notes_deduped_and_counted():
@@ -659,9 +662,9 @@ def test_dynamic_fallback_notes_deduped_and_counted():
     notes = [note for note in outcome.summary.notes if note.startswith(FALLBACK_NOTE_PREFIX)]
     assert len(notes) == 1
     assert notes[0].endswith("(2 lanes)")
-    assert outcome.fallback_lanes == 2
-    assert outcome.vector_lanes == 0
-    assert len(outcome.fallback_reasons) == 1
+    assert outcome.provenance.fallback_lanes == 2
+    assert outcome.provenance.vector_lanes == 0
+    assert len(outcome.provenance.fallback_reasons) == 1
     # And the lanes the event loop re-ran still fold float-identically.
     serial = run_shard(dataclasses.replace(scenario, kernel="event"), 0, (0, 1))
     assert outcome.summary.notes != serial.summary.notes  # provenance differs
@@ -674,7 +677,7 @@ def test_auto_ineligible_records_no_note():
     scenario = cell(7, kernel="auto", attack="replay", replications=2, shards=1)
     outcome = run_shard(scenario, 0, (0, 1))
     assert not any(note.startswith(FALLBACK_NOTE_PREFIX) for note in outcome.summary.notes)
-    assert outcome.ineligible_lanes == 2
+    assert outcome.provenance.ineligible_lanes == 2
 
 
 def test_eligibility_reasons():
@@ -719,6 +722,64 @@ def test_eligibility_reasons():
     # the vector layer must refuse statically rather than mask the error.
     bad_echo = cell(7, algorithm="echo", f=3)
     assert "n > 3f" in kernel_ineligibility(bad_echo, "metrics")
+
+
+#: id -> (``cell`` keywords, trace level, a fragment of the static reason --
+#: ``None`` where the classifier names none).  One entry per reason
+#: ``kernel_ineligibility`` can return on a ``Scenario``, plus the three
+#: verdicts without one.
+STATIC_VERDICTS = {
+    "full-trace": (dict(), "full", "full traces"),
+    "baseline": (dict(algorithm="lundelius_welch", attack=None), "metrics", "algorithm"),
+    "unlisted-attack": (dict(attack="replay"), "metrics", "attack"),
+    "startup": (dict(attack=None, use_startup=True), "metrics", "start-up"),
+    "joiner": (dict(joiner_count=1, join_time=2.0), "metrics", "joiner"),
+    "monotonic": (dict(monotonic=True), "metrics", "monotonic"),
+    "grace": (dict(grace=0.1), "metrics", "grace"),
+    "echo-n-le-3f": (dict(algorithm="echo", f=3), "metrics", "n > 3f"),
+    "too-few-honest": (dict(attack="silent", actual_faults=4), "metrics", "honest"),
+    "lockstep": (dict(), "metrics", None),
+    "replay": (dict(delay="uniform"), "metrics", None),
+    "event": (dict(kernel="event", attack="replay"), "metrics", None),
+}
+
+
+@pytest.mark.parametrize(
+    "case, replications",
+    [(case, 1) for case in STATIC_VERDICTS]
+    + [(case, 3) for case in STATIC_VERDICTS if case != "full-trace"],  # full traces do not replicate
+)
+def test_static_verdict_is_what_ran(case, replications, monkeypatch):
+    """``classify_lane`` (what ``repro kernel`` prints) is the record the run path attaches."""
+    kwargs, level, fragment = STATIC_VERDICTS[case]
+    noted = []
+    for recorder in (OnlineMetricsRecorder, FullTraceRecorder):
+        monkeypatch.setattr(
+            recorder, "on_note",
+            lambda self, text, on_note=recorder.on_note: noted.append(text) or on_note(self, text),
+        )
+    for kernel in [kwargs["kernel"]] if "kernel" in kwargs else ["auto", "vector"]:
+        scenario = cell(7, **{"rounds": 3, "kernel": kernel, **kwargs})
+        record = classify_lane(scenario, level)
+        assert (record.resolved, record.total_lanes, record.fallback_lanes) == (kernel, 1, 0)
+        if fragment is None:
+            assert record.ineligible_reason is None
+            assert record.vector_lanes == (kernel != "event")
+        else:
+            assert fragment in record.ineligible_reason and record.ineligible_lanes == 1
+        scenario = dataclasses.replace(scenario, replications=replications, shards=1, name="")
+        noted.clear()
+        if case == "echo-n-le-3f":  # the event loop's constructor error still surfaces
+            with pytest.raises(ValueError, match="n > 3f"):
+                run_scenario(scenario, False, level)
+            continue
+        ran = run_scenario(scenario, False, level).kernel_provenance
+        assert ran == merge_kernel_provenance(kernel, [record] * replications)
+        expected = []
+        if kernel == "vector" and fragment is not None:
+            suffix = f" ({replications} lanes)" if replications > 1 else ""
+            expected = [fallback_note(record.ineligible_reason) + suffix]
+        assert [note for note in noted if note.startswith(FALLBACK_NOTE_PREFIX)] == expected
 
 
 def test_numpy_is_probed_last_and_its_absence_changes_no_number(monkeypatch):
@@ -790,8 +851,8 @@ def test_dynamic_fallback_preserves_cache_key(monkeypatch):
 
     monkeypatch.setattr(scenarios_module, "run_lanes", forced_fallback)
     outcome = run_shard(scenario, 0, (0, 1))
-    assert outcome.fallback_lanes == 2
-    assert outcome.vector_lanes == 0
+    assert outcome.provenance.fallback_lanes == 2
+    assert outcome.provenance.vector_lanes == 0
     key_after = cache_key(scenario, check_guarantees=True, trace_level="metrics")
     assert key_before == key_after
 
