@@ -79,22 +79,38 @@ def _pairwise_window_extremes(
     return (slowest, fastest)
 
 
-def _hull_max_rate(times: Sequence[float], values: Sequence[float], min_window: float) -> Optional[float]:
-    """Maximum average rate over sample pairs at least ``min_window`` apart.
+def window_rate_extremes(
+    times: Sequence[float], values: Sequence[float], min_window: float
+) -> Optional[tuple[float, float]]:
+    """Exact (slowest, fastest) average rates over windows >= ``min_window``.
 
-    The classic maximum-average-segment sweep: walk the right endpoint in
-    time order while folding every sample that has fallen at least
-    ``min_window`` behind it into a lower convex hull of candidate left
-    endpoints; the best left endpoint for a given right endpoint is the
-    tangent vertex of that hull (the slope along a lower-convex chain seen
+    ``times`` must be nondecreasing (both sides of a jump appear as two
+    samples at the same time).  Returns ``None`` when no pair of samples is
+    at least ``min_window`` apart.  Both observation paths -- the post-hoc
+    :func:`rate_extremes` and the streaming recorder -- call this one
+    function on the same breakpoint samples, so their window-rate extremes
+    are float-for-float identical by construction.
+
+    One maximum-average-segment sweep finds both extremes: walk the right
+    endpoint in time order while folding every sample that has fallen at
+    least ``min_window`` behind it into two convex hulls of candidate left
+    endpoints -- the lower hull for the fastest window, the upper hull for
+    the slowest.  The best left endpoint for a given right endpoint is the
+    tangent vertex of the matching hull (the slope along a convex chain seen
     from a point on the right is unimodal), found by binary search.  Work is
     O(k log h) for k samples and hull size h instead of the quadratic pair
-    scan, and the only state beyond the samples is hull-bounded.
+    scan, and the only state beyond the samples is hull-bounded.  The upper
+    hull is the lower hull of the negated values with every comparison
+    mirrored; negation is exact under round-to-nearest, so the slowest rate
+    is, bit for bit, the negated fastest rate of the negated values.
     """
     count = len(times)
-    best: Optional[float] = None
-    hull_t: list[float] = []
-    hull_v: list[float] = []
+    fastest: Optional[float] = None
+    negated_slowest: Optional[float] = None
+    low_t: list[float] = []  # lower hull: left endpoints of the fastest window
+    low_v: list[float] = []
+    up_t: list[float] = []  # upper hull: left endpoints of the slowest window
+    up_v: list[float] = []
     include = 0  # next sample to become an eligible left endpoint
     for j in range(count):
         tj = times[j]
@@ -111,64 +127,76 @@ def _hull_max_rate(times: Sequence[float], values: Sequence[float], min_window: 
                 break
             v = values[include]
             include += 1
-            if hull_t and t == hull_t[-1]:
-                if v >= hull_v[-1]:
-                    continue  # the higher of two equal-time points never wins
-                hull_t.pop()
-                hull_v.pop()
-            while len(hull_t) >= 2:
-                # Pop the middle point when it lies on or above the chord.
-                cross = (hull_t[-1] - hull_t[-2]) * (v - hull_v[-2]) - (
-                    hull_v[-1] - hull_v[-2]
-                ) * (t - hull_t[-2])
-                if cross <= 0.0:
-                    hull_t.pop()
-                    hull_v.pop()
-                else:
-                    break
-            hull_t.append(t)
-            hull_v.append(v)
-        if not hull_t:
-            continue
+            # Of two equal-time points only the lower can be the fastest
+            # window's left end (and only the higher the slowest's).
+            if not (low_t and t == low_t[-1] and v >= low_v[-1]):
+                if low_t and t == low_t[-1]:
+                    low_t.pop()
+                    low_v.pop()
+                while len(low_t) >= 2:
+                    # Pop the middle point when it lies on or above the chord.
+                    cross = (low_t[-1] - low_t[-2]) * (v - low_v[-2]) - (
+                        low_v[-1] - low_v[-2]
+                    ) * (t - low_t[-2])
+                    if cross <= 0.0:
+                        low_t.pop()
+                        low_v.pop()
+                    else:
+                        break
+                low_t.append(t)
+                low_v.append(v)
+            if not (up_t and t == up_t[-1] and v <= up_v[-1]):
+                if up_t and t == up_t[-1]:
+                    up_t.pop()
+                    up_v.pop()
+                while len(up_t) >= 2:
+                    # Pop the middle point when it lies on or below the chord.
+                    cross = (up_t[-1] - up_t[-2]) * (v - up_v[-2]) - (
+                        up_v[-1] - up_v[-2]
+                    ) * (t - up_t[-2])
+                    if cross >= 0.0:
+                        up_t.pop()
+                        up_v.pop()
+                    else:
+                        break
+                up_t.append(t)
+                up_v.append(v)
+        if not low_t:
+            continue  # both hulls fill together: nothing is eligible yet
         lo = 0
-        hi = len(hull_t) - 1
+        hi = len(low_t) - 1
         while lo < hi:
             mid = (lo + hi) // 2
             # slope(mid+1 -> j) >= slope(mid -> j): keep climbing right.
-            left = (vj - hull_v[mid]) * (tj - hull_t[mid + 1])
-            right = (vj - hull_v[mid + 1]) * (tj - hull_t[mid])
-            if left <= right:
+            if (vj - low_v[mid]) * (tj - low_t[mid + 1]) <= (vj - low_v[mid + 1]) * (tj - low_t[mid]):
                 lo = mid + 1
             else:
                 hi = mid
         # Evaluate the binary-search landing and its neighbours so a
         # rounding-perturbed comparison cannot cost the true optimum.
         for k in (lo - 1, lo, lo + 1):
-            if 0 <= k < len(hull_t):
-                rate = (vj - hull_v[k]) / (tj - hull_t[k])
-                if best is None or rate > best:
-                    best = rate
-    return best
-
-
-def window_rate_extremes(
-    times: Sequence[float], values: Sequence[float], min_window: float
-) -> Optional[tuple[float, float]]:
-    """Exact (slowest, fastest) average rates over windows >= ``min_window``.
-
-    ``times`` must be nondecreasing (both sides of a jump appear as two
-    samples at the same time).  Returns ``None`` when no pair of samples is
-    at least ``min_window`` apart.  Both observation paths -- the post-hoc
-    :func:`rate_extremes` and the streaming recorder -- call this one
-    function on the same breakpoint samples, so their window-rate extremes
-    are float-for-float identical by construction.
-    """
-    fastest = _hull_max_rate(times, values, min_window)
+            if 0 <= k < len(low_t):
+                rate = (vj - low_v[k]) / (tj - low_t[k])
+                if fastest is None or rate > fastest:
+                    fastest = rate
+        lo = 0
+        hi = len(up_t) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            # slope(mid+1 -> j) <= slope(mid -> j): keep descending right.
+            if (vj - up_v[mid]) * (tj - up_t[mid + 1]) >= (vj - up_v[mid + 1]) * (tj - up_t[mid]):
+                lo = mid + 1
+            else:
+                hi = mid
+        for k in (lo - 1, lo, lo + 1):
+            if 0 <= k < len(up_t):
+                # The negated pass's quotient, so a zero rate keeps its sign.
+                rate = (up_v[k] - vj) / (tj - up_t[k])
+                if negated_slowest is None or rate > negated_slowest:
+                    negated_slowest = rate
     if fastest is None:
         return None
-    negated = [-v for v in values]
-    slowest = -_hull_max_rate(times, negated, min_window)
-    return (slowest, fastest)
+    return (-negated_slowest, fastest)
 
 
 def combined_window_extremes(
@@ -181,12 +209,12 @@ def combined_window_extremes(
     same availability rule :func:`accuracy_summary` applies -- and a process
     whose samples admit no window of that width contributes its long-run rate
     (the fallback :func:`rate_extremes` uses).  Both the streaming recorder's
-    ``finalize`` and the shard-merge algebra
-    (:meth:`repro.sim.recorder.OnlineMetricsSummary.merge`) fold through this
-    one function, so a merged summary's window rates are float-for-float what
-    a single recorder observing every process over the combined interval
-    would report.  Returns ``None`` when the interval is empty or no process
-    contributed samples.
+    ``finalize`` (a single cell) and a merged summary's
+    :meth:`~repro.sim.recorder.OnlineMetricsSummary.compact` (once per
+    replicated result) fold through this one function, so a merged summary's
+    window rates are float-for-float what a single recorder observing every
+    process over the combined interval would report.  Returns ``None`` when
+    the interval is empty or no process contributed samples.
     """
     if t_end <= t_start or not samples:
         return None

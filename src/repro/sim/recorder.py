@@ -44,9 +44,10 @@ processes, each under its own ``OnlineMetricsRecorder(mergeable=True)``, and
 folds the resulting :class:`OnlineMetricsSummary` objects through the
 associative :meth:`OnlineMetricsSummary.merge` / :func:`merge_summaries`
 algebra -- max-combining worst-case skews and envelope constants,
-min-combining the completed round, summing message counts, concatenating the
-per-process liveness triples, and re-running the exact window-rate hull pass
-over the union of retained breakpoint samples -- so a sharded run is
+min-combining the completed round, summing message counts, and concatenating
+the per-process liveness triples and retained breakpoint samples; the exact
+window-rate hull pass runs once, over that union, when the result is
+compacted (:meth:`OnlineMetricsSummary.compact`) -- so a sharded run is
 float-for-float identical to the same replications folded serially.
 """
 
@@ -341,8 +342,10 @@ class OnlineMetricsSummary:
     steady-window breakpoint samples and runs the same hull-bounded
     maximum-average-segment pass the post-hoc analysis uses
     (:func:`repro.analysis.envelope.window_rate_extremes`), so they too are
-    float-for-float identical.  They are ``None`` only when the recorder was
-    built with ``window_rates=False`` or the steady interval is empty.
+    float-for-float identical.  They are ``None`` when the recorder was built
+    with ``window_rates=False`` or the steady interval is empty -- and on a
+    mergeable summary (one carrying :attr:`window_samples`) until
+    :meth:`compact` derives them, once per result.
 
     Summaries form a merge algebra (see :meth:`merge` /
     :func:`merge_summaries`): summaries of *independent* executions -- the
@@ -379,10 +382,11 @@ class OnlineMetricsSummary:
     message_stats: dict
     notes: list
     #: One ``(times, values, long_run_rate)`` triple per honest process --
-    #: the steady-window breakpoint samples the window-rate hull pass ran
-    #: over, retained so :meth:`merge` can re-run that pass over the union.
-    #: ``None`` unless the recorder was built with ``mergeable=True``; the
-    #: sharded runner strips it from final results to keep them lean.
+    #: the steady-window breakpoint samples the window-rate hull pass runs
+    #: over, retained so :meth:`merge` can concatenate them and
+    #: :meth:`compact` run that pass once over the union.  ``None`` unless
+    #: the recorder was built with ``mergeable=True``; compacting strips it,
+    #: so final results stay lean.
     window_samples: Optional[tuple] = None
     #: Every K-th message's :class:`MessageSample`, in send order; ``None``
     #: unless the recorder was built with ``sample_messages=K``.  Merging
@@ -434,12 +438,27 @@ class OnlineMetricsSummary:
         return merge_summaries([self, other])
 
     def compact(self) -> "OnlineMetricsSummary":
-        """This summary without the retained merge samples (identical metrics)."""
+        """This summary in final form: window-rate extremes derived, samples dropped.
+
+        The one place a sample-carrying (mergeable) summary's
+        ``slowest_window_rate`` / ``fastest_window_rate`` are computed: the
+        exact hull pass
+        (:func:`repro.analysis.envelope.combined_window_extremes`) over the
+        retained samples with this summary's steady interval.  A summary
+        without retained samples is returned unchanged.
+        """
         if self.window_samples is None:
             return self
         import dataclasses
 
-        return dataclasses.replace(self, window_samples=None)
+        # Deferred import, mirroring finalize(): analysis imports this module.
+        from ..analysis.envelope import combined_window_extremes
+
+        extremes = combined_window_extremes(self.window_samples, self.steady_start, self.end_time)
+        slowest, fastest = extremes if extremes is not None else (None, None)
+        return dataclasses.replace(
+            self, slowest_window_rate=slowest, fastest_window_rate=fastest, window_samples=None
+        )
 
 
 def _opt_min(values) -> Optional[float]:
@@ -471,20 +490,22 @@ def merge_summaries(summaries) -> OnlineMetricsSummary:
     * the steady interval is the union system's: it starts when the *last*
       group became steady and ends at the *latest* end time, and the
       long-run-rate extremes min/max-combine,
-    * the window-rate extremes are re-derived by running the exact hull pass
+    * the window-rate extremes are left ``None``: they are derived once, at
+      :meth:`OnlineMetricsSummary.compact`, by running the exact hull pass
       (:func:`repro.analysis.envelope.combined_window_extremes`) over the
       union of every group's retained breakpoint samples with the combined
       steady interval's quarter-width minimum window -- not by combining the
       per-group extremes, whose minimum windows differ.
 
     Every combining operation is exact (float min/max, integer sums, ordered
-    concatenation) and the window-rate pass is re-derived from raw samples at
-    every fold, so the fold is associative and -- up to the order of the
-    concatenated sequences -- commutative: any shard grouping of the same
-    replications produces float-for-float the same summary.  When some input
-    lacks retained samples (``mergeable=False``), the window-rate extremes
-    fall back to min/max-combining the reported per-summary values and the
-    merged summary cannot re-derive them on later folds.
+    concatenation) and the window-rate pass sees only raw samples, so the
+    fold is associative and -- up to the order of the concatenated sequences
+    -- commutative: any shard grouping of the same replications produces
+    float-for-float the same summary.  When some input lacks retained samples
+    (``mergeable=False``), the window-rate extremes fall back to
+    min/max-combining the per-summary values -- each sample-carrying input
+    contributing its own :meth:`~OnlineMetricsSummary.compact` extremes --
+    and the merged summary cannot re-derive them on later folds.
     """
     summaries = list(summaries)
     if not summaries:
@@ -499,15 +520,13 @@ def merge_summaries(summaries) -> OnlineMetricsSummary:
         window_samples: Optional[tuple] = tuple(
             entry for s in summaries for entry in s.window_samples
         )
-        # Deferred import, mirroring finalize(): analysis imports this module.
-        from ..analysis.envelope import combined_window_extremes
-
-        extremes = combined_window_extremes(window_samples, steady_start, end_time)
-        slowest_win, fastest_win = extremes if extremes is not None else (None, None)
+        slowest_win = fastest_win = None  # derived by compact()
     else:
         window_samples = None
-        slowest_win = _opt_min(s.slowest_window_rate for s in summaries)
-        fastest_win = _opt_max(s.fastest_window_rate for s in summaries)
+        # A sample-carrying input has no extremes yet: derive its own first.
+        final = [s.compact() for s in summaries]
+        slowest_win = _opt_min(s.slowest_window_rate for s in final)
+        fastest_win = _opt_max(s.fastest_window_rate for s in final)
 
     message_stats: dict = {}
     for s in summaries:
@@ -587,11 +606,13 @@ class OnlineMetricsRecorder(Recorder):
     run-length-independent memory and reports the extremes as ``None``.
 
     ``mergeable`` makes the finalized summary carry its retained per-process
-    window samples (:attr:`OnlineMetricsSummary.window_samples`), which is
-    what the shard-merge algebra needs to re-run the window-rate hull pass
-    over a union of executions; it requires ``window_rates=True``.  The
-    sharded backend runs every replication under a mergeable recorder and
-    strips the samples from the final folded summary.
+    window samples (:attr:`OnlineMetricsSummary.window_samples`) instead of
+    the window-rate extremes: ``finalize`` runs no hull pass, and the
+    summary's extremes stay ``None`` until
+    :meth:`OnlineMetricsSummary.compact` runs it over whatever union of
+    executions the summary has been merged into; it requires
+    ``window_rates=True``.  The sharded backend runs every replication under
+    a mergeable recorder and compacts the final folded summary once.
 
     ``sample_messages=K`` turns on the sampling message trace: every K-th
     network message is retained as a :class:`MessageSample` (sender,
@@ -1038,12 +1059,14 @@ class OnlineMetricsRecorder(Recorder):
                 if self.rate_low is not None:
                     envelope_a = max(envelope_a, proc.env_drawdown)
                     envelope_b = max(envelope_b, proc.env_rise)
-            if self.window_rates:
+            if self.mergeable:
+                # The extremes of a mergeable summary are derived once per
+                # result, by compact(), over whatever union it ends up in.
+                window_samples = tuple(entries)
+            elif self.window_rates:
                 extremes = combined_window_extremes(entries, self._steady_start, end_time)
                 if extremes is not None:
                     slowest_win, fastest_win = extremes
-                if self.mergeable:
-                    window_samples = tuple(entries)
             if self.rate_low is None:
                 envelope_a = envelope_b = None
             worst_offset = self._worst_offset

@@ -616,6 +616,9 @@ def test_run_shard_lane_fold_order(base_kwargs):
         dataclasses.replace(base, replications=4, kernel="event"), 0, (0, 1, 2, 3)
     )
     assert lane.summary == serial.summary
+    # The window-rate extremes exist only once compacted; compare them there.
+    assert lane.summary.compact() == serial.summary.compact()
+    assert lane.summary.compact().fastest_window_rate is not None
     assert lane.provenance.vector_lanes == 4
     assert lane.provenance.fallback_lanes == 0
     assert serial.provenance.vector_lanes == 0

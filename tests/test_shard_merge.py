@@ -93,6 +93,13 @@ def _rep_summaries(scenario: Scenario, count: int) -> list:
     return [run_shard(replicated, i, (i,)).summary for i in range(count)]
 
 
+def _final(summary):
+    """The summary's compacted form, whose window-rate extremes are derived."""
+    final = summary.compact()
+    assert final.slowest_window_rate is not None and final.fastest_window_rate is not None
+    return final
+
+
 def _scalar_fields(summary) -> dict:
     skip = {"liveness_triples", "notes", "window_samples", "message_stats"}
     return {
@@ -111,17 +118,18 @@ def test_merge_is_associative():
     right = merge_summaries([a, merge_summaries([b, c])])
     flat = merge_summaries([a, b, c])
     assert left == right == flat
+    assert _final(left) == _final(right) == _final(flat)
 
 
 def test_merge_is_commutative_up_to_order():
     a, b, c = _rep_summaries(_parity_grid()[3], 3)
-    forward = merge_summaries([a, b, c])
-    backward = merge_summaries([c, b, a])
+    forward = _final(merge_summaries([a, b, c]))
+    backward = _final(merge_summaries([c, b, a]))
     assert _scalar_fields(forward) == _scalar_fields(backward)
     assert forward.message_stats == backward.message_stats
     assert sorted(map(repr, forward.liveness_triples)) == sorted(map(repr, backward.liveness_triples))
     assert sorted(forward.notes) == sorted(backward.notes)
-    # The window-rate extremes are re-derived from the union of samples, so
+    # The window-rate extremes are derived from the union of samples, so
     # they are exactly order-independent too (not just up to tolerance).
     assert forward.slowest_window_rate == backward.slowest_window_rate
     assert forward.fastest_window_rate == backward.fastest_window_rate
@@ -135,7 +143,7 @@ def test_merge_single_is_identity():
 
 
 def test_mergeable_summary_equals_plain_summary():
-    """mergeable=True only adds the retained samples; every metric is unchanged."""
+    """mergeable=True retains the samples and defers the window-rate extremes to compact()."""
     scenario = _parity_grid()[3]
     summaries = {}
     for mergeable in (False, True):
@@ -143,7 +151,39 @@ def test_mergeable_summary_equals_plain_summary():
         summaries[mergeable] = handles.sim.run_until_round(scenario.rounds, t_max=scenario.horizon())
     assert summaries[False].window_samples is None
     assert summaries[True].window_samples is not None
-    assert summaries[True].compact() == summaries[False]
+    assert summaries[True].slowest_window_rate is None  # derived by compact()
+    assert _final(summaries[True]) == summaries[False]
+
+
+def test_mixed_merge_derives_sample_carrying_inputs_first():
+    """A fold over inputs with and without samples equals a fold of computed inputs.
+
+    An input that lacks samples (``mergeable=False``) forces the per-summary
+    min/max fallback; each sample-carrying input must then contribute its
+    own ``compact()`` extremes, not its still-underived ``None``.
+    """
+    scenario = dataclasses.replace(_parity_grid()[3], replications=3, name="")
+    summaries = {}
+    for mergeable in (False, True):
+        summaries[mergeable] = []
+        for index in range(3):
+            rep = replicate(scenario, index)
+            handles = build_cluster(rep, trace_level="metrics", mergeable=mergeable)
+            summaries[mergeable].append(handles.sim.run_until_round(rep.rounds, t_max=rep.horizon()))
+    computed = merge_summaries(summaries[False])
+    # Drifting clocks: every replication has its own extremes, so no one
+    # input's values stand in for the fold's.
+    assert len({s.fastest_window_rate for s in summaries[False]}) == 3
+    assert len({s.slowest_window_rate for s in summaries[False]}) == 3
+    for plain in range(3):
+        mixed_inputs = list(summaries[True])
+        mixed_inputs[plain] = summaries[False][plain]
+        mixed = merge_summaries(mixed_inputs)
+        assert mixed.window_samples is None
+        assert mixed == computed, plain
+    # Folding the mixed result further keeps the values.
+    again = merge_summaries([merge_summaries(summaries[True][:2]), summaries[False][2]])
+    assert again == computed
 
 
 def test_merge_random_groupings_are_float_identical():
@@ -151,14 +191,14 @@ def test_merge_random_groupings_are_float_identical():
     import random
 
     summaries = _rep_summaries(_parity_grid()[4], 5)
-    reference = merge_summaries(summaries)
+    reference = _final(merge_summaries(summaries))
     rng = random.Random(7)
     for _ in range(6):
         cut_a = rng.randint(1, 4)
         cut_b = rng.randint(cut_a, 4)
         groups = [summaries[:cut_a], summaries[cut_a:cut_b], summaries[cut_b:]]
         folded = merge_summaries([merge_summaries(group) for group in groups if group])
-        assert folded == reference
+        assert _final(folded) == reference
 
 
 # -- end to end across the parity grid -------------------------------------

@@ -188,3 +188,62 @@ def test_hull_pass_handles_nonpositive_min_window(min_window: float) -> None:
     rng = random.Random(99)
     rts, rvs = _random_samples(rng, 25)
     assert window_rate_extremes(rts, rvs, min_window) == _pairwise_window_extremes(rts, rvs, min_window)
+
+
+def _assert_both_extremes_match_pair_scan(times, values, min_window) -> None:
+    expected = _pairwise_window_extremes(times, values, min_window)
+    got = window_rate_extremes(times, values, min_window)
+    assert expected is not None and got is not None, (times, values, min_window)
+    assert got[0] == expected[0], ("slowest", times, values, min_window)
+    assert got[1] == expected[1], ("fastest", times, values, min_window)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fused_sweep_on_strictly_descending_values(seed: int) -> None:
+    # The slowest rates are the steep negative ones, found through the upper
+    # hull, whose mirrored pop test fires whenever the descent steepens.
+    rng = random.Random(300 + seed)
+    times, _ = _random_samples(rng, rng.randint(3, 30))
+    values = sorted((rng.uniform(-5.0, 5.0) for _ in times), reverse=True)
+    assert all(a > b for a, b in zip(values, values[1:]))
+    span = times[-1] - times[0]
+    for min_window in (span / 4.0, span / 2.0, 1e-9):
+        _assert_both_extremes_match_pair_scan(times, values, min_window)
+
+
+def test_fused_sweep_on_equal_time_duplicates_with_equal_values() -> None:
+    # A zero-size jump recorded as two samples: neither hull may keep both.
+    times = [0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 3.0, 4.0]
+    values = [0.0, 0.0, 1.2, 1.2, 1.9, 3.1, 3.1, 4.0]
+    for min_window in (1.0, 1.5, 2.0, 1e-9):
+        _assert_both_extremes_match_pair_scan(times, values, min_window)
+
+
+def test_fused_sweep_on_collinear_samples() -> None:
+    # Every interior point lies on both hulls' chords and is popped from each.
+    times = [0.25 * i for i in range(17)]
+    values = [1.0 + 0.75 * t for t in times]
+    for min_window in (0.25, 1.0, 4.0):
+        _assert_both_extremes_match_pair_scan(times, values, min_window)
+    slowest, fastest = window_rate_extremes(times, values, 1.0)
+    assert slowest == fastest == 0.75
+
+
+def test_fused_sweep_at_exact_pair_width() -> None:
+    # ``width >= min_window`` admits a pair exactly min_window apart.
+    times = [0.0, 0.5, 1.0, 1.5, 2.5, 3.0]
+    values = [0.0, 0.9, 0.7, 1.8, 2.2, 3.5]
+    widths = sorted({b - a for a in times for b in times if b > a})
+    for min_window in widths:
+        _assert_both_extremes_match_pair_scan(times, values, min_window)
+    # The widest pair alone: both extremes are its rate.
+    assert window_rate_extremes(times, values, 3.0) == (3.5 / 3.0, 3.5 / 3.0)
+
+
+def test_slowest_is_the_negated_pass_bit_for_bit() -> None:
+    # A flat clock has zero rate; the slowest extreme is the negated fastest
+    # rate of the negated values, so it is -0.0, not +0.0.
+    slowest, fastest = window_rate_extremes([0.0, 1.0, 2.0], [5.0, 5.0, 5.0], 1.0)
+    assert slowest == fastest == 0.0
+    assert math.copysign(1.0, slowest) == -1.0
+    assert math.copysign(1.0, fastest) == 1.0
