@@ -11,20 +11,15 @@ adjustment/resynchronization history are.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 from pathlib import Path
 from typing import Any, Optional, Union
 
 from ..core.params import SyncParams
+from ..crypto.signatures import field_names
 from ..sim.trace import ProcessTrace, Trace
 from .optimality import GuaranteeReport
-
-
-@functools.cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(field.name for field in dataclasses.fields(cls))
 
 
 def _fields_to_dict(instance) -> dict[str, Any]:
@@ -33,7 +28,7 @@ def _fields_to_dict(instance) -> dict[str, Any]:
     Same dictionary, key order included (``tests/test_cache_fastpath.py`` keeps
     ``asdict`` as the oracle); the result cache builds one per lookup.
     """
-    return {name: getattr(instance, name) for name in _field_names(type(instance))}
+    return {name: getattr(instance, name) for name in field_names(type(instance))}
 
 
 def params_to_dict(params: SyncParams) -> dict[str, Any]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from ..crypto.signatures import KeyStore, SecretKey, Signature, sign
+from ..crypto.signatures import KeyStore, SecretKey, Signature, message_digest, sign
 from ..sim.adversary import TRACKER_LOOKAHEAD
 from .primitive import BroadcastTracker
 
@@ -57,6 +57,7 @@ class SignatureTracker(BroadcastTracker):
         self.content_factory = content_factory
         self.max_round_lookahead = max_round_lookahead
         self._signatures: dict[int, dict[int, Signature]] = {}
+        self._digests: dict[int, str] = {}  # in-window round -> its statement's digest
         self._floor = 0  # rounds below this are stale and ignored
 
     # -- recording -----------------------------------------------------------
@@ -64,19 +65,20 @@ class SignatureTracker(BroadcastTracker):
     def set_floor(self, round_: int) -> None:
         """Ignore (and forget) all rounds strictly below ``round_``."""
         self._floor = max(self._floor, round_)
-        for r in [r for r in self._signatures if r < self._floor]:
-            del self._signatures[r]
+        for table in (self._signatures, self._digests):
+            for r in [r for r in table if r < self._floor]:
+                del table[r]
 
-    def _within_window(self, round_: int) -> bool:
-        if round_ < self._floor:
-            return False
-        if self.max_round_lookahead is None:
-            return True
-        return round_ <= self._floor + self.max_round_lookahead
+    def _digest(self, round_: int) -> str:
+        """Round ``round_``'s statement digest, hashed once per round (``set_floor`` prunes it)."""
+        digest = self._digests.get(round_)
+        if digest is None:
+            digest = self._digests[round_] = message_digest(self.content_factory(round_))
+        return digest
 
-    def _record(self, round_: int, content: object, signature: Signature) -> bool:
-        """Verify ``signature`` on ``content`` and record it if it is new."""
-        if not self.keystore.verify(signature, content):
+    def _record(self, round_: int, digest: str, signature: Signature) -> bool:
+        """Verify ``signature`` on the statement hashed to ``digest`` and record it if it is new."""
+        if not self.keystore.verify_digest(signature, digest):
             return False
         per_round = self._signatures.setdefault(round_, {})
         if signature.signer in per_round:
@@ -88,7 +90,7 @@ class SignatureTracker(BroadcastTracker):
         """Record a received signature.  Returns True iff it was valid and new."""
         if not self._within_window(round_):
             return False
-        return self._record(round_, self.content_factory(round_), signature)
+        return self._record(round_, self._digest(round_), signature)
 
     def add_own(self, round_: int, secret_key: SecretKey) -> Signature:
         """Sign round ``round_`` with ``secret_key`` and record the signature."""
@@ -104,8 +106,8 @@ class SignatureTracker(BroadcastTracker):
         """
         if not self._within_window(round_):
             return 0
-        content = self.content_factory(round_)
-        return sum(1 for s in signatures if self._record(round_, content, s))
+        digest = self._digest(round_)
+        return sum(1 for s in signatures if self._record(round_, digest, s))
 
     # -- queries --------------------------------------------------------------
 

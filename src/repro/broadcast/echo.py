@@ -34,10 +34,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..sim.adversary import TRACKER_LOOKAHEAD
-from .primitive import BroadcastTracker, PrimitiveActions
+from .primitive import NO_ACTIONS, BroadcastTracker, PrimitiveActions
+
+#: ``_ACTIONS[send_echo][accept]``: the four decisions ``_evaluate`` returns, shared.
+_ACTIONS = (
+    (NO_ACTIONS, PrimitiveActions(accept=True)),
+    (PrimitiveActions(send_echo=True), PrimitiveActions(send_echo=True, accept=True)),
+)
 
 
-@dataclass
+@dataclass(slots=True)
 class _RoundState:
     init_senders: set[int] = field(default_factory=set)
     echo_senders: set[int] = field(default_factory=set)
@@ -70,32 +76,29 @@ class EchoTracker(BroadcastTracker):
             del self._rounds[r]
 
     def _state_for(self, round_: int) -> Optional[_RoundState]:
-        if round_ < self._floor:
-            return None
-        if self.max_round_lookahead is not None and round_ > self._floor + self.max_round_lookahead:
-            return None
-        return self._rounds.setdefault(round_, _RoundState())
+        # A stored round is in the window: set_floor forgets those it leaves.
+        state = self._rounds.get(round_)
+        if state is None and self._within_window(round_):
+            state = self._rounds[round_] = _RoundState()
+        return state
 
     # -- recording ---------------------------------------------------------------
 
     def _evaluate(self, state: _RoundState) -> PrimitiveActions:
-        send_echo = False
-        accept = False
-        if not state.echoed and (
+        send_echo = not state.echoed and (
             len(state.init_senders) >= self.echo_threshold
             or len(state.echo_senders) >= self.echo_threshold
-        ):
-            send_echo = True
-        if not state.accept_reported and len(state.echo_senders) >= self.accept_threshold:
-            accept = True
+        )
+        accept = not state.accept_reported and len(state.echo_senders) >= self.accept_threshold
+        if accept:
             state.accept_reported = True
-        return PrimitiveActions(send_echo=send_echo, accept=accept)
+        return _ACTIONS[send_echo][accept]
 
     def record_init(self, round_: int, sender: int) -> PrimitiveActions:
         """Record an ``(init, round)`` message from ``sender``."""
         state = self._state_for(round_)
         if state is None:
-            return PrimitiveActions()
+            return NO_ACTIONS
         state.init_senders.add(sender)
         return self._evaluate(state)
 
@@ -103,7 +106,7 @@ class EchoTracker(BroadcastTracker):
         """Record an ``(echo, round)`` message from ``sender``."""
         state = self._state_for(round_)
         if state is None:
-            return PrimitiveActions()
+            return NO_ACTIONS
         state.echo_senders.add(sender)
         return self._evaluate(state)
 
@@ -115,7 +118,7 @@ class EchoTracker(BroadcastTracker):
         """Count the process's own echo toward its thresholds and mark it as echoed."""
         state = self._state_for(round_)
         if state is None:
-            return PrimitiveActions()
+            return NO_ACTIONS
         state.echoed = True
         state.echo_senders.add(own_pid)
         return self._evaluate(state)

@@ -61,3 +61,8 @@ class BroadcastTracker(ABC):
     @abstractmethod
     def rounds_with_support(self) -> list[int]:
         """Rounds for which at least one supporting message was recorded."""
+
+    def _within_window(self, round_: int) -> bool:
+        """Whether ``round_`` is in the window: at or above ``_floor``, within ``max_round_lookahead`` of it."""
+        lookahead = self.max_round_lookahead
+        return self._floor <= round_ and (lookahead is None or round_ <= self._floor + lookahead)

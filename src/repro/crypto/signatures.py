@@ -45,8 +45,11 @@ def _compute_digest(message: object) -> str:
 
 
 @functools.cache
-def _field_names(cls: type) -> Optional[tuple[str, ...]]:
-    """Field names if ``cls`` is a dataclass, else None (memoized per type)."""
+def field_names(cls: type) -> Optional[tuple[str, ...]]:
+    """Field names if ``cls`` is a dataclass, else None (memoized per type).
+
+    The one such memo: :mod:`repro.analysis.serialize` reads it too.
+    """
     if not dataclasses.is_dataclass(cls):
         return None
     return tuple(f.name for f in dataclasses.fields(cls))
@@ -61,7 +64,7 @@ def _cache_key(message: object):
     Lists key like tuples because they share a canonical form.  Raises
     ``TypeError`` for leaves outside ``_canonicalize``'s supported domain.
     """
-    names = _field_names(type(message))
+    names = field_names(type(message))
     if names is not None:
         return (type(message), tuple(_cache_key(getattr(message, name)) for name in names))
     if isinstance(message, (list, tuple)):
@@ -119,9 +122,9 @@ def digest_cache_info() -> _DigestCacheInfo:
 
 
 def _canonicalize(message: object) -> str:
-    if dataclasses.is_dataclass(message) and not isinstance(message, type):
-        fields = dataclasses.fields(message)
-        inner = ",".join(f"{f.name}={_canonicalize(getattr(message, f.name))}" for f in fields)
+    names = field_names(type(message))
+    if names is not None:
+        inner = ",".join(f"{name}={_canonicalize(getattr(message, name))}" for name in names)
         return f"{type(message).__name__}({inner})"
     if isinstance(message, (list, tuple)):
         inner = ",".join(_canonicalize(item) for item in message)
@@ -198,7 +201,7 @@ class KeyStore:
             self._secret_keys[pid] = SecretKey(owner=pid, secret=secret)
             self._public_keys[pid] = PublicKey(owner=pid)
         #: ``(signer, digest) -> tag`` the signer's secret yields, filled by
-        #: :meth:`verify`: one entry per registered signer and statement checked.
+        #: :meth:`verify_digest`: one entry per registered signer and statement checked.
         self._expected_tags: dict[tuple[int, str], str] = {}
 
     @classmethod
@@ -220,23 +223,24 @@ class KeyStore:
         return pid in self._public_keys
 
     def verify(self, signature: Signature, message: object, claimed_signer: Optional[int] = None) -> bool:
-        """Check that ``signature`` is a valid signature on ``message``.
+        """:meth:`verify_digest` on ``message``'s digest (and by ``claimed_signer``, if given)."""
+        if claimed_signer is not None and signature.signer != claimed_signer:
+            return False
+        return self.verify_digest(signature, message_digest(message))
 
-        If ``claimed_signer`` is given the signature must additionally have
-        been produced by that process.  Every call compares this signature's
-        digest and tag; the expected tag, a pure function of (signer, digest),
-        is hashed once per signed statement.
+    def verify_digest(self, signature: Signature, digest: str) -> bool:
+        """Check that ``signature`` is a valid signature on the statement hashed to ``digest``.
+
+        Every call compares signer, digest and tag; the expected tag, a pure
+        function of (signer, digest), is hashed once per signer and statement.
         """
-        signer = signature.signer
-        if claimed_signer is not None and signer != claimed_signer:
-            return False
-        secret_key = self._secret_keys.get(signer)
-        if secret_key is None:
-            return False
-        digest = message_digest(message)
         if digest != signature.digest:
             return False
+        signer = signature.signer
         expected = self._expected_tags.get((signer, digest))
         if expected is None:
+            secret_key = self._secret_keys.get(signer)
+            if secret_key is None:
+                return False
             expected = self._expected_tags[signer, digest] = _compute_tag(secret_key.secret, digest)
         return signature.tag == expected

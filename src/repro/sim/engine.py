@@ -13,6 +13,7 @@ metrics in O(n) memory without retaining history.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, Optional
 
@@ -132,7 +133,7 @@ class Simulation:
 
     def step(self) -> bool:
         """Execute the next event; return False if the queue is empty."""
-        event = self.queue.pop()
+        event = self.queue.pop_until(math.inf)
         if event is None:
             return False
         if event.time < self._now:
@@ -154,17 +155,13 @@ class Simulation:
             raise ValueError("cannot run into the past")
         # An early stop in an earlier run segment must not leak into this one.
         self._stopped = False
-        queue = self.queue
+        pop_until = self.queue.pop_until
         fired = 0
-        while True:
-            next_time = queue.peek_time()
-            if next_time is None or next_time > t_end:
-                break
-            if next_time < self._now:
+        while (event := pop_until(t_end)) is not None:
+            # step() inlined.
+            if event.time < self._now:
                 raise RuntimeError("event queue returned an event in the past")
-            # step() inlined: peek_time just returned this event's time.
-            event = queue.pop()
-            self._now = next_time
+            self._now = event.time
             fired += 1
             event.action(*event.args)
         self.events_fired += fired
@@ -210,29 +207,30 @@ class Simulation:
         self._stopped = False
         recorder = self.recorder
         queue = self.queue
+        pop_until = queue.pop_until
         recorder.set_round_target(target_round, now=self._now)
         fired = 0
         try:
             deadline: Optional[float] = None
+            limit = t_max
             while True:
-                next_time = queue.peek_time()
-                if next_time is None or next_time > t_max:
+                if deadline is None and grace > 0.0 and recorder.round_reached_at is not None:
+                    # Resolved *before* stepping, once an event within t_max
+                    # is pending, so a target that was already complete when
+                    # the run was armed (e.g. a resumed segment) cannot let an
+                    # event past the grace window fire first.  round_reached_at
+                    # is always at or before now: the deadline is never past.
+                    next_time = queue.peek_time()
+                    if next_time is None or next_time > t_max:
+                        break
+                    deadline = recorder.round_reached_at + grace
+                    limit = min(t_max, deadline)
+                event = pop_until(limit)
+                if event is None:
                     break
-                if deadline is None:
-                    # The deadline is resolved *before* stepping so a target
-                    # that was already complete when the run was armed (e.g.
-                    # a resumed segment) cannot let an event past the grace
-                    # window fire first.  round_reached_at is always at or
-                    # before now, so the deadline can never sit in the past.
-                    reached = recorder.round_reached_at
-                    if reached is not None and grace > 0.0:
-                        deadline = reached + grace
-                if deadline is not None and next_time > deadline:
-                    break
-                if next_time < self._now:
+                if event.time < self._now:  # step() inlined, as in run_until
                     raise RuntimeError("event queue returned an event in the past")
-                event = queue.pop()  # step() inlined, as in run_until
-                self._now = next_time
+                self._now = event.time
                 fired += 1
                 event.action(*event.args)
                 if grace == 0.0 and recorder.round_reached_at is not None:

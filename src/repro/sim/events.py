@@ -12,13 +12,17 @@ arguments, which therefore need not be comparable.
 
 Cancellation is lazy: cancelling an event marks it and the queue skips it on
 pop.  This keeps the queue a plain binary heap and avoids O(n) removal.
+
+Every event enters through :meth:`EventQueue.push` and leaves through one pop
+path, :meth:`EventQueue.pop_until`: one call per event the engine fires.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 
@@ -81,7 +85,7 @@ class EventQueue:
             raise ValueError("event time must not be NaN")
         seq = next(self._counter)
         event = Event(time, seq, action, args)
-        heapq.heappush(self._heap, (time, seq, event))
+        heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
@@ -91,22 +95,30 @@ class EventQueue:
             event.cancelled = True
             self._live -= 1
 
-    def pop(self) -> Optional[Event]:
-        """Pop and return the next live event, or ``None`` if the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)[2]
-            if event.cancelled:
-                continue
-            event.popped = True
-            self._live -= 1
-            return event
+    def pop_until(self, limit: float) -> Optional[Event]:
+        """Pop and return the next live event if it fires at or before ``limit``, else ``None``."""
+        heap = self._heap
+        while heap:
+            time, _, event = heap[0]
+            if not event.cancelled:
+                if time > limit:
+                    return None
+                heappop(heap)
+                event.popped = True
+                self._live -= 1
+                return event
+            heappop(heap)  # a cancelled head
         return None
+
+    def pop(self) -> Optional[Event]:
+        """Pop and return the next live event, or ``None`` if there is none."""
+        return self.pop_until(math.inf)
 
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the next live event without popping it."""
         heap = self._heap
         while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
+            heappop(heap)
         if not heap:
             return None
         return heap[0][0]

@@ -169,7 +169,6 @@ class Network:
         #: Sorted pids of ``_handlers``; None after a register/unregister.
         self._participants: Optional[tuple[int, ...]] = None
         self._msg_ids = itertools.count()
-        self._dropped_destinations: set[int] = set()
         self._floors: dict[int, int] = {}
         #: Messages the stale-round rule sent without a delivery event.
         self.pruned = 0
@@ -182,7 +181,11 @@ class Network:
         self._participants = None
 
     def unregister(self, pid: int) -> None:
-        """Remove a process from the network (e.g. after a crash)."""
+        """Remove a process from the network: messages sent to it from now on go nowhere.
+
+        A delivery already in flight holds the handler it was sent to and
+        still reaches it; a crashed process ignores those (``Process.halt``).
+        """
         self._handlers.pop(pid, None)
         self._participants = None
 
@@ -194,10 +197,6 @@ class Network:
     def participants(self) -> list[int]:
         """Process ids currently attached to the network."""
         return list(self._sorted_participants())
-
-    def drop_deliveries_to(self, pid: int) -> None:
-        """Silently drop all future deliveries to ``pid`` (crash modelling)."""
-        self._dropped_destinations.add(pid)
 
     def publish_floor(self, pid: int, floor: int) -> None:
         """Declare that ``pid`` ignores rounds below ``floor`` from now on (honest trackers only)."""
@@ -212,7 +211,8 @@ class Network:
 
         Per destination: one delay (``delay``, else one policy draw) brought
         into ``[tmin, tdel]``, the next ``msg_id``, one envelope shown to the
-        recorder, one delivery event.  The **stale-round rule**
+        recorder, one delivery event that calls the destination's registered
+        handler with the envelope (a no-op without one).  The **stale-round rule**
         (``docs/kernel.md``) skips only the event: a round below the floor the
         destination published is a no-op on arrival.  The hottest path of a
         run, so whatever does not depend on the destination is hoisted.
@@ -229,9 +229,9 @@ class Network:
         round_ = getattr(payload, "round", None) if floors else None
         floor_of = floors.get if isinstance(round_, int) else None
         on_message = self.recorder.on_message if self._records_messages else None
-        # Bound method + args instead of a per-message closure.  deliver_time
+        # The handler + args instead of a per-message closure.  deliver_time
         # >= now (tmin >= 0), so schedule_at's past clamp cannot apply.
-        push, deliver = sim.queue.push, self._deliver
+        push, handler_of = sim.queue.push, self._handlers.get
         # tuple.__new__ is the namedtuple constructor minus its Python frame.
         next_id, new = self._msg_ids.__next__, tuple.__new__
         envelopes = []
@@ -253,7 +253,7 @@ class Network:
                 if floor_of is not None and round_ < floor_of(dest, 0):
                     pruned += 1
                 else:
-                    push(deliver_time, deliver, envelope)
+                    push(deliver_time, handler_of(dest, _undeliverable), envelope)
         finally:
             # Once per call, and also when a destination raised part-way:
             # every msg_id issued is a message counted.
@@ -287,12 +287,6 @@ class Network:
         """Send ``payload`` to an explicit set of destinations (two-faced sends)."""
         return self._emit(sender, destinations, payload)
 
-    # -- delivery -----------------------------------------------------------
 
-    def _deliver(self, envelope: Envelope) -> None:
-        if envelope.dest in self._dropped_destinations:
-            return
-        handler = self._handlers.get(envelope.dest)
-        if handler is None:
-            return
-        handler(envelope)
+def _undeliverable(envelope: Envelope) -> None:
+    """The delivery of a message sent to a pid with no registered handler."""

@@ -132,8 +132,9 @@ class Recorder(ABC):
 
     #: Round the engine is waiting for, or None when no target is armed.
     _round_target: Optional[int] = None
-    #: Real time at which the target round first completed, or None.
-    _round_reached_at: Optional[float] = None
+    #: When the armed target round first completed (None while it has not);
+    #: a plain attribute, because the engine's stop rule reads it per event.
+    round_reached_at: Optional[float] = None
     #: Largest round every honest process can still complete: once an honest
     #: process crashes, no round above its progress is ever completed by all.
     _crash_ceiling: float = math.inf
@@ -155,14 +156,9 @@ class Recorder(ABC):
         """
         return (
             self._round_target is not None
-            and self._round_reached_at is None
+            and self.round_reached_at is None
             and self._crash_ceiling < self._round_target
         )
-
-    @property
-    def round_reached_at(self) -> Optional[float]:
-        """When the armed target round completed (None while it has not)."""
-        return self._round_reached_at
 
     def set_round_target(self, target: Optional[int], now: float = 0.0) -> None:
         """Arm (or with ``None`` disarm) completion tracking of ``target``.
@@ -172,18 +168,18 @@ class Recorder(ABC):
         completing resynchronization via :meth:`_check_round_target`.
         """
         self._round_target = target
-        self._round_reached_at = None
+        self.round_reached_at = None
         if target is not None and self.min_completed_round() >= target:
-            self._round_reached_at = now
+            self.round_reached_at = now
 
     def _check_round_target(self, time: float) -> None:
         """Record ``time`` as the completion instant if the target is now met."""
         if (
             self._round_target is not None
-            and self._round_reached_at is None
+            and self.round_reached_at is None
             and self.min_completed_round() >= self._round_target
         ):
-            self._round_reached_at = time
+            self.round_reached_at = time
 
     # -- full-trace access (only meaningful for history-keeping recorders) ----
 

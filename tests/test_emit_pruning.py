@@ -114,12 +114,18 @@ def test_pruning_changes_nothing_observed(cell_id, trace_level, monkeypatch):
 
 
 def test_scenario_run_span_reports_events_and_pruned(monkeypatch):
-    pops = []
-    pop = EventQueue.pop
-    monkeypatch.setattr(EventQueue, "pop", lambda queue: pops.append(queue) or pop(queue))
+    popped = []  # what each EventQueue.pop_until call returned, in call order
+    pop_until = EventQueue.pop_until
+
+    def spy(queue, limit):
+        event = pop_until(queue, limit)
+        popped.append(event)
+        return event
+
+    monkeypatch.setattr(EventQueue, "pop_until", spy)
     scenario = auth("skew_max", kernel="event")
     plain = run_scenario(scenario, trace_level="metrics")
-    fired_untraced = len(pops)
+    untraced = list(popped)
     obs.enable()
     try:
         traced = run_scenario(scenario, trace_level="metrics")
@@ -128,8 +134,11 @@ def test_scenario_run_span_reports_events_and_pruned(monkeypatch):
         obs.disable()
     assert traced == plain  # float-neutral
     assert len(spans) == 1
-    # The run loops pop only after peek_time saw a live event: one pop, one event fired.
-    assert spans[0].attrs["events"] == fired_untraced == len(pops) - fired_untraced
+    # pop_until is the run loops' one pop path: one pop, one event fired (a
+    # last call may find nothing due, which ends the run).
+    for calls in (untraced, popped[len(untraced):]):
+        assert None not in calls[:-1]
+        assert spans[0].attrs["events"] == sum(event is not None for event in calls)
     assert 0 < spans[0].attrs["pruned"] < spans[0].attrs["events"]
 
 

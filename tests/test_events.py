@@ -103,6 +103,17 @@ def test_pop_empty_returns_none():
     assert EventQueue().pop() is None
 
 
+def test_pop_until_drops_cancelled_heads_and_keeps_a_later_live_head():
+    queue = EventQueue()
+    early = queue.push(1.0, lambda: None)
+    late = queue.push(2.0, lambda: None)
+    queue.cancel(early)
+    assert queue.pop_until(1.5) is None
+    assert len(queue) == 1 and queue.peek_time() == 2.0
+    assert queue.pop_until(2.0) is late and late.popped
+    assert len(queue) == 0 and queue.pop_until(float("inf")) is None
+
+
 def test_clear_drops_everything():
     queue = EventQueue()
     for i in range(3):
@@ -186,13 +197,19 @@ def test_cancelling_random_subset_preserves_order(times, data):
             # Few distinct times, so ties (decided by push order) are common.
             st.tuples(st.just("push"), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
             st.tuples(st.just("pop"), st.none()),
+            # Limits on and between the push times, below and above all of them.
+            st.tuples(st.just("pop_until"), st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])),
             st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=200)),
         ),
         max_size=200,
     )
 )
 def test_interleaved_push_pop_cancel_matches_sorted_model(ops):
-    """Pops come out in (time, push order) whatever pops and cancels interleave."""
+    """Pops come out in (time, push order) whatever pops and cancels interleave.
+
+    ``pop_until(limit)`` pops the same next event when it fires at or before
+    ``limit`` and leaves the queue as it was (bar cancelled heads) otherwise.
+    """
     queue = EventQueue()
     handles = []  # every event ever pushed, in push order (index == seq)
     live = set()  # indices still pending in the model
@@ -207,7 +224,9 @@ def test_interleaved_push_pop_cancel_matches_sorted_model(ops):
                 live.discard(index)
         else:
             expected = min(live, key=lambda i: (handles[i].time, i), default=None)
-            event = queue.pop()
+            if op == "pop_until" and expected is not None and handles[expected].time > arg:
+                expected = None  # the next live event is not due yet
+            event = queue.pop() if op == "pop" else queue.pop_until(arg)
             assert event is (None if expected is None else handles[expected])
             live.discard(expected)
         assert len(queue) == len(live)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.core.messages import InitMessage
+from repro.sim.clocks import FixedRateClock
 from repro.sim.engine import Simulation
 from repro.sim.network import (
     Envelope,
@@ -17,6 +18,7 @@ from repro.sim.network import (
     TargetedDelay,
     UniformDelay,
 )
+from repro.sim.process import Process
 
 
 class Collector:
@@ -122,19 +124,41 @@ def test_multicast_targets_only_listed():
 
 
 def test_unregister_stops_delivery():
+    # It stops messages sent after it; one already in flight keeps its handler.
     sim, sinks = make_net(FixedDelay(0.001))
+    sim.network.send(0, 1, "in flight")
     sim.network.unregister(1)
     sim.network.send(0, 1, "x")
+    assert len(sim.queue) == 2  # one delivery event per message either way
     sim.run_until(1.0)
-    assert sinks[1].received == []
+    assert [payload for _, _, payload in sinks[1].received] == ["in flight"]
+
+
+class Inbox(Process):
+    """A process that keeps every payload delivered to it."""
+
+    def __init__(self, pid):
+        super().__init__(pid)
+        self.received = []
+
+    def on_message(self, sender, payload):
+        self.received.append(payload)
 
 
 def test_drop_deliveries_to_models_crash():
-    sim, sinks = make_net(FixedDelay(0.001))
-    sim.network.drop_deliveries_to(2)
-    sim.network.send(0, 2, "x")
+    # A crash is Process.halt: deliveries already in flight to the halted
+    # process still reach its handler, which ignores them.
+    sim = Simulation(delay_policy=FixedDelay(0.004))
+    inboxes = [sim.add_process(Inbox(pid), FixedRateClock()) for pid in range(3)]
+    sim.run_until(0.0)  # every process booted
+    sim.network.broadcast(0, "in flight")
+    sim.schedule_at(0.002, inboxes[2].halt)
+    sim.run_until(0.003)
+    sim.network.broadcast(0, "after the crash")
     sim.run_until(1.0)
-    assert sinks[2].received == []
+    assert inboxes[1].received == ["in flight", "after the crash"]
+    assert inboxes[2].received == [] and inboxes[2].halted
+    assert sim.network.participants() == [0, 1, 2]  # still registered: halting is the crash
 
 
 def test_stats_count_messages_by_sender_and_type():

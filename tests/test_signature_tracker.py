@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.broadcast.authenticated import SignatureTracker
 from repro.core.messages import RoundContent
-from repro.crypto.signatures import KeyStore, digest_cache_info, forge_attempt, sign
+from repro.crypto.signatures import (
+    KeyStore,
+    Signature,
+    digest_cache_info,
+    forge_attempt,
+    message_digest,
+    sign,
+)
 
 
 def make_tracker(n=5, threshold=3, seed=0, **kwargs):
@@ -84,7 +91,7 @@ def test_add_many_out_of_window_bundle_touches_no_signature():
     stale = [sign(pki.secret_key(i), RoundContent(4)) for i in range(3)]
     beyond = [sign(pki.secret_key(i), RoundContent(16)) for i in range(3)]
     verified = []
-    pki.verify = lambda *args, **kwargs: verified.append(args) or True
+    pki.verify = pki.verify_digest = lambda *args, **kwargs: verified.append(args) or True
     before = digest_cache_info()
     assert tracker.add_many(4, stale) == 0
     assert tracker.add_many(16, beyond) == 0
@@ -160,6 +167,58 @@ def test_reached_rounds_respects_minimum():
     tracker.add(5, sign(pki.secret_key(0), RoundContent(5)))
     assert tracker.reached_rounds() == [1, 5]
     assert tracker.reached_rounds(minimum_round=2) == [5]
+
+
+# -- the per-round digest memo: the statement is hashed once, every signature still checked --
+
+
+def test_forged_signature_on_a_memoized_round_is_rejected():
+    pki, tracker = make_tracker(threshold=2)
+    assert tracker.add(1, sign(pki.secret_key(0), RoundContent(1)))  # round 1 is now memoized
+    assert tracker._digests == {1: message_digest(RoundContent(1))}
+    for guess in (0, 12345):
+        forged = forge_attempt(2, RoundContent(1), guess=guess)
+        assert forged.digest == tracker._digests[1]  # the right statement, a wrong tag
+        assert not tracker.add(1, forged)
+        assert tracker.add_many(1, [forged]) == 0
+    assert tracker.support(1) == 1 and not tracker.has_signer(1, 2)
+
+
+def test_valid_round_k_signature_offered_for_round_k_plus_1_is_rejected():
+    pki, tracker = make_tracker(threshold=1)
+    genuine = sign(pki.secret_key(0), RoundContent(3))
+    assert tracker.add(3, genuine)
+    assert tracker.add(4, sign(pki.secret_key(1), RoundContent(4)))  # both rounds memoized
+    assert not tracker.add(4, genuine)
+    assert tracker.add_many(4, [genuine]) == 0
+    assert not tracker.has_signer(4, 0) and tracker.has_signer(3, 0)
+
+
+def test_unknown_signer_is_rejected_on_a_memoized_round():
+    pki, tracker = make_tracker(n=5, threshold=1)
+    wider = KeyStore.generate(9, seed=0)  # the same secrets for pids 0..4, plus pids 5..8
+    assert tracker.add(1, sign(pki.secret_key(0), RoundContent(1)))
+    stranger = sign(wider.secret_key(8), RoundContent(1))
+    assert wider.verify(stranger, RoundContent(1))
+    own = sign(pki.secret_key(0), RoundContent(1))
+    relabelled = Signature(signer=8, digest=own.digest, tag=own.tag)
+    for signature in (stranger, relabelled):
+        assert not tracker.add(1, signature)
+        assert tracker.add_many(1, [signature]) == 0
+    assert [s.signer for s in tracker.signatures(1)] == [0]
+
+
+def test_set_floor_prunes_the_digest_memo():
+    pki, tracker = make_tracker(threshold=1, max_round_lookahead=10)
+    for round_ in range(1, 6):
+        assert tracker.add(round_, sign(pki.secret_key(0), RoundContent(round_)))
+    assert tracker._digests == {r: message_digest(RoundContent(r)) for r in range(1, 6)}
+    tracker.set_floor(4)
+    assert sorted(tracker._digests) == [4, 5]
+    # Out-of-window rounds never enter it.
+    assert not tracker.add(2, sign(pki.secret_key(1), RoundContent(2)))
+    assert tracker.add_many(100, [sign(pki.secret_key(1), RoundContent(100))]) == 0
+    assert sorted(tracker._digests) == [4, 5]
 
 
 @given(

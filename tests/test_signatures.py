@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -117,6 +119,35 @@ def test_verify_hashes_the_tag_once_per_signed_statement(pki, monkeypatch):
     for _ in range(5):
         assert all(pki.verify(sig, messages[k]) for (_, k), sig in sigs.items())
     assert len(calls) == len(sigs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_verify_is_verify_digest_on_the_message_digest(seed):
+    # Genuine, forged, relabelled, tampered, wrong-statement and unknown-signer
+    # signatures against matching and non-matching messages, in a seeded order.
+    rng = random.Random(seed)
+    pki, rogue = KeyStore.generate(4, seed=seed), KeyStore.generate(6, seed=seed + 100)
+    messages = [RoundContent(k) for k in range(4)] + [(1, "a"), ("b", 2.5)]
+    signatures = []
+    for message in messages:
+        genuine = sign(pki.secret_key(rng.randrange(4)), message)
+        signatures += [
+            genuine,
+            forge_attempt(rng.randrange(4), message, guess=rng.randrange(1000)),
+            Signature(signer=(genuine.signer + 1) % 4, digest=genuine.digest, tag=genuine.tag),
+            Signature(signer=genuine.signer, digest=genuine.digest, tag=genuine.tag[::-1]),
+            sign(rogue.secret_key(5), message),
+        ]
+    pairs = [(signature, message) for signature in signatures for message in messages]
+    rng.shuffle(pairs)
+    verdicts = [pki.verify(signature, message) for signature, message in pairs]
+    assert verdicts == [pki.verify_digest(signature, message_digest(message)) for signature, message in pairs]
+    assert sum(verdicts) == len(messages)  # exactly the genuine signature on its own message
+    for signature, message in pairs[:40]:
+        for claimed in range(4):
+            assert pki.verify(signature, message, claimed_signer=claimed) == (
+                signature.signer == claimed and pki.verify_digest(signature, message_digest(message))
+            )
 
 
 def test_participants_and_membership(pki):
