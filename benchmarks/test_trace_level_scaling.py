@@ -54,8 +54,8 @@ def test_metrics_memory_constant_in_run_length(benchmark):
     The one deliberate exception is the window-rate sample buffer (exact
     window extremes need the steady-window breakpoint samples): it grows with
     the number of *resynchronizations* -- two floats per adjustment, nothing
-    per message -- and vanishes under ``window_rates=False``.  The core
-    bookkeeping that is touched per event stays exactly constant.
+    per message.  The core bookkeeping that is touched per event stays
+    exactly constant.
     """
     short_rounds = 3 if QUICK_DEFAULT else 6
     long_rounds = 4 * short_rounds

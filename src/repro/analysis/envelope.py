@@ -208,12 +208,11 @@ def combined_window_extremes(
     process; the minimum window is a quarter of ``[t_start, t_end]`` -- the
     same availability rule :func:`accuracy_summary` applies -- and a process
     whose samples admit no window of that width contributes its long-run rate
-    (the fallback :func:`rate_extremes` uses).  Both the streaming recorder's
-    ``finalize`` (a single cell) and a merged summary's
-    :meth:`~repro.sim.recorder.OnlineMetricsSummary.compact` (once per
-    replicated result) fold through this one function, so a merged summary's
-    window rates are float-for-float what a single recorder observing every
-    process over the combined interval would report.  Returns ``None`` when
+    (the fallback :func:`rate_extremes` uses).  Its one caller is
+    :meth:`~repro.sim.recorder.OnlineMetricsSummary.compact`, once per
+    result, single cell or merged, so a merged summary's window rates are
+    float-for-float what a single recorder observing every process over the
+    combined interval would report.  Returns ``None`` when
     the interval is empty or no process contributed samples.
     """
     if t_end <= t_start or not samples:

@@ -1,4 +1,4 @@
-"""Unified telemetry: span tracing, mergeable metrics, exporters.
+"""Unified telemetry: span tracing, metrics that merge across processes, exporters.
 
 This package is the one observability surface for the whole stack --
 sweep runner, executor fleet, shard fold, vector/event kernels, result

@@ -1,4 +1,4 @@
-"""The mergeable metrics registry: counters, gauges and histograms.
+"""The metrics registry: counters, gauges and histograms that merge across processes.
 
 One :class:`MetricsRegistry` per process (or per worker task); snapshots are
 plain dicts that merge through the same kind of exact associative algebra as

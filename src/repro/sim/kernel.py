@@ -1,7 +1,7 @@
 """Kernel selection: which engine steps a scenario, and when the vector one may.
 
-PRs 1-5 built the scaling spine (recorder seam, adaptive horizons, mergeable
-summaries, shards, distributed executors), but every worker still stepped the
+PRs 1-5 built the scaling spine (recorder seam, adaptive horizons, a summary
+merge algebra, shards, distributed executors), but every worker still stepped the
 pure-Python discrete-event loop, so single-run latency caps the large scaling
 grids.  This module is the *policy* half of the batched NumPy kernel: it
 decides, per scenario, whether the vectorized round-level evaluator

@@ -27,8 +27,8 @@ Two implementations ship here:
 * :class:`OnlineMetricsRecorder` streams the worst-case-exact scalar metrics
   (precision, accuracy envelope, window-rate extremes, rounds, message
   counts), evaluating logical clocks at exactly the same breakpoints the
-  post-hoc analysis would.  Apart from an optional per-resynchronization
-  sample buffer for the window-rate extremes, it retains no history.  Its
+  post-hoc analysis would.  Apart from a per-resynchronization sample
+  buffer for the window-rate extremes, it retains no history.  Its
   results are float-for-float identical to the full-trace pipeline for every
   metric it reports (see ``tests/test_recorder_parity.py``).
 
@@ -40,8 +40,8 @@ moment the target round completes with no O(n) round scan per event.
 The recorder seam is where execution backends beyond the single in-process
 engine plug in without touching the analysis layer: the sharded backend
 (:mod:`repro.runner.sharded`) runs independent replications in worker
-processes, each under its own ``OnlineMetricsRecorder(mergeable=True)``, and
-folds the resulting :class:`OnlineMetricsSummary` objects through the
+processes, each under its own ``OnlineMetricsRecorder``, and folds the
+resulting :class:`OnlineMetricsSummary` objects through the
 associative :meth:`OnlineMetricsSummary.merge` / :func:`merge_summaries`
 algebra -- max-combining worst-case skews and envelope constants,
 min-combining the completed round, summing message counts, and concatenating
@@ -321,8 +321,7 @@ class _ProcState:
         self.env_drawdown = 0.0
         self.env_min_h = float("inf")
         self.env_rise = 0.0
-        # Steady-window breakpoint samples retained for the exact window-rate
-        # pass (empty unless the recorder tracks window rates).
+        # Steady-window breakpoint samples retained for the window-rate pass.
         self.win_t: list = []
         self.win_v: list = []
 
@@ -338,10 +337,10 @@ class OnlineMetricsSummary:
     steady-window breakpoint samples and runs the same hull-bounded
     maximum-average-segment pass the post-hoc analysis uses
     (:func:`repro.analysis.envelope.window_rate_extremes`), so they too are
-    float-for-float identical.  They are ``None`` when the recorder was built
-    with ``window_rates=False`` or the steady interval is empty -- and on a
-    mergeable summary (one carrying :attr:`window_samples`) until
-    :meth:`compact` derives them, once per result.
+    float-for-float identical.  They are ``None`` on every summary that still
+    carries :attr:`window_samples` -- a finalized one, or a fold of them --
+    until :meth:`compact` derives them, once per result, and stay ``None``
+    when the steady interval is empty.
 
     Summaries form a merge algebra (see :meth:`merge` /
     :func:`merge_summaries`): summaries of *independent* executions -- the
@@ -380,9 +379,8 @@ class OnlineMetricsSummary:
     #: One ``(times, values, long_run_rate)`` triple per honest process --
     #: the steady-window breakpoint samples the window-rate hull pass runs
     #: over, retained so :meth:`merge` can concatenate them and
-    #: :meth:`compact` run that pass once over the union.  ``None`` unless
-    #: the recorder was built with ``mergeable=True``; compacting strips it,
-    #: so final results stay lean.
+    #: :meth:`compact` run that pass once over the union.  Compacting strips
+    #: it (``None``), so final results stay lean.
     window_samples: Optional[tuple] = None
     #: Every K-th message's :class:`MessageSample`, in send order; ``None``
     #: unless the recorder was built with ``sample_messages=K``.  Merging
@@ -436,18 +434,19 @@ class OnlineMetricsSummary:
     def compact(self) -> "OnlineMetricsSummary":
         """This summary in final form: window-rate extremes derived, samples dropped.
 
-        The one place a sample-carrying (mergeable) summary's
-        ``slowest_window_rate`` / ``fastest_window_rate`` are computed: the
-        exact hull pass
+        The one place ``slowest_window_rate`` / ``fastest_window_rate`` are
+        computed: the exact hull pass
         (:func:`repro.analysis.envelope.combined_window_extremes`) over the
-        retained samples with this summary's steady interval.  A summary
-        without retained samples is returned unchanged.
+        retained samples with this summary's steady interval.  An already
+        compacted summary is returned unchanged.
         """
         if self.window_samples is None:
             return self
         import dataclasses
 
-        # Deferred import, mirroring finalize(): analysis imports this module.
+        # Deferred import: the analysis package imports this module (for
+        # OnlineMetricsSummary), so the hull pass cannot be a top-level
+        # dependency without creating an import cycle.
         from ..analysis.envelope import combined_window_extremes
 
         extremes = combined_window_extremes(self.window_samples, self.steady_start, self.end_time)
@@ -497,32 +496,16 @@ def merge_summaries(summaries) -> OnlineMetricsSummary:
     concatenation) and the window-rate pass sees only raw samples, so the
     fold is associative and -- up to the order of the concatenated sequences
     -- commutative: any shard grouping of the same replications produces
-    float-for-float the same summary.  When some input lacks retained samples
-    (``mergeable=False``), the window-rate extremes fall back to
-    min/max-combining the per-summary values -- each sample-carrying input
-    contributing its own :meth:`~OnlineMetricsSummary.compact` extremes --
-    and the merged summary cannot re-derive them on later folds.
+    float-for-float the same summary.  A compacted input has dropped its
+    samples and cannot be folded further.
     """
     summaries = list(summaries)
     if not summaries:
         raise ValueError("merge_summaries needs at least one summary")
     if len(summaries) == 1:
         return summaries[0]
-
-    end_time = max(s.end_time for s in summaries)
-    steady_start = max(s.steady_start for s in summaries)
-
-    if all(s.window_samples is not None for s in summaries):
-        window_samples: Optional[tuple] = tuple(
-            entry for s in summaries for entry in s.window_samples
-        )
-        slowest_win = fastest_win = None  # derived by compact()
-    else:
-        window_samples = None
-        # A sample-carrying input has no extremes yet: derive its own first.
-        final = [s.compact() for s in summaries]
-        slowest_win = _opt_min(s.slowest_window_rate for s in final)
-        fastest_win = _opt_max(s.fastest_window_rate for s in final)
+    if any(s.window_samples is None for s in summaries):
+        raise ValueError("merge_summaries folds uncompacted summaries; compact() only the final result")
 
     message_stats: dict = {}
     for s in summaries:
@@ -537,8 +520,8 @@ def merge_summaries(summaries) -> OnlineMetricsSummary:
         )
 
     return OnlineMetricsSummary(
-        end_time=end_time,
-        steady_start=steady_start,
+        end_time=max(s.end_time for s in summaries),
+        steady_start=max(s.steady_start for s in summaries),
         steady_skew=max(s.steady_skew for s in summaries),
         overall_skew=max(s.overall_skew for s in summaries),
         period_min=min(s.period_min for s in summaries),
@@ -552,15 +535,15 @@ def merge_summaries(summaries) -> OnlineMetricsSummary:
         liveness_triples=tuple(t for s in summaries for t in s.liveness_triples),
         slowest_long_run_rate=_opt_min(s.slowest_long_run_rate for s in summaries),
         fastest_long_run_rate=_opt_max(s.fastest_long_run_rate for s in summaries),
-        slowest_window_rate=slowest_win,
-        fastest_window_rate=fastest_win,
+        slowest_window_rate=None,  # derived by compact()
+        fastest_window_rate=None,
         envelope_a=_opt_max(s.envelope_a for s in summaries),
         envelope_b=_opt_max(s.envelope_b for s in summaries),
         worst_offset_from_real_time=_opt_max(s.worst_offset_from_real_time for s in summaries),
         total_messages=sum(s.total_messages for s in summaries),
         message_stats=message_stats,
         notes=[note for s in summaries for note in s.notes],
-        window_samples=window_samples,
+        window_samples=tuple(entry for s in summaries for entry in s.window_samples),
         message_samples=message_samples,
     )
 
@@ -591,24 +574,17 @@ class OnlineMetricsRecorder(Recorder):
     (scenarios pass the model's admissible hardware rates); when omitted the
     envelope constants are reported as ``None``.
 
-    ``window_rates`` controls the one measurement that inherently needs
-    history: the extreme average rates over windows of at least a quarter of
-    the steady interval.  When on (the default), the recorder retains the
-    steady-window breakpoint samples -- two floats per adjustment plus one
-    per hardware-clock rate change, so memory grows with the number of
-    resynchronizations, never with the event count -- and feeds them through
-    the same :func:`~repro.analysis.envelope.window_rate_extremes` hull pass
-    the post-hoc analysis uses.  ``window_rates=False`` restores strictly
-    run-length-independent memory and reports the extremes as ``None``.
-
-    ``mergeable`` makes the finalized summary carry its retained per-process
-    window samples (:attr:`OnlineMetricsSummary.window_samples`) instead of
-    the window-rate extremes: ``finalize`` runs no hull pass, and the
-    summary's extremes stay ``None`` until
-    :meth:`OnlineMetricsSummary.compact` runs it over whatever union of
-    executions the summary has been merged into; it requires
-    ``window_rates=True``.  The sharded backend runs every replication under
-    a mergeable recorder and compacts the final folded summary once.
+    One measurement inherently needs history: the extreme average rates over
+    windows of at least a quarter of the steady interval.  The recorder
+    retains the steady-window breakpoint samples -- two floats per
+    adjustment plus one per hardware-clock rate change, so memory grows with
+    the number of resynchronizations, never with the event count -- and
+    ``finalize`` hands them over in
+    :attr:`OnlineMetricsSummary.window_samples` with the extremes ``None``.
+    :meth:`OnlineMetricsSummary.compact` runs the same
+    :func:`~repro.analysis.envelope.window_rate_extremes` hull pass the
+    post-hoc analysis uses, once per result, over whatever union of
+    executions the summary has been merged into.
 
     ``sample_messages=K`` turns on the sampling message trace: every K-th
     network message is retained as a :class:`MessageSample` (sender,
@@ -629,20 +605,14 @@ class OnlineMetricsRecorder(Recorder):
         self,
         rate_low: Optional[float] = None,
         rate_high: Optional[float] = None,
-        window_rates: bool = True,
-        mergeable: bool = False,
         sample_messages: Optional[int] = None,
     ) -> None:
         if (rate_low is None) != (rate_high is None):
             raise ValueError("rate_low and rate_high must be given together")
-        if mergeable and not window_rates:
-            raise ValueError("mergeable summaries require window_rates=True")
         if sample_messages is not None and sample_messages < 1:
             raise ValueError(f"sample_messages must be at least 1 (or None to disable), got {sample_messages}")
         self.rate_low = rate_low
         self.rate_high = rate_high
-        self.window_rates = window_rates
-        self.mergeable = mergeable
         self.sample_messages = sample_messages
         self._messages_seen = 0
         self._message_samples: list[MessageSample] = []
@@ -736,12 +706,11 @@ class OnlineMetricsRecorder(Recorder):
 
     def _env_sample(self, proc: _ProcState, t: float, value: float) -> None:
         """Feed one breakpoint sample into the per-process envelope recursion."""
-        if self.window_rates:
-            # Retain the steady-window samples for the exact window-rate pass
-            # at finalize -- the same (time, value) stream the post-hoc
-            # analysis enumerates via _clock_samples.
-            proc.win_t.append(t)
-            proc.win_v.append(value)
+        # Retain the steady-window samples for the exact window-rate pass --
+        # the same (time, value) stream the post-hoc analysis enumerates via
+        # _clock_samples.
+        proc.win_t.append(t)
+        proc.win_v.append(value)
         offset = abs(value - t)
         if offset > self._worst_offset:
             self._worst_offset = offset
@@ -1022,47 +991,26 @@ class OnlineMetricsRecorder(Recorder):
             self._steady_skew = self._skew(end_time)
 
         slowest_lr = fastest_lr = envelope_a = envelope_b = worst_offset = None
-        slowest_win = fastest_win = None
-        window_samples: Optional[tuple] = () if self.mergeable else None
+        entries = []
         if steady_reached and end_time > self._steady_start:
-            # Deferred import: the analysis package imports this module (for
-            # OnlineMetricsSummary), so the hull pass cannot be a top-level
-            # dependency without creating an import cycle.
-            from ..analysis.envelope import combined_window_extremes
-
             span = end_time - self._steady_start
             slowest_lr = math.inf
             fastest_lr = -math.inf
             envelope_a = 0.0
             envelope_b = 0.0
-            entries = []
             for proc in self._honest:
                 value = proc.clock.read(end_time) + proc.adj
                 self._env_sample(proc, end_time, value)
                 rate = (value - proc.value_at_steady) / span
                 slowest_lr = min(slowest_lr, rate)
                 fastest_lr = max(fastest_lr, rate)
-                if self.window_rates:
-                    # The hull pass falls back to the long-run rate for a
-                    # process whose samples admit no quarter-span window,
-                    # exactly like the post-hoc analysis.  Only mergeable
-                    # summaries retain the samples, so only they pay for
-                    # immutable copies.
-                    if self.mergeable:
-                        entries.append((tuple(proc.win_t), tuple(proc.win_v), rate))
-                    else:
-                        entries.append((proc.win_t, proc.win_v, rate))
+                # The long-run rate is the hull pass's fallback for a process
+                # whose samples admit no quarter-span window, exactly like the
+                # post-hoc analysis.
+                entries.append((tuple(proc.win_t), tuple(proc.win_v), rate))
                 if self.rate_low is not None:
                     envelope_a = max(envelope_a, proc.env_drawdown)
                     envelope_b = max(envelope_b, proc.env_rise)
-            if self.mergeable:
-                # The extremes of a mergeable summary are derived once per
-                # result, by compact(), over whatever union it ends up in.
-                window_samples = tuple(entries)
-            elif self.window_rates:
-                extremes = combined_window_extremes(entries, self._steady_start, end_time)
-                if extremes is not None:
-                    slowest_win, fastest_win = extremes
             if self.rate_low is None:
                 envelope_a = envelope_b = None
             worst_offset = self._worst_offset
@@ -1087,15 +1035,15 @@ class OnlineMetricsRecorder(Recorder):
             liveness_triples=triples,
             slowest_long_run_rate=slowest_lr,
             fastest_long_run_rate=fastest_lr,
-            slowest_window_rate=slowest_win,
-            fastest_window_rate=fastest_win,
+            slowest_window_rate=None,  # derived by compact()
+            fastest_window_rate=None,
             envelope_a=envelope_a,
             envelope_b=envelope_b,
             worst_offset_from_real_time=worst_offset,
             total_messages=network_stats.total_messages,
             message_stats=dict(network_stats.messages_by_type),
             notes=list(self._notes),
-            window_samples=window_samples,
+            window_samples=tuple(entries),
             message_samples=tuple(self._message_samples) if self.sample_messages is not None else None,
         )
         self._finalized = (end_time, summary)
@@ -1108,10 +1056,10 @@ class OnlineMetricsRecorder(Recorder):
 
         Used by tests and benchmarks to demonstrate that the streaming core
         stays O(n): unlike a full trace, this count does not grow with run
-        length.  The optional window-rate sample buffer is accounted
-        separately (:meth:`retained_window_samples`) because it necessarily
-        grows with the number of resynchronizations -- though never with the
-        event count, and not at all under ``window_rates=False``.
+        length.  The window-rate sample buffer is accounted separately
+        (:meth:`retained_window_samples`) because it necessarily grows with
+        the number of resynchronizations -- though never with the event
+        count.
         """
         return (
             len(self._procs)
@@ -1124,10 +1072,9 @@ class OnlineMetricsRecorder(Recorder):
     def retained_window_samples(self) -> int:
         """Breakpoint samples retained for the exact window-rate pass.
 
-        Zero with ``window_rates=False``; otherwise two samples per
-        adjustment plus one per hardware-clock rate change inside the steady
-        window (proportional to rounds completed, independent of how many
-        messages each round took).
+        Two samples per adjustment plus one per hardware-clock rate change
+        inside the steady window (proportional to rounds completed,
+        independent of how many messages each round took).
         """
         return sum(len(proc.win_t) for proc in self._procs.values())
 

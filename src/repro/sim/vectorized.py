@@ -696,13 +696,12 @@ class _LaneAssembly:
     """Phase 2 + replay for one lane: exact timeline, stats, recorder feed."""
 
     def __init__(self, layout: _Layout, rounds: list, lane_offsets: list,
-                 clocks, mergeable, sample_messages):
+                 clocks, sample_messages):
         self.layout = layout
         self.rounds = rounds
         self.lane_offsets = lane_offsets
         #: The lane's reconstructed drifting clocks, or ``None`` (fixed rate).
         self.clocks = clocks
-        self.mergeable = mergeable
         self.sample_messages = sample_messages
         self.batches: list = []
         self.eager_batches: list = []
@@ -744,7 +743,7 @@ class _LaneAssembly:
         self.batches.sort(key=_send_order)
         return _finalize_lane(
             self.layout, self.lane_offsets, self.batches, self.emissions,
-            t_star, self.mergeable, self.sample_messages, clocks=self.clocks,
+            t_star, self.sample_messages, clocks=self.clocks,
         )
 
     def _create_eager_batches(self, t_star):
@@ -930,7 +929,7 @@ def _unread_delay(bits: int, p: int, tmin: float, tdel: float) -> float:
 
 
 def _finalize_lane(layout, lane_offsets, batches, emissions, t_star,
-                   mergeable, sample_messages, clocks=None) -> LaneOutcome:
+                   sample_messages, clocks=None) -> LaneOutcome:
     """Shared finalization of one served lane (both vector engines).
 
     ``batches`` must already be in the event loop's ``(time, seq)`` send
@@ -976,7 +975,6 @@ def _finalize_lane(layout, lane_offsets, batches, emissions, t_star,
     recorder = OnlineMetricsRecorder(
         rate_low=params.min_rate,
         rate_high=params.max_rate,
-        mergeable=mergeable,
         sample_messages=sample_messages,
     )
     for i, pid in enumerate(layout.honest_pids):
@@ -1043,10 +1041,9 @@ class _ExactReplay:
     floats.
     """
 
-    def __init__(self, layout: _Layout, scenario, mergeable):
+    def __init__(self, layout: _Layout, scenario):
         self.layout = layout
         self.scenario = scenario
-        self.mergeable = mergeable
         self.sample_messages = scenario.sample_messages
         self.n = layout.n
         self.h = layout.h
@@ -1420,8 +1417,8 @@ class _ExactReplay:
                 self.events = events
                 return _finalize_lane(
                     self.layout, self.lane_offsets, self.batches,
-                    self.emissions, self.now, self.mergeable,
-                    self.sample_messages, clocks=self.clocks,
+                    self.emissions, self.now, self.sample_messages,
+                    clocks=self.clocks,
                 )
 
 
@@ -1471,20 +1468,19 @@ def _refuse(outcomes: list, indices, exc: Exception) -> None:
         outcomes[i] = LaneOutcome(fallback=reason)
 
 
-def run_lanes(scenarios, *, mergeable: bool = False) -> list:
+def run_lanes(scenarios) -> list:
     """Evaluate single-replication scenarios on the vector kernel, as lanes.
 
     Every scenario must already have passed
     :func:`repro.sim.kernel.kernel_ineligibility` (metrics level); lanes
     sharing a family (same params/attack/modes/rounds, different seeds) run
     in lockstep off one static layout, whether they are one scenario's
-    replications or a chunk's cells (``mergeable`` says which; each lane
-    samples messages at its own rate).  Returns one :class:`LaneOutcome`
-    per scenario, in order: either a finalized
-    :class:`~repro.sim.recorder.OnlineMetricsSummary` float-identical to
-    the event loop's, or a ``fallback`` reason for the caller to re-run
-    that lane on the event loop (a falling-back lane never touches a
-    recorder, so no partial observation leaks).
+    replications or a chunk's cells (each lane samples messages at its own
+    rate).  Returns one :class:`LaneOutcome` per scenario, in order: either
+    a finalized :class:`~repro.sim.recorder.OnlineMetricsSummary`
+    float-identical to the event loop's, or a ``fallback`` reason for the
+    caller to re-run that lane on the event loop (a falling-back lane never
+    touches a recorder, so no partial observation leaks).
     """
     scenarios = list(scenarios)
     np = numpy_or_none()
@@ -1510,7 +1506,7 @@ def run_lanes(scenarios, *, mergeable: bool = False) -> list:
                 try:
                     with obs.span("kernel.replay") as sp:
                         sp.set("lane", i)
-                        replay = _ExactReplay(layout, group[pos], mergeable)
+                        replay = _ExactReplay(layout, group[pos])
                         outcomes[i] = replay.run()
                         sp.set("events", replay.events)
                         sp.set("pruned", replay.pruned)
@@ -1538,7 +1534,7 @@ def run_lanes(scenarios, *, mergeable: bool = False) -> list:
                     outcomes[i] = _LaneAssembly(
                         layout, rounds, offsets[pos],
                         drift.clocks[pos] if drift is not None else None,
-                        mergeable, group[pos].sample_messages,
+                        group[pos].sample_messages,
                     ).run()
             except Exception as exc:
                 _refuse(outcomes, [i], exc)

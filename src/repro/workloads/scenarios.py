@@ -519,17 +519,10 @@ def _make_faulty_processes(scenario: Scenario, context: AdversaryContext, keysto
     return make_faulty_processes(attack, context, algorithm=scenario.st_algorithm, keystore=keystore)
 
 
-def _make_recorder(
-    scenario: Scenario,
-    trace_level: str,
-    mergeable: bool = False,
-    sample_messages: Optional[int] = None,
-) -> Optional[Recorder]:
+def _make_recorder(scenario: Scenario, trace_level: str, sample_messages: Optional[int]) -> Optional[Recorder]:
     if trace_level not in TRACE_LEVELS:
         raise ValueError(f"unknown trace_level {trace_level!r}; expected one of {TRACE_LEVELS}")
     if trace_level == "full":
-        if mergeable:
-            raise ValueError("mergeable summaries require trace_level='metrics'")
         if sample_messages is not None:
             raise ValueError("sample_messages requires trace_level='metrics' (full traces keep every message)")
         return None  # the engine's default FullTraceRecorder
@@ -537,7 +530,6 @@ def _make_recorder(
     return OnlineMetricsRecorder(
         rate_low=params.min_rate,
         rate_high=params.max_rate,
-        mergeable=mergeable,
         sample_messages=sample_messages,
     )
 
@@ -545,26 +537,31 @@ def _make_recorder(
 def build_cluster(
     scenario: Scenario,
     trace_level: str = "full",
-    mergeable: bool = False,
+    mergeable: bool = True,
     sample_messages: Optional[int] = None,
 ) -> ClusterHandles:
     """Assemble a ready-to-run simulation for ``scenario``.
 
     ``trace_level`` selects the recorder the engine emits into: ``"full"``
     keeps the complete execution trace, ``"metrics"`` streams scalar metrics
-    in O(n) memory (no history retained).  ``mergeable`` (metrics level only)
-    makes the finalized summary carry the retained window samples the
-    shard-merge algebra folds over.  ``sample_messages=K`` (metrics level
-    only) retains every K-th message's
+    in O(n) memory (no history retained).  ``sample_messages=K`` (metrics
+    level only) retains every K-th message's
     :class:`~repro.sim.recorder.MessageSample` in the summary -- the
     lightweight message-level provenance distributed runs ship home.
+
+    ``mergeable`` selects nothing: every metrics-level summary carries the
+    window samples the merge algebra folds over.  The keyword is accepted
+    (``True`` only) because ``perfbench/layers.py`` passes it and only a
+    benchmark PR may edit that file.
     """
+    if not mergeable:
+        raise ValueError("every metrics summary carries its window samples; mergeable=False no longer exists")
     params = scenario.params
     sim = Simulation(
         tmin=params.tmin,
         tdel=params.tdel,
         seed=scenario.seed,
-        recorder=_make_recorder(scenario, trace_level, mergeable=mergeable, sample_messages=sample_messages),
+        recorder=_make_recorder(scenario, trace_level, sample_messages),
     )
 
     keystore: Optional[KeyStore] = None
@@ -697,6 +694,8 @@ def _measure_full(scenario: Scenario, trace: Trace, check: bool, stopped_early: 
 def _measure_streamed(
     scenario: Scenario, summary: OnlineMetricsSummary, check: bool, stopped_early: bool = False
 ) -> ScenarioResult:
+    """Measure a result from its summary; compacting it here derives the window-rate extremes once."""
+    summary = summary.compact()
     guarantees: Optional[GuaranteeReport] = None
     if check:
         guarantees = verify_summary(
@@ -709,16 +708,11 @@ def _measure_streamed(
     accuracy: Optional[AccuracySummary] = None
     rates = summary.long_run_rates(scenario.params.period)
     if rates is not None:
-        # The recorder retains the steady-window breakpoint samples and runs
-        # the same window-rate pass as the post-hoc analysis, so the extremes
-        # stream exactly; nan only appears when the recorder was built
-        # without window tracking.
-        nan = float("nan")
         accuracy = AccuracySummary(
             slowest_long_run_rate=rates[0],
             fastest_long_run_rate=rates[1],
-            slowest_window_rate=summary.slowest_window_rate if summary.slowest_window_rate is not None else nan,
-            fastest_window_rate=summary.fastest_window_rate if summary.fastest_window_rate is not None else nan,
+            slowest_window_rate=summary.slowest_window_rate,
+            fastest_window_rate=summary.fastest_window_rate,
             envelope_a=summary.envelope_a,
             envelope_b=summary.envelope_b,
             worst_offset_from_real_time=summary.worst_offset_from_real_time,
@@ -753,8 +747,8 @@ class ShardOutcome(NamedTuple):
     shard_index: int
     #: Global replication indices this shard ran, in execution order.
     replication_indices: tuple
-    #: Mergeable fold of the per-replication summaries (carries the retained
-    #: window samples so later folds stay exact).
+    #: Fold of the per-replication summaries (carries the retained window
+    #: samples so later folds stay exact).
     summary: OnlineMetricsSummary
     #: Whether every replication in the block ended before its static budget.
     stopped_early: bool
@@ -779,11 +773,11 @@ def _account_kernel_lanes(provenance: KernelProvenance) -> None:
             obs.event("kernel.fallback", {"reason": reason, "lanes": count})
 
 
-def _offer_lanes(scenarios: Sequence[Scenario], records: list, mergeable: bool) -> list:
+def _offer_lanes(scenarios: Sequence[Scenario], records: list) -> list:
     """Offer the lanes classified vector-served to the kernel, as one block.
 
     The one :func:`~repro.sim.vectorized.run_lanes` call behind cells and
-    replications alike (``mergeable`` says which).  Returns each lane's
+    replications alike.  Returns each lane's
     :class:`~repro.sim.vectorized.LaneOutcome` (``None`` for a lane never
     offered) and moves a refused lane's entry in ``records`` to the fallback
     bucket, so afterwards ``record.vector_lanes`` says whether the outcome
@@ -793,7 +787,7 @@ def _offer_lanes(scenarios: Sequence[Scenario], records: list, mergeable: bool) 
     offered = [i for i, record in enumerate(records) if record.vector_lanes]
     if not offered:
         return outcomes
-    for i, outcome in zip(offered, run_lanes([scenarios[i] for i in offered], mergeable=mergeable)):
+    for i, outcome in zip(offered, run_lanes([scenarios[i] for i in offered])):
         outcomes[i] = outcome
         if outcome.fallback is not None:
             # Cache-identity guard: the result cache keys on the *static*
@@ -812,15 +806,13 @@ def _offer_lanes(scenarios: Sequence[Scenario], records: list, mergeable: bool) 
     return outcomes
 
 
-def _run_on_event_loop(scenario: Scenario, trace_level: str, mergeable: bool, note: Optional[str]):
+def _run_on_event_loop(scenario: Scenario, trace_level: str, note: Optional[str]):
     """Run one lane on the event loop; return what it observed and the finished simulation.
 
     ``note`` is the caller's fallback annotation (a shard words it for all
     its lanes with one reason, a cell for itself); this only records it.
     """
-    sim = build_cluster(
-        scenario, trace_level=trace_level, mergeable=mergeable, sample_messages=scenario.sample_messages
-    ).sim
+    sim = build_cluster(scenario, trace_level=trace_level, sample_messages=scenario.sample_messages).sim
     if note is not None:
         sim.recorder.on_note(note)
     observed = sim.run_until_round(
@@ -837,10 +829,10 @@ def run_shard(scenario: Scenario, shard_index: int, replication_indices: Sequenc
 
     This is the worker-side unit of the sharded backend (and the building
     block of the serial reference path): each replication is a lane at
-    metrics level under a mergeable recorder.  The lanes the classifier
-    allows are evaluated together on the vector kernel
-    (:func:`repro.sim.vectorized.run_lanes`); every other lane -- and every
-    lane the evaluator refused -- runs on the event loop, the first lane
+    metrics level.  The lanes the classifier allows are evaluated together
+    on the vector kernel (:func:`repro.sim.vectorized.run_lanes`); every
+    other lane -- and every lane the evaluator refused -- runs on the event
+    loop, the first lane
     with each distinct reason noting it with the lane count.  The block
     folds through :func:`~repro.sim.recorder.merge_summaries` in replication
     order either way, so lane batching never changes the merged summary.
@@ -850,7 +842,7 @@ def run_shard(scenario: Scenario, shard_index: int, replication_indices: Sequenc
         sp.set("replications", len(replication_indices))
         reps = [replicate(scenario, index) for index in replication_indices]
         records = [classify_lane(rep, "metrics") for rep in reps]
-        outcomes = _offer_lanes(reps, records, mergeable=True)
+        outcomes = _offer_lanes(reps, records)
         provenance = merge_kernel_provenance(resolve_kernel(scenario), records)
         unnoted = dict(provenance.fallback_reasons)
         unnoted[provenance.ineligible_reason] = provenance.ineligible_lanes
@@ -866,7 +858,7 @@ def run_shard(scenario: Scenario, shard_index: int, replication_indices: Sequenc
             if reason is not None and reason in unnoted:
                 count = unnoted.pop(reason)
                 note = fallback_note(reason) + (f" ({count} lanes)" if count > 1 else "")
-            summary, sim = _run_on_event_loop(rep, "metrics", True, note)
+            summary, sim = _run_on_event_loop(rep, "metrics", note)
             summaries.append(summary)
             stopped = stopped and sim.stopped_early
         _account_kernel_lanes(provenance)
@@ -891,10 +883,9 @@ def measure_sharded(
     ``shard_horizons``) records how the work was split.
     """
     outcomes = sorted(outcomes, key=lambda outcome: outcome.shard_index)
-    merged = merge_summaries([outcome.summary for outcome in outcomes])
     result = _measure_streamed(
         scenario,
-        merged.compact(),  # drop the retained samples: results stay lean
+        merge_summaries([outcome.summary for outcome in outcomes]),
         resolve_check_guarantees(scenario, check_guarantees),
         stopped_early=all(outcome.stopped_early for outcome in outcomes),
     )
@@ -964,7 +955,7 @@ def run_scenarios(cells):
     if offered:
         with obs.span("scenario.run") as sp:
             sp.set("lanes", offered)
-            outcomes = _offer_lanes([cells[i][0] for i in lanes], records, mergeable=False)
+            outcomes = _offer_lanes([cells[i][0] for i in lanes], records)
             for i, record, outcome in zip(lanes, records, outcomes):
                 if record.vector_lanes:
                     served[i] = _finish_lane(cells[i], record, outcome.summary, outcome.stopped_early)
@@ -1006,7 +997,7 @@ def _run_alone(cell, record: Optional[KernelProvenance]) -> ScenarioResult:
             return measure_sharded(scenario, outcomes, check_guarantees)
         reason = record.noted_reason
         observed, sim = _run_on_event_loop(
-            scenario, trace_level, False, fallback_note(reason) if reason is not None else None
+            scenario, trace_level, fallback_note(reason) if reason is not None else None
         )
         # The pair kernel.replay reports for the mirror.
         sp.set("events", sim.events_fired)

@@ -514,7 +514,7 @@ def test_future_round_reaching_threshold_first_is_accepted_at_once(algorithm, se
     scenario = dataclasses.replace(
         base, params=dataclasses.replace(base.params, period=0.004), name=""
     )
-    replay = _ExactReplay(_Layout(scenario, numpy_or_none()), scenario, False)
+    replay = _ExactReplay(_Layout(scenario, numpy_or_none()), scenario)
     assert replay.run().fallback is None
     accepted: dict = {}
     for _time, pid, round_, *_ in replay.emissions:

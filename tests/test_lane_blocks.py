@@ -85,13 +85,23 @@ def provenances(results):
 
 def test_packed_cells_equal_each_cell_alone_on_a_generated_sweep(monkeypatch):
     block_sizes = []
+    in_shard = []
+    real_run_shard = scenarios_module.run_shard
 
-    def spy(scenarios, mergeable=False):
-        if not mergeable:  # the replicated cell's shards come through here too
+    def spy(scenarios):
+        if not in_shard:  # the replicated cell's shards come through here too
             block_sizes.append(len(scenarios))
-        return run_lanes(scenarios, mergeable=mergeable)
+        return run_lanes(scenarios)
+
+    def shard_spy(*args):
+        in_shard.append(True)
+        try:
+            return real_run_shard(*args)
+        finally:
+            in_shard.pop()
 
     monkeypatch.setattr(scenarios_module, "run_lanes", spy)
+    monkeypatch.setattr(scenarios_module, "run_shard", shard_spy)
     rng = random.Random(SWEEP_SEED)
     drawn = 0
     while drawn < 60:

@@ -143,47 +143,27 @@ def test_merge_single_is_identity():
 
 
 def test_mergeable_summary_equals_plain_summary():
-    """mergeable=True retains the samples and defers the window-rate extremes to compact()."""
+    """finalize retains the samples and defers the extremes; compact() equals run_scenario's accuracy."""
     scenario = _parity_grid()[3]
-    summaries = {}
-    for mergeable in (False, True):
-        handles = build_cluster(scenario, trace_level="metrics", mergeable=mergeable)
-        summaries[mergeable] = handles.sim.run_until_round(scenario.rounds, t_max=scenario.horizon())
-    assert summaries[False].window_samples is None
-    assert summaries[True].window_samples is not None
-    assert summaries[True].slowest_window_rate is None  # derived by compact()
-    assert _final(summaries[True]) == summaries[False]
+    handles = build_cluster(scenario, trace_level="metrics")
+    summary = handles.sim.run_until_round(scenario.rounds, t_max=scenario.horizon())
+    assert summary.window_samples is not None
+    assert summary.slowest_window_rate is None and summary.fastest_window_rate is None  # derived by compact()
+    final = _final(summary)
+    assert final.window_samples is None
+    accuracy = run_scenario(scenario, trace_level="metrics").accuracy
+    assert accuracy is not None
+    for field in dataclasses.fields(accuracy):
+        assert getattr(final, field.name) == getattr(accuracy, field.name), field.name
+    # A compacted summary has dropped its samples: it is a result, not a fold input.
+    with pytest.raises(ValueError, match="uncompacted"):
+        merge_summaries([summary, final])
 
 
-def test_mixed_merge_derives_sample_carrying_inputs_first():
-    """A fold over inputs with and without samples equals a fold of computed inputs.
-
-    An input that lacks samples (``mergeable=False``) forces the per-summary
-    min/max fallback; each sample-carrying input must then contribute its
-    own ``compact()`` extremes, not its still-underived ``None``.
-    """
-    scenario = dataclasses.replace(_parity_grid()[3], replications=3, name="")
-    summaries = {}
-    for mergeable in (False, True):
-        summaries[mergeable] = []
-        for index in range(3):
-            rep = replicate(scenario, index)
-            handles = build_cluster(rep, trace_level="metrics", mergeable=mergeable)
-            summaries[mergeable].append(handles.sim.run_until_round(rep.rounds, t_max=rep.horizon()))
-    computed = merge_summaries(summaries[False])
-    # Drifting clocks: every replication has its own extremes, so no one
-    # input's values stand in for the fold's.
-    assert len({s.fastest_window_rate for s in summaries[False]}) == 3
-    assert len({s.slowest_window_rate for s in summaries[False]}) == 3
-    for plain in range(3):
-        mixed_inputs = list(summaries[True])
-        mixed_inputs[plain] = summaries[False][plain]
-        mixed = merge_summaries(mixed_inputs)
-        assert mixed.window_samples is None
-        assert mixed == computed, plain
-    # Folding the mixed result further keeps the values.
-    again = merge_summaries([merge_summaries(summaries[True][:2]), summaries[False][2]])
-    assert again == computed
+def test_sample_less_summaries_cannot_be_selected():
+    # perfbench/layers.py still passes mergeable=True; False has nothing left to select.
+    with pytest.raises(ValueError, match="mergeable=False"):
+        build_cluster(_parity_grid()[0], trace_level="metrics", mergeable=False)
 
 
 def test_merge_random_groupings_are_float_identical():

@@ -96,7 +96,7 @@ def test_emit_time_prune_fires_and_changes_nothing():
     # moment later, before the relayed bundle lands, and announces round k to
     # peers whose floor is already k + 1.
     scenario = cell(7, attack="eager", delay="uniform", rounds=4, spread=0.0, seed=0)
-    replay = _ExactReplay(_Layout(scenario, numpy_or_none()), scenario, False)
+    replay = _ExactReplay(_Layout(scenario, numpy_or_none()), scenario)
     assert replay.run().fallback is None
     accepted = {}
     for time, pid, round_, *_ in replay.emissions:
@@ -330,10 +330,10 @@ def test_block_of_lanes_equals_each_lane_alone(count):
     for family in LOCKSTEP_FAMILIES:
         block = lanes(family, count)
         assert _Layout(block[0], numpy_or_none()).lockstep
-        together = run_lanes(block, mergeable=True)
+        together = run_lanes(block)
         for lane, outcome in zip(block, together):
             assert outcome.fallback is None, (family, outcome.fallback)
-            assert outcome == run_lanes([lane], mergeable=True)[0], (family, lane.seed)
+            assert outcome == run_lanes([lane])[0], (family, lane.seed)
 
 
 @pytest.mark.parametrize("clock", ["extreme", "random"])
@@ -342,8 +342,8 @@ def test_block_with_falling_back_lanes_serves_the_others(clock):
     # before the laggard's round-1 acceptance: those lanes leave the proven
     # regime at round 2 of 8 and ride along, masked, for six more rounds.
     block = lanes(dict(n=7, attack="laggard", delay="max", clock=clock, rounds=8), 16, period=0.015)
-    together = run_lanes(block, mergeable=True)
-    alone = [run_lanes([lane], mergeable=True)[0] for lane in block]
+    together = run_lanes(block)
+    alone = [run_lanes([lane])[0] for lane in block]
     assert together == alone
     reasons = {outcome.fallback for outcome in together}
     assert reasons == {None, "rounds 1 and 2 share an instant"}

@@ -1,12 +1,12 @@
 """The window-rate hull pass runs once per result.
 
 A result's window-rate extremes are derived by
-:func:`repro.analysis.envelope.combined_window_extremes`: at ``finalize`` for
-a single (non-mergeable) cell, and at
-:meth:`~repro.sim.recorder.OnlineMetricsSummary.compact` for a replicated
-one.  Mergeable lanes and intermediate ``merge_summaries`` folds only carry
-samples.  These tests count the calls through a spy on the module
-attribute, which is what the recorder's deferred imports resolve.
+:func:`repro.analysis.envelope.combined_window_extremes`, at
+:meth:`~repro.sim.recorder.OnlineMetricsSummary.compact`, for a single cell
+and a replicated one alike.  Every engine's ``finalize`` and every
+intermediate ``merge_summaries`` fold only carry samples.  These tests count
+the calls through a spy on the module attribute, which is what
+``compact()``'s deferred import resolves.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.experiments.common import default_params
 from repro.runner import SweepRunner
 from repro.sim.kernel import numpy_or_none
 from repro.sim.recorder import merge_summaries
+from repro.sim.vectorized import _Layout, run_lanes
 from repro.workloads.scenarios import Scenario, build_cluster, run_scenario, run_shard
 
 from test_kernel_parity import cell
@@ -46,10 +47,22 @@ def test_single_cell_runs_the_pass_once(hull_calls, kernel):
     assert result.accuracy.fastest_window_rate is not None
 
 
-def test_mergeable_lane_finalize_runs_no_pass(hull_calls):
-    scenario = cell(7, rounds=6)
-    handles = build_cluster(scenario, trace_level="metrics", mergeable=True)
-    summary = handles.sim.run_until_round(scenario.rounds, t_max=scenario.horizon())
+@pytest.mark.parametrize("engine", ["event", "lockstep", "replay"])
+def test_mergeable_lane_finalize_runs_no_pass(hull_calls, engine):
+    if engine != "event" and numpy_or_none() is None:
+        pytest.skip("numpy not installed")
+    # Uniform delays put the lane on the exact replay.
+    scenario = cell(7, rounds=6, delay="uniform" if engine == "replay" else "targeted")
+    if engine == "event":
+        handles = build_cluster(scenario, trace_level="metrics")
+        summary = handles.sim.run_until_round(scenario.rounds, t_max=scenario.horizon())
+    else:
+        assert _Layout(scenario, numpy_or_none()).lockstep == (engine == "lockstep")
+        (outcome,) = run_lanes([scenario])
+        assert outcome.fallback is None
+        summary = outcome.summary
+    assert hull_calls == []
+    assert summary.window_samples is not None
     outcome = run_shard(dataclasses.replace(scenario, replications=3), 0, (0, 1, 2))
     merged = merge_summaries([summary, outcome.summary])
     assert hull_calls == []

@@ -7,9 +7,9 @@ Three layers of evidence:
   returns -- same floats, not approximately;
 * post-hoc: :func:`repro.analysis.envelope.rate_extremes` over randomized
   adjustment histories equals the pair scan over the same clock samples;
-* streaming: the recorder's online window-rate extremes equal the full-trace
-  pipeline's for randomized scenarios, and ``window_rates=False`` restores
-  the nan-reporting constant-memory behaviour.
+* streaming: the recorder's ``finalize`` hands over its retained samples,
+  and ``compact()``'s extremes equal the full-trace pipeline's for
+  randomized scenarios.
 """
 
 from __future__ import annotations
@@ -137,44 +137,33 @@ def test_streamed_window_rates_equal_full_pipeline_on_random_scenarios(seed: int
         assert fast.accuracy.fastest_window_rate == full.accuracy.fastest_window_rate
 
 
-def test_window_rates_opt_out_reports_nan_and_retains_nothing() -> None:
+def test_finalize_retains_samples_and_compact_derives_extremes() -> None:
     from repro.sim.recorder import OnlineMetricsRecorder
     from repro.sim.trace import ResyncEvent
 
-    def run(rounds: int, window_rates: bool) -> "OnlineMetricsRecorder":
-        recorder = OnlineMetricsRecorder(rate_low=0.999, rate_high=1.001, window_rates=window_rates)
+    recorder = OnlineMetricsRecorder(rate_low=0.999, rate_high=1.001)
+    for pid in range(3):
+        recorder.register_process(pid, FixedRateClock(rate=1.0, offset=0.01 * pid))
+    t = 0.0
+    for round_ in range(1, 5):
+        t += 1.0
         for pid in range(3):
-            recorder.register_process(pid, FixedRateClock(rate=1.0, offset=0.01 * pid))
-        t = 0.0
-        for round_ in range(1, rounds + 1):
-            t += 1.0
-            for pid in range(3):
-                recorder.on_adjustment(pid, t, 0.001 * round_)
-                recorder.on_resync(
-                    ResyncEvent(pid=pid, round=round_, time=t, logical_before=t, logical_after=t + 0.001)
-                )
-        return recorder
+            recorder.on_adjustment(pid, t, 0.001 * round_)
+            recorder.on_resync(
+                ResyncEvent(pid=pid, round=round_, time=t, logical_before=t, logical_after=t + 0.001)
+            )
 
     class _Stats:
         total_messages = 0
         messages_by_type: dict = {}
 
-    lite_short = run(4, window_rates=False)
-    summary_short = lite_short.finalize(5.0, _Stats())
-    assert lite_short.retained_window_samples() == 0
-    assert summary_short.slowest_window_rate is None
-    assert summary_short.fastest_window_rate is None
-
-    lite_long = run(16, window_rates=False)
-    lite_long.finalize(17.0, _Stats())
-    assert lite_long.retained_window_samples() == 0
-    assert lite_long.retained_state_size() == lite_short.retained_state_size()
-
-    tracked = run(4, window_rates=True)
-    summary = tracked.finalize(5.0, _Stats())
-    assert tracked.retained_window_samples() > 0
-    assert summary.slowest_window_rate is not None
-    assert not math.isnan(summary.slowest_window_rate)
+    summary = recorder.finalize(5.0, _Stats())
+    assert recorder.retained_window_samples() > 0
+    assert len(summary.window_samples) == 3
+    assert summary.slowest_window_rate is None  # derived by compact()
+    final = summary.compact()
+    assert final.slowest_window_rate is not None
+    assert not math.isnan(final.slowest_window_rate)
 
 
 @pytest.mark.parametrize("min_window", [0.0, -1.0])
