@@ -5,7 +5,7 @@ theorem: the paper's claims are per-configuration statistics over many
 independent executions, and the sharded backend computes them by splitting
 the replication axis across worker processes and folding the per-shard
 summaries through the exact merge algebra
-(:meth:`repro.sim.recorder.OnlineMetricsSummary.merge`).
+(:func:`repro.sim.recorder.merge_summaries`).
 
 Reproduced property: **the shard plan never changes a measured value** --
 every statistic of a replicated configuration (worst-case skew, acceptance

@@ -33,7 +33,6 @@ _FAST_FLEET = dict(
     heartbeat_timeout=2.0,
     respawn_backoff=0.05,
     respawn_backoff_cap=0.5,
-    monitor_period=0.05,
 )
 
 

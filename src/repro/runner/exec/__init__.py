@@ -22,8 +22,9 @@ backends ship:
 The protocol backends are a self-healing fleet of fixed size: lost workers
 respawn with backoff, crash-looping slots are quarantined and re-probed,
 and every idle worker -- a late joiner included -- takes the oldest task
-from one pending queue (see the ``repro.runner.exec.remote`` module
-docstring for the slot state machine).
+from one pending queue.  Every scheduling decision is taken by the pure
+state machine in ``repro.runner.exec.fleet`` (its module docstring has the
+slot states); ``repro.runner.exec.remote`` is the I/O shell around it.
 
 Because every task in this system is a pure function of its payload, backend
 choice can never change a measured value -- only where and how reliably the

@@ -50,10 +50,10 @@ class ExecutorError(RuntimeError):
 class ExecutorFailure(ExecutorError):
     """A task could not be completed by any worker.
 
-    Raised from a task's future when its retry budget is exhausted or every
-    worker that could run it has died; raised from :meth:`Executor.submit`
-    when the backend has no live workers left.  The message names the task,
-    the attempts made and the workers lost, so a failed sweep says *why*.
+    Set on a task's future when its retry budget is exhausted, when a loss
+    leaves every fleet slot quarantined, or when the executor closes with
+    the task outstanding.  The message names the task and the attempts made
+    or the last loss, so a failed sweep says *why*.
     """
 
 
@@ -116,7 +116,7 @@ def make_executor(spec: ExecutorSpec, workers: int) -> Executor:
     ``"subprocess"`` spawns ``workers`` protocol workers on this machine;
     ``"ssh"`` reads its host list from ``REPRO_SSH_HOSTS`` (and raises a
     clear error when none are configured).  A caller that needs a
-    non-default fleet policy (``respawn``, backoffs, heartbeat deadlines)
+    non-default fleet policy (retry budget, backoffs, heartbeat deadlines)
     constructs the backend itself and passes the instance.
     """
     if isinstance(spec, Executor):

@@ -181,9 +181,9 @@ class ChaosSchedule:
     ) -> "ChaosSchedule":
         """A kill per initial worker, spaced ``stride`` completed chunks apart.
 
-        The controller prefers victims it has never hit, so with respawn on
-        this schedule guarantees every member of the *initial* fleet dies at
-        least once -- the acceptance scenario for churn invariance.
+        The controller prefers victims it has never hit, so this schedule
+        guarantees every member of the *initial* fleet dies at least once --
+        the acceptance scenario for churn invariance.
         """
         events = [ChaosEvent(start + i * stride, "kill") for i in range(workers)]
         return cls(events, seed=seed)

@@ -1,207 +1,78 @@
-"""Remote protocol executors: a self-healing, fixed-size worker fleet.
+"""Remote protocol executors: the I/O shell around the fleet's scheduling core.
 
 Both backends here run the length-prefixed pickle protocol of
 :mod:`repro.runner.exec.protocol` against long-lived ``repro.worker``
 processes; they differ only in how a worker is spawned
 (:class:`SubprocessWorkerExecutor`: ``python -m repro.worker`` on this
-machine, :class:`SSHExecutor`: the same through ``ssh host ...``).  The
-shared scheduler in :class:`ProtocolExecutor` provides the fault tolerance
-the local pool never needed:
+machine, :class:`SSHExecutor`: the same through ``ssh host ...``).
 
-* **liveness detection** -- a per-worker reader thread sees the pipe EOF the
-  instant a worker dies, and a fleet thread enforces a heartbeat deadline
-  (workers beat from a daemon thread, so a *wedged* worker -- alive but
-  silent -- is detected and killed, not just a dead one).  A worker silent
-  for half the deadline is marked *suspect* and sent a ``probe`` frame; any
-  frame it produces clears the suspicion.
-* **one pending queue** -- every task not on a worker waits in a single
-  FIFO, and three rules place it: an idle dispatchable worker takes the
-  *oldest* pending task that was not already lost on it; a task lost in
-  flight goes back to the *front*; a late joiner dispatches at its
-  handshake.  Nothing ever waits behind a busy worker while another idles.
-* **bounded retries with worker exclusion** -- a retried chunk never runs on
-  the worker *incarnation* that already lost it (each task carries its own
-  excluded-incarnation set; a respawned replacement in the same slot is a
-  fresh incarnation), and after ``max_attempts`` losses its future fails
-  with a clear :class:`~repro.runner.exec.base.ExecutorFailure`.
-* **respawn** (``respawn=True``, the default) -- a lost worker's *slot* is
-  refilled after a capped exponential backoff with jitter; pending tasks
-  just stay queued until a replacement says hello, so a fleet that loses
-  every worker recovers.  A slot that loses :attr:`crash_loop_threshold`
-  workers within :attr:`crash_loop_window` seconds is **quarantined**: it
-  stops thrashing and is re-probed on a growing backoff -- the spawn
-  handshake doubles as the probe, so an unreachable SSH host rejoins
-  mid-sweep the first time a probe spawn says hello.  When *every* slot is
-  quarantined nothing can run, so the pending tasks fail (naming the last
-  loss) instead of waiting forever; the probes go on, and a later submit
-  succeeds once one of them says hello.
-
-The fleet never changes size: ``workers`` slots, each hosting successive
-worker incarnations through a small state machine (documented in
-``docs/architecture.md``)::
-
-    spawning -> live <-> suspect
-       ^         |
-       |         v
-    (rejoin)   lost --K losses in T--> quarantined --probe ok--> (rejoin)
-
-Tasks that *raise* on a live worker are not retried: every task in this
-system is a deterministic pure function of its payload, so a task error
-would simply repeat -- it propagates to the future exactly as the local
-pool would propagate it.  Only worker *loss* triggers retry, and because
-tasks are pure, a retried chunk returns float-for-float what the first
-attempt would have -- recovery is pure throughput, never a result risk.
+:class:`ProtocolExecutor` takes no scheduling decision: retries, respawn,
+quarantine, deadlines and dispatch all belong to the thread-free
+:class:`~repro.runner.exec.fleet.Fleet`, whose module docstring states the
+policy.  The shell owns the worker processes, one reader thread per worker
+that turns each frame and the pipe's EOF into a core event, the fleet thread
+that delivers the clock tick, frame encoding and pipe writes, the futures
+and the telemetry spans.  Every entry point follows one pattern: take the
+lock, ``handle`` the event, release the lock, perform the returned actions.
+Because tasks are pure, a chunk retried after a worker loss returns
+float-for-float what the first attempt would have.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import random
 import shlex
 import subprocess
 import sys
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from ... import obs
+from . import fleet
 from .base import Executor, ExecutorError, ExecutorFailure, RemoteTaskError
-from .protocol import encode_frame, read_frame, write_frame
-
-#: Default seconds between worker heartbeat frames.
-HEARTBEAT_INTERVAL = 1.0
-#: Default multiple of the heartbeat interval after which a silent worker is
-#: declared wedged and killed.  Generous: heartbeats come from a dedicated
-#: worker thread, so even a busy worker beats on schedule.
-HEARTBEAT_TIMEOUT_FACTOR = 30.0
-#: Default bound on how many workers one task may be lost on before its
-#: future fails.
-MAX_ATTEMPTS = 3
-#: Minimum silence tolerated from a worker that has not completed its
-#: handshake yet: interpreter start-up and package import must not trip a
-#: tight heartbeat deadline on a loaded machine.
-SPAWN_DEADLINE = 30.0
-#: Default base delay before a lost worker's slot is respawned; doubles per
-#: recent loss on that slot up to :data:`RESPAWN_BACKOFF_CAP`, plus jitter.
-RESPAWN_BACKOFF = 0.25
-RESPAWN_BACKOFF_CAP = 15.0
-#: A slot that loses this many workers within :data:`CRASH_LOOP_WINDOW`
-#: seconds is quarantined instead of respawned again.
-CRASH_LOOP_THRESHOLD = 3
-CRASH_LOOP_WINDOW = 30.0
-#: First re-probe delay for a quarantined slot; doubles per failed probe up
-#: to :data:`QUARANTINE_BACKOFF_CAP`.
-QUARANTINE_BACKOFF = 5.0
-QUARANTINE_BACKOFF_CAP = 120.0
+from .protocol import encode_frame, read_frame
 
 
-class _Task:
-    """One submitted unit: a picklable call plus its retry bookkeeping."""
+class _Task(fleet.Task):
+    """A submitted call: the core's record plus the call, its future and its telemetry."""
 
-    __slots__ = (
-        "task_id",
-        "fn",
-        "payload",
-        "future",
-        "attempts",
-        "excluded",
-        "started",
-        "ctx",
-        "span",
-        "attempt_span",
-        "submitted",
-    )
+    __slots__ = ("fn", "payload", "future", "ctx", "span", "attempt_span", "submitted")
 
     def __init__(self, task_id: int, fn: Callable, payload) -> None:
-        self.task_id = task_id
+        super().__init__(task_id, f"#{task_id} ({getattr(fn, '__name__', str(fn))})")
         self.fn = fn
         self.payload = payload
         self.future: Future = Future()
-        #: Worker incarnations (wids) this task was lost on -- never
-        #: rescheduled there.  A respawned replacement has a fresh wid, so
-        #: a retried chunk is eligible on it.
-        self.excluded: set[int] = set()
-        #: How many worker incarnations this task was dispatched to and lost.
-        self.attempts = 0
-        #: Whether the future already transitioned to RUNNING (first
-        #: dispatch); a retry redispatch must not transition it again.
-        self.started = False
         #: Telemetry: the trace context shipped in this task's frames (None
         #: keeps the 4-element wire format), the parent-side ``exec.task``
         #: span covering submit->complete, the per-dispatch ``exec.attempt``
-        #: span, and the submit timestamp for the queue-wait histogram
-        #: (zeroed once observed at first dispatch).
+        #: span, and the submit timestamp for the queue-wait histogram.
         self.ctx: Optional[dict] = None
         self.span = None
         self.attempt_span = None
         self.submitted = 0.0
 
-    @property
-    def label(self) -> str:
-        name = getattr(self.fn, "__name__", str(self.fn))
-        return f"#{self.task_id} ({name})"
-
 
 class _Worker:
-    """Parent-side handle of one protocol worker *incarnation*."""
+    """The process behind one worker incarnation, and its pipes."""
 
-    __slots__ = (
-        "wid",
-        "slot",
-        "proc",
-        "reader",
-        "write_lock",
-        "alive",
-        "current",
-        "last_seen",
-        "remote_pid",
-        "born_late",
-        "span",
-        "probe_sent",
-    )
+    __slots__ = ("wid", "slot", "proc", "reader", "write_lock", "span", "probe_sent")
 
-    def __init__(self, wid: int, slot: "_Slot", proc: subprocess.Popen, born_late: bool) -> None:
+    def __init__(self, wid: int, slot: int, proc: subprocess.Popen) -> None:
         self.wid = wid
         self.slot = slot
         self.proc = proc
         self.reader: Optional[threading.Thread] = None
         self.write_lock = threading.Lock()
-        self.alive = True
-        self.current: Optional[_Task] = None
-        self.last_seen = time.monotonic()
-        self.remote_pid: Optional[int] = None
-        #: Whether this incarnation joined after the initial fleet spawn
-        #: (respawn or quarantine probe).  Late joiners receive work only
-        #: after their handshake, so a probe spawn against an unreachable
-        #: host never burns a task's retry budget.
-        self.born_late = born_late
         #: Telemetry: the ``fleet.worker`` incarnation span (when tracing is
         #: on) and the send time of an outstanding liveness probe, consumed
-        #: by the pong handler into the ``fleet.probe_rtt_s`` histogram.
+        #: by the next main-loop frame into the ``fleet.probe_rtt_s`` histogram.
         self.span = None
         self.probe_sent: Optional[float] = None
-
-
-class _Slot:
-    """One position in the fleet, hosting successive worker incarnations."""
-
-    __slots__ = ("index", "state", "worker", "loss_times", "probe_failures", "next_attempt")
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        #: One of: spawning, live, suspect, lost, quarantined.
-        self.state = "lost"
-        self.worker: Optional[_Worker] = None
-        #: Monotonic timestamps of recent worker losses (crash-loop window).
-        self.loss_times: deque[float] = deque()
-        #: Consecutive failed quarantine probes (drives the probe backoff).
-        self.probe_failures = 0
-        #: When the fleet thread may respawn / re-probe this slot.
-        self.next_attempt: Optional[float] = None
 
 
 def _kill(proc: subprocess.Popen) -> None:
@@ -222,66 +93,84 @@ class ProtocolExecutor(Executor):
     lifecycle the local pool backend has.  Scheduler counters
     (:meth:`stats`) are cumulative for the lifetime of the instance: they
     survive :meth:`close` and every respawn cycle, so post-sweep provenance
-    is never zeroed by mid-sweep recovery.
+    is never zeroed by mid-sweep recovery.  The policy arguments are
+    :class:`~repro.runner.exec.fleet.Fleet`'s; ``heartbeat_timeout``
+    defaults to :data:`~repro.runner.exec.fleet.HEARTBEAT_TIMEOUT_FACTOR`
+    heartbeat intervals, and a worker that does not beat (interval <= 0)
+    has no deadline.
     """
 
     def __init__(
         self,
         workers: int,
-        max_attempts: int = MAX_ATTEMPTS,
-        heartbeat_interval: float = HEARTBEAT_INTERVAL,
+        max_attempts: int = fleet.MAX_ATTEMPTS,
+        heartbeat_interval: float = fleet.HEARTBEAT_INTERVAL,
         heartbeat_timeout: Optional[float] = None,
-        respawn: bool = True,
-        respawn_backoff: float = RESPAWN_BACKOFF,
-        respawn_backoff_cap: float = RESPAWN_BACKOFF_CAP,
-        crash_loop_threshold: int = CRASH_LOOP_THRESHOLD,
-        crash_loop_window: float = CRASH_LOOP_WINDOW,
-        quarantine_backoff: float = QUARANTINE_BACKOFF,
-        quarantine_backoff_cap: float = QUARANTINE_BACKOFF_CAP,
-        spawn_deadline: float = SPAWN_DEADLINE,
-        monitor_period: Optional[float] = None,
+        respawn_backoff: float = fleet.RESPAWN_BACKOFF,
+        respawn_backoff_cap: float = fleet.RESPAWN_BACKOFF_CAP,
+        crash_loop_threshold: int = fleet.CRASH_LOOP_THRESHOLD,
+        crash_loop_window: float = fleet.CRASH_LOOP_WINDOW,
+        quarantine_backoff: float = fleet.QUARANTINE_BACKOFF,
+        quarantine_backoff_cap: float = fleet.QUARANTINE_BACKOFF_CAP,
+        spawn_deadline: float = fleet.SPAWN_DEADLINE,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be positive, got {max_attempts}")
-        self.workers = workers
-        self.max_attempts = max_attempts
+        if heartbeat_timeout is None:
+            heartbeat_timeout = fleet.HEARTBEAT_TIMEOUT_FACTOR * heartbeat_interval
         self.heartbeat_interval = heartbeat_interval
-        if heartbeat_timeout is None and heartbeat_interval > 0:
-            heartbeat_timeout = HEARTBEAT_TIMEOUT_FACTOR * heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.respawn = respawn
-        self.respawn_backoff = respawn_backoff
-        self.respawn_backoff_cap = respawn_backoff_cap
-        self.crash_loop_threshold = crash_loop_threshold
-        self.crash_loop_window = crash_loop_window
-        self.quarantine_backoff = quarantine_backoff
-        self.quarantine_backoff_cap = quarantine_backoff_cap
-        self.spawn_deadline = spawn_deadline
-        self.monitor_period = monitor_period
+        self._fleet = fleet.Fleet(
+            workers,
+            max_attempts=max_attempts,
+            heartbeat_timeout=heartbeat_timeout if heartbeat_interval > 0 else None,
+            respawn_backoff=respawn_backoff,
+            respawn_backoff_cap=respawn_backoff_cap,
+            crash_loop_threshold=crash_loop_threshold,
+            crash_loop_window=crash_loop_window,
+            quarantine_backoff=quarantine_backoff,
+            quarantine_backoff_cap=quarantine_backoff_cap,
+            spawn_deadline=spawn_deadline,
+        )
         self._lock = threading.Lock()
-        self._slots: list[_Slot] = []
-        #: Every task not currently on a worker, oldest first; a task lost in
-        #: flight re-enters at the front.
-        self._pending: deque[_Task] = deque()
-        self._started = False
+        #: The processes of the core's incarnations, by wid, from spawn until
+        #: their loss is handled.
+        self._workers: dict[int, _Worker] = {}
         self._task_ids = itertools.count()
-        self._wids = itertools.count()
         self._fleet_thread: Optional[threading.Thread] = None
         self._fleet_stop = threading.Event()
-        #: Backoff jitter only de-synchronizes respawn stampedes; it needs no
-        #: reproducibility, but a fixed seed keeps runs comparable.
-        self._jitter = random.Random(0x5EEDF1EE7)
-        self._stats = {
-            "tasks": 0,
-            "retries": 0,
-            "workers_lost": 0,
-            "steals": 0,  # one shared queue: nothing to steal; key kept for perfbench
-            "respawns": 0,
-            "quarantines": 0,
-            "joins": 0,
-        }
+
+    @property
+    def worker_count(self) -> int:
+        return self._fleet.size
+
+    def _handle(self, event) -> None:
+        with self._lock:
+            actions = self._fleet.handle(event, time.monotonic())
+        self._perform(actions)
+
+    def _perform(self, actions: list) -> None:
+        """Carry out the core's actions, in order, outside the lock."""
+        for action in actions:
+            match action:
+                case fleet.Send(wid, task):
+                    worker = self._workers.get(wid)
+                    if worker is not None:  # else it was lost meanwhile, and the loss requeued the task
+                        self._send(worker, task)
+                case fleet.Resolve(task, frame):
+                    self._resolve(task, frame)
+                case fleet.Fail(task, message):
+                    self._fail(task, ExecutorFailure(message))
+                case fleet.Spawn(slot, wid, born_late):
+                    self._spawn(slot, wid, born_late)
+                case fleet.Probe(wid):
+                    worker = self._workers.get(wid)
+                    if worker is not None:
+                        if worker.span is not None:
+                            worker.span.event("suspect")
+                        worker.probe_sent = time.monotonic()
+                        self._write(worker, encode_frame(("probe",)), "write to suspect worker failed")
+                case fleet.Kill(wid):
+                    worker = self._workers.get(wid)
+                    if worker is not None:
+                        _kill(worker.proc)  # its reader sees the EOF and reports the loss
 
     # -- spawning ----------------------------------------------------------
 
@@ -291,51 +180,41 @@ class ProtocolExecutor(Executor):
     def _spawn_env(self) -> Optional[dict]:
         return None
 
-    def _spawn_worker(self, slot: _Slot, born_late: bool) -> _Worker:
-        proc = subprocess.Popen(
-            self._spawn_command(slot.index),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=None,  # workers log to the parent's stderr
-            env=self._spawn_env(),
-        )
-        worker = _Worker(next(self._wids), slot, proc, born_late)
+    def _spawn(self, slot: int, wid: int, born_late: bool) -> None:
+        try:
+            proc = subprocess.Popen(
+                self._spawn_command(slot),
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=None,  # workers log to the parent's stderr
+                env=self._spawn_env(),
+            )
+        except Exception as exc:
+            # fork/exec failed: the core counts it as an instant loss, so
+            # the backoff and quarantine machinery applies.
+            self._handle(fleet.SpawnFailed(wid, f"spawn failed: {type(exc).__name__}: {exc}"))
+            return
+        worker = _Worker(wid, slot, proc)
         if obs.enabled():
             # Incarnation spans are timeline roots: a worker outlives any one
             # sweep, so parenting it under a sweep span would break nesting.
             worker.span = obs.tracer().begin("fleet.worker")
             worker.span.parent_id = None
-            worker.span.set("slot", slot.index)
-            worker.span.set("wid", worker.wid)
+            worker.span.set("slot", slot)
+            worker.span.set("wid", wid)
             worker.span.set("born_late", born_late)
         worker.reader = threading.Thread(
-            target=self._read_loop,
-            args=(worker,),
-            name=f"repro-exec-reader-{slot.index}.{worker.wid}",
-            daemon=True,
+            target=self._read_loop, args=(worker,), name=f"repro-exec-reader-{slot}.{wid}", daemon=True
         )
+        # Registered and reported before its reader starts, so no frame of
+        # this worker can reach the core ahead of its spawn.
+        with self._lock:
+            self._workers[wid] = worker
+            actions = self._fleet.handle(fleet.Spawned(wid), time.monotonic())
         worker.reader.start()
-        return worker
+        self._perform(actions)
 
-    def _ensure_started_locked(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self._fleet_stop = threading.Event()
-        self._slots = [_Slot(index) for index in range(self.workers)]
-        for slot in self._slots:
-            slot.worker = self._spawn_worker(slot, born_late=False)
-            slot.state = "spawning"
-        self._fleet_thread = threading.Thread(
-            target=self._fleet_loop, args=(self._fleet_stop,), name="repro-exec-fleet", daemon=True
-        )
-        self._fleet_thread.start()
-
-    # -- submission and scheduling -----------------------------------------
-
-    @property
-    def worker_count(self) -> int:
-        return self.workers
+    # -- submission and dispatch -------------------------------------------
 
     def submit(self, fn: Callable, payload) -> Future:
         task = _Task(next(self._task_ids), fn, payload)
@@ -351,117 +230,67 @@ class ProtocolExecutor(Executor):
                 task.span.set("task_id", task.task_id)
                 ctx = dict(ctx, parent=task.span.span_id)
             task.ctx = ctx
-        assignments: Sequence[tuple[_Worker, _Task]] = ()
         with self._lock:
-            self._ensure_started_locked()
-            self._stats["tasks"] += 1
-            stranded = not self.respawn and not self._dispatchable_locked()
-            if not stranded:
-                self._pending.append(task)
-                assignments = self._dispatch_locked()
-        if stranded:
-            self._fail(
-                task,
-                f"cannot run task {task.label}: no live workers "
-                f"({self._stats['workers_lost']} lost, respawn disabled); "
-                f"close() resets the backend",
-            )
-        self._send_assignments(assignments)
+            if self._fleet_thread is None:
+                self._fleet_stop = threading.Event()
+                self._fleet_thread = threading.Thread(
+                    target=self._fleet_loop, args=(self._fleet_stop,), name="repro-exec-fleet", daemon=True
+                )
+                self._fleet_thread.start()
+            actions = self._fleet.handle(fleet.Submit(task), time.monotonic())
+        self._perform(actions)
         return task.future
 
-    def _live_workers_locked(self) -> list[_Worker]:
-        return [
-            slot.worker
-            for slot in self._slots
-            if slot.worker is not None and slot.worker.alive
-        ]
+    def _send(self, worker: _Worker, task: _Task) -> None:
+        first = task.attempts == 0  # a retry's future is already running
+        if first and not task.future.set_running_or_notify_cancel():
+            self._handle(fleet.Unsent(worker.wid, task.task_id))  # cancelled while queued: dropped
+            return
+        try:
+            if task.ctx is None:
+                frame = encode_frame(("task", task.task_id, task.fn, task.payload))
+            else:
+                frame = encode_frame(("task", task.task_id, task.fn, task.payload, task.ctx))
+        except Exception as exc:
+            # The *task* cannot be shipped (unpicklable payload, frame over
+            # the size limit) -- that is the submitter's error, not the
+            # worker's: surface it on the future, free the worker and keep
+            # dispatching.  Matches the local pool, which fails the future on
+            # a pickling error without killing anything.
+            self._fail(task, exc)
+            self._handle(fleet.Unsent(worker.wid, task.task_id))
+            return
+        if task.ctx is not None:
+            if first:
+                # Queue wait: submit -> first dispatch (retries excluded).
+                obs.observe("fleet.queue_wait_s", time.monotonic() - task.submitted)
+            if task.span is not None and obs.enabled():
+                task.attempt_span = obs.tracer().begin("exec.attempt", parent=task.span.span_id)
+                task.attempt_span.set("slot", worker.slot)
+                task.attempt_span.set("wid", worker.wid)
+        self._write(worker, frame, "write to worker failed")
 
-    def _dispatchable_locked(self) -> list[_Worker]:
-        """Workers that may be assigned tasks right now.
-
-        Late joiners (respawns, probes) only become dispatchable after their
-        handshake -- a probe spawn against a dead host must not hold tasks
-        hostage until the spawn deadline.
-        """
-        return [w for w in self._live_workers_locked() if not w.born_late or w.remote_pid is not None]
-
-    def _dispatch_locked(self) -> list[tuple[_Worker, _Task]]:
-        """Hand each idle worker the oldest pending task it may run; caller sends outside the lock."""
-        assignments: list[tuple[_Worker, _Task]] = []
-        if not self._pending:
-            return assignments
-        for worker in self._dispatchable_locked():
-            while worker.current is None:
-                task = next((t for t in self._pending if worker.wid not in t.excluded), None)
-                if task is None:
-                    break
-                self._pending.remove(task)
-                # A task cancelled while queued is dropped here; try the next one.
-                if task.started or task.future.set_running_or_notify_cancel():
-                    task.started = True
-                    worker.current = task
-                    assignments.append((worker, task))
-        return assignments
-
-    def _send_assignments(self, assignments: Sequence[tuple[_Worker, _Task]]) -> None:
-        for worker, task in assignments:
-            try:
-                if task.ctx is None:
-                    frame = encode_frame(("task", task.task_id, task.fn, task.payload))
-                else:
-                    frame = encode_frame(("task", task.task_id, task.fn, task.payload, task.ctx))
-            except Exception as exc:
-                # The *task* cannot be shipped (unpicklable payload, frame
-                # over the size limit) -- that is the submitter's error, not
-                # the worker's: surface it on the future, free the worker and
-                # keep dispatching.  Matches the local pool, which fails the
-                # future on a pickling error without killing anything.
-                with self._lock:
-                    if worker.current is task:
-                        worker.current = None
-                    redispatch = self._dispatch_locked()
-                if task.span is not None:
-                    task.span.finish("error")
-                try:
-                    task.future.set_exception(exc)
-                except InvalidStateError:
-                    pass
-                self._send_assignments(redispatch)
-                continue
-            if task.ctx is not None:
-                if task.submitted:
-                    # Queue wait: submit -> first dispatch (retries excluded).
-                    obs.observe("fleet.queue_wait_s", time.monotonic() - task.submitted)
-                    task.submitted = 0.0
-                if task.span is not None and obs.enabled():
-                    task.attempt_span = obs.tracer().begin("exec.attempt", parent=task.span.span_id)
-                    task.attempt_span.set("slot", worker.slot.index)
-                    task.attempt_span.set("wid", worker.wid)
-            try:
-                with worker.write_lock:
-                    worker.proc.stdin.write(frame)
-                    worker.proc.stdin.flush()
-            except Exception:
-                # The pipe died under us; the loss handling puts the task back
-                # in the queue and accounts the lost worker.
-                self._lose_worker(worker, "write to worker failed")
+    def _write(self, worker: _Worker, data: bytes, reason: str) -> None:
+        try:
+            with worker.write_lock:
+                worker.proc.stdin.write(data)
+                worker.proc.stdin.flush()
+        except (OSError, ValueError):
+            # The pipe died under us (or was severed): the loss puts the
+            # task back in the queue and accounts the lost worker.
+            self._lose(worker, reason)
 
     # -- completion and loss ------------------------------------------------
 
-    def _ingest_telemetry(self, telemetry: dict) -> None:
-        """Fold a worker's shipped spans and metrics into this process's."""
-        spans = telemetry.get("spans")
-        if spans is not None and obs.enabled():
-            obs.tracer().ingest(spans)
-        metrics = telemetry.get("metrics")
-        if metrics is not None and obs.metrics_enabled():
-            obs.registry().absorb(metrics)
-
-    def _complete(self, task: _Task, frame: tuple) -> None:
+    def _resolve(self, task: _Task, frame: tuple) -> None:
         ok = frame[0] == "result"
         telemetry = frame[3] if ok and len(frame) > 3 else (frame[4] if not ok and len(frame) > 4 else None)
         if telemetry is not None:
-            self._ingest_telemetry(telemetry)
+            # Fold the worker's shipped spans and metrics into this process's.
+            if telemetry.get("spans") is not None and obs.enabled():
+                obs.tracer().ingest(telemetry["spans"])
+            if telemetry.get("metrics") is not None and obs.metrics_enabled():
+                obs.registry().absorb(telemetry["metrics"])
         status = "ok" if ok else "error"
         if task.attempt_span is not None:
             task.attempt_span.finish(status)
@@ -488,7 +317,7 @@ class ProtocolExecutor(Executor):
         except InvalidStateError:
             pass  # cancelled in flight; nobody is waiting for this result
 
-    def _fail(self, task: _Task, message: str) -> None:
+    def _fail(self, task: _Task, exc: BaseException) -> None:
         """Fail a task's future.  Never call while holding the scheduler lock:
         ``set_exception`` runs done-callbacks synchronously, and a callback
         (the chaos harness, a waiting sweep) may re-enter the executor."""
@@ -498,265 +327,62 @@ class ProtocolExecutor(Executor):
         if task.span is not None:
             task.span.finish("error")
         try:
-            task.future.set_exception(ExecutorFailure(message))
+            task.future.set_exception(exc)
         except InvalidStateError:
-            pass
+            pass  # cancelled while queued; nobody is waiting for it
 
     def _read_loop(self, worker: _Worker) -> None:
-        stream = worker.proc.stdout
         reason = "worker process exited"
         while True:
             try:
-                frame = read_frame(stream)
+                frame = read_frame(worker.proc.stdout)
             except Exception as exc:
                 # Corrupt or truncated stream (e.g. something polluted the
                 # remote stdout): keep the diagnostic -- 'exited' and 'stream
                 # desynced' need very different fixes on a real deployment.
                 reason = f"worker stream failed: {type(exc).__name__}: {exc}"
-                frame = None
+                break
             if frame is None:
                 break
-            tag = frame[0]
-            task = None
-            assignments: list = []
-            probe_rtt: Optional[float] = None
-            with self._lock:
-                worker.last_seen = time.monotonic()
-                slot = worker.slot
-                if worker.alive and slot.state == "suspect":
-                    slot.state = "live"  # any frame clears the suspicion
-                if worker.probe_sent is not None and tag != "heartbeat":
-                    # Any main-loop frame answers the probe; the heartbeat
-                    # thread keeps beating even on a wedged worker, so it
-                    # proves nothing about the loop we probed.
-                    probe_rtt = time.monotonic() - worker.probe_sent
-                    worker.probe_sent = None
-                if tag == "hello":
-                    worker.remote_pid = frame[1]
-                    if worker.span is not None:
-                        worker.span.set("remote_pid", frame[1])
-                        worker.span.event("hello")
-                    if worker.alive and slot.state == "spawning":
-                        slot.state = "live"
-                        slot.probe_failures = 0
-                        if worker.born_late:
-                            self._stats["joins"] += 1
-                    # The handshake makes a late joiner dispatchable: it takes
-                    # the oldest pending task right here.
-                    assignments = self._dispatch_locked()
-                elif tag in ("result", "error"):
-                    task = worker.current
-                    if task is not None and task.task_id == frame[1]:
-                        worker.current = None
-                        assignments = self._dispatch_locked()
-                    else:
-                        task = None  # stale frame for a task this worker no longer owns
-            if probe_rtt is not None:
-                obs.observe("fleet.probe_rtt_s", probe_rtt)
-            if task is not None:
-                self._complete(task, frame)
-            if assignments:
-                self._send_assignments(assignments)
-        self._lose_worker(worker, reason)
+            if worker.probe_sent is not None and frame[0] != "heartbeat":
+                # Any main-loop frame answers the probe; the heartbeat thread
+                # keeps beating even on a wedged worker, so it proves nothing
+                # about the loop we probed.
+                obs.observe("fleet.probe_rtt_s", time.monotonic() - worker.probe_sent)
+                worker.probe_sent = None
+            if frame[0] == "hello" and worker.span is not None:
+                worker.span.set("remote_pid", frame[1])
+                worker.span.event("hello")
+            self._handle(fleet.Frame(worker.wid, frame))
+        self._lose(worker, reason)
+        # The process is reaped and this thread read its last frame: release
+        # the pipes (a late write then fails with ValueError, a no-op loss).
+        with worker.write_lock:
+            worker.proc.stdout.close()
+            try:
+                worker.proc.stdin.close()
+            except OSError:
+                pass  # unflushed bytes for a dead process: nobody to deliver them to
 
-    def _record_loss_locked(self, slot: _Slot, reason: str) -> list[tuple[_Task, str]]:
-        """Record a loss on ``slot`` and schedule its respawn / quarantine.
-
-        Once *every* slot is quarantined nothing can run, and a sweep must
-        not wait on hosts that may never return: the pending tasks are
-        removed and returned with their failure messages.  The probes go on,
-        so a later submit can still succeed.
-        """
-        now = time.monotonic()
-        slot.loss_times.append(now)
-        while slot.loss_times and now - slot.loss_times[0] > self.crash_loop_window:
-            slot.loss_times.popleft()
-        recent = len(slot.loss_times)
-        if recent >= self.crash_loop_threshold:
-            if slot.probe_failures == 0:
-                # Entering quarantine; a failed probe passes through
-                # ``spawning`` and back without being a new quarantine.
-                self._stats["quarantines"] += 1
-            slot.state = "quarantined"
-            slot.probe_failures += 1
-            delay = min(
-                self.quarantine_backoff_cap,
-                self.quarantine_backoff * (2.0 ** (slot.probe_failures - 1)),
-            )
-        else:
-            slot.state = "lost"
-            delay = min(self.respawn_backoff_cap, self.respawn_backoff * (2.0 ** (recent - 1)))
-        slot.next_attempt = now + delay + self._jitter.uniform(0.0, delay / 2.0)
-        if any(s.state != "quarantined" for s in self._slots):
-            return []
-        doomed = list(self._pending)
-        self._pending.clear()
-        why = f"all {len(self._slots)} fleet slots are quarantined (last loss: slot {slot.index}, {reason})"
-        return [(task, f"cannot run task {task.label}: {why}; probes continue") for task in doomed]
-
-    def _lose_worker(self, worker: _Worker, reason: str) -> None:
-        failures: list[tuple[_Task, str]] = []
+    def _lose(self, worker: _Worker, reason: str) -> None:
+        """Report ``worker`` lost (a no-op for the core after the first report) and reap it."""
         with self._lock:
-            if not worker.alive:
-                return
-            worker.alive = False
-            slot = worker.slot
-            if worker.span is not None:
-                worker.span.finish("lost")
-            if slot.worker is worker:
-                slot.worker = None
-            self._stats["workers_lost"] += 1
-            in_flight = worker.current
-            worker.current = None
-            if in_flight is not None:
-                if in_flight.attempt_span is not None:
-                    # The attempt died with the worker: the orphaned span
-                    # closes with a definite ``lost`` status, not dangling.
-                    in_flight.attempt_span.finish("lost")
-                    in_flight.attempt_span = None
-                in_flight.attempts += 1
-                in_flight.excluded.add(worker.wid)
-                if in_flight.attempts >= self.max_attempts:
-                    message = (
-                        f"task {in_flight.label} was lost with {in_flight.attempts} worker(s) "
-                        f"(last: slot {slot.index}, {reason}); "
-                        f"retry budget of {self.max_attempts} attempts exhausted"
-                    )
-                    failures.append((in_flight, message))
-                else:
-                    # Back to the front: a retry is older than anything queued.
-                    self._pending.appendleft(in_flight)
-            if self.respawn:
-                failures += self._record_loss_locked(slot, reason)
-            else:
-                # Nobody will join later: whatever no survivor may take fails now.
-                slot.state = "lost"
-                survivors = self._dispatchable_locked()
-                for task in [t for t in self._pending if all(w.wid in t.excluded for w in survivors)]:
-                    self._pending.remove(task)
-                    if task is in_flight:
-                        message = (
-                            f"task {task.label} was in flight on slot {slot.index} ({reason}) and no "
-                            f"surviving worker can take it ({self._stats['workers_lost']} workers lost)"
-                        )
-                    else:
-                        message = (
-                            f"no surviving worker can run queued task {task.label} "
-                            f"after slot {slot.index} lost its worker ({reason})"
-                        )
-                    failures.append((task, message))
-            if in_flight in self._pending:
-                self._stats["retries"] += 1  # still queued after the checks above: a real retry
-            assignments = self._dispatch_locked()
-        for task, message in failures:
-            self._fail(task, message)
-        self._send_assignments(assignments)
+            task = self._fleet.running(worker.wid)
+            if task is not None and task.attempt_span is not None:
+                # The attempt died with the worker: the orphaned span closes
+                # with a definite ``lost`` status, not dangling.
+                task.attempt_span.finish("lost")
+                task.attempt_span = None
+            actions = self._fleet.handle(fleet.Lost(worker.wid, reason), time.monotonic())
+            self._workers.pop(worker.wid, None)
+        if worker.span is not None:
+            worker.span.finish("lost")  # a no-op after close() finished it ``ok``
+        self._perform(actions)
         _kill(worker.proc)
-
-    # -- the fleet thread: health and respawn -------------------------------
-
-    def _fleet_period(self) -> float:
-        if self.monitor_period is not None:
-            return self.monitor_period
-        candidates = [0.25]
-        if self.heartbeat_timeout is not None and self.heartbeat_interval > 0:
-            candidates.append(self.heartbeat_timeout / 4.0)
-        if self.respawn:
-            candidates.append(max(self.respawn_backoff / 2.0, 0.02))
-        return max(0.02, min(candidates))
 
     def _fleet_loop(self, stop: threading.Event) -> None:
-        period = self._fleet_period()
-        while not stop.wait(period):
-            self._check_heartbeats()
-            if self.respawn:
-                self._respawn_due(stop)
-
-    def _check_heartbeats(self) -> None:
-        if self.heartbeat_timeout is None or self.heartbeat_interval <= 0:
-            return
-        now = time.monotonic()
-        stale: list[_Worker] = []
-        probes: list[_Worker] = []
-        with self._lock:
-            for slot in self._slots:
-                worker = slot.worker
-                if worker is None or not worker.alive:
-                    continue
-                # Workers that have not completed their handshake are still
-                # paying interpreter start-up; only the post-hello silence
-                # deadline is tight.
-                deadline = (
-                    self.heartbeat_timeout
-                    if worker.remote_pid is not None
-                    else max(self.heartbeat_timeout, self.spawn_deadline)
-                )
-                silence = now - worker.last_seen
-                if silence > deadline:
-                    stale.append(worker)
-                elif worker.remote_pid is not None and silence > deadline / 2.0 and slot.state == "live":
-                    slot.state = "suspect"
-                    if worker.span is not None:
-                        worker.span.event("suspect")
-                    probes.append(worker)
-        for worker in probes:
-            # An actively-probed suspect either answers (any frame clears the
-            # state) or stays silent until the full deadline kills it.
-            worker.probe_sent = time.monotonic()
-            try:
-                with worker.write_lock:
-                    write_frame(worker.proc.stdin, ("probe",))
-            except Exception:
-                self._lose_worker(worker, "write to suspect worker failed")
-        for worker in stale:
-            # Kill the wedged process; its reader thread sees EOF and the
-            # normal loss path (retry, exclusion, respawn) takes over.
-            try:
-                worker.proc.kill()
-            except OSError:
-                pass
-
-    def _respawn_due(self, stop: threading.Event) -> None:
-        now = time.monotonic()
-        with self._lock:
-            if not self._started:
-                return
-            due = [
-                slot
-                for slot in self._slots
-                if slot.worker is None
-                and slot.state in ("lost", "quarantined")
-                and slot.next_attempt is not None
-                and slot.next_attempt <= now
-            ]
-            for slot in due:
-                slot.next_attempt = None  # claimed by this tick
-        for slot in due:
-            if stop.is_set():
-                return
-            self._attach_replacement(slot)
-
-    def _attach_replacement(self, slot: _Slot) -> None:
-        """Spawn a late-joining worker into ``slot`` (respawn or quarantine probe)."""
-        try:
-            worker = self._spawn_worker(slot, born_late=True)
-        except Exception as exc:
-            # The spawn itself failed (fork/exec error): treat it like an
-            # instant loss so the backoff/quarantine machinery applies.
-            with self._lock:
-                failures = self._record_loss_locked(slot, f"spawn failed: {type(exc).__name__}: {exc}")
-            for task, message in failures:
-                self._fail(task, message)
-            return
-        with self._lock:
-            if self._started:
-                slot.worker = worker
-                slot.state = "spawning"
-                self._stats["respawns"] += 1
-                return
-        # close() won the race: this worker was born into a torn-down fleet.
-        worker.alive = False
-        _kill(worker.proc)
+        while not stop.wait(self._fleet.period):
+            self._handle(fleet.Tick())
 
     # -- lifecycle and introspection ----------------------------------------
 
@@ -765,64 +391,53 @@ class ProtocolExecutor(Executor):
         # may be spawning, and joining it here guarantees no new worker is
         # born after the teardown below collects the living ones.
         self._fleet_stop.set()
-        fleet = self._fleet_thread
-        if fleet is not None:
-            fleet.join(timeout=10)
+        if self._fleet_thread is not None:
+            self._fleet_thread.join(timeout=10)
         with self._lock:
-            slots = self._slots
-            self._slots = []
-            self._started = False
             self._fleet_thread = None
-            workers = [slot.worker for slot in slots if slot.worker is not None]
-            leftovers: list[_Task] = list(self._pending)
-            self._pending.clear()
-            for worker in workers:
-                worker.alive = False
-                if worker.span is not None:
-                    worker.span.finish("ok")
-                if worker.current is not None:
-                    leftovers.append(worker.current)
-                    worker.current = None
-        for task in leftovers:
-            self._fail(task, f"executor closed with task {task.label} outstanding")
+            actions = self._fleet.handle(fleet.Close(), time.monotonic())
+            workers = list(self._workers.values())
+            self._workers.clear()
+        for worker in workers:
+            if worker.span is not None:
+                worker.span.finish("ok")
+        self._perform(actions)
         for worker in workers:
             if worker.proc.poll() is None:
-                try:
-                    with worker.write_lock:
-                        write_frame(worker.proc.stdin, ("shutdown",))
-                except Exception:
-                    pass
+                self._write(worker, encode_frame(("shutdown",)), "executor closed")
             try:
                 worker.proc.stdin.close()
             except OSError:
-                pass
+                pass  # the pipe is already gone; the wait below reaps the process
         for worker in workers:
             try:
                 worker.proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 _kill(worker.proc)
         for worker in workers:
-            if worker.reader is not None:
-                worker.reader.join(timeout=5)
+            worker.reader.join(timeout=5)
+
+    def _live_workers(self) -> list[tuple[_Worker, Optional[fleet.Task]]]:
+        """``(process, task)`` of every occupied slot's running worker; caller holds the lock."""
+        return [(self._workers[w.wid], w.task) for w in self._fleet.live() if w.wid in self._workers]
 
     def worker_pids(self) -> list[int]:
         with self._lock:
-            return [w.proc.pid for w in self._live_workers_locked()]
+            return [worker.proc.pid for worker, _ in self._live_workers()]
 
     def busy_worker_pids(self) -> list[int]:
         """PIDs of live workers currently running a task (crash-injection hook)."""
         with self._lock:
-            return [w.proc.pid for w in self._live_workers_locked() if w.current is not None]
+            return [worker.proc.pid for worker, task in self._live_workers() if task is not None]
 
     def live_worker_count(self) -> int:
         """How many worker processes are alive right now (fleet observability)."""
-        with self._lock:
-            return len(self._live_workers_locked())
+        return len(self.worker_pids())
 
     def slot_states(self) -> list[str]:
-        """The per-slot lifecycle states (see the module docstring's machine)."""
+        """The per-slot lifecycle states (see :mod:`repro.runner.exec.fleet`)."""
         with self._lock:
-            return [slot.state for slot in self._slots]
+            return [slot.state for slot in self._fleet.slots]
 
     def partition_worker(self, pid: int) -> bool:
         """Chaos hook: sever the control channel to the worker with ``pid``.
@@ -834,14 +449,14 @@ class ProtocolExecutor(Executor):
         with that pid was found.
         """
         with self._lock:
-            target = next((w for w in self._live_workers_locked() if w.proc.pid == pid), None)
+            target = next((worker for worker, _ in self._live_workers() if worker.proc.pid == pid), None)
         if target is None:
             return False
         try:
             with target.write_lock:
                 target.proc.stdin.close()
         except OSError:
-            pass
+            pass  # a close that fails still leaves the pipe unusable: the loss path follows
         return True
 
     def stats(self) -> dict:
@@ -852,11 +467,11 @@ class ProtocolExecutor(Executor):
         happened on the way, mid-sweep recovery included.
         """
         with self._lock:
-            return dict(self._stats)
+            return dict(self._fleet.stats)
 
     def __repr__(self) -> str:
         alive = self.live_worker_count()
-        return f"{type(self).__name__}(workers={self.workers}, alive={alive}, stats={self.stats()})"
+        return f"{type(self).__name__}(workers={self.worker_count}, alive={alive}, stats={self.stats()})"
 
 
 def _package_search_path() -> str:

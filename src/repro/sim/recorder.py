@@ -41,14 +41,14 @@ The recorder seam is where execution backends beyond the single in-process
 engine plug in without touching the analysis layer: the sharded backend
 (:mod:`repro.runner.sharded`) runs independent replications in worker
 processes, each under its own ``OnlineMetricsRecorder``, and folds the
-resulting :class:`OnlineMetricsSummary` objects through the
-associative :meth:`OnlineMetricsSummary.merge` / :func:`merge_summaries`
-algebra -- max-combining worst-case skews and envelope constants,
-min-combining the completed round, summing message counts, and concatenating
-the per-process liveness triples and retained breakpoint samples; the exact
-window-rate hull pass runs once, over that union, when the result is
-compacted (:meth:`OnlineMetricsSummary.compact`) -- so a sharded run is
-float-for-float identical to the same replications folded serially.
+resulting :class:`OnlineMetricsSummary` objects through the associative
+:func:`merge_summaries` algebra -- max-combining worst-case skews and
+envelope constants, min-combining the completed round, summing message
+counts, and concatenating the per-process liveness triples and retained
+breakpoint samples; the exact window-rate hull pass runs once, over that
+union, when the result is compacted (:meth:`OnlineMetricsSummary.compact`)
+-- so a sharded run is float-for-float identical to the same replications
+folded serially.
 """
 
 from __future__ import annotations
@@ -342,13 +342,13 @@ class OnlineMetricsSummary:
     until :meth:`compact` derives them, once per result, and stay ``None``
     when the steady interval is empty.
 
-    Summaries form a merge algebra (see :meth:`merge` /
-    :func:`merge_summaries`): summaries of *independent* executions -- the
-    replications of one configuration, or disjoint process groups under one
-    fault strategy -- fold into the summary a single observer of the combined
-    system would report, which is what lets the sharded backend
-    (:mod:`repro.runner.sharded`) split the replication axis across worker
-    processes without changing any measured value.
+    Summaries form a merge algebra (see :func:`merge_summaries`): summaries
+    of *independent* executions -- the replications of one configuration, or
+    disjoint process groups under one fault strategy -- fold into the summary
+    a single observer of the combined system would report, which is what
+    lets the sharded backend (:mod:`repro.runner.sharded`) split the
+    replication axis across worker processes without changing any measured
+    value.
     """
 
     end_time: float
@@ -378,7 +378,7 @@ class OnlineMetricsSummary:
     notes: list
     #: One ``(times, values, long_run_rate)`` triple per honest process --
     #: the steady-window breakpoint samples the window-rate hull pass runs
-    #: over, retained so :meth:`merge` can concatenate them and
+    #: over, retained so :func:`merge_summaries` can concatenate them and
     #: :meth:`compact` run that pass once over the union.  Compacting strips
     #: it (``None``), so final results stay lean.
     window_samples: Optional[tuple] = None
@@ -422,14 +422,6 @@ class OnlineMetricsSummary:
         if self.end_time - self.steady_start > period and self.slowest_long_run_rate is not None:
             return (self.slowest_long_run_rate, self.fastest_long_run_rate)
         return None
-
-    def merge(self, other: "OnlineMetricsSummary") -> "OnlineMetricsSummary":
-        """Fold two summaries of independent executions into one.
-
-        See :func:`merge_summaries` for the semantics; ``a.merge(b)`` is
-        ``merge_summaries([a, b])``.
-        """
-        return merge_summaries([self, other])
 
     def compact(self) -> "OnlineMetricsSummary":
         """This summary in final form: window-rate extremes derived, samples dropped.

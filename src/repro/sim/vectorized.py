@@ -1494,48 +1494,42 @@ def run_lanes(scenarios) -> list:
         groups.setdefault(_layout_key(sc), []).append(i)
     for key, indices in groups.items():
         group = [scenarios[i] for i in indices]
-        try:
+        try:  # the group's setup: layout, and for a lockstep block Phase 1
             layout = _layout_for(key, group[0], np)
+            if layout.lockstep:
+                offsets = [_lane_offsets_list(layout, sc) for sc in group]
+                drift = (
+                    _DriftTables(layout, group)
+                    if layout.clock_mode == "random" else None
+                )
+                obs.inc("kernel.blocks")  # fill = kernel.vector_lanes / kernel.blocks
+                with obs.span("kernel.phase1") as sp:
+                    sp.set("lanes", len(group))
+                    lane_rounds = _phase1(layout, group, offsets, drift)
         except Exception as exc:
             _refuse(outcomes, indices, exc)
             continue
-        if not layout.lockstep:
-            # Echo, uniform/min delays, and randomized attacks run per lane
-            # on the exact-replay engine (no cross-lane lockstep arrays).
-            for pos, i in enumerate(indices):
-                try:
+        for pos, i in enumerate(indices):
+            try:  # one lane: Phase 2 of the block, or its own exact replay
+                if layout.lockstep:
+                    rounds = next(lane_rounds)  # or the lane's LaneFallback, raised
+                    with obs.span("kernel.phase2") as sp:
+                        sp.set("lane", i)
+                        outcomes[i] = _LaneAssembly(
+                            layout, rounds, offsets[pos],
+                            drift.clocks[pos] if drift is not None else None,
+                            group[pos].sample_messages,
+                        ).run()
+                else:
+                    # Echo, uniform/min delays, and randomized attacks run
+                    # per lane on the exact-replay engine (no cross-lane
+                    # lockstep arrays).
                     with obs.span("kernel.replay") as sp:
                         sp.set("lane", i)
                         replay = _ExactReplay(layout, group[pos])
                         outcomes[i] = replay.run()
                         sp.set("events", replay.events)
                         sp.set("pruned", replay.pruned)
-                except Exception as exc:
-                    _refuse(outcomes, [i], exc)
-            continue
-        try:
-            offsets = [_lane_offsets_list(layout, sc) for sc in group]
-            drift = (
-                _DriftTables(layout, group)
-                if layout.clock_mode == "random" else None
-            )
-            obs.inc("kernel.blocks")  # fill = kernel.vector_lanes / kernel.blocks
-            with obs.span("kernel.phase1") as sp:
-                sp.set("lanes", len(group))
-                lane_rounds = _phase1(layout, group, offsets, drift)
-        except Exception as exc:
-            _refuse(outcomes, indices, exc)
-            continue
-        for pos, i in enumerate(indices):
-            try:
-                rounds = next(lane_rounds)  # or the lane's LaneFallback, raised
-                with obs.span("kernel.phase2") as sp:
-                    sp.set("lane", i)
-                    outcomes[i] = _LaneAssembly(
-                        layout, rounds, offsets[pos],
-                        drift.clocks[pos] if drift is not None else None,
-                        group[pos].sample_messages,
-                    ).run()
             except Exception as exc:
                 _refuse(outcomes, [i], exc)
     return outcomes

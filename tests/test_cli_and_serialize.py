@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -127,6 +128,19 @@ def test_cli_experiment_quick(capsys):
     out = capsys.readouterr().out
     assert "resilience" in out.lower()
     assert "rushing_cabal" in out
+
+
+def test_cli_experiment_stream_reports_progress_on_stderr(capsys):
+    from repro.experiments import common as experiments_common
+
+    assert main(["experiment", "E1", "--quick", "--stream", "--no-cache"]) == 0
+    captured = capsys.readouterr()
+    progress = re.findall(r"^  \[(\d+)/(\d+)\] \S+$", captured.err, flags=re.MULTILINE)
+    total = len(progress)
+    assert total > 0
+    assert progress == [(str(k), str(total)) for k in range(1, total + 1)]
+    assert "[1/" not in captured.out  # tables on stdout, progress on stderr
+    assert experiments_common._progress is None  # the hook is removed afterwards
 
 
 def test_cli_experiment_unknown_id(capsys):

@@ -12,6 +12,7 @@ import dataclasses
 import io
 import os
 import signal
+import sys
 import time
 
 import pytest
@@ -224,20 +225,39 @@ def test_killed_worker_mid_task_retries_on_survivor(tmp_path):
         assert stats["workers_lost"] == 1 and stats["retries"] == 1
 
 
-def test_crash_loop_exhausts_workers_with_clear_error(tmp_path):
-    # respawn=False pins the legacy shrink-only mode: with self-healing on,
-    # the fleet would replace the dead workers and the task would fail on its
-    # retry budget instead (covered in tests/test_fleet.py).
-    with SubprocessWorkerExecutor(2, respawn=False, **FAST) as executor:
-        future = executor.submit(faultinject.exit_task, 1)
-        with pytest.raises(ExecutorFailure, match="no surviving worker"):
+class _BrokenExecutor(SubprocessWorkerExecutor):
+    """While ``broken`` is set, every spawn dies instantly: no slot says hello."""
+
+    broken = True
+
+    def _spawn_command(self, index):
+        if self.broken:
+            return [sys.executable, "-c", "raise SystemExit(3)"]
+        return super()._spawn_command(index)
+
+
+#: FAST plus a crash-loop policy that quarantines a slot on its second loss.
+CRASH_LOOP = dict(FAST, crash_loop_threshold=2, quarantine_backoff=0.05, quarantine_backoff_cap=0.1)
+
+
+def test_crash_loop_exhausts_workers_with_clear_error():
+    executor = _BrokenExecutor(2, **CRASH_LOOP)
+    try:
+        # Every worker dies at start-up: both slots crash-loop into
+        # quarantine, and the queue fails with one clear sentence.
+        future = executor.submit(faultinject.echo_task, 1)
+        with pytest.raises(ExecutorFailure, match=r"all 2 fleet slots are quarantined .*worker process exited"):
             future.result(timeout=60)
-        # With every worker dead, new submissions fail fast and say why.
-        with pytest.raises(ExecutorFailure, match="no live workers"):
-            executor.submit(faultinject.echo_task, 1).result(timeout=60)
-    # close() resets the backend: the executor is usable again.
-    with SubprocessWorkerExecutor(2, respawn=False, **FAST) as executor:
+        # The probes go on; a new submission fails when they fail too.
+        with pytest.raises(ExecutorFailure, match="quarantined"):
+            executor.submit(faultinject.echo_task, 2).result(timeout=60)
+        # close() resets the backend: the next submit spawns a fresh fleet.
+        executor.close()
+        assert executor.slot_states() == []
+        executor.broken = False
         assert executor.submit(faultinject.echo_task, "fresh").result(timeout=60) == "fresh"
+    finally:
+        executor.close()
 
 
 def test_retry_budget_bounded_even_with_surviving_workers():
@@ -341,23 +361,24 @@ def test_sweep_survives_worker_kill_mid_sweep_float_identical():
 
 def test_sweep_raises_clear_error_when_all_workers_die():
     scenarios = small_grid(count=8, rounds=6)
-    # respawn=False pins the legacy shrink-only failure mode; the self-healing
-    # default finishes this sweep instead (tests/test_fleet.py asserts that).
-    runner = SweepRunner(
-        jobs=2, executor=SubprocessWorkerExecutor(2, respawn=False, **FAST), chunk_size=1
-    )
+    executor = _BrokenExecutor(2, **CRASH_LOOP)
+    executor.broken = False
+    runner = SweepRunner(jobs=2, executor=executor, chunk_size=1)
     try:
-        fired = []
 
         def kill_everything(index, result):
-            if not fired:
-                fired.append(True)
-                for pid in runner._executor.worker_pids():
+            # After the first result every worker dies, and so does every
+            # replacement: the whole fleet ends up quarantined.
+            if not executor.broken:
+                executor.broken = True
+                for pid in executor.worker_pids():
                     os.kill(pid, signal.SIGKILL)
 
-        with pytest.raises(ExecutorFailure):
+        with pytest.raises(ExecutorFailure, match="all 2 fleet slots are quarantined"):
             runner.stream_sweep(scenarios, kill_everything, trace_level="metrics")
-        # The broken backend was dropped; the next sweep respawns and works.
+        # The runner closed the failed backend; once spawns work again, the
+        # next sweep respawns the fleet and matches the serial run.
+        executor.broken = False
         serial = SweepRunner(jobs=1).run_sweep(scenarios, trace_level="metrics")
         again = runner.run_sweep(scenarios, trace_level="metrics")
         assert fingerprint(again) == fingerprint(serial)

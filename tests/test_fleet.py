@@ -23,18 +23,13 @@ import pytest
 from repro.cli import main as cli_main
 from repro.runner import ExecutorFailure, SubprocessWorkerExecutor, SweepRunner, configure, reset_runner
 from repro.runner.exec import ChaosController, ChaosEvent, ChaosSchedule
-from repro.runner.exec import faultinject
+from repro.runner.exec import faultinject, fleet
 
-from test_executors import FAST, fingerprint, parity_grid_scenarios, small_grid, wait_for
+from test_executors import FAST, _BrokenExecutor, fingerprint, parity_grid_scenarios, small_grid, wait_for
 
 #: FAST plus aggressive fleet timings: losses are detected within ~2s and
 #: replacements arrive within ~0.1s, so recovery tests finish in seconds.
-FLEET = dict(
-    FAST,
-    respawn_backoff=0.05,
-    respawn_backoff_cap=0.5,
-    monitor_period=0.05,
-)
+FLEET = dict(FAST, respawn_backoff=0.05, respawn_backoff_cap=0.5)
 
 
 @pytest.fixture(autouse=True)
@@ -116,9 +111,10 @@ class _HalfBrokenExecutor(SubprocessWorkerExecutor):
 
 
 def test_crash_looping_slot_is_quarantined_not_thrashed():
+    threshold = 3
     executor = _HalfBrokenExecutor(
         2,
-        crash_loop_threshold=3,
+        crash_loop_threshold=threshold,
         crash_loop_window=30.0,
         quarantine_backoff=60.0,  # parked far beyond the test's lifetime
         **FLEET,
@@ -131,15 +127,16 @@ def test_crash_looping_slot_is_quarantined_not_thrashed():
         assert stats["quarantines"] == 1  # one crash-looping slot, one entry
         # The healthy slot carried the sweep; the broken one stopped burning
         # spawns once the crash-loop threshold tripped.
-        assert stats["workers_lost"] <= executor.crash_loop_threshold + 1
+        assert stats["workers_lost"] <= threshold + 1
     finally:
         executor.close()
 
 
 def test_failed_quarantine_probes_are_not_counted_as_new_quarantines():
+    threshold = 2
     executor = _HalfBrokenExecutor(
         2,
-        crash_loop_threshold=2,
+        crash_loop_threshold=threshold,
         crash_loop_window=30.0,
         quarantine_backoff=0.05,
         quarantine_backoff_cap=0.1,
@@ -148,7 +145,7 @@ def test_failed_quarantine_probes_are_not_counted_as_new_quarantines():
     try:
         assert executor.submit(faultinject.echo_task, "up").result(timeout=60) == "up"
         # Let several probes fail: each passes through ``spawning`` and back.
-        wait_for(lambda: executor.stats()["workers_lost"] >= executor.crash_loop_threshold + 4)
+        wait_for(lambda: executor.stats()["workers_lost"] >= threshold + 4)
         assert executor.stats()["quarantines"] == 1
     finally:
         executor.close()
@@ -200,13 +197,6 @@ def test_quarantined_host_rejoins_when_probe_succeeds(tmp_path):
         executor.close()
 
 
-class _BrokenExecutor(SubprocessWorkerExecutor):
-    """Every spawn dies instantly: no slot ever says hello."""
-
-    def _spawn_command(self, index):
-        return [sys.executable, "-c", "raise SystemExit(3)"]
-
-
 def test_fleet_with_every_slot_quarantined_fails_pending_tasks():
     executor = _BrokenExecutor(
         2,
@@ -250,15 +240,15 @@ def test_respawned_worker_takes_pending_work_at_hello(tmp_path):
 
 
 class _RecordingExecutor(SubprocessWorkerExecutor):
-    """Records every dispatch as ``(task_id, wid)`` in order."""
+    """Records every ``Send`` the fleet core decides as ``(task_id, wid)``, in order."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.dispatched: list[tuple[int, int]] = []
 
-    def _send_assignments(self, assignments):
-        self.dispatched += [(task.task_id, worker.wid) for worker, task in assignments]
-        super()._send_assignments(assignments)
+    def _perform(self, actions):
+        self.dispatched += [(action.task.task_id, action.wid) for action in actions if type(action) is fleet.Send]
+        super()._perform(actions)
 
 
 def test_task_lost_in_flight_is_dispatched_next_on_a_fresh_incarnation(tmp_path):
@@ -281,6 +271,10 @@ def test_removed_fleet_options_are_rejected_not_ignored(capsys):
         configure(executor="subprocess", autoscale=True)
     with pytest.raises(TypeError):
         SubprocessWorkerExecutor(2, max_workers=4)
+    with pytest.raises(TypeError):
+        SubprocessWorkerExecutor(2, respawn=False)  # the shrink-only mode is gone
+    with pytest.raises(TypeError):
+        SubprocessWorkerExecutor(2, monitor_period=0.05)  # the tick derives from the policy
     with pytest.raises(SystemExit) as exit_info:
         cli_main(["run", "--executor", "subprocess", "--autoscale"])
     assert exit_info.value.code == 2
