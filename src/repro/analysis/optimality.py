@@ -10,6 +10,7 @@ resilience threshold the breaking attacks must produce a red verdict
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,7 +19,7 @@ from ..core.params import SyncParams
 from ..sim.recorder import OnlineMetricsSummary
 from ..sim.trace import Trace
 from . import metrics
-from .envelope import accuracy_summary
+from .envelope import long_run_rate
 
 
 @dataclass(frozen=True)
@@ -87,26 +88,14 @@ class ExecutionMeasurements:
     long_run_rates: Optional[tuple[float, float]]
 
 
-def measure_trace(
-    trace: Trace,
-    params: SyncParams,
-    algorithm: str = bounds_mod.AUTH,
-    expected_round: int = 0,
-) -> ExecutionMeasurements:
+def measure_trace(trace: Trace, params: SyncParams, expected_round: int = 0) -> ExecutionMeasurements:
     """Exact guarantee-relevant measurements of a full execution trace."""
-    theoretical = bounds_mod.theoretical_bounds(params, algorithm)
     adjustments = metrics.adjustment_magnitudes(trace)
     long_run_rates: Optional[tuple[float, float]] = None
     start = metrics.steady_state_start(trace)
     if trace.end_time - start > params.period:
-        summary = accuracy_summary(
-            trace,
-            rate_low=theoretical.rate_min,
-            rate_high=theoretical.rate_max,
-            t_start=start,
-            t_end=trace.end_time,
-        )
-        long_run_rates = (summary.slowest_long_run_rate, summary.fastest_long_run_rate)
+        rates = [long_run_rate(ptrace, start, trace.end_time) for ptrace in trace.honest()]
+        long_run_rates = (min(rates, default=math.inf), max(rates, default=-math.inf))
     return ExecutionMeasurements(
         steady_skew=metrics.steady_state_skew(trace),
         acceptance_spread=metrics.max_acceptance_spread(trace),
@@ -256,7 +245,7 @@ def verify_guarantees(
     accepted all rounds up to that number (liveness).  ``slack`` is a tiny
     numerical tolerance added to every bound.
     """
-    measured = measure_trace(trace, params, algorithm=algorithm, expected_round=expected_round)
+    measured = measure_trace(trace, params, expected_round=expected_round)
     return verify_measurements(measured, params, algorithm=algorithm, expected_round=expected_round, slack=slack)
 
 

@@ -10,7 +10,7 @@ The CLI exposes the library's main entry points without writing any Python:
   ``--run`` the per-lane provenance breakdown of an actual run),
 * ``repro experiment``   -- regenerate one (or all) of the reproduced tables E1..E15,
 * ``repro stats``        -- run one scenario with the metrics registry on and dump
-  every counter/gauge/histogram Prometheus-style,
+  every counter and histogram Prometheus-style,
 * ``repro list-attacks`` -- list the registered Byzantine strategies,
 * ``repro list-experiments`` -- list the reproduced experiments.
 

@@ -3,7 +3,7 @@
 This package is the one observability surface for the whole stack --
 sweep runner, executor fleet, shard fold, vector/event kernels, result
 cache.  It is **off by default**: the module-level :func:`span`,
-:func:`event`, :func:`inc`, :func:`gauge_max` and :func:`observe` helpers
+:func:`event`, :func:`inc` and :func:`observe` helpers
 are no-ops that allocate nothing until :func:`enable` installs a
 :class:`~repro.obs.trace.Tracer` and/or a
 :class:`~repro.obs.metrics.MetricsRegistry`.  Telemetry never reads
@@ -53,7 +53,6 @@ __all__ = [
     "span",
     "event",
     "inc",
-    "gauge_max",
     "observe",
     "wire_context",
 ]
@@ -127,12 +126,6 @@ def inc(name: str, value: int = 1) -> None:
     """Increment a counter, if the registry is on."""
     if _registry is not None:
         _registry.inc(name, value)
-
-
-def gauge_max(name: str, value: float) -> None:
-    """Raise a high-water-mark gauge, if the registry is on."""
-    if _registry is not None:
-        _registry.gauge_max(name, value)
 
 
 def observe(name: str, value: float) -> None:

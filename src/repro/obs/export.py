@@ -144,10 +144,6 @@ def render_prometheus(snapshot: dict) -> str:
         prom = _prom_name(name)
         lines.append(f"# TYPE {prom} counter")
         lines.append(f"{prom} {snapshot['counters'][name]}")
-    for name in sorted(snapshot.get("gauges", {})):
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} gauge")
-        lines.append(f"{prom} {snapshot['gauges'][name]}")
     for name in sorted(snapshot.get("histograms", {})):
         hist = snapshot["histograms"][name]
         prom = _prom_name(name)

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges and histograms that merge across processes.
+"""The metrics registry: counters and histograms that merge across processes.
 
 One :class:`MetricsRegistry` per process (or per worker task); snapshots are
 plain dicts that merge through the same kind of exact associative algebra as
@@ -6,7 +6,6 @@ plain dicts that merge through the same kind of exact associative algebra as
 fold into the parent's exactly like shard summaries do:
 
 * **counters** add,
-* **gauges** combine by ``max`` (they record high-water marks),
 * **histograms** share the fixed bucket bounds :data:`HISTOGRAM_BOUNDS`, so
   merging is element-wise bucket addition plus exact ``count``/``sum`` sums
   and ``min``/``max`` combines.
@@ -20,10 +19,10 @@ parent registry (``tests/test_obs_metrics.py`` pins this the way
 Naming convention: dotted lowercase ``<subsystem>.<quantity>`` names
 (``cache.hits``, ``fleet.tasks``, ``kernel.vector_lanes``,
 ``fleet.queue_wait_s``); timing histograms end in ``_s`` (seconds).  The
-registry also absorbs the pre-existing scattered counters --
-:class:`~repro.runner.cache.CacheStats`, the executor scheduler's stats
-dict, :class:`~repro.workloads.scenarios.KernelProvenance` lane counts --
-via the ``absorb_*`` helpers, making it the one queryable surface
+registry also absorbs the pre-existing scattered counters -- the executor
+scheduler's stats dict and
+:class:`~repro.workloads.scenarios.KernelProvenance` lane counts -- via the
+``absorb_*`` helpers, making it the one queryable surface
 (``repro stats`` renders it Prometheus-style).
 """
 
@@ -41,7 +40,7 @@ HISTOGRAM_BOUNDS = tuple(0.0005 * (2.0**i) for i in range(20))
 
 def empty_snapshot() -> dict:
     """The merge identity: a snapshot with no metrics at all."""
-    return {"counters": {}, "gauges": {}, "histograms": {}}
+    return {"counters": {}, "histograms": {}}
 
 
 def _merge_histogram(into: dict, part: dict) -> None:
@@ -55,8 +54,8 @@ def _merge_histogram(into: dict, part: dict) -> None:
 def merge_snapshots(*snapshots: dict) -> dict:
     """Pure fold of registry snapshots (associative, commutative, exact).
 
-    Returns a new snapshot; the inputs are not mutated.  Counter values add,
-    gauges combine by ``max``, histograms add bucket-wise -- all operations
+    Returns a new snapshot; the inputs are not mutated.  Counter values add
+    and histograms add bucket-wise -- all operations
     on exact ints (or float sums whose addition order is fixed by the
     argument order, which every grouping of the same parts preserves because
     bucket counts and integer sums dominate the payload).
@@ -65,8 +64,6 @@ def merge_snapshots(*snapshots: dict) -> dict:
     for snapshot in snapshots:
         for name, value in snapshot.get("counters", {}).items():
             merged["counters"][name] = merged["counters"].get(name, 0) + value
-        for name, value in snapshot.get("gauges", {}).items():
-            merged["gauges"][name] = max(merged["gauges"].get(name, value), value)
         for name, part in snapshot.get("histograms", {}).items():
             into = merged["histograms"].get(name)
             if into is None:
@@ -83,12 +80,11 @@ def merge_snapshots(*snapshots: dict) -> dict:
 
 
 class MetricsRegistry:
-    """A thread-safe bag of counters, gauges and fixed-bucket histograms."""
+    """A thread-safe bag of counters and fixed-bucket histograms."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict = {}
-        self._gauges: dict = {}
         self._histograms: dict = {}
 
     # -- recording ---------------------------------------------------------
@@ -97,13 +93,6 @@ class MetricsRegistry:
         """Add ``value`` to the counter ``name`` (creating it at 0)."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
-
-    def gauge_max(self, name: str, value: float) -> None:
-        """Raise the high-water-mark gauge ``name`` to at least ``value``."""
-        with self._lock:
-            current = self._gauges.get(name)
-            if current is None or value > current:
-                self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation into the histogram ``name``."""
@@ -136,7 +125,6 @@ class MetricsRegistry:
             return merge_snapshots(
                 {
                     "counters": self._counters,
-                    "gauges": self._gauges,
                     "histograms": self._histograms,
                 }
             )
@@ -146,15 +134,9 @@ class MetricsRegistry:
         merged = merge_snapshots(self.snapshot(), snapshot)
         with self._lock:
             self._counters = merged["counters"]
-            self._gauges = merged["gauges"]
             self._histograms = merged["histograms"]
 
     # -- absorption of the pre-existing scattered stats ----------------------
-
-    def absorb_cache_stats(self, stats) -> None:
-        """Fold a :class:`~repro.runner.cache.CacheStats` into ``cache.*`` counters."""
-        for key, value in stats.as_dict().items():
-            self.inc(f"cache.{key}", value)
 
     def absorb_fleet_stats(self, stats: dict) -> None:
         """Fold an executor's scheduler stats dict into ``fleet.*`` counters."""
@@ -183,6 +165,5 @@ class MetricsRegistry:
     def __repr__(self) -> str:
         with self._lock:
             return (
-                f"MetricsRegistry(counters={len(self._counters)}, "
-                f"gauges={len(self._gauges)}, histograms={len(self._histograms)})"
+                f"MetricsRegistry(counters={len(self._counters)}, histograms={len(self._histograms)})"
             )

@@ -151,22 +151,7 @@ class Simulation:
         :class:`~repro.sim.recorder.OnlineMetricsSummary` with the streaming
         metrics recorder.
         """
-        if t_end < self._now:
-            raise ValueError("cannot run into the past")
-        # An early stop in an earlier run segment must not leak into this one.
-        self._stopped = False
-        pop_until = self.queue.pop_until
-        fired = 0
-        while (event := pop_until(t_end)) is not None:
-            # step() inlined.
-            if event.time < self._now:
-                raise RuntimeError("event queue returned an event in the past")
-            self._now = event.time
-            fired += 1
-            event.action(*event.args)
-        self.events_fired += fired
-        self._now = t_end
-        return self.recorder.finalize(self._now, self.network.stats)
+        return self._run(t_end)
 
     def run_until_round(
         self,
@@ -200,10 +185,21 @@ class Simulation:
         """
         if not adaptive:
             raise ValueError("run_until_round has one stop rule; adaptive=False no longer exists")
-        if t_max < self._now:
-            raise ValueError("cannot run into the past")
         if grace < 0:
             raise ValueError(f"grace must be non-negative, got {grace}")
+        return self._run(t_max, target_round, grace, abort_unreachable)
+
+    def _run(
+        self,
+        t_max: float,
+        target_round: Optional[int] = None,
+        grace: float = 0.0,
+        abort_unreachable: bool = False,
+    ):
+        """The one event loop: fire events up to ``t_max``, stopping early on the armed target."""
+        if t_max < self._now:
+            raise ValueError("cannot run into the past")
+        # An early stop in an earlier run segment must not leak into this one.
         self._stopped = False
         recorder = self.recorder
         queue = self.queue
@@ -228,7 +224,7 @@ class Simulation:
                 event = pop_until(limit)
                 if event is None:
                     break
-                if event.time < self._now:  # step() inlined, as in run_until
+                if event.time < self._now:  # step() inlined
                     raise RuntimeError("event queue returned an event in the past")
                 self._now = event.time
                 fired += 1

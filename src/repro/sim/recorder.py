@@ -32,10 +32,13 @@ Two implementations ship here:
   results are float-for-float identical to the full-trace pipeline for every
   metric it reports (see ``tests/test_recorder_parity.py``).
 
-Recorders also decide when a run stops: the engine arms a target round via
-:meth:`Recorder.set_round_target` and both recorders timestamp the
-completing resynchronization in O(1) amortized time, so a run halts the
-moment the target round completes with no O(n) round scan per event.
+Recorders also decide when a run stops.  Round progress -- each honest
+process's largest accepted round, the completed round and the crash ceiling
+-- is one ledger in the :class:`Recorder` base, fed by both recorders'
+``register_process`` / ``on_resync`` / ``on_crash``.  The engine arms a
+target round via :meth:`Recorder.set_round_target` and the ledger timestamps
+the completing resynchronization in O(1) amortized time (one O(n) rescan
+per completed round), so a run halts the moment the target round completes.
 
 The recorder seam is where execution backends beyond the single in-process
 engine plug in without touching the analysis layer: the sharded backend
@@ -121,28 +124,67 @@ class Recorder(ABC):
         """Attach a free-form annotation (default: ignore)."""
 
     @abstractmethod
-    def min_completed_round(self) -> int:
-        """Largest round accepted by every non-faulty process (0 if none)."""
-
-    @abstractmethod
     def finalize(self, end_time: float, network_stats: "NetworkStats"):
         """Close the recording at ``end_time`` and return the result object."""
 
-    # -- round-target tracking (the engine's stop rule) -----------------------
+    # -- round progress (the engine's stop rule) ------------------------------
 
-    #: Round the engine is waiting for, or None when no target is armed.
-    _round_target: Optional[int] = None
-    #: When the armed target round first completed (None while it has not);
-    #: a plain attribute, because the engine's stop rule reads it per event.
-    round_reached_at: Optional[float] = None
-    #: Largest round every honest process can still complete: once an honest
-    #: process crashes, no round above its progress is ever completed by all.
-    _crash_ceiling: float = math.inf
+    def __init__(self) -> None:
+        #: Largest round each honest pid has accepted (0 before its first).
+        self._accepted: dict[int, int] = {}
+        #: min(self._accepted.values()), and how many pids sit at it: the
+        #: min can only move when the last of them advances, so it is
+        #: rescanned once per completed round, not once per acceptance.
+        self._completed = 0
+        self._at_completed = 0
+        #: Largest round every honest process can still complete: once an
+        #: honest process crashes, no round above its progress is ever
+        #: completed by all (inf while every honest process is alive).
+        self.crash_ceiling: float = math.inf
+        #: Round the engine is waiting for, or None when no target is armed.
+        self._round_target: Optional[int] = None
+        #: When the armed target round first completed (None while it has
+        #: not); a plain attribute, because the stop rule reads it per event.
+        self.round_reached_at: Optional[float] = None
 
-    @property
-    def crash_ceiling(self) -> float:
-        """Largest round still completable by every honest process (inf if all alive)."""
-        return self._crash_ceiling
+    def _join_ledger(self, pid: int) -> None:
+        """Honest ``pid`` joins round tracking at round 0."""
+        self._accepted[pid] = 0
+        if self._completed:
+            self._completed = self._at_completed = 0
+        self._at_completed += 1
+
+    def _ledger_accept(self, pid: int, round_: int, time: float) -> None:
+        """Honest ``pid`` accepted ``round_`` at ``time`` (other pids are ignored)."""
+        level = self._accepted.get(pid)
+        if level is None or round_ <= level:
+            return
+        self._accepted[pid] = round_
+        if level == self._completed:
+            self._at_completed -= 1
+            if not self._at_completed:
+                self._rescan_completed()
+            if (
+                self._round_target is not None
+                and self.round_reached_at is None
+                and self._completed >= self._round_target
+            ):
+                self.round_reached_at = time
+
+    def _rescan_completed(self) -> None:
+        levels = list(self._accepted.values())
+        self._completed = min(levels)
+        self._at_completed = levels.count(self._completed)
+
+    def _ledger_crash(self, pid: int) -> None:
+        """Honest ``pid`` halted: cap the completable rounds at its progress."""
+        level = self._accepted.get(pid)
+        if level is not None and level < self.crash_ceiling:
+            self.crash_ceiling = level
+
+    def min_completed_round(self) -> int:
+        """Largest round accepted by every honest process (0 if none)."""
+        return self._completed
 
     @property
     def round_target_unreachable(self) -> bool:
@@ -157,29 +199,20 @@ class Recorder(ABC):
         return (
             self._round_target is not None
             and self.round_reached_at is None
-            and self._crash_ceiling < self._round_target
+            and self.crash_ceiling < self._round_target
         )
 
     def set_round_target(self, target: Optional[int], now: float = 0.0) -> None:
         """Arm (or with ``None`` disarm) completion tracking of ``target``.
 
         ``Simulation.run_until_round`` arms a target and reads
-        :attr:`round_reached_at` after every event; recorders timestamp the
-        completing resynchronization via :meth:`_check_round_target`.
+        :attr:`round_reached_at` after every event; the ledger timestamps
+        the completing resynchronization.
         """
         self._round_target = target
         self.round_reached_at = None
-        if target is not None and self.min_completed_round() >= target:
+        if target is not None and self._completed >= target:
             self.round_reached_at = now
-
-    def _check_round_target(self, time: float) -> None:
-        """Record ``time`` as the completion instant if the target is now met."""
-        if (
-            self._round_target is not None
-            and self.round_reached_at is None
-            and self.min_completed_round() >= self._round_target
-        ):
-            self.round_reached_at = time
 
     # -- full-trace access (only meaningful for history-keeping recorders) ----
 
@@ -203,19 +236,13 @@ class FullTraceRecorder(Recorder):
     """The historical observer: record everything into a :class:`Trace`.
 
     Every measurement the analysis layer computes from the resulting trace is
-    exactly what the pre-recorder engine produced.
+    exactly what the pre-recorder engine produced.  Round progress is the
+    base class's ledger, not a scan of the trace.
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self._trace = Trace()
-        # Incrementally maintained copy of Trace.min_completed_round(): the
-        # engine's stop check reads it after every event, and recomputing it
-        # from the resync lists there is the dominant cost of large full-trace
-        # runs.  All engine-driven resyncs flow through on_resync, so the
-        # cache is exact (per-process accepted rounds only ever grow).
-        self._round_floor: dict[int, int] = {}
-        self._completed = 0
-        self._crash_ceiling = math.inf
 
     @property
     def trace(self) -> Trace:
@@ -230,39 +257,25 @@ class FullTraceRecorder(Recorder):
         """Open a per-process trace; honest processes join round tracking."""
         self._trace.add_process(pid, clock, faulty=faulty)
         if not faulty:
-            self._round_floor[pid] = 0
-            self._completed = 0
+            self._join_ledger(pid)
 
     def on_adjustment(self, pid: int, time: float, adjustment: float) -> None:
         """Append the adjustment breakpoint to ``pid``'s trace."""
         self._trace.record_adjustment(pid, time, adjustment)
 
     def on_resync(self, event: ResyncEvent) -> None:
-        """Record the acceptance and advance the completed-round floor."""
+        """Record the acceptance; the ledger ignores faulty processes."""
         self._trace.record_resync(event)
-        old = self._round_floor.get(event.pid)
-        if old is not None and event.round > old:
-            self._round_floor[event.pid] = event.round
-            if old == self._completed:
-                self._completed = min(self._round_floor.values())
-            self._check_round_target(event.time)
+        self._ledger_accept(event.pid, event.round, event.time)
 
     def on_crash(self, pid: int, time: float) -> None:
-        """Record the halt and cap the completable-round ceiling."""
+        """Record the halt; an honest crash caps the ledger's ceiling."""
         self._trace.record_crash(pid, time)
-        floor = self._round_floor.get(pid)
-        if floor is not None and floor < self._crash_ceiling:
-            # A crashed honest process never accepts again, so rounds above
-            # its progress can never be completed by every honest process.
-            self._crash_ceiling = floor
+        self._ledger_crash(pid)
 
     def on_note(self, text: str) -> None:
         """Append the annotation to the trace."""
         self._trace.note(text)
-
-    def min_completed_round(self) -> int:
-        """Largest round accepted by every honest process (0 if none)."""
-        return self._completed if self._round_floor else 0
 
     def finalize(self, end_time: float, network_stats: "NetworkStats") -> Trace:
         """Stamp the end time and message statistics; return the trace."""
@@ -288,9 +301,7 @@ class _ProcState:
         "resync_count",
         "prev_resync_time",
         "min_round",
-        "max_round",
         "first_gap",
-        "crashed",
         "bp_seq",
         "bp_idx",
         "value_at_steady",
@@ -310,9 +321,7 @@ class _ProcState:
         self.resync_count = 0
         self.prev_resync_time = 0.0
         self.min_round = 0
-        self.max_round = 0
         self.first_gap: Optional[int] = None
-        self.crashed = False
         self.bp_seq = clock.breakpoints()
         self.bp_idx = 0
         self.value_at_steady = 0.0
@@ -599,6 +608,7 @@ class OnlineMetricsRecorder(Recorder):
         rate_high: Optional[float] = None,
         sample_messages: Optional[int] = None,
     ) -> None:
+        super().__init__()
         if (rate_low is None) != (rate_high is None):
             raise ValueError("rate_low and rate_high must be given together")
         if sample_messages is not None and sample_messages < 1:
@@ -635,13 +645,6 @@ class OnlineMetricsRecorder(Recorder):
         self._max_backward = 0.0
         self._acceptance_spread = 0.0
         self._round_times: dict[int, list] = {}  # round -> [min_t, max_t, count]
-        self._crash_ceiling = math.inf  # rounds above this can never complete
-        # Incrementally maintained min over honest processes of the largest
-        # accepted round (read after every event by the engine's stop checks)
-        # and how many processes still sit at it: the min can only move when
-        # the last of them leaves.
-        self._min_completed = 0
-        self._at_min = 0
         self._notes: list[str] = []
 
     # -- registration --------------------------------------------------------
@@ -653,13 +656,15 @@ class OnlineMetricsRecorder(Recorder):
         if pid in self._procs:
             raise ValueError(f"process {pid} already registered in recorder")
         self._procs[pid] = _ProcState(pid, clock, faulty)
+        if not faulty:
+            self._join_ledger(pid)
 
     def _seal(self) -> None:
         if self._sealed:
             return
         self._sealed = True
         self._honest = [self._procs[pid] for pid in sorted(self._procs) if not self._procs[pid].faulty]
-        self._unsynced = self._at_min = len(self._honest)
+        self._unsynced = len(self._honest)
         for index, proc in enumerate(self._honest):
             if proc.bp_seq:
                 heapq.heappush(self._heap, (proc.bp_seq[0], index))
@@ -820,11 +825,9 @@ class OnlineMetricsRecorder(Recorder):
         t = event.time
         self._advance(t)
         round_ = event.round
-        old_floor = proc.max_round if proc.resync_count else 0
         proc.resync_count += 1
         if proc.resync_count == 1:
             proc.min_round = round_
-            proc.max_round = round_
             self._unsynced -= 1
             if self._unsynced == 0:
                 self._open_batch(t)
@@ -840,12 +843,11 @@ class OnlineMetricsRecorder(Recorder):
                 if interval > self._period_max:
                     self._period_max = interval
                 self._period_count += 1
-            if round_ > proc.max_round + 1 and proc.first_gap is None:
-                proc.first_gap = proc.max_round + 1
+            accepted = self._accepted[proc.pid]
+            if round_ > accepted + 1 and proc.first_gap is None:
+                proc.first_gap = accepted + 1
             if round_ < proc.min_round:
                 proc.min_round = round_
-            if round_ > proc.max_round:
-                proc.max_round = round_
             adjustment = event.logical_after - event.logical_before
             magnitude = abs(adjustment)
             if self._max_adjustment is None or magnitude > self._max_adjustment:
@@ -854,23 +856,11 @@ class OnlineMetricsRecorder(Recorder):
             if backward > self._max_backward:
                 self._max_backward = backward
         proc.prev_resync_time = t
-        if proc.max_round != old_floor and old_floor == self._min_completed:
-            # One of the laggards pinning the completed round advanced; the
-            # min moves only when the last of them has (once per completed
-            # round, not once per acceptance).
-            self._at_min -= 1
-            if self._at_min == 0:
-                self._rescan_min_completed()
-        self._check_round_target(t)
+        self._ledger_accept(proc.pid, round_, t)
         self._record_acceptance(round_, t)
 
-    def _rescan_min_completed(self) -> None:
-        rounds = [p.max_round if p.resync_count else 0 for p in self._honest]
-        self._min_completed = min(rounds)
-        self._at_min = rounds.count(self._min_completed)
-
     def _record_acceptance(self, round_: int, t: float) -> None:
-        if round_ > self._crash_ceiling:
+        if round_ > self.crash_ceiling:
             return
         entry = self._round_times.get(round_)
         if entry is None:
@@ -893,17 +883,11 @@ class OnlineMetricsRecorder(Recorder):
                 del self._round_times[stale]
 
     def on_crash(self, pid: int, time: float) -> None:
-        """Mark the halt; an honest crash caps the completable-round ceiling."""
-        proc = self._procs[pid]
-        proc.crashed = True
-        if not proc.faulty:
-            # A crashed honest process never accepts again: rounds above its
-            # progress can never be completed by everyone, so stop tracking.
-            ceiling = proc.max_round if proc.resync_count else 0
-            if ceiling < self._crash_ceiling:
-                self._crash_ceiling = ceiling
-                for stale in [r for r in self._round_times if r > ceiling]:
-                    del self._round_times[stale]
+        """An honest crash caps the ledger's ceiling; rounds above it stop being tracked."""
+        self._ledger_crash(pid)
+        ceiling = self.crash_ceiling
+        for stale in [r for r in self._round_times if r > ceiling]:
+            del self._round_times[stale]
 
     def on_message(self, envelope: "Envelope") -> None:
         """Retain every K-th envelope as a :class:`MessageSample` (if sampling)."""
@@ -948,10 +932,6 @@ class OnlineMetricsRecorder(Recorder):
     def on_note(self, text: str) -> None:
         """Append the annotation; notes concatenate under the merge algebra."""
         self._notes.append(text)
-
-    def min_completed_round(self) -> int:
-        """Largest round accepted by every honest process (0 if none)."""
-        return self._min_completed
 
     # -- finalization -----------------------------------------------------------
 
@@ -1008,7 +988,7 @@ class OnlineMetricsRecorder(Recorder):
             worst_offset = self._worst_offset
 
         triples = tuple(
-            (proc.min_round, proc.max_round, proc.first_gap) if proc.resync_count else None
+            (proc.min_round, self._accepted[proc.pid], proc.first_gap) if proc.resync_count else None
             for proc in self._honest
         )
         summary = OnlineMetricsSummary(
@@ -1023,7 +1003,7 @@ class OnlineMetricsRecorder(Recorder):
             max_adjustment=self._max_adjustment,
             max_backward_adjustment=self._max_backward,
             completed_round=self.min_completed_round(),
-            max_round=max((p.max_round for p in self._honest if p.resync_count), default=0),
+            max_round=max(self._accepted.values(), default=0),
             liveness_triples=triples,
             slowest_long_run_rate=slowest_lr,
             fastest_long_run_rate=fastest_lr,

@@ -115,14 +115,14 @@ class LaneFallback(Exception):
 
 @dataclass
 class LaneOutcome:
-    """Result of evaluating one lane (one single-replication scenario)."""
+    """Result of evaluating one lane (one single-replication scenario).
+
+    A served lane always stopped early: it ends on the acceptance that
+    completes its target round.
+    """
 
     #: The finalized summary; ``None`` when the lane fell back.
     summary: Optional[OnlineMetricsSummary] = None
-    #: Real time the run ended (the completing acceptance instant).
-    end_time: float = 0.0
-    #: Always ``True`` for a served lane (the round target completed).
-    stopped_early: bool = False
     #: Why the lane must run on the event loop instead, or ``None``.
     fallback: Optional[str] = None
 
@@ -996,9 +996,7 @@ def _finalize_lane(layout, lane_offsets, batches, emissions, t_star,
     if samples is not None:
         recorder.ingest_message_samples(samples)
     summary = recorder.finalize(t_star, stats)
-    return LaneOutcome(
-        summary=summary, end_time=t_star, stopped_early=True, fallback=None
-    )
+    return LaneOutcome(summary=summary)
 
 
 # Event codes of the exact-replay heap.  Events are plain tuples

@@ -20,8 +20,8 @@ from .. import obs
 from ..analysis import metrics
 from ..analysis.envelope import AccuracySummary, accuracy_summary
 from ..analysis.optimality import (
-    ExecutionMeasurements,
     GuaranteeReport,
+    measure_trace,
     period_stats_from_summary,
     verify_measurements,
     verify_summary,
@@ -630,58 +630,32 @@ def resolve_check_guarantees(scenario: Scenario, check_guarantees: Optional[bool
 
 
 def _measure_full(scenario: Scenario, trace: Trace, check: bool, stopped_early: bool = False) -> ScenarioResult:
-    steady = metrics.steady_state_start(trace)
+    params = scenario.params
+    measured = measure_trace(trace, params, expected_round=scenario.rounds)
     accuracy: Optional[AccuracySummary] = None
-    if trace.end_time - steady > scenario.params.period:
+    if measured.long_run_rates is not None:
         accuracy = accuracy_summary(
             trace,
-            rate_low=scenario.params.min_rate,
-            rate_high=scenario.params.max_rate,
-            t_start=steady,
+            rate_low=params.min_rate,
+            rate_high=params.max_rate,
+            t_start=metrics.steady_state_start(trace),
             t_end=trace.end_time,
         )
-
-    precision = metrics.steady_state_skew(trace)
-    period_stats = metrics.period_stats(trace)
-    acceptance_spread = metrics.max_acceptance_spread(trace)
-    completed_round = trace.min_completed_round()
-
     guarantees: Optional[GuaranteeReport] = None
     if check:
-        # Reuse the measurements computed above instead of re-walking the
-        # trace inside verify_guarantees (the long-run rates are independent
-        # of the envelope's rate bounds, so the result-level accuracy summary
-        # supplies exactly the values the guarantee checks compare).
-        adjustments = metrics.adjustment_magnitudes(trace)
-        measured = ExecutionMeasurements(
-            steady_skew=precision,
-            acceptance_spread=acceptance_spread,
-            period_stats=period_stats,
-            max_adjustment=max(adjustments) if adjustments else None,
-            min_completed_round=completed_round,
-            liveness_ok=metrics.liveness(trace, scenario.rounds),
-            long_run_rates=(
-                (accuracy.slowest_long_run_rate, accuracy.fastest_long_run_rate)
-                if accuracy is not None
-                else None
-            ),
-        )
         guarantees = verify_measurements(
-            measured,
-            scenario.params,
-            algorithm=scenario.st_algorithm,
-            expected_round=scenario.rounds,
+            measured, params, algorithm=scenario.st_algorithm, expected_round=scenario.rounds
         )
 
     return ScenarioResult(
         scenario=scenario,
         trace=trace,
-        precision=precision,
+        precision=measured.steady_skew,
         precision_overall=metrics.max_skew(trace),
-        period_stats=period_stats,
-        acceptance_spread=acceptance_spread,
+        period_stats=measured.period_stats,
+        acceptance_spread=measured.acceptance_spread,
         accuracy=accuracy,
-        completed_round=completed_round,
+        completed_round=measured.min_completed_round,
         total_messages=trace.total_messages,
         messages_per_round=metrics.messages_per_completed_round(trace),
         guarantees=guarantees,
@@ -850,8 +824,7 @@ def run_shard(scenario: Scenario, shard_index: int, replication_indices: Sequenc
         stopped = True
         for rep, record, outcome in zip(reps, records, outcomes):
             if record.vector_lanes:
-                summaries.append(outcome.summary)
-                stopped = stopped and outcome.stopped_early
+                summaries.append(outcome.summary)  # a served lane always stopped early
                 continue
             reason = record.noted_reason
             note = None
@@ -958,7 +931,7 @@ def run_scenarios(cells):
             outcomes = _offer_lanes([cells[i][0] for i in lanes], records)
             for i, record, outcome in zip(lanes, records, outcomes):
                 if record.vector_lanes:
-                    served[i] = _finish_lane(cells[i], record, outcome.summary, outcome.stopped_early)
+                    served[i] = _finish_lane(cells[i], record, outcome.summary, stopped_early=True)
     verdicts = dict(zip(lanes, records))
     for i, cell in enumerate(cells):
         result = served.pop(i, None)

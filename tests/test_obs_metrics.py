@@ -6,7 +6,7 @@ is associative and commutative with :func:`empty_snapshot` as the identity,
 so any grouping of the same worker snapshots -- per task, per worker, or one
 flat fold -- produces the same parent registry.  These tests pin the algebra
 directly, the histogram bucketing, and the ``absorb_*`` bridges from the
-pre-existing scattered stats (cache, fleet scheduler, kernel provenance).
+pre-existing scattered stats (fleet scheduler, kernel provenance).
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ from repro.obs.metrics import (
     empty_snapshot,
     merge_snapshots,
 )
-from repro.runner.cache import CacheStats
 from repro.workloads.scenarios import KernelProvenance
 
 
 def _random_snapshot(seed: int) -> dict:
-    """A registry snapshot with random counters, gauges and histograms.
+    """A registry snapshot with random counters and histograms.
 
     Histogram observations are dyadic rationals (k/64) so their float sums
     are exact under any association -- the groupings below must fold
@@ -35,9 +34,6 @@ def _random_snapshot(seed: int) -> dict:
     for name in ("cache.hits", "fleet.tasks", "kernel.vector_lanes"):
         if rng.random() < 0.8:
             registry.inc(name, rng.randint(0, 9))
-    for name in ("fleet.backlog_peak", "runner.inflight_peak"):
-        if rng.random() < 0.8:
-            registry.gauge_max(name, rng.randint(0, 64) / 64)
     for name in ("fleet.queue_wait_s", "fleet.probe_rtt_s"):
         for _ in range(rng.randint(0, 6)):
             registry.observe(name, rng.randint(1, 2**14) / 64)
@@ -83,15 +79,13 @@ def test_merge_random_groupings_are_identical():
 def test_merge_semantics_per_kind():
     a = MetricsRegistry()
     a.inc("c", 2)
-    a.gauge_max("g", 3.0)
     a.observe("h", 0.001)
     b = MetricsRegistry()
     b.inc("c", 5)
-    b.gauge_max("g", 1.0)
     b.observe("h", 100.0)
     merged = merge_snapshots(a.snapshot(), b.snapshot())
+    assert set(merged) == {"counters", "histograms"}
     assert merged["counters"]["c"] == 7  # counters add
-    assert merged["gauges"]["g"] == 3.0  # gauges keep the high-water mark
     hist = merged["histograms"]["h"]
     assert hist["count"] == 2
     assert hist["sum"] == 100.001
@@ -148,16 +142,14 @@ def test_snapshot_is_an_isolated_copy():
 def test_absorb_merges_worker_snapshot():
     parent = MetricsRegistry()
     parent.inc("tasks", 1)
-    parent.gauge_max("peak", 2.0)
+    parent.observe("wait", 0.5)
     worker = MetricsRegistry()
     worker.inc("tasks", 3)
-    worker.gauge_max("peak", 5.0)
     worker.observe("wait", 0.25)
     parent.absorb(worker.snapshot())
     snapshot = parent.snapshot()
     assert snapshot["counters"]["tasks"] == 4
-    assert snapshot["gauges"]["peak"] == 5.0
-    assert snapshot["histograms"]["wait"]["count"] == 1
+    assert snapshot["histograms"]["wait"]["count"] == 2
     assert parent.counter("tasks") == 4
     assert parent.counter("never-seen") is None
 
@@ -170,13 +162,6 @@ def test_inc_zero_creates_the_series():
 
 
 # -- absorption bridges ----------------------------------------------------
-
-
-def test_absorb_cache_stats():
-    registry = MetricsRegistry()
-    registry.absorb_cache_stats(CacheStats(hits=2, misses=3, stores=1))
-    snapshot = registry.snapshot()["counters"]
-    assert snapshot == {"cache.hits": 2, "cache.misses": 3, "cache.stores": 1}
 
 
 def test_absorb_fleet_stats():

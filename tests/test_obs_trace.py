@@ -44,7 +44,6 @@ def test_disabled_helpers_are_allocation_free_no_ops():
     assert span.span_id is None
     obs.event("nobody-listening")
     obs.inc("counter")
-    obs.gauge_max("gauge", 1.0)
     obs.observe("hist", 1.0)
     assert obs.wire_context() is None  # untraced task frames stay 4-element
     assert obs.tracer() is None and obs.registry() is None
@@ -259,12 +258,12 @@ def test_validate_rejects_child_escaping_parent(tmp_path):
 def test_render_prometheus():
     registry = MetricsRegistry()
     registry.inc("cache.hits", 3)
-    registry.gauge_max("fleet.backlog-peak", 2.5)
+    registry.inc("fleet.workers-lost", 2)
     registry.observe("fleet.queue_wait_s", 0.0004)  # below the first bound
     registry.observe("fleet.queue_wait_s", 1e9)  # beyond the last bound
     text = render_prometheus(registry.snapshot())
     assert "# TYPE repro_cache_hits counter\nrepro_cache_hits 3\n" in text
-    assert "# TYPE repro_fleet_backlog_peak gauge" in text  # dots and dashes mangled
+    assert "repro_fleet_workers_lost 2\n" in text  # dots and dashes mangled
     assert 'repro_fleet_queue_wait_s_bucket{le="0.0005"} 1' in text
     assert 'repro_fleet_queue_wait_s_bucket{le="+Inf"} 2' in text
     assert "repro_fleet_queue_wait_s_count 2" in text

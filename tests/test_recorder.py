@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.serialize import trace_to_dict
 from repro.crypto.signatures import digest_cache_info, message_digest, sign
 from repro.experiments.common import benign_scenario, default_params
 from repro.sim.clocks import FixedRateClock
@@ -61,6 +64,24 @@ def test_run_until_resets_stale_stop_flag():
     assert not sim.stopped_early
     assert sim.now == t_end
     assert trace.end_time == t_end
+
+
+def test_run_until_after_run_until_round_resumes_like_one_straight_run():
+    """``run_until`` after an early-stopped ``run_until_round`` fires exactly the
+    events, and leaves exactly the clock, flag and trace, of one ``run_until``."""
+    scenario = benign_scenario(default_params(4, authenticated=True), "auth", rounds=3, seed=5)
+    t_end = scenario.horizon()
+    resumed = build_cluster(scenario, trace_level="full").sim
+    resumed.run_until_round(2, t_max=t_end)
+    assert resumed.stopped_early and resumed.events_fired > 0
+    trace = resumed.run_until(t_end)
+
+    straight = build_cluster(scenario, trace_level="full").sim
+    reference = straight.run_until(t_end)
+    assert resumed.events_fired == straight.events_fired
+    assert resumed.now == straight.now == t_end
+    assert not resumed.stopped_early and not straight.stopped_early
+    assert trace_to_dict(trace) == trace_to_dict(reference)
 
 
 # -- recorder protocol ---------------------------------------------------------
@@ -207,19 +228,24 @@ def test_liveness_replica_matches_semantics():
 # -- completed-round tracking ---------------------------------------------------
 
 
-def _round_tracking_recorder(h):
-    recorder = OnlineMetricsRecorder()
+_RECORDERS = pytest.mark.parametrize(
+    "recorder_cls", [OnlineMetricsRecorder, FullTraceRecorder], ids=lambda cls: cls.__name__
+)
+
+
+def _round_tracking_recorder(recorder_cls, h):
+    recorder = recorder_cls()
     for pid in range(h):
         recorder.register_process(pid, FixedRateClock(rate=1.0, offset=0.0))
     recorder.register_process(h, FixedRateClock(rate=1.0, offset=0.0), faulty=True)
     scans = []
-    rescan = recorder._rescan_min_completed
+    rescan = recorder._rescan_completed
 
     def counted_rescan():
         scans.append(1)
         rescan()
 
-    recorder._rescan_min_completed = counted_rescan
+    recorder._rescan_completed = counted_rescan
     return recorder, scans
 
 
@@ -229,10 +255,11 @@ def _accept(recorder, pid, round_, time):
     ))
 
 
-def test_min_completed_rescans_once_per_round_not_per_acceptance():
+@_RECORDERS
+def test_min_completed_rescans_once_per_round_not_per_acceptance(recorder_cls):
     """The O(h) min is recomputed when the last laggard leaves, not on every acceptance."""
     h, rounds = 9, 12
-    recorder, scans = _round_tracking_recorder(h)
+    recorder, scans = _round_tracking_recorder(recorder_cls, h)
     time = 0.0
     for round_ in range(1, rounds + 1):
         for pid in range(h):
@@ -241,10 +268,17 @@ def test_min_completed_rescans_once_per_round_not_per_acceptance():
             _accept(recorder, h, round_, time)  # the faulty process never counts
         assert recorder.min_completed_round() == round_
     assert len(scans) <= rounds + 1
+    if recorder_cls is FullTraceRecorder:  # the one recorder that takes a process mid-run
+        recorder.register_process(h + 1, FixedRateClock(rate=1.0, offset=0.0))
+        assert recorder.min_completed_round() == 0
+        _accept(recorder, h + 1, rounds, time + 1.0)
+        assert recorder.min_completed_round() == rounds
 
 
+@_RECORDERS
 @given(
     h=st.integers(min_value=1, max_value=5),
+    target=st.integers(min_value=1, max_value=6),
     steps=st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=4),  # process (mod h)
@@ -255,11 +289,13 @@ def test_min_completed_rescans_once_per_round_not_per_acceptance():
     ),
 )
 @settings(max_examples=120, deadline=None)
-def test_min_completed_round_equals_brute_force_after_every_event(h, steps):
+def test_min_completed_round_equals_brute_force_after_every_event(recorder_cls, h, target, steps):
     """Any acceptance order: skipped rounds, a late first resync, a crash."""
-    recorder, scans = _round_tracking_recorder(h)
+    recorder, scans = _round_tracking_recorder(recorder_cls, h)
+    recorder.set_round_target(target)
     levels = [0] * h
     crashed = set()
+    reached_at = None
     for tick, (raw_pid, jump, crash) in enumerate(steps, start=1):
         pid = raw_pid % h
         if pid in crashed:
@@ -270,7 +306,13 @@ def test_min_completed_round_equals_brute_force_after_every_event(h, steps):
         else:
             levels[pid] += jump
             _accept(recorder, pid, levels[pid], float(tick))
+        if reached_at is None and min(levels) >= target:
+            reached_at = float(tick)
+        ceiling = min((levels[p] for p in crashed), default=math.inf)
         assert recorder.min_completed_round() == min(levels)
+        assert recorder.round_reached_at == reached_at
+        assert recorder.crash_ceiling == ceiling
+        assert recorder.round_target_unreachable == (reached_at is None and ceiling < target)
     assert len(scans) <= min(levels) + 1
 
 
