@@ -1,6 +1,6 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark module regenerates one experiment from DESIGN.md (E1..E15):
+Each benchmark module regenerates one experiment of docs/experiments.md (E1..E15):
 it times the experiment runner via pytest-benchmark (a single round -- these
 are macro-benchmarks of whole simulation sweeps, not micro-benchmarks) and
 prints the resulting table(s) so that the harness output *is* the reproduced

@@ -46,7 +46,7 @@ paper: its evaluation consists of theorems (agreement/precision, optimal
 accuracy, resilience bounds, start-up and integration) and complexity claims
 rather than measured tables, so — per the reproduction rules — every claim is
 turned into a measurable experiment.  The mapping from claims to experiments,
-workloads and modules is in DESIGN.md (section 3); this file records the
+workloads and modules is in docs/experiments.md; this file records the
 measured outcome of each experiment and how it compares to the paper's claim.
 
 Absolute numbers depend on the simulated model parameters (defaults:

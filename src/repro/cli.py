@@ -143,12 +143,12 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--attack", default="eager", help="adversary strategy (see list-attacks); default eager")
     parser.add_argument("--actual-faults", type=int, default=None, dest="actual_faults",
                         help="how many processes actually misbehave (default: f)")
-    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--rounds", type=_positive_int, default=10)
     parser.add_argument("--clock-mode", choices=list(CLOCK_MODES), default="extreme", dest="clock_mode")
     parser.add_argument("--delay-mode", choices=list(DELAY_MODES), default="targeted", dest="delay_mode")
     parser.add_argument("--startup", action="store_true", help="start from scratch via the start-up protocol")
     parser.add_argument("--boot-spread", type=float, default=0.0, dest="boot_spread")
-    parser.add_argument("--joiners", type=int, default=0, help="number of late joiners")
+    parser.add_argument("--joiners", type=_nonnegative_int, default=0, help="number of late joiners")
     parser.add_argument("--join-time", type=float, default=0.0, dest="join_time")
     parser.add_argument("--monotonic", action="store_true", help="suppress backward clock corrections")
     parser.add_argument(

@@ -10,8 +10,8 @@ as implemented in :mod:`repro.core.auth_sync` and
 * the parameter side-conditions under which the guarantees hold,
 * message-complexity counts.
 
-Because the reproduction could not quote the original text verbatim (see the
-mismatch notice in DESIGN.md), the constants below are conservative bounds
+Because the reproduction could not quote the original text verbatim (PAPER.md
+holds only the paper's reference), the constants below are conservative bounds
 *proved for this implementation*; the benchmark harness checks empirically
 that no execution, adversarial or benign, ever violates them.
 

@@ -1,4 +1,4 @@
-"""Experiment runners: one module per reproduced claim (see DESIGN.md, section 3).
+"""Experiment runners: one module per reproduced claim (indexed in docs/experiments.md).
 
 Every experiment exposes ``run_experiment(quick=True)`` returning one
 :class:`~repro.analysis.report.Table` or a list of them.  The registry below

@@ -1,6 +1,6 @@
 """Shared helpers for the experiment runners.
 
-Every experiment (E1..E12 in DESIGN.md) is a function ``run(quick=True)``
+Every experiment (E1..E15, indexed in docs/experiments.md) is a function ``run(quick=True)``
 returning one or more :class:`~repro.analysis.report.Table` objects.  The
 benchmark harness times these runners and prints the tables; the examples and
 EXPERIMENTS.md generator call the same code, so the numbers in the

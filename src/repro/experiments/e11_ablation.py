@@ -1,6 +1,6 @@
 """E11 -- Ablations of the design choices.
 
-Two knobs called out in DESIGN.md:
+Two knobs called out in docs/experiments.md (E11):
 
 * the adjustment constant ``alpha`` (the paper's choice is ``(1+rho)*tdel``):
   smaller values make benign adjustments negative (clocks set back), larger

@@ -24,21 +24,25 @@ Guarantees:
 * Results are always returned in input order, bit-identical between
   ``jobs=1`` and ``jobs=N`` for the same scenarios (each scenario carries its
   own seed and the simulation never reads global RNG state).
-* With ``jobs=1`` the progress ``callback``/``on_result`` fires in input
-  order, exactly like the historical ``run_sweep`` loop; with ``jobs>1`` it
-  fires in completion order (still once per scenario, cache hits included).
-* A chunk is a block: every chunk -- a worker task, or with ``jobs=1`` a
-  window of at most :data:`MAX_CHUNK` consecutive cells -- goes through one
-  :func:`~repro.workloads.scenarios.run_scenarios` call, which hands its
-  eligible metrics-level cells to the vector kernel together.  The serial
-  walk looks up every key of a window, runs the misses, stores, and emits
-  the window in input order, so at most one window of results is in flight
-  (cells a block cannot take -- full traces above all -- are still computed
-  and emitted one at a time).  A key repeated inside one window is computed
-  once and counts as one miss and one store; its repeats share the result.
+* One planner serves every backend: it walks the sweep in input order, one
+  window of :data:`MAX_CHUNK` cells at a time, emits cache hits, parks a
+  repeat of a key still being computed on its first occurrence, splits
+  replicated cells into shard units and cuts the rest into chunks.  A chunk
+  is a block: one :func:`~repro.workloads.scenarios.run_scenarios` call,
+  which hands its eligible metrics-level cells to the vector kernel
+  together.  A key repeated while its first occurrence is computed counts
+  as one miss and one store on every backend; a hit is read once per
+  occurrence.
+* In process (``jobs=1``, or a lone unsplit scenario on a local pool) each
+  unit runs as soon as it is planned and the progress
+  ``callback``/``on_result`` fires in input order, so at most one window of
+  results is in flight (cells a block cannot take -- full traces above all
+  -- are computed and emitted one at a time).  Shipped to a backend, units
+  go out in a bounded window and ``on_result`` fires in completion order
+  (still once per scenario, cache hits included).
 * Batching (``chunk_size``) amortizes per-task pickling and scheduling
   overhead; the default targets a few chunks per worker so stragglers do not
-  serialize the tail of the sweep.
+  serialize the tail of the sweep.  A chunk never spans two windows.
 * The execution backend is persistent: it spins up lazily on the first
   parallel sweep and is reused by every later one (experiment suites run many
   sweeps back to back), until :meth:`SweepRunner.close`.
@@ -65,7 +69,7 @@ import math
 import os
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .. import obs
 from ..sim.kernel import resolve_kernel
@@ -125,9 +129,121 @@ def _normalize_trace_levels(scenarios: Sequence[Scenario], trace_level: TraceSpe
     return levels
 
 
+def _chunk_results(chunk: list[tuple[int, Scenario, bool, str]]) -> Iterator[tuple[int, ScenarioResult]]:
+    """``(index, result)`` per cell, each run when asked for (``zip`` would keep the previous one alive)."""
+    results = run_scenarios(cell[1:] for cell in chunk)
+    for cell in chunk:
+        yield cell[0], next(results)
+
+
 def _run_chunk(chunk: list[tuple[int, Scenario, bool, str]]) -> list[tuple[int, ScenarioResult]]:
     """Worker task: run a batch of (index, scenario, check, trace_level) tuples as one block."""
-    return list(zip([cell[0] for cell in chunk], run_scenarios(cell[1:] for cell in chunk)))
+    return list(_chunk_results(chunk))
+
+
+def _in_order(emit: OnResult) -> OnResult:
+    """``emit`` behind a gate that holds early arrivals until every lower index has passed."""
+    held: dict[int, ScenarioResult] = {}
+    due = 0
+
+    def gate(index: int, result: ScenarioResult) -> None:
+        nonlocal due
+        held[index] = result
+        while due in held:
+            emit(due, held.pop(due))
+            due += 1
+
+    return gate
+
+
+class _Sweep:
+    """One sweep's plan and bookkeeping, whichever loop runs its units.
+
+    :meth:`units` walks ``(scenario, check, level)`` cells in input order, one
+    window of :data:`MAX_CHUNK` at a time: per cell it computes the key,
+    parks a repeat of a key still being computed, emits a cache hit, splits a
+    replicated cell into shard units or adds it to the open chunk, which
+    leaves when it holds ``chunk`` cells or its window ends.  A unit is
+    ``(task, payload, consume)``; ``consume(task(payload))`` finishes it.
+    ``ship`` pins the resolved kernel and shard plan on the copies a unit
+    carries, so a worker in another environment cannot re-resolve what the
+    key was computed on; in process the caller's scenarios run as they are.
+    """
+
+    def __init__(self, cache: Optional[ResultCache], cells: list, emit: OnResult, ship: bool, chunk: int) -> None:
+        self.cache = cache
+        self.cells = cells
+        self.emit = emit
+        self.ship = ship
+        self.chunk = chunk
+        self.keys: dict[int, str] = {}  # index -> key, for cells being computed
+        self.parked: dict[str, list[int]] = {}  # key being computed -> its repeats' indices
+        self.folder = ShardFold()
+
+    def units(self) -> Iterator[tuple[Callable, list, Callable]]:
+        salt = code_salt()
+        run_chunk = _run_chunk if self.ship else _chunk_results
+        for start in range(0, len(self.cells), MAX_CHUNK):
+            piece: list[tuple[int, Scenario, bool, str]] = []
+            for index, (scenario, check, level) in enumerate(self.cells[start : start + MAX_CHUNK], start):
+                if self.cache is not None:
+                    key = cache_key(scenario, check, trace_level=level, salt=salt)
+                    if key in self.parked:
+                        self.parked[key].append(index)
+                        continue
+                    hit = self.cache.get(key)
+                    if hit is not None:
+                        self.emit(index, self._as_asked(index, hit))
+                        continue
+                    self.parked[key] = []
+                    self.keys[index] = key
+                if self.ship and scenario.kernel is None:
+                    scenario = dataclasses.replace(scenario, kernel=resolve_kernel(scenario))
+                plan = shard_plan_for(scenario, level)
+                if plan is not None:
+                    self.folder.expect(index, scenario, len(plan), check)
+                    for task in expand_shards(index, scenario, plan):
+                        yield run_shard_chunk, [task], self._take_shards
+                    continue
+                if self.ship and scenario.replications > 1 and scenario.shards is None:
+                    # The plan resolved to one shard *here*.
+                    scenario = dataclasses.replace(scenario, shards=resolve_shards(scenario))
+                piece.append((index, scenario, check, level))
+                if len(piece) == self.chunk:
+                    yield run_chunk, piece, self._take_chunk
+                    piece = []
+            if piece:
+                yield run_chunk, piece, self._take_chunk
+
+    def _take_chunk(self, pairs: Iterable[tuple[int, ScenarioResult]]) -> None:
+        for index, result in pairs:
+            self._finish(index, result)
+            del result  # not held while the chunk's next cell runs
+
+    def _take_shards(self, pairs: Iterable[tuple]) -> None:
+        for index, outcome in pairs:
+            result = self.folder.add(index, outcome)
+            if result is not None:
+                self._finish(index, result)
+
+    def _finish(self, index: int, result: ScenarioResult) -> None:
+        """A computed cell: store it, emit it, then serve the repeats parked on its key."""
+        result = self._as_asked(index, result)
+        key = self.keys.pop(index, None)
+        if key is not None:
+            self.cache.put(key, result)
+        self.emit(index, result)
+        for repeat in self.parked.pop(key, ()):
+            self.emit(repeat, self._as_asked(repeat, result))
+
+    def _as_asked(self, index: int, result: ScenarioResult) -> ScenarioResult:
+        scenario = self.cells[index][0]
+        if result.scenario != scenario:
+            # The key ignores the cosmetic display name, and a shipped copy
+            # may carry a pinned kernel or shard plan: hand back the scenario
+            # the caller asked for.
+            result = dataclasses.replace(result, scenario=scenario)
+        return result
 
 
 class SweepRunner:
@@ -323,202 +439,51 @@ class SweepRunner:
         # Distributed backends never take the serial shortcut -- routing the
         # work through the wire protocol is what they are for.
         single_unsplit = len(scenarios) == 1 and shard_plan_for(scenarios[0], levels[0]) is None
-        if (self.worker_capacity <= 1 or single_unsplit) and not self.distributed:
-            self._execute_serial(scenarios, checks, levels, on_result)
-        else:
-            self._execute_parallel(scenarios, checks, levels, on_result)
-        return len(scenarios)
-
-    def _cached(
-        self, scenario: Scenario, check: bool, level: str, salt: str
-    ) -> tuple[Optional[str], Optional[ScenarioResult]]:
-        if self.cache is None:
-            return None, None
-        key = cache_key(scenario, check, trace_level=level, salt=salt)
-        result = self.cache.get(key)
-        if result is not None and result.scenario != scenario:
-            # The key ignores the cosmetic display name; hand back the
-            # scenario the caller actually asked for.
-            result = dataclasses.replace(result, scenario=scenario)
-        return key, result
-
-    def _execute_serial(
-        self,
-        scenarios: Sequence[Scenario],
-        checks: Sequence[bool],
-        levels: Sequence[str],
-        emit: OnResult,
-    ) -> None:
-        salt = code_salt()
-        with obs.span("runner.sweep") as sweep:
-            sweep.set("mode", "serial")
-            sweep.set("scenarios", len(scenarios))
-            for start in range(0, len(scenarios), MAX_CHUNK):
-                # One window: look every key up, run the misses as one block
-                # (a key that missed is not asked for again: its repeats share
-                # the one computation), store, and emit in input order.
-                stop = start + MAX_CHUNK
-                window = list(zip(scenarios[start:stop], checks[start:stop], levels[start:stop]))
-                looked = []  # (key, hit) per cell
-                fresh: dict = {}  # key -> the result computed for it in this window
-                misses = []
-                for cell in window:
-                    key = hit = None
-                    if self.cache is not None:
-                        key = cache_key(cell[0], cell[1], trace_level=cell[2], salt=salt)
-                        if key not in fresh:
-                            hit = self.cache.get(key)
-                    if hit is None and key not in fresh:
-                        misses.append(cell)
-                        if key is not None:
-                            fresh[key] = None
-                    looked.append((key, hit))
-                computed = run_scenarios(misses)
-                for offset, (cell, (key, result)) in enumerate(zip(window, looked)):
-                    if result is None:
-                        result = fresh.get(key)
-                    if result is None:
-                        result = next(computed)
-                        if key is not None:
-                            self.cache.put(key, result)
-                            fresh[key] = result
-                    if result.scenario != cell[0]:
-                        # The key ignores the cosmetic display name; hand back
-                        # the scenario the caller actually asked for.
-                        result = dataclasses.replace(result, scenario=cell[0])
-                    emit(start + offset, result)
-
-    def _execute_parallel(
-        self,
-        scenarios: Sequence[Scenario],
-        checks: Sequence[bool],
-        levels: Sequence[str],
-        emit: OnResult,
-    ) -> None:
+        in_process = (self.worker_capacity <= 1 or single_unsplit) and not self.distributed
         # The sweep span is ambient on this (the submitting) thread, so cache
         # events and the executor's per-task spans parent to it.
         with obs.span("runner.sweep") as sweep:
-            sweep.set("mode", "parallel")
+            sweep.set("mode", "serial" if in_process else "parallel")
             sweep.set("scenarios", len(scenarios))
-            self._execute_parallel_inner(scenarios, checks, levels, emit)
-
-    def _execute_parallel_inner(
-        self,
-        scenarios: Sequence[Scenario],
-        checks: Sequence[bool],
-        levels: Sequence[str],
-        emit: OnResult,
-    ) -> None:
-        salt = code_salt()
-        keys: list[Optional[str]] = [None] * len(scenarios)
-        pending: list[tuple[int, Scenario, bool, str]] = []
-        shard_tasks: list = []
-        folder = ShardFold()
-        # With the cache on, repeated grid points are computed once: the first
-        # occurrence runs, the rest share its result (as a serial window does).
-        first_for_key: dict[str, int] = {}
-        duplicates: dict[int, list[int]] = {}
-        for index, (scenario, check, level) in enumerate(zip(scenarios, checks, levels)):
-            key, result = self._cached(scenario, check, level, salt)
-            keys[index] = key
-            if result is not None:
-                emit(index, result)
-                continue
-            if key is not None:
-                primary = first_for_key.setdefault(key, index)
-                if primary != index:
-                    duplicates.setdefault(primary, []).append(index)
-                    continue
-            if scenario.kernel is None:
-                # Pin the resolved kernel before shipping: a worker with a
-                # different REPRO_KERNEL environment must not re-resolve the
-                # engine selection this process's cache entry was keyed on.
-                scenario = dataclasses.replace(scenario, kernel=resolve_kernel(scenario))
-            plan = shard_plan_for(scenario, level)
-            if plan is not None:
-                # Replicated scenario: split into shard tasks that share the
-                # pool (and the submission window) with the plain grid work;
-                # the folder re-assembles them into one result.
-                folder.expect(index, scenario, len(plan), check)
-                shard_tasks.extend(expand_shards(index, scenario, plan))
+            cells = list(zip(scenarios, checks, levels))
+            if in_process:
+                plan = _Sweep(self.cache, cells, _in_order(on_result), False, MAX_CHUNK)
+                for task, payload, consume in plan.units():
+                    consume(task(payload))
             else:
-                if scenario.replications > 1 and scenario.shards is None:
-                    # The plan resolved to one shard *here*; pin it so a
-                    # remote worker with a different core count (or
-                    # REPRO_SHARDS) cannot re-resolve the provenance.
-                    scenario = dataclasses.replace(scenario, shards=resolve_shards(scenario))
-                pending.append((index, scenario, check, level))
-        if not pending and not shard_tasks:
-            return
+                # A few chunks per worker balances batching against stragglers.
+                workers = min(max(1, self.worker_capacity), len(cells))
+                chunk = self.chunk_size or min(MAX_CHUNK, math.ceil(len(cells) / (workers * 4)))
+                self._ship(_Sweep(self.cache, cells, on_result, True, chunk))
+        return len(scenarios)
 
-        def finish(index: int, result: ScenarioResult) -> None:
-            if result.scenario != scenarios[index]:
-                # Hand back exactly the scenario the caller submitted (the
-                # shipped copy may carry a pinned shard plan).
-                result = dataclasses.replace(result, scenario=scenarios[index])
-            key = keys[index]
-            if key is not None:
-                self.cache.put(key, result)
-            emit(index, result)
-            for dup in duplicates.get(index, ()):
-                dup_result = result
-                if scenarios[dup] != result.scenario:
-                    dup_result = dataclasses.replace(result, scenario=scenarios[dup])
-                emit(dup, dup_result)
-
-        def consume_chunk(future) -> None:
-            for index, result in future.result():
-                finish(index, result)
-
-        def consume_shards(future) -> None:
-            for index, outcome in future.result():
-                result = folder.add(index, outcome)
-                if result is not None:
-                    finish(index, result)
-
-        executor = self._ensure_executor()
-
-        # Submission units: plain scenarios batched into chunks, shard tasks
-        # submitted individually (each is already a block of whole runs).
-        # Interleaved by scenario index so streaming consumers see results in
-        # roughly input order.
-        chunk = self.chunk_size
-        if chunk is None and pending:
-            # A few chunks per worker balances batching against stragglers.
-            capacity = max(1, executor.worker_count)
-            per_worker = math.ceil(len(pending) / (min(capacity, len(pending)) * 4))
-            chunk = max(1, min(MAX_CHUNK, per_worker))
-        units: list[tuple] = []
-        if pending:
-            for i in range(0, len(pending), chunk):
-                piece = pending[i : i + chunk]
-                units.append((piece[0][0], _run_chunk, piece, consume_chunk))
-        for task in shard_tasks:
-            units.append((task[0], run_shard_chunk, [task], consume_shards))
-        units.sort(key=lambda unit: unit[0])
-
-        workers = max(1, min(executor.worker_count, len(units)))
-        window = workers * CHUNK_WINDOW
-
-        futures = set()
+    def _ship(self, plan: _Sweep) -> None:
+        """Submit the plan's units to the backend as they are planned, a bounded window at a time."""
+        executor: Optional[Executor] = None
+        futures: set = set()
         consumers: dict = {}
-        try:
-            # Windowed submission: keep a few units per worker in flight and
-            # drain completions before submitting more, so at no point does
-            # the parent hold more than O(window * chunk) results (or shard
-            # summaries) beyond the partially-folded scenarios in flight.
-            for _, fn, payload, consume in units:
-                future = executor.submit(fn, payload)
-                futures.add(future)
-                consumers[future] = consume
-                if len(futures) >= window:
-                    done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        consumers.pop(future)(future)
-            while futures:
+
+        def drain(until: int) -> None:
+            nonlocal futures
+            while len(futures) > until:
                 done, futures = wait(futures, return_when=FIRST_COMPLETED)
                 for future in done:
-                    consumers.pop(future)(future)
+                    consumers.pop(future)(future.result())
+
+        try:
+            # Keep a few units per worker in flight and drain completions
+            # before submitting more, so at no point does the parent hold more
+            # than O(window * chunk) results (or shard summaries) beyond the
+            # partially-folded scenarios in flight.
+            for task, payload, consume in plan.units():
+                if executor is None:
+                    executor = self._ensure_executor()
+                    window = max(1, executor.worker_count) * CHUNK_WINDOW
+                future = executor.submit(task, payload)
+                futures.add(future)
+                consumers[future] = consume
+                drain(window - 1)
+            drain(0)
         except (BrokenProcessPool, ExecutorFailure):
             # A dead pool worker poisons the whole local executor, and an
             # ExecutorFailure means the protocol backend exhausted its

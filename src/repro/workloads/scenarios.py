@@ -163,6 +163,12 @@ class Scenario:
             raise ValueError("rounds must be positive")
         if self.grace < 0:
             raise ValueError("grace must be non-negative")
+        if self.boot_spread < 0:
+            raise ValueError("boot_spread must be non-negative")
+        if self.joiner_count < 0:
+            raise ValueError("joiner_count must be non-negative")
+        if self.join_time < 0:
+            raise ValueError("join_time must be non-negative")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.shards is not None and self.shards < 1:

@@ -179,6 +179,20 @@ def test_cli_ssh_without_hosts_exits_2_with_one_line_error(capsys, monkeypatch):
     assert "REPRO_SSH_HOSTS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--rounds", "0"], "must be at least 1"), (["--joiners", "-1"], "must be non-negative")],
+    ids=["rounds", "joiners"],
+)
+def test_cli_rejects_out_of_range_counts_with_usage_exit(flags, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--no-cache", *flags])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert message in err
+
+
 def test_cli_chaos_requires_protocol_backend(capsys):
     assert main(["run", "--rounds", "3", "--chaos", "kill@1"]) == 2
     assert "subprocess" in capsys.readouterr().err

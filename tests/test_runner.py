@@ -275,8 +275,13 @@ def test_env_defaults(monkeypatch, tmp_path):
 # -- streaming aggregation -------------------------------------------------------------
 
 
-def test_stream_sweep_serial_in_input_order():
-    scenarios = small_grid()
+def test_stream_sweep_serial_in_input_order(tmp_path):
+    # A cache hit (index 1) and a split replicated cell (index 4) are ready
+    # before their window's chunk has run.
+    scenarios = small_grid() + [replace(small_grid()[0], seed=99, replications=2, shards=2)]
+    levels = ["full"] * 4 + ["metrics"]
+    cache = ResultCache(tmp_path)
+    SweepRunner(jobs=1, cache=cache).run_sweep(scenarios[1:2])
     seen: list[int] = []
     rows: list = [None] * len(scenarios)
 
@@ -284,8 +289,9 @@ def test_stream_sweep_serial_in_input_order():
         seen.append(index)
         rows[index] = (result.scenario.name, result.completed_round)
 
-    count = SweepRunner(jobs=1).stream_sweep(scenarios, fold)
+    count = SweepRunner(jobs=1, cache=cache).stream_sweep(scenarios, fold, trace_level=levels)
     assert count == len(scenarios)
+    assert cache.stats.hits == 1
     assert seen == list(range(len(scenarios)))
     assert all(row is not None for row in rows)
 
@@ -387,6 +393,40 @@ def test_stream_sweep_serves_cache_hits_and_duplicates(tmp_path):
     SweepRunner(jobs=1, cache=cache).stream_sweep(scenarios, lambda i, r: warm.append(i))
     assert warm == [0, 1, 2]
     assert cache.stats.hits >= 3
+
+
+def test_every_backend_counts_a_repeated_key_once(tmp_path):
+    """``[s, twin(s), s]``: the same ``CacheStats`` in process, on the pool and on a fleet."""
+    scenario = small_grid()[0]
+    scenarios = [scenario, replace(scenario, name="twin"), scenario]
+    reference = results_fingerprint(SweepRunner(jobs=1).run_sweep(scenarios))
+    for label, options in (
+        ("serial", dict(jobs=1)),
+        ("pool", dict(jobs=2)),
+        ("subprocess", dict(jobs=2, executor="subprocess")),
+    ):
+        cache = ResultCache(tmp_path / label)
+        with SweepRunner(cache=cache, **options) as runner:
+            assert results_fingerprint(runner.run_sweep(scenarios)) == reference, label
+            assert cache.stats.as_dict() == {"hits": 0, "misses": 1, "stores": 1}, label
+            assert results_fingerprint(runner.run_sweep(scenarios)) == reference, label
+            assert cache.stats.as_dict() == {"hits": 3, "misses": 1, "stores": 1}, label
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_key_repeated_windows_apart_is_served(jobs, tmp_path):
+    """``[s, MAX_CHUNK + 8 others, s]``: the repeat lands in a later window and is still emitted."""
+    from repro.runner.core import MAX_CHUNK
+
+    scenario = small_grid()[0]
+    others = [replace(small_grid()[1], seed=seed) for seed in range(MAX_CHUNK + 8)]
+    scenarios = [scenario, *others, scenario]
+    cache = ResultCache(tmp_path)
+    with SweepRunner(jobs=jobs, cache=cache) as runner:
+        results = runner.run_sweep(scenarios, trace_level="metrics")
+    assert all(result is not None for result in results)
+    assert results_fingerprint(results[-1:]) == results_fingerprint(results[:1])
+    assert cache.stats.stores == len(others) + 1
 
 
 def test_persistent_pool_reused_across_sweeps():

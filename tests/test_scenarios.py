@@ -45,6 +45,9 @@ def test_scenario_rejects_unknown_modes(auth_params):
         Scenario(params=auth_params, delay_mode="weird")
     with pytest.raises(ValueError):
         Scenario(params=auth_params, rounds=0)
+    for field, value in (("joiner_count", -1), ("join_time", -5.0), ("boot_spread", -0.1)):
+        with pytest.raises(ValueError, match=field):
+            Scenario(params=auth_params, **{field: value})
 
 
 def test_scenario_rejects_all_faulty(auth_params):
