@@ -23,6 +23,7 @@ timeline of the run (parent and worker spans rebased onto one clock) and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Optional, Sequence
 
@@ -36,7 +37,25 @@ from .faults.strategies import available_attacks
 from .runner.config import configure as configure_runner
 from .runner.config import get_runner
 from .runner.exec import SSHConfigError, ssh_hosts_from_env
+from .sim.kernel import KERNELS, resolve_kernel
 from .workloads.scenarios import ALL_ALGORITHMS, CLOCK_MODES, DELAY_MODES, TRACE_LEVELS, Scenario, classify_lane
+
+
+class _UsageError(Exception):
+    """A flag or environment value the command cannot be built from (exit 2)."""
+
+
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a ``ValueError`` raised while building params, scenario or runner as a usage error.
+
+    Wraps only the building, never the run: exit 1 stays reserved for a
+    violated guarantee, which CI gates on.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _nonnegative_int(raw: str) -> int:
@@ -89,7 +108,7 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _configure_runner(args: argparse.Namespace) -> None:
+def _configure_runner(args: argparse.Namespace):
     runner = configure_runner(
         jobs=args.jobs,
         use_cache=False if args.no_cache else None,
@@ -102,6 +121,7 @@ def _configure_runner(args: argparse.Namespace) -> None:
         # and exit code 2 (main() maps SSHConfigError), not a traceback from
         # the middle of a sweep.
         ssh_hosts_from_env()
+    return runner
 
 
 def _fleet_summary(stats: dict) -> Optional[str]:
@@ -196,12 +216,13 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--kernel",
-        choices=["auto", "event", "vector"],
+        choices=list(KERNELS),
         default=None,
-        help="simulation kernel: 'event' (pure-Python event loop), 'vector' (batched NumPy "
-        "round evaluator; metrics-level runs only, falls back with a recorded note when "
-        "ineligible), 'auto' (vector exactly when eligible); default: REPRO_KERNEL or auto "
-        "-- measured values are float-identical across kernels",
+        help="simulation kernel: 'auto' (the batched NumPy round evaluator exactly when the "
+        "scenario is eligible -- metrics-level runs only -- else the event loop), 'event' "
+        "(the pure-Python event loop always); default: REPRO_KERNEL or auto -- measured values "
+        "are float-identical across kernels, and the kernel provenance row says which engine "
+        "served each lane and why",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -221,10 +242,14 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    """Build the declarative scenario a ``run``/``kernel``/``stats`` invocation describes."""
+    """Build the declarative scenario a ``run``/``kernel``/``stats`` invocation describes.
+
+    Resolves its kernel too, so an unknown ``REPRO_KERNEL`` fails here, with
+    the other bad flags, rather than in the middle of the run.
+    """
     authenticated = args.algorithm == "auth"
     params = _params_from_args(args, authenticated=authenticated)
-    return Scenario(
+    scenario = Scenario(
         params=params,
         algorithm=args.algorithm,
         attack=args.attack,
@@ -245,6 +270,8 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
         kernel=args.kernel,
         seed=args.seed,
     )
+    resolve_kernel(scenario)
+    return scenario
 
 
 def _resolve_trace_level(args: argparse.Namespace) -> str:
@@ -316,7 +343,8 @@ def _export_telemetry(args: argparse.Namespace, runner) -> None:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     algorithm = ECHO if args.algorithm == "echo" else AUTH
-    params = _params_from_args(args, authenticated=algorithm == AUTH)
+    with _usage_errors():
+        params = _params_from_args(args, authenticated=algorithm == AUTH)
     bounds = theoretical_bounds(params, algorithm)
     table = Table(title=f"Analytic guarantees ({algorithm}, {params.describe()})", headers=["quantity", "value"])
     for key, value in bounds.as_dict().items():
@@ -341,10 +369,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _run_and_report(args: argparse.Namespace, exporting: bool) -> int:
-    _configure_runner(args)
-    scenario = _scenario_from_args(args)
-    trace_level = _resolve_trace_level(args)
-    runner = get_runner()
+    with _usage_errors():
+        runner = _configure_runner(args)
+        scenario = _scenario_from_args(args)
+        trace_level = _resolve_trace_level(args)
     result = _run_with_chaos(args, runner, scenario, trace_level)
     if result is None:
         return 2
@@ -383,24 +411,26 @@ def _run_and_report(args: argparse.Namespace, exporting: bool) -> int:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
-    """Explain the kernel policy for one scenario without grepping notes.
+    """Explain the kernel policy for one scenario.
 
     Prints the run path's own verdict on the scenario's lanes
     (:func:`~repro.workloads.scenarios.classify_lane`): the resolved
-    selection (field -> ``REPRO_KERNEL`` env -> auto), whether the vector
-    kernel is offered them, and the static reason when it is not.  With
-    ``--run`` the scenario is then run and its per-lane
-    :class:`KernelProvenance` breakdown printed.
+    selection (``auto`` or ``event``; field -> ``REPRO_KERNEL`` env ->
+    auto), whether the vector kernel is offered them, and the static reason
+    when it is not.  With ``--run`` the scenario is then run and its
+    per-lane :class:`KernelProvenance` breakdown printed -- the one record
+    of which engine served each lane and why.
     """
-    scenario = _scenario_from_args(args)
-    trace_level = _resolve_trace_level(args)
+    with _usage_errors():
+        scenario = _scenario_from_args(args)
+        trace_level = _resolve_trace_level(args)
+        if args.run:
+            _configure_runner(args)
     record = classify_lane(scenario, trace_level)
     if record.vector_lanes:
         verdict, serves = "eligible", "vector kernel (may fall back per lane)"
     elif record.resolved == "event":
         verdict, serves = "not asked", "event loop (selected)"
-    elif record.noted_reason is not None:
-        verdict, serves = "ineligible", "event loop, with a recorded fallback note"
     else:
         verdict, serves = "ineligible", "event loop"
     table = Table(title=f"Kernel policy for {scenario.name}", headers=["quantity", "value"])
@@ -412,7 +442,6 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     print(table.render())
     if not args.run:
         return 0
-    _configure_runner(args)
     result = _run_with_chaos(args, get_runner(), scenario, trace_level)
     if result is None:
         return 2
@@ -443,10 +472,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _stats_run(args: argparse.Namespace) -> int:
     from .obs.export import render_prometheus
 
-    _configure_runner(args)
-    scenario = _scenario_from_args(args)
-    trace_level = _resolve_trace_level(args)
-    runner = get_runner()
+    with _usage_errors():
+        runner = _configure_runner(args)
+        scenario = _scenario_from_args(args)
+        trace_level = _resolve_trace_level(args)
     result = _run_with_chaos(args, runner, scenario, trace_level)
     if result is None:
         return 2
@@ -488,7 +517,8 @@ def _cache_delta_line(before: Optional[dict], after: Optional[dict]) -> Optional
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    _configure_runner(args)
+    with _usage_errors():
+        runner = _configure_runner(args)
     ids = list(EXPERIMENTS) if args.id == "all" else [args.id.upper()]
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
@@ -508,7 +538,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             provenance_parts.append(result.kernel_provenance)
 
     experiments_common.set_observer(observe)
-    runner = get_runner()
     failed: list[str] = []
     try:
         for exp_id in ids:
@@ -633,6 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list-attacks", help="list registered Byzantine strategies").set_defaults(func=_cmd_list_attacks)
     sub.add_parser("list-experiments", help="list reproduced experiments").set_defaults(func=_cmd_list_experiments)
+    for command in sub.choices.values():
+        command.set_defaults(command_parser=command)
     return parser
 
 
@@ -646,6 +677,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Misconfiguration, not a failed experiment: one clear sentence and
         # the usage-error exit code, never a traceback.
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except _UsageError as exc:
+        # The shape argparse gives a bad flag: the command's usage line, then the error.
+        command = args.command_parser
+        command.print_usage(sys.stderr)
+        print(f"{command.prog}: error: {exc}", file=sys.stderr)
         return 2
 
 

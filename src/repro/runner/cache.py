@@ -55,7 +55,7 @@ from ..workloads.scenarios import Scenario, ScenarioResult, resolve_shards
 #: kernels are float-identical by contract, but that parity is enforced by
 #: tests and the benchmark, not assumed by the cache -- a result recorded
 #: under one engine is never served for a request pinning the other (and
-#: fallback notes in the summary depend on the selection).
+#: the stored ``kernel_provenance`` records the selection).
 #: 7: ScenarioResult carries per-sweep kernel provenance
 #: (``kernel_provenance``); the vector whitelist widened to echo, uniform
 #: delays and the forge_flood attack, changing which runs the vector engine
@@ -63,7 +63,7 @@ from ..workloads.scenarios import Scenario, ScenarioResult, resolve_shards
 #: 8: the vector whitelist widened again -- the ``random_*`` attack
 #: strategies, drifting (``random``-mode) clocks and ``min`` delays --
 #: changing which runs ``"auto"`` resolves to the vector engine (results
-#: stay float-identical; only provenance and notes depend on the engine).
+#: stay float-identical; only provenance depends on the engine).
 #: 9: entries are framed ``magic + blake2b-16(payload) + payload`` and verified
 #: before unpickling, so a damaged file is a miss, never a different number.
 #: 10: key schema only -- ``Scenario`` lost its stop-rule selector (one stop
@@ -155,8 +155,8 @@ def cache_key(
     the measured values are shard-invariant by construction.  The simulation
     kernel is keyed *resolved* too (``kernel=None`` and the matching
     ``REPRO_KERNEL`` spelling share one entry), because the selection decides
-    which engine recorded the stored result and whether it carries fallback
-    notes -- parity between the engines is enforced elsewhere, not assumed
+    which engine recorded the stored result, and its ``kernel_provenance``
+    says so -- parity between the engines is enforced elsewhere, not assumed
     here.
     """
     description = scenario_to_dict(scenario)

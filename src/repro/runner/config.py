@@ -52,9 +52,12 @@ def _env_jobs() -> int:
     if not raw:
         return 1
     try:
-        return int(raw)
+        jobs = int(raw)
+        if jobs >= 0:
+            return jobs
     except ValueError:
-        raise ValueError(f"REPRO_JOBS must be an integer, got {raw!r}") from None
+        pass
+    raise ValueError(f"REPRO_JOBS must be a non-negative integer, got {raw!r}")
 
 
 def _env_executor() -> str:

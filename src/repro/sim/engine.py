@@ -69,10 +69,11 @@ class Simulation:
     def schedule_at(self, time: float, action: Callable[..., None], *args) -> Event:
         """Schedule ``action(*args)`` at absolute real time ``time`` (>= now).
 
-        A past ``time`` is clamped to ``now`` -- but never silently: the
-        clamp is annotated through the recorder (``on_note``) so a scheduling
-        bug cannot masquerade as benign event reordering, and with
-        ``strict_scheduling`` it raises instead.
+        A past ``time`` is clamped to ``now``.  The clamp is annotated
+        through the recorder (``on_note``), which a full trace keeps in
+        ``Trace.notes`` and the metrics recorder ignores; with
+        ``strict_scheduling`` it raises instead, so a scheduling bug cannot
+        masquerade as benign event reordering.
         """
         if time < self._now:
             if self.strict_scheduling:

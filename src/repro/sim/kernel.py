@@ -18,15 +18,17 @@ Contract
   including message counts and sampled message provenance.  Eligibility is
   therefore a whitelist, never a blacklist: anything not explicitly analyzed
   runs on the event loop.
-* Selection is three-valued (``"event"``, ``"vector"``, ``"auto"``) and
-  resolves ``Scenario.kernel`` -> ``REPRO_KERNEL`` env -> ``"auto"``.
-  ``"auto"`` uses the vector kernel exactly when eligible; ``"vector"``
-  *requests* it and records an :meth:`~repro.sim.recorder.Recorder.on_note`
-  explaining the fallback when the scenario is ineligible (it never errors).
+* Selection is two-valued (``"auto"``, ``"event"``) and resolves
+  ``Scenario.kernel`` -> ``REPRO_KERNEL`` env -> ``"auto"``.  ``"auto"``
+  uses the vector kernel exactly when eligible; ``"event"`` pins the event
+  loop.
 * Even an eligible scenario may fall back per run: the vector evaluator
   re-derives the event loop's tie-breaking order from first principles and
   refuses (lane by lane) whenever an execution leaves the regime where that
-  derivation is proven -- again with an ``on_note`` naming the reason.
+  derivation is proven.
+* Why a lane ran where it ran has one record: the run's
+  ``KernelProvenance`` (:mod:`repro.workloads.scenarios`), which carries
+  the static reason and every per-run refusal with its lane count.
 
 The result cache keys on the resolved kernel (since cache schema v6), so switching
 kernels never serves a result recorded under the other engine even though the
@@ -42,14 +44,10 @@ from typing import Optional
 
 #: Valid values of ``Scenario.kernel`` / ``REPRO_KERNEL`` (``Scenario.kernel``
 #: may also be ``None``, meaning "defer to the environment, then auto").
-KERNELS = ("auto", "event", "vector")
+KERNELS = ("auto", "event")
 
 #: Environment variable consulted when ``Scenario.kernel`` is ``None``.
 KERNEL_ENV = "REPRO_KERNEL"
-
-#: Prefix of every fallback annotation the kernel layer records, so tests and
-#: operators can grep one stable marker in ``summary.notes``.
-FALLBACK_NOTE_PREFIX = "vector kernel fallback:"
 
 #: Algorithms the vector layer evaluates exactly: the authenticated
 #: signature-chain rule (f+1 distinct signers) and the echo broadcast rule
@@ -119,11 +117,11 @@ def resolve_kernel(scenario) -> str:
     this resolved value (since schema v6), so an environment override changes the
     cache identity exactly like the explicit field does.
     """
-    kernel = getattr(scenario, "kernel", None)
+    kernel, source = getattr(scenario, "kernel", None), "kernel"
     if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV, "").strip() or "auto"
+        kernel, source = os.environ.get(KERNEL_ENV, "").strip() or "auto", KERNEL_ENV
     if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
+        raise ValueError(f"unknown {source} {kernel!r}; expected one of {KERNELS}")
     return kernel
 
 
@@ -192,8 +190,3 @@ def kernel_ineligibility(scenario, trace_level: str) -> Optional[str]:
     if numpy_or_none() is None:
         return "numpy is not installed"
     return None
-
-
-def fallback_note(reason: str) -> str:
-    """The ``on_note`` annotation recorded when a requested vector run falls back."""
-    return f"{FALLBACK_NOTE_PREFIX} {reason}"

@@ -16,7 +16,8 @@ classes emit observation events into a :class:`Recorder`:
 * :meth:`Recorder.on_resync` -- a resynchronization (round acceptance),
 * :meth:`Recorder.on_crash` -- a process halted,
 * :meth:`Recorder.on_message` -- the network accepted a message for delivery,
-* :meth:`Recorder.on_note` -- a free-form annotation,
+* :meth:`Recorder.on_note` -- a free-form annotation (a full trace keeps it,
+  the metrics recorder ignores it),
 * :meth:`Recorder.finalize` -- the run (segment) ended.
 
 Two implementations ship here:
@@ -384,7 +385,6 @@ class OnlineMetricsSummary:
     worst_offset_from_real_time: Optional[float]
     total_messages: int
     message_stats: dict
-    notes: list
     #: One ``(times, values, long_run_rate)`` triple per honest process --
     #: the steady-window breakpoint samples the window-rate hull pass runs
     #: over, retained so :func:`merge_summaries` can concatenate them and
@@ -481,7 +481,7 @@ def merge_summaries(summaries) -> OnlineMetricsSummary:
       must accept it), ``max_round`` max-combines,
     * resynchronization-period extremes min/max-combine and their interval
       counts, message counts and per-type message stats sum,
-    * per-process liveness triples, notes, retained window samples and
+    * per-process liveness triples, retained window samples and
       sampled message summaries concatenate in input order,
     * the steady interval is the union system's: it starts when the *last*
       group became steady and ends at the *latest* end time, and the
@@ -543,7 +543,6 @@ def merge_summaries(summaries) -> OnlineMetricsSummary:
         worst_offset_from_real_time=_opt_max(s.worst_offset_from_real_time for s in summaries),
         total_messages=sum(s.total_messages for s in summaries),
         message_stats=message_stats,
-        notes=[note for s in summaries for note in s.notes],
         window_samples=tuple(entry for s in summaries for entry in s.window_samples),
         message_samples=message_samples,
     )
@@ -645,7 +644,6 @@ class OnlineMetricsRecorder(Recorder):
         self._max_backward = 0.0
         self._acceptance_spread = 0.0
         self._round_times: dict[int, list] = {}  # round -> [min_t, max_t, count]
-        self._notes: list[str] = []
 
     # -- registration --------------------------------------------------------
 
@@ -929,10 +927,6 @@ class OnlineMetricsRecorder(Recorder):
             )
         self._message_samples.extend(samples)
 
-    def on_note(self, text: str) -> None:
-        """Append the annotation; notes concatenate under the merge algebra."""
-        self._notes.append(text)
-
     # -- finalization -----------------------------------------------------------
 
     def finalize(self, end_time: float, network_stats: "NetworkStats") -> OnlineMetricsSummary:
@@ -1014,7 +1008,6 @@ class OnlineMetricsRecorder(Recorder):
             worst_offset_from_real_time=worst_offset,
             total_messages=network_stats.total_messages,
             message_stats=dict(network_stats.messages_by_type),
-            notes=list(self._notes),
             window_samples=tuple(entries),
             message_samples=tuple(self._message_samples) if self.sample_messages is not None else None,
         )
@@ -1038,7 +1031,6 @@ class OnlineMetricsRecorder(Recorder):
             + len(self._heap)
             + len(self._batch_before)
             + len(self._round_times)
-            + len(self._notes)
         )
 
     def retained_window_samples(self) -> int:

@@ -44,12 +44,7 @@ from ..faults.strategies import make_faulty_processes
 from ..sim.adversary import roles_for
 from ..sim.clocks import FixedRateClock, HardwareClock, honest_clock, honest_offsets
 from ..sim.engine import Simulation
-from ..sim.kernel import (
-    KERNELS,
-    fallback_note,
-    kernel_ineligibility,
-    resolve_kernel,
-)
+from ..sim.kernel import KERNELS, kernel_ineligibility, resolve_kernel
 from ..sim.vectorized import run_lanes
 from ..sim.recorder import (
     OnlineMetricsRecorder,
@@ -141,14 +136,14 @@ class Scenario:
     #: distributed runs ship bounded message-level provenance home.  ``None``
     #: (the default) retains nothing and costs nothing.
     sample_messages: Optional[int] = None
-    #: Simulation kernel: ``"event"`` (the pure-Python event loop),
-    #: ``"vector"`` (the batched NumPy round evaluator,
-    #: :mod:`repro.sim.vectorized`) or ``"auto"`` (vector exactly when the
-    #: scenario family is in its proven float-parity regime).  ``None``
-    #: defers to the ``REPRO_KERNEL`` environment variable, then ``"auto"``.
-    #: A requested-but-ineligible vector run falls back to the event loop
-    #: and records the reason via ``on_note``; measured values are
-    #: float-identical either way (see ``docs/kernel.md``).
+    #: Simulation kernel: ``"auto"`` (the batched NumPy round evaluator,
+    #: :mod:`repro.sim.vectorized`, exactly when the scenario family is in
+    #: its proven float-parity regime, else the event loop) or ``"event"``
+    #: (the pure-Python event loop always).  ``None`` defers to the
+    #: ``REPRO_KERNEL`` environment variable, then ``"auto"``.  The result's
+    #: :class:`KernelProvenance` says which engine served each lane and why;
+    #: measured values are float-identical either way (see
+    #: ``docs/kernel.md``).
     kernel: Optional[str] = None
     seed: int = 0
 
@@ -304,12 +299,12 @@ class KernelProvenance:
     (statically ineligible, or the kernel resolved to ``"event"``).
     """
 
-    #: The resolved kernel selection (``"auto"``/``"event"``/``"vector"``).
+    #: The resolved kernel selection (``"auto"`` or ``"event"``).
     resolved: str
     #: Lanes evaluated by the vector kernel.
     vector_lanes: int = 0
     #: Lanes the vector evaluator refused per-run; they re-ran on the event
-    #: loop with the reason noted.
+    #: loop, and ``fallback_reasons`` says why.
     fallback_lanes: int = 0
     #: Lanes that never reached the vector evaluator (static ineligibility,
     #: or ``resolved == "event"``).
@@ -326,18 +321,6 @@ class KernelProvenance:
     def total_lanes(self) -> int:
         """All lanes this provenance accounts for."""
         return self.vector_lanes + self.fallback_lanes + self.ineligible_lanes
-
-    @property
-    def noted_reason(self) -> Optional[str]:
-        """The reason a lane with this record notes when the event loop runs it, or ``None``.
-
-        A per-run refusal is always noted; a static reason only when the
-        vector kernel was requested explicitly (``"auto"`` runs ineligible
-        lanes on the event loop and says nothing).
-        """
-        if self.fallback_reasons:
-            return self.fallback_reasons[0][0]
-        return self.ineligible_reason if self.resolved == "vector" else None
 
     def describe(self) -> str:
         """One human-readable provenance line (used by the CLI and reports)."""
@@ -786,15 +769,9 @@ def _offer_lanes(scenarios: Sequence[Scenario], records: list) -> list:
     return outcomes
 
 
-def _run_on_event_loop(scenario: Scenario, trace_level: str, note: Optional[str]):
-    """Run one lane on the event loop; return what it observed and the finished simulation.
-
-    ``note`` is the caller's fallback annotation (a shard words it for all
-    its lanes with one reason, a cell for itself); this only records it.
-    """
+def _run_on_event_loop(scenario: Scenario, trace_level: str):
+    """Run one lane on the event loop; return what it observed and the finished simulation."""
     sim = build_cluster(scenario, trace_level=trace_level, sample_messages=scenario.sample_messages).sim
-    if note is not None:
-        sim.recorder.on_note(note)
     observed = sim.run_until_round(
         scenario.rounds,
         t_max=scenario.horizon(),
@@ -812,9 +789,8 @@ def run_shard(scenario: Scenario, shard_index: int, replication_indices: Sequenc
     metrics level.  The lanes the classifier allows are evaluated together
     on the vector kernel (:func:`repro.sim.vectorized.run_lanes`); every
     other lane -- and every lane the evaluator refused -- runs on the event
-    loop, the first lane
-    with each distinct reason noting it with the lane count.  The block
-    folds through :func:`~repro.sim.recorder.merge_summaries` in replication
+    loop, and the shard's :class:`KernelProvenance` counts each reason with
+    its lanes.  The block folds through :func:`~repro.sim.recorder.merge_summaries` in replication
     order either way, so lane batching never changes the merged summary.
     """
     with obs.span("scenario.shard") as sp:
@@ -824,20 +800,13 @@ def run_shard(scenario: Scenario, shard_index: int, replication_indices: Sequenc
         records = [classify_lane(rep, "metrics") for rep in reps]
         outcomes = _offer_lanes(reps, records)
         provenance = merge_kernel_provenance(resolve_kernel(scenario), records)
-        unnoted = dict(provenance.fallback_reasons)
-        unnoted[provenance.ineligible_reason] = provenance.ineligible_lanes
         summaries: list[OnlineMetricsSummary] = []
         stopped = True
         for rep, record, outcome in zip(reps, records, outcomes):
             if record.vector_lanes:
                 summaries.append(outcome.summary)  # a served lane always stopped early
                 continue
-            reason = record.noted_reason
-            note = None
-            if reason is not None and reason in unnoted:
-                count = unnoted.pop(reason)
-                note = fallback_note(reason) + (f" ({count} lanes)" if count > 1 else "")
-            summary, sim = _run_on_event_loop(rep, "metrics", note)
+            summary, sim = _run_on_event_loop(rep, "metrics")
             summaries.append(summary)
             stopped = stopped and sim.stopped_early
         _account_kernel_lanes(provenance)
@@ -905,10 +874,10 @@ def run_scenario(
 
     The resolved kernel (:func:`repro.sim.kernel.resolve_kernel`) decides
     which engine steps each run: eligible metrics-level runs under
-    ``"auto"``/``"vector"`` are evaluated by the batched NumPy kernel
-    (float-identical by contract), everything else -- and every run the
-    vector evaluator refuses -- by the event loop, with the fallback reason
-    recorded via ``on_note`` when the vector kernel was in play.
+    ``"auto"`` are evaluated by the batched NumPy kernel (float-identical by
+    contract), everything else -- and every run the vector evaluator
+    refuses -- by the event loop.  ``result.kernel_provenance`` records
+    which engine served each lane, with the static or per-run reason.
     """
     return next(run_scenarios([(scenario, check_guarantees, trace_level)]))
 
@@ -974,10 +943,7 @@ def _run_alone(cell, record: Optional[KernelProvenance]) -> ScenarioResult:
                 for shard_index, block in enumerate(plan_shards(scenario))
             ]
             return measure_sharded(scenario, outcomes, check_guarantees)
-        reason = record.noted_reason
-        observed, sim = _run_on_event_loop(
-            scenario, trace_level, fallback_note(reason) if reason is not None else None
-        )
+        observed, sim = _run_on_event_loop(scenario, trace_level)
         # The pair kernel.replay reports for the mirror.
         sp.set("events", sim.events_fired)
         sp.set("pruned", sim.network.pruned)

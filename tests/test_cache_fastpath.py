@@ -228,7 +228,7 @@ SCENARIO_VARIANTS = {
     "replications": 5,
     "shards": 3,
     "sample_messages": 10,
-    "kernel": "vector",
+    "kernel": "auto",
     "seed": 1,
 }
 PARAMS_VARIANTS = {

@@ -240,10 +240,51 @@ def test_cli_experiment_failure_exits_nonzero(capsys, monkeypatch):
 def test_cli_run_kernel_flag(capsys):
     code = main([
         "run", "--n", "5", "--rounds", "3", "--seed", "2",
-        "--attack", "skew_max", "--kernel", "vector", "--trace-level", "metrics",
+        "--attack", "skew_max", "--kernel", "auto", "--trace-level", "metrics",
     ])
     assert code == 0
     assert "Scenario" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, env, field",
+    [
+        (["run", "--n", "0"], {}, "n must be positive"),
+        (["run", "--f", "-1"], {}, "f must satisfy"),
+        (["run", "--tdel", "-1"], {}, "tdel must be positive"),
+        (["run", "--grace", "-1"], {}, "grace must be non-negative"),
+        (["run", "--actual-faults", "9"], {}, "actual_faults must leave"),
+        (["bounds", "--n", "0"], {}, "n must be positive"),
+        (["kernel", "--n", "0"], {}, "n must be positive"),
+        (["run"], {"REPRO_JOBS": "-2"}, "REPRO_JOBS must be a non-negative integer"),
+        (["experiment", "E1", "--quick"], {"REPRO_JOBS": "-2"}, "REPRO_JOBS must be a non-negative"),
+        (["run"], {"REPRO_KERNEL": "bogus"}, "unknown REPRO_KERNEL 'bogus'"),
+        (["run"], {"REPRO_KERNEL": "vector"}, "unknown REPRO_KERNEL 'vector'"),
+        (["kernel"], {"REPRO_KERNEL": "vector"}, "unknown REPRO_KERNEL 'vector'"),
+        (["run", "--kernel", "vector"], {}, "argument --kernel: invalid choice: 'vector'"),
+    ],
+    ids=[
+        "n", "f", "tdel", "grace", "actual-faults", "bounds-n", "kernel-n",
+        "REPRO_JOBS", "experiment-REPRO_JOBS", "REPRO_KERNEL-bogus", "REPRO_KERNEL-vector",
+        "kernel-REPRO_KERNEL-vector", "kernel-flag-vector",
+    ],
+)
+def test_cli_bad_input_is_a_usage_error(argv, env, field, capsys, monkeypatch):
+    """Exit 2 with the command's usage line and the offending field, never a traceback.
+
+    Exit 1 is what a violated guarantee returns, and CI gates on it.
+    """
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    try:
+        code = main([*argv, "--no-cache"] if argv[0] != "bounds" else argv)
+    except SystemExit as exc:  # a flag argparse itself rejects
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: repro {argv[0]}")
+    assert f"repro {argv[0]}: error: {field}" in captured.err
 
 
 def test_cli_kernel_plain_output_is_unchanged(capsys, monkeypatch):
@@ -279,5 +320,7 @@ def test_cli_kernel_names_every_static_reason(flags, reason, capsys, monkeypatch
     assert "static verdict   ineligible" in out
     assert f"reason           {reason}" in out
     assert "serves           event loop" in out and "fallback note" not in out
-    assert main(["kernel", "--kernel", "vector", *flags]) == 0
-    assert "serves           event loop, with a recorded fallback note" in capsys.readouterr().out
+    # Spelling out the default selection changes nothing: the static reason
+    # is the whole record, whichever way ``auto`` was chosen.
+    assert main(["kernel", "--kernel", "auto", *flags]) == 0
+    assert capsys.readouterr().out == out

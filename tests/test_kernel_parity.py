@@ -5,7 +5,8 @@ event loop for scenario families it matches float-for-float -- these tests
 pin that contract across the eligible attacks, delay/clock modes, tie-heavy
 degenerate grids and message sampling, assert the lane-batched replication
 path equals the serial fold, and check that every ineligible scenario falls
-back to the event loop with a recorded note instead of erroring.
+back to the event loop instead of erroring, with the reason in the result's
+``KernelProvenance``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from repro.sim.kernel import (
     ELIGIBLE_ATTACKS,
     ELIGIBLE_CLOCK_MODES,
     ELIGIBLE_DELAY_MODES,
-    FALLBACK_NOTE_PREFIX,
-    fallback_note,
+    KERNELS,
     kernel_ineligibility,
     numpy_or_none,
     resolve_kernel,
@@ -41,7 +41,7 @@ from repro.sim.vectorized import (
     run_lanes,
 )
 from repro.sim.clocks import rate_bounds
-from repro.sim.recorder import FullTraceRecorder, OnlineMetricsRecorder
+from repro.sim.recorder import FullTraceRecorder, Recorder
 from repro.workloads.scenarios import (
     Scenario,
     build_cluster,
@@ -112,14 +112,14 @@ def assert_results_identical(event_result, vector_result, label=""):
 
 
 def run_both(scenario):
-    """The scenario on both kernels; asserts the vector kernel actually served."""
-    event = run_scenario(
-        dataclasses.replace(scenario, kernel="event"), trace_level="metrics"
+    """The scenario on both kernels; asserts the vector kernel served the compared run."""
+    event, vector = (
+        run_scenario(dataclasses.replace(scenario, kernel=kernel), trace_level="metrics")
+        for kernel in ("event", "auto")
     )
-    vector_scenario = dataclasses.replace(scenario, kernel="vector")
-    outcome = run_lanes([vector_scenario])[0]
-    assert outcome.fallback is None, f"unexpected fallback: {outcome.fallback}"
-    vector = run_scenario(vector_scenario, trace_level="metrics")
+    assert vector.kernel_provenance.vector_lanes == 1, (
+        f"unexpected fallback: {vector.kernel_provenance.fallback_reasons}"
+    )
     return event, vector
 
 
@@ -134,7 +134,7 @@ def measure_both(scenario):
             dataclasses.replace(scenario, kernel=kernel),
             check_guarantees=False, trace_level="metrics",
         )
-        for kernel in ("event", "vector")
+        for kernel in ("event", "auto")
     )
     assert vector.kernel_provenance.vector_lanes == 1, (
         f"{scenario}: {vector.kernel_provenance.fallback_reasons}"
@@ -596,7 +596,7 @@ def test_lane_batched_equals_serial_replications(base_kwargs):
         trace_level="metrics",
     )
     vector = run_scenario(
-        dataclasses.replace(base, kernel="vector", replications=5, shards=1, name=""),
+        dataclasses.replace(base, kernel="auto", replications=5, shards=1, name=""),
         trace_level="metrics",
     )
     assert_results_identical(event, vector, f"lane batching {base_kwargs}")
@@ -610,7 +610,7 @@ def test_lane_batched_equals_serial_replications(base_kwargs):
     [dict(), dict(algorithm="echo"), dict(delay="uniform", attack="forge_flood")],
 )
 def test_run_shard_lane_fold_order(base_kwargs):
-    base = cell(7, rounds=6, kernel="vector", **base_kwargs)
+    base = cell(7, rounds=6, kernel="auto", **base_kwargs)
     lane = run_shard(dataclasses.replace(base, replications=4), 0, (0, 1, 2, 3))
     serial = run_shard(
         dataclasses.replace(base, replications=4, kernel="event"), 0, (0, 1, 2, 3)
@@ -629,12 +629,14 @@ def test_run_shard_lane_fold_order(base_kwargs):
 
 
 def test_ineligible_scenario_falls_back_with_note():
-    scenario = cell(7, kernel="vector", attack="replay")  # not vectorized
+    scenario = cell(7, kernel="auto", attack="replay")  # not vectorized
     reason = kernel_ineligibility(scenario, "metrics")
     assert reason is not None
-    handles = build_cluster(scenario, trace_level="metrics")
-    del handles
     result = run_scenario(scenario, trace_level="metrics")
+    # The provenance record is the note: the lane, the engine and the reason.
+    assert result.kernel_provenance == classify_lane(scenario, "metrics")
+    assert result.kernel_provenance.ineligible_reason == reason
+    assert result.kernel_provenance.describe() == f"kernel auto: 1 ineligible ({reason})"
     event = run_scenario(
         dataclasses.replace(scenario, kernel="event"), trace_level="metrics"
     )
@@ -642,14 +644,15 @@ def test_ineligible_scenario_falls_back_with_note():
 
 
 def test_fallback_note_recorded_in_summary():
-    scenario = cell(7, kernel="vector", attack="replay", replications=2, shards=1)
+    scenario = cell(7, kernel="auto", attack="replay", replications=2, shards=1)
     outcome = run_shard(scenario, 0, (0, 1))
-    notes = [note for note in outcome.summary.notes if note.startswith(FALLBACK_NOTE_PREFIX)]
-    # One deduplicated note per distinct reason, annotated with the lane count.
-    assert len(notes) == 1
-    assert notes[0].endswith("(2 lanes)")
+    reason = kernel_ineligibility(scenario, "metrics")
+    # One deduplicated reason, counted with its lanes -- in the provenance,
+    # the one record of the kernel decision; the summary keeps no notes.
     assert outcome.provenance.ineligible_lanes == 2
-    assert outcome.provenance.ineligible_reason is not None
+    assert outcome.provenance.ineligible_reason == reason
+    assert outcome.provenance.describe() == f"kernel auto: 2 ineligible ({reason})"
+    assert not hasattr(outcome.summary, "notes")
 
 
 def test_dynamic_fallback_notes_deduped_and_counted():
@@ -658,29 +661,30 @@ def test_dynamic_fallback_notes_deduped_and_counted():
     # dynamically when its event heap drains.
     scenario = cell(
         7, algorithm="echo", attack="silent", actual_faults=3, rounds=3,
-        kernel="vector", replications=2, shards=1,
+        kernel="auto", replications=2, shards=1,
     )
     assert kernel_ineligibility(scenario, "metrics") is None
     outcome = run_shard(scenario, 0, (0, 1))
-    notes = [note for note in outcome.summary.notes if note.startswith(FALLBACK_NOTE_PREFIX)]
-    assert len(notes) == 1
-    assert notes[0].endswith("(2 lanes)")
     assert outcome.provenance.fallback_lanes == 2
     assert outcome.provenance.vector_lanes == 0
-    assert len(outcome.provenance.fallback_reasons) == 1
-    # And the lanes the event loop re-ran still fold float-identically.
+    ((reason, lanes),) = outcome.provenance.fallback_reasons
+    assert lanes == 2
+    assert outcome.provenance.describe().endswith(f"2 fell back ({reason} (2 lanes))")
+    # And the lanes the event loop re-ran fold to the very summary the event
+    # loop alone produces: a summary is a pure function of its execution.
     serial = run_shard(dataclasses.replace(scenario, kernel="event"), 0, (0, 1))
-    assert outcome.summary.notes != serial.summary.notes  # provenance differs
-    compact_lane = dataclasses.replace(outcome.summary.compact(), notes=())
-    compact_serial = dataclasses.replace(serial.summary.compact(), notes=())
-    assert compact_lane == compact_serial
+    assert outcome.summary == serial.summary
+    assert outcome.summary.compact() == serial.summary.compact()
 
 
-def test_auto_ineligible_records_no_note():
+def test_auto_ineligible_records_no_note(monkeypatch):
+    noted = []
+    monkeypatch.setattr(Recorder, "on_note", lambda self, text: noted.append(text))
     scenario = cell(7, kernel="auto", attack="replay", replications=2, shards=1)
     outcome = run_shard(scenario, 0, (0, 1))
-    assert not any(note.startswith(FALLBACK_NOTE_PREFIX) for note in outcome.summary.notes)
+    assert noted == []
     assert outcome.provenance.ineligible_lanes == 2
+    assert outcome.provenance.fallback_reasons == ()
 
 
 def test_eligibility_reasons():
@@ -753,42 +757,37 @@ STATIC_VERDICTS = {
     + [(case, 3) for case in STATIC_VERDICTS if case != "full-trace"],  # full traces do not replicate
 )
 def test_static_verdict_is_what_ran(case, replications, monkeypatch):
-    """``classify_lane`` (what ``repro kernel`` prints) is the record the run path attaches."""
+    """``classify_lane`` (what ``repro kernel`` prints) is the record the run path attaches.
+
+    It is the only record: the run annotates no recorder with the verdict.
+    """
     kwargs, level, fragment = STATIC_VERDICTS[case]
     noted = []
-    for recorder in (OnlineMetricsRecorder, FullTraceRecorder):
-        monkeypatch.setattr(
-            recorder, "on_note",
-            lambda self, text, on_note=recorder.on_note: noted.append(text) or on_note(self, text),
-        )
-    for kernel in [kwargs["kernel"]] if "kernel" in kwargs else ["auto", "vector"]:
-        scenario = cell(7, **{"rounds": 3, "kernel": kernel, **kwargs})
-        record = classify_lane(scenario, level)
-        assert (record.resolved, record.total_lanes, record.fallback_lanes) == (kernel, 1, 0)
-        if fragment is None:
-            assert record.ineligible_reason is None
-            assert record.vector_lanes == (kernel != "event")
-        else:
-            assert fragment in record.ineligible_reason and record.ineligible_lanes == 1
-        scenario = dataclasses.replace(scenario, replications=replications, shards=1, name="")
-        noted.clear()
-        if case == "echo-n-le-3f":  # the event loop's constructor error still surfaces
-            with pytest.raises(ValueError, match="n > 3f"):
-                run_scenario(scenario, False, level)
-            continue
-        ran = run_scenario(scenario, False, level).kernel_provenance
-        assert ran == merge_kernel_provenance(kernel, [record] * replications)
-        expected = []
-        if kernel == "vector" and fragment is not None:
-            suffix = f" ({replications} lanes)" if replications > 1 else ""
-            expected = [fallback_note(record.ineligible_reason) + suffix]
-        assert [note for note in noted if note.startswith(FALLBACK_NOTE_PREFIX)] == expected
+    for recorder in (Recorder, FullTraceRecorder):
+        monkeypatch.setattr(recorder, "on_note", lambda self, text: noted.append(text))
+    kernel = kwargs.get("kernel", "auto")
+    scenario = cell(7, **{"rounds": 3, "kernel": kernel, **kwargs})
+    record = classify_lane(scenario, level)
+    assert (record.resolved, record.total_lanes, record.fallback_lanes) == (kernel, 1, 0)
+    if fragment is None:
+        assert record.ineligible_reason is None
+        assert record.vector_lanes == (kernel != "event")
+    else:
+        assert fragment in record.ineligible_reason and record.ineligible_lanes == 1
+    scenario = dataclasses.replace(scenario, replications=replications, shards=1, name="")
+    if case == "echo-n-le-3f":  # the event loop's constructor error still surfaces
+        with pytest.raises(ValueError, match="n > 3f"):
+            run_scenario(scenario, False, level)
+        return
+    ran = run_scenario(scenario, False, level).kernel_provenance
+    assert ran == merge_kernel_provenance(kernel, [record] * replications)
+    assert noted == []
 
 
 def test_numpy_is_probed_last_and_its_absence_changes_no_number(monkeypatch):
     import repro.sim.kernel as kernel_module
 
-    scenario = cell(7, kernel="vector")
+    scenario = cell(7, kernel="auto")
     served = run_scenario(scenario, trace_level="metrics")
     assert served.kernel_provenance.vector_lanes == 1
     monkeypatch.setattr(kernel_module, "numpy_or_none", lambda: None)
@@ -828,15 +827,18 @@ def test_resolve_kernel_env_and_field(monkeypatch):
     assert resolve_kernel(cell(5)) == "auto"
     monkeypatch.setenv("REPRO_KERNEL", "event")
     assert resolve_kernel(cell(5)) == "event"
-    assert resolve_kernel(cell(5, kernel="vector")) == "vector"
-    monkeypatch.setenv("REPRO_KERNEL", "bogus")
-    with pytest.raises(ValueError):
-        resolve_kernel(cell(5))
+    assert resolve_kernel(cell(5, kernel="auto")) == "auto"
+    for bad in ("bogus", "vector"):
+        monkeypatch.setenv("REPRO_KERNEL", bad)
+        with pytest.raises(ValueError, match="REPRO_KERNEL"):
+            resolve_kernel(cell(5))
 
 
 def test_scenario_rejects_unknown_kernel():
-    with pytest.raises(ValueError):
-        cell(5, kernel="numpy")
+    assert KERNELS == ("auto", "event")
+    for bad in ("numpy", "vector"):
+        with pytest.raises(ValueError):
+            cell(5, kernel=bad)
 
 
 def test_dynamic_fallback_preserves_cache_key(monkeypatch):
@@ -846,7 +848,7 @@ def test_dynamic_fallback_preserves_cache_key(monkeypatch):
     import repro.workloads.scenarios as scenarios_module
     from repro.runner.cache import cache_key
 
-    scenario = cell(7, kernel="vector", replications=2, shards=1)
+    scenario = cell(7, kernel="auto", replications=2, shards=1)
     key_before = cache_key(scenario, check_guarantees=True, trace_level="metrics")
 
     def forced_fallback(lane_scenarios, **kwargs):
@@ -872,10 +874,10 @@ def test_run_lanes_reports_fallback_without_recording():
 @pytest.mark.parametrize(
     "owner, name, scenario",
     [
-        (_Layout, "__init__", cell(7, kernel="vector")),
-        (_ExactReplay, "run", cell(7, delay="uniform", kernel="vector")),
-        (vectorized, "_phase1", cell(7, kernel="vector")),
-        (vectorized._LaneAssembly, "run", cell(7, kernel="vector")),
+        (_Layout, "__init__", cell(7, kernel="auto")),
+        (_ExactReplay, "run", cell(7, delay="uniform", kernel="auto")),
+        (vectorized, "_phase1", cell(7, kernel="auto")),
+        (vectorized._LaneAssembly, "run", cell(7, kernel="auto")),
     ],
     ids=["layout", "replay", "phase1", "phase2"],
 )
@@ -903,7 +905,7 @@ def test_a_defect_in_a_vector_engine_is_served_by_the_event_loop(monkeypatch, ow
     assert provenance.fallback_lanes == 1 and provenance.vector_lanes == 0
     assert provenance.fallback_reasons == ((outcome.fallback, 1),)
     sharded = run_shard(dataclasses.replace(scenario, replications=2, shards=1), 0, (0, 1))
-    assert fallback_note(outcome.fallback) + " (2 lanes)" in sharded.summary.notes
+    assert sharded.provenance.fallback_reasons == ((outcome.fallback, 2),)
     monkeypatch.undo()
     event = run_scenario(dataclasses.replace(scenario, kernel="event"), trace_level="metrics")
     assert_results_identical(event, served, name)

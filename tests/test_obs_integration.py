@@ -131,13 +131,13 @@ def test_traced_subprocess_sweep_float_identical_to_untraced():
     assert fingerprint(traced) == fingerprint(untraced)
 
 
-@pytest.mark.parametrize("kernel", ["event", "vector"])
-def test_traced_run_float_identical_to_untraced_per_kernel(kernel):
+@pytest.mark.parametrize("engine", ["event", "vector"])
+def test_traced_run_float_identical_to_untraced_per_kernel(engine):
     scenario = dataclasses.replace(
         adversarial_scenario(default_params(7, authenticated=True), "auth", attack="skew_max", rounds=5, seed=11),
         replications=3,
         shards=2,
-        kernel=kernel,
+        kernel="event" if engine == "event" else "auto",
         name="",
     )
     untraced = run_scenario(scenario, trace_level="metrics")
@@ -146,7 +146,8 @@ def test_traced_run_float_identical_to_untraced_per_kernel(kernel):
     assert result_to_json(traced) == result_to_json(untraced)
     names = {span.name for span in obs.tracer().all_spans()}
     assert "scenario.shard" in names
-    if kernel == "vector":
+    if engine == "vector":
+        assert traced.kernel_provenance.vector_lanes == 3
         assert {"kernel.phase1", "kernel.phase2"} <= names
 
 
@@ -206,7 +207,7 @@ def test_cli_stats_reports_cache_fleet_and_provenance(capsys):
             "--replications", "4",
             "--shards", "4",
             "--rounds", "3",
-            "--kernel", "vector",
+            "--kernel", "auto",
             "--no-cache",
         ]
     )

@@ -174,7 +174,7 @@ def test_absorb_fleet_stats():
 
 
 def test_absorb_kernel_provenance_namespaces():
-    provenance = KernelProvenance(resolved="vector", vector_lanes=3, fallback_lanes=1, ineligible_lanes=2)
+    provenance = KernelProvenance(resolved="auto", vector_lanes=3, fallback_lanes=1, ineligible_lanes=2)
     registry = MetricsRegistry()
     registry.absorb_kernel_provenance(provenance)
     registry.absorb_kernel_provenance(provenance, prefix="provenance")

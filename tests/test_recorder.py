@@ -214,7 +214,6 @@ def test_liveness_replica_matches_semantics():
             worst_offset_from_real_time=None,
             total_messages=0,
             message_stats={},
-            notes=[],
         )
 
     assert not summary_with((None,)).liveness(1)  # never resynchronized

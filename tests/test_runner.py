@@ -542,13 +542,13 @@ def test_cache_key_resolves_kernel(monkeypatch):
     assert cache_key(scenario, True, trace_level="metrics") == cache_key(
         replace(scenario, kernel="event"), True, trace_level="metrics"
     )
-    assert cache_key(replace(scenario, kernel="vector"), True, trace_level="metrics") != cache_key(
+    assert cache_key(replace(scenario, kernel="auto"), True, trace_level="metrics") != cache_key(
         replace(scenario, kernel="event"), True, trace_level="metrics"
     )
 
 
 def test_kernel_result_round_trips_through_cache(tmp_path):
-    scenario = replace(small_grid()[0], kernel="vector")
+    scenario = replace(small_grid()[0], kernel="auto")
     cache = ResultCache(tmp_path)
     runner = SweepRunner(jobs=1, cache=cache)
     cold = runner.run(scenario, trace_level="metrics")

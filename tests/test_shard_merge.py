@@ -128,7 +128,6 @@ def test_merge_is_commutative_up_to_order():
     assert _scalar_fields(forward) == _scalar_fields(backward)
     assert forward.message_stats == backward.message_stats
     assert sorted(map(repr, forward.liveness_triples)) == sorted(map(repr, backward.liveness_triples))
-    assert sorted(forward.notes) == sorted(backward.notes)
     # The window-rate extremes are derived from the union of samples, so
     # they are exactly order-independent too (not just up to tolerance).
     assert forward.slowest_window_rate == backward.slowest_window_rate
