@@ -26,14 +26,7 @@ Quickstart
 True
 """
 
-from .analysis import (
-    GuaranteeReport,
-    Table,
-    accuracy_summary,
-    max_skew,
-    steady_state_skew,
-    verify_guarantees,
-)
+from .analysis import GuaranteeReport, Table, max_skew
 from .core import (
     AUTH,
     ECHO,
@@ -114,9 +107,6 @@ __all__ = [
     "build_cluster",
     "run_scenario",
     "max_skew",
-    "steady_state_skew",
-    "accuracy_summary",
-    "verify_guarantees",
     "GuaranteeReport",
     "Table",
 ]

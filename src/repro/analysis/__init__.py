@@ -1,29 +1,12 @@
 """Exact measurement and verification of executions."""
 
-from .envelope import (
-    AccuracySummary,
-    EnvelopeFit,
-    RateExtremes,
-    accuracy_summary,
-    fit_envelope,
-    long_run_rate,
-    rate_extremes,
-)
+from .envelope import AccuracySummary
 from .metrics import (
     PeriodStats,
-    acceptance_spread_by_round,
-    adjustment_magnitudes,
-    liveness,
-    max_acceptance_spread,
     max_backward_adjustment,
     max_skew,
-    message_totals,
-    messages_per_completed_round,
-    period_stats,
-    resync_intervals,
     skew_at,
     skew_timeseries,
-    steady_state_skew,
     steady_state_start,
 )
 from .optimality import (
@@ -31,8 +14,6 @@ from .optimality import (
     GuaranteeCheck,
     GuaranteeReport,
     measure_summary,
-    measure_trace,
-    verify_guarantees,
     verify_measurements,
     verify_summary,
 )
@@ -49,31 +30,14 @@ __all__ = [
     "max_skew",
     "skew_at",
     "skew_timeseries",
-    "steady_state_skew",
     "steady_state_start",
-    "resync_intervals",
-    "PeriodStats",
-    "period_stats",
-    "acceptance_spread_by_round",
-    "max_acceptance_spread",
-    "liveness",
-    "adjustment_magnitudes",
     "max_backward_adjustment",
-    "message_totals",
-    "messages_per_completed_round",
+    "PeriodStats",
     "AccuracySummary",
-    "EnvelopeFit",
-    "RateExtremes",
-    "accuracy_summary",
-    "fit_envelope",
-    "long_run_rate",
-    "rate_extremes",
     "ExecutionMeasurements",
     "GuaranteeCheck",
     "GuaranteeReport",
-    "measure_trace",
     "measure_summary",
-    "verify_guarantees",
     "verify_measurements",
     "verify_summary",
     "Table",

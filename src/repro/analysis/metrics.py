@@ -1,11 +1,17 @@
-"""Exact execution metrics.
+"""Exact queries over an execution trace.
 
 Honest logical clocks in a trace are piecewise-linear functions of real time
 whose breakpoints (hardware-clock rate changes and adjustment instants) are
-all recorded, so worst-case quantities -- maximum skew, envelope constants,
-extreme rates -- can be computed *exactly* by evaluating at breakpoints
-(taking both the left limit and the right value at each, because adjustments
-are jumps).  No sampling error enters the reproduction's measurements.
+all recorded, so worst-case skew can be computed *exactly* by evaluating at
+breakpoints (taking both the left limit and the right value at each, because
+adjustments are jumps).
+
+A run's measured numbers are not computed here: the recorder streams them
+(:mod:`repro.sim.recorder`), at either trace level.  These are the queries
+that read a full trace's *history* -- skew from a given instant on, when a
+round completed, the ablation's backward corrections -- for the experiments,
+examples and plots that keep one.  ``tests/oracle.py`` holds the post-hoc
+measurement of the rest, as the independent check on the recorder.
 """
 
 from __future__ import annotations
@@ -101,11 +107,6 @@ def steady_state_start(trace: Trace, pids: Optional[Sequence[int]] = None) -> fl
     return max(firsts) if firsts else trace.end_time
 
 
-def steady_state_skew(trace: Trace, pids: Optional[Sequence[int]] = None) -> float:
-    """Exact worst-case skew from the end of the first resynchronization on."""
-    return max_skew(trace, t_start=steady_state_start(trace), pids=pids)
-
-
 def round_completion_time(trace: Trace, round_: int, pids: Optional[Sequence[int]] = None) -> Optional[float]:
     """Real time at which every honest process had accepted ``round_`` (None if it never happened)."""
     if pids is None:
@@ -135,12 +136,6 @@ def skew_after_round(trace: Trace, round_: int, pids: Optional[Sequence[int]] = 
 # -- resynchronization structure ------------------------------------------------------
 
 
-def resync_intervals(trace: Trace, pid: int) -> list[float]:
-    """Real-time gaps between consecutive resynchronizations of one process."""
-    times = trace.processes[pid].resync_times()
-    return [b - a for a, b in zip(times, times[1:])]
-
-
 @dataclass(frozen=True)
 class PeriodStats:
     """Extremes of the observed resynchronization intervals over all honest processes."""
@@ -154,70 +149,6 @@ class PeriodStats:
         return cls(minimum=float("inf"), maximum=0.0, count=0)
 
 
-def period_stats(trace: Trace, skip_first: int = 1) -> PeriodStats:
-    """Min/max resynchronization interval across honest processes.
-
-    ``skip_first`` drops the first interval(s), which include the start-up
-    transient (initial offsets) and are covered by the start-up bound instead.
-    """
-    minimum = float("inf")
-    maximum = 0.0
-    count = 0
-    for pid in trace.honest_pids():
-        intervals = resync_intervals(trace, pid)[skip_first:]
-        for value in intervals:
-            minimum = min(minimum, value)
-            maximum = max(maximum, value)
-            count += 1
-    if count == 0:
-        return PeriodStats.empty()
-    return PeriodStats(minimum=minimum, maximum=maximum, count=count)
-
-
-def acceptance_spread_by_round(trace: Trace) -> dict[int, float]:
-    """For each round accepted by every honest process, the real-time spread of acceptances."""
-    honest = trace.honest()
-    if not honest:
-        return {}
-    per_round: dict[int, list[float]] = {}
-    for ptrace in honest:
-        for event in ptrace.resyncs:
-            per_round.setdefault(event.round, []).append(event.time)
-    return {
-        round_: max(times) - min(times)
-        for round_, times in per_round.items()
-        if len(times) == len(honest)
-    }
-
-
-def max_acceptance_spread(trace: Trace) -> float:
-    """Largest acceptance spread over all fully accepted rounds."""
-    spreads = acceptance_spread_by_round(trace)
-    return max(spreads.values()) if spreads else 0.0
-
-
-def liveness(trace: Trace, expected_round: int) -> bool:
-    """Whether every honest process accepted every round up to ``expected_round``."""
-    for ptrace in trace.honest():
-        accepted = set(e.round for e in ptrace.resyncs)
-        if not accepted:
-            return False
-        first = max(min(accepted), 1)
-        needed = set(range(first, expected_round + 1))
-        if not needed.issubset(accepted):
-            return False
-    return True
-
-
-def adjustment_magnitudes(trace: Trace, skip_first: int = 1) -> list[float]:
-    """Absolute sizes of all honest clock adjustments (optionally skipping the first)."""
-    sizes = []
-    for ptrace in trace.honest():
-        for event in ptrace.resyncs[skip_first:]:
-            sizes.append(abs(event.adjustment))
-    return sizes
-
-
 def max_backward_adjustment(trace: Trace, skip_first: int = 1) -> float:
     """Largest backward correction applied by any honest process (0 if clocks are monotone)."""
     worst = 0.0
@@ -225,18 +156,3 @@ def max_backward_adjustment(trace: Trace, skip_first: int = 1) -> float:
         for event in ptrace.resyncs[skip_first:]:
             worst = max(worst, -min(0.0, event.adjustment))
     return worst
-
-
-def message_totals(trace: Trace) -> dict[str, int]:
-    """Total messages sent, by message type, plus the overall count."""
-    totals = dict(trace.message_stats)
-    totals["total"] = trace.total_messages
-    return totals
-
-
-def messages_per_completed_round(trace: Trace) -> float:
-    """Average number of messages per fully completed round (all senders included)."""
-    completed = trace.min_completed_round()
-    if completed <= 0:
-        return float(trace.total_messages)
-    return trace.total_messages / completed

@@ -1,25 +1,24 @@
 """Guarantee verification: does an execution respect the paper's theorems?
 
-:func:`verify_guarantees` compares the exact measurements of a trace with the
-analytic bounds of :mod:`repro.core.bounds` and returns a structured verdict.
-It is the workhorse of the integration tests and of experiments E1/E5/E10:
-under every tolerated adversary the verdict must be all-green, and above the
-resilience threshold the breaking attacks must produce a red verdict
-(otherwise the experiment itself is broken).
+:func:`verify_summary` compares the exact measurements a recorder streamed
+with the analytic bounds of :mod:`repro.core.bounds` and returns a structured
+verdict; every checked :class:`~repro.workloads.scenarios.ScenarioResult`
+carries one.  :func:`verify_measurements` is the one bound comparator behind
+it (the post-hoc oracle in ``tests/oracle.py`` feeds it too).  Under every
+tolerated adversary the verdict must be all-green, and above the resilience
+threshold the breaking attacks must produce a red verdict (otherwise the
+experiment itself is broken).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..core import bounds as bounds_mod
 from ..core.params import SyncParams
 from ..sim.recorder import OnlineMetricsSummary
-from ..sim.trace import Trace
-from . import metrics
-from .envelope import long_run_rate
+from .metrics import PeriodStats
 
 
 @dataclass(frozen=True)
@@ -67,16 +66,16 @@ class GuaranteeReport:
 class ExecutionMeasurements:
     """The measured quantities guarantee verification compares against bounds.
 
-    Both observation paths produce this: :func:`measure_trace` computes it
-    post hoc from a full :class:`~repro.sim.trace.Trace`, and
     :func:`measure_summary` reads it from a streamed
-    :class:`~repro.sim.recorder.OnlineMetricsSummary`.  The two agree
-    float-for-float for the same execution, so the verdicts agree too.
+    :class:`~repro.sim.recorder.OnlineMetricsSummary`; the oracle in
+    ``tests/oracle.py`` computes it post hoc from a full
+    :class:`~repro.sim.trace.Trace`, and the parity suite asserts both agree
+    float-for-float, verdicts included.
     """
 
     steady_skew: float
     acceptance_spread: float
-    period_stats: metrics.PeriodStats
+    period_stats: PeriodStats
     #: Largest |adjustment| over honest resyncs (first skipped); None if none.
     max_adjustment: Optional[float]
     min_completed_round: int
@@ -88,30 +87,11 @@ class ExecutionMeasurements:
     long_run_rates: Optional[tuple[float, float]]
 
 
-def measure_trace(trace: Trace, params: SyncParams, expected_round: int = 0) -> ExecutionMeasurements:
-    """Exact guarantee-relevant measurements of a full execution trace."""
-    adjustments = metrics.adjustment_magnitudes(trace)
-    long_run_rates: Optional[tuple[float, float]] = None
-    start = metrics.steady_state_start(trace)
-    if trace.end_time - start > params.period:
-        rates = [long_run_rate(ptrace, start, trace.end_time) for ptrace in trace.honest()]
-        long_run_rates = (min(rates, default=math.inf), max(rates, default=-math.inf))
-    return ExecutionMeasurements(
-        steady_skew=metrics.steady_state_skew(trace),
-        acceptance_spread=metrics.max_acceptance_spread(trace),
-        period_stats=metrics.period_stats(trace),
-        max_adjustment=max(adjustments) if adjustments else None,
-        min_completed_round=trace.min_completed_round(),
-        liveness_ok=metrics.liveness(trace, expected_round) if expected_round > 0 else None,
-        long_run_rates=long_run_rates,
-    )
-
-
-def period_stats_from_summary(summary: OnlineMetricsSummary) -> metrics.PeriodStats:
+def period_stats_from_summary(summary: OnlineMetricsSummary) -> PeriodStats:
     """The streamed period extremes as a :class:`~repro.analysis.metrics.PeriodStats`."""
     if not summary.period_count:
-        return metrics.PeriodStats.empty()
-    return metrics.PeriodStats(minimum=summary.period_min, maximum=summary.period_max, count=summary.period_count)
+        return PeriodStats.empty()
+    return PeriodStats(minimum=summary.period_min, maximum=summary.period_max, count=summary.period_count)
 
 
 def measure_summary(
@@ -232,8 +212,8 @@ def verify_measurements(
     return report
 
 
-def verify_guarantees(
-    trace: Trace,
+def verify_summary(
+    summary: OnlineMetricsSummary,
     params: SyncParams,
     algorithm: str = bounds_mod.AUTH,
     expected_round: int = 0,
@@ -245,17 +225,5 @@ def verify_guarantees(
     accepted all rounds up to that number (liveness).  ``slack`` is a tiny
     numerical tolerance added to every bound.
     """
-    measured = measure_trace(trace, params, expected_round=expected_round)
-    return verify_measurements(measured, params, algorithm=algorithm, expected_round=expected_round, slack=slack)
-
-
-def verify_summary(
-    summary: OnlineMetricsSummary,
-    params: SyncParams,
-    algorithm: str = bounds_mod.AUTH,
-    expected_round: int = 0,
-    slack: float = 1e-9,
-) -> GuaranteeReport:
-    """:func:`verify_guarantees` for the streaming (no-trace) observation path."""
     measured = measure_summary(summary, params, expected_round=expected_round)
     return verify_measurements(measured, params, algorithm=algorithm, expected_round=expected_round, slack=slack)

@@ -212,7 +212,7 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         dest="sample_messages",
         help="retain every K-th network message as a lightweight sample in the result "
-        "(message-level provenance; forces --trace-level metrics)",
+        "(message-level provenance, at either trace level)",
     )
     parser.add_argument(
         "--kernel",
@@ -281,10 +281,6 @@ def _resolve_trace_level(args: argparse.Namespace) -> str:
         # Replicated runs merge streamed summaries; full traces do not merge.
         trace_level = "metrics"
         print("note: --replications forces --trace-level metrics", file=sys.stderr)
-    if args.sample_messages is not None and trace_level == "full":
-        # Full traces keep every message already; sampling is a metrics feature.
-        trace_level = "metrics"
-        print("note: --sample-messages forces --trace-level metrics", file=sys.stderr)
     return trace_level
 
 

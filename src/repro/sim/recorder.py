@@ -20,18 +20,24 @@ classes emit observation events into a :class:`Recorder`:
   the metrics recorder ignores it),
 * :meth:`Recorder.finalize` -- the run (segment) ended.
 
-Two implementations ship here:
+Two implementations ship here, and they measure alike:
 
-* :class:`FullTraceRecorder` reproduces the historical behaviour exactly: it
-  owns a :class:`~repro.sim.trace.Trace` and every measurement computed from
-  it is byte-identical to the pre-refactor code path.
 * :class:`OnlineMetricsRecorder` streams the worst-case-exact scalar metrics
   (precision, accuracy envelope, window-rate extremes, rounds, message
-  counts), evaluating logical clocks at exactly the same breakpoints the
-  post-hoc analysis would.  Apart from a per-resynchronization sample
-  buffer for the window-rate extremes, it retains no history.  Its
-  results are float-for-float identical to the full-trace pipeline for every
-  metric it reports (see ``tests/test_recorder_parity.py``).
+  counts), evaluating logical clocks at every breakpoint -- both sides of
+  each adjustment jump -- as the events stream past.  Apart from a
+  per-resynchronization sample buffer for the window-rate extremes, it
+  retains no history.  This is the one implementation of every measured
+  number, at either trace level and on either engine.
+* :class:`FullTraceRecorder` is an :class:`OnlineMetricsRecorder` that also
+  writes a :class:`~repro.sim.trace.Trace` (per-process clocks, every
+  adjustment and resynchronization, the notes), for the queries that read
+  history: start-up completion, join latency, the ablation's adjustments.
+
+The post-hoc trace analysis that used to measure full-trace runs lives on as
+the independent oracle in ``tests/oracle.py``: a different algorithm over the
+same trace, which ``tests/test_recorder_parity.py`` compares both trace
+levels against, float for float.
 
 Recorders also decide when a run stops.  Round progress -- each honest
 process's largest accepted round, the completed round and the crash ceiling
@@ -151,8 +157,6 @@ class Recorder(ABC):
     def _join_ledger(self, pid: int) -> None:
         """Honest ``pid`` joins round tracking at round 0."""
         self._accepted[pid] = 0
-        if self._completed:
-            self._completed = self._at_completed = 0
         self._at_completed += 1
 
     def _ledger_accept(self, pid: int, round_: int, time: float) -> None:
@@ -233,59 +237,6 @@ class Recorder(ABC):
         )
 
 
-class FullTraceRecorder(Recorder):
-    """The historical observer: record everything into a :class:`Trace`.
-
-    Every measurement the analysis layer computes from the resulting trace is
-    exactly what the pre-recorder engine produced.  Round progress is the
-    base class's ledger, not a scan of the trace.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._trace = Trace()
-
-    @property
-    def trace(self) -> Trace:
-        """The :class:`Trace` being recorded (live; finalized by :meth:`finalize`)."""
-        return self._trace
-
-    def process_trace(self, pid: int) -> ProcessTrace:
-        """Process ``pid``'s piecewise-linear trace."""
-        return self._trace.processes[pid]
-
-    def register_process(self, pid: int, clock: "HardwareClock", faulty: bool = False) -> None:
-        """Open a per-process trace; honest processes join round tracking."""
-        self._trace.add_process(pid, clock, faulty=faulty)
-        if not faulty:
-            self._join_ledger(pid)
-
-    def on_adjustment(self, pid: int, time: float, adjustment: float) -> None:
-        """Append the adjustment breakpoint to ``pid``'s trace."""
-        self._trace.record_adjustment(pid, time, adjustment)
-
-    def on_resync(self, event: ResyncEvent) -> None:
-        """Record the acceptance; the ledger ignores faulty processes."""
-        self._trace.record_resync(event)
-        self._ledger_accept(event.pid, event.round, event.time)
-
-    def on_crash(self, pid: int, time: float) -> None:
-        """Record the halt; an honest crash caps the ledger's ceiling."""
-        self._trace.record_crash(pid, time)
-        self._ledger_crash(pid)
-
-    def on_note(self, text: str) -> None:
-        """Append the annotation to the trace."""
-        self._trace.note(text)
-
-    def finalize(self, end_time: float, network_stats: "NetworkStats") -> Trace:
-        """Stamp the end time and message statistics; return the trace."""
-        self._trace.end_time = end_time
-        self._trace.total_messages = network_stats.total_messages
-        self._trace.message_stats = dict(network_stats.messages_by_type)
-        return self._trace
-
-
 # ---------------------------------------------------------------------------
 # Online (streaming) metrics
 # ---------------------------------------------------------------------------
@@ -326,7 +277,7 @@ class _ProcState:
         self.bp_seq = clock.breakpoints()
         self.bp_idx = 0
         self.value_at_steady = 0.0
-        # Envelope drawdown/run-up state (see analysis.envelope.fit_envelope).
+        # Envelope drawdown/run-up state (the maximum drawdown / run-up recursion).
         self.env_max_g = float("-inf")
         self.env_drawdown = 0.0
         self.env_min_h = float("inf")
@@ -340,14 +291,13 @@ class _ProcState:
 class OnlineMetricsSummary:
     """Scalar measurements streamed by :class:`OnlineMetricsRecorder`.
 
-    Field-for-field, each value equals what the full-trace pipeline computes
-    (:mod:`repro.analysis.metrics` / :mod:`repro.analysis.envelope`) for the
-    same execution; ``tests/test_recorder_parity.py`` asserts exact equality.
-    This includes the window-rate extremes: the recorder retains the
-    steady-window breakpoint samples and runs the same hull-bounded
-    maximum-average-segment pass the post-hoc analysis uses
-    (:func:`repro.analysis.envelope.window_rate_extremes`), so they too are
-    float-for-float identical.  They are ``None`` on every summary that still
+    Field-for-field, each value equals what the post-hoc oracle
+    (``tests/oracle.py``) computes from the same execution's trace;
+    ``tests/test_recorder_parity.py`` asserts exact equality.  This includes
+    the window-rate extremes: the recorder retains the steady-window
+    breakpoint samples and runs the hull-bounded maximum-average-segment pass
+    (:func:`repro.analysis.envelope.window_rate_extremes`) over them, which
+    the oracle checks against its own samples.  They are ``None`` on every summary that still
     carries :attr:`window_samples` -- a finalized one, or a fold of them --
     until :meth:`compact` derives them, once per result, and stay ``None``
     when the steady interval is empty.
@@ -398,7 +348,7 @@ class OnlineMetricsSummary:
     message_samples: Optional[tuple] = None
 
     def liveness(self, expected_round: int) -> bool:
-        """Exact replica of :func:`repro.analysis.metrics.liveness`.
+        """Whether every honest process accepted every round up to ``expected_round``.
 
         Accepted rounds are strictly increasing per process, so contiguity
         plus the extremes in :attr:`liveness_triples` determine subset
@@ -418,7 +368,7 @@ class OnlineMetricsSummary:
         return True
 
     def messages_per_round(self) -> float:
-        """Exact replica of :func:`repro.analysis.metrics.messages_per_completed_round`."""
+        """Average messages per completed round (all senders; the total if none completed)."""
         if self.completed_round <= 0:
             return float(self.total_messages)
         return self.total_messages / self.completed_round
@@ -426,8 +376,7 @@ class OnlineMetricsSummary:
     def long_run_rates(self, period: float) -> Optional[tuple[float, float]]:
         """(slowest, fastest) long-run rates, or None if the steady interval
         is too short (not longer than one resynchronization ``period``) for
-        accuracy to be meaningful -- the same availability gate the
-        full-trace pipeline applies."""
+        accuracy to be meaningful."""
         if self.end_time - self.steady_start > period and self.slowest_long_run_rate is not None:
             return (self.slowest_long_run_rate, self.fastest_long_run_rate)
         return None
@@ -561,14 +510,14 @@ class OnlineMetricsRecorder(Recorder):
       supplies rate-change instants between adjustment events;
     * adjustments at one instant are batched so the left limit ("just
       before") and the settled value ("just after") are evaluated exactly
-      like the post-hoc analysis evaluates both sides of a jump;
-    * the accuracy envelope constants use the same one-pass drawdown/run-up
-      recursion as :func:`repro.analysis.envelope.fit_envelope`, started at
-      the steady-state instant.
+      on both sides of the jump;
+    * the accuracy envelope constants are a one-pass drawdown/run-up
+      recursion, started at the steady-state instant.
 
-    The evaluation points are exactly the post-hoc analysis's evaluation
-    points, so every reported metric is float-for-float identical to the
-    full-trace pipeline -- not an approximation.
+    The evaluation points are exactly the breakpoints a post-hoc walk of the
+    trace visits, so every reported metric is exact -- not an approximation;
+    ``tests/test_recorder_parity.py`` pins it float-for-float to such a walk
+    (``tests/oracle.py``).
 
     ``rate_low``/``rate_high`` parameterize the accuracy envelope fit
     (scenarios pass the model's admissible hardware rates); when omitted the
@@ -581,10 +530,10 @@ class OnlineMetricsRecorder(Recorder):
     the number of resynchronizations, never with the event count -- and
     ``finalize`` hands them over in
     :attr:`OnlineMetricsSummary.window_samples` with the extremes ``None``.
-    :meth:`OnlineMetricsSummary.compact` runs the same
-    :func:`~repro.analysis.envelope.window_rate_extremes` hull pass the
-    post-hoc analysis uses, once per result, over whatever union of
-    executions the summary has been merged into.
+    :meth:`OnlineMetricsSummary.compact` runs the
+    :func:`~repro.analysis.envelope.window_rate_extremes` hull pass over
+    them, once per result, over whatever union of executions the summary has
+    been merged into.
 
     ``sample_messages=K`` turns on the sampling message trace: every K-th
     network message is retained as a :class:`MessageSample` (sender,
@@ -598,7 +547,8 @@ class OnlineMetricsRecorder(Recorder):
     The recorder observes one run segment: after :meth:`finalize`, new events
     are rejected (re-finalizing at the same end time returns the cached
     summary).  Multi-segment runs that resume after ``run_until`` need the
-    full-trace recorder.
+    full-trace recorder, which finalizes its streams only when asked for
+    the summary.
     """
 
     def __init__(
@@ -667,7 +617,7 @@ class OnlineMetricsRecorder(Recorder):
             if proc.bp_seq:
                 heapq.heappush(self._heap, (proc.bp_seq[0], index))
                 proc.bp_idx = 1
-        # The post-hoc analysis always evaluates at t = 0; model that as an
+        # Skew is always evaluated at t = 0; model that as an
         # implicit batch so any adjustments recorded at 0 settle first.
         self._batch_time = 0.0
         self._batch_initial = True
@@ -701,9 +651,8 @@ class OnlineMetricsRecorder(Recorder):
 
     def _env_sample(self, proc: _ProcState, t: float, value: float) -> None:
         """Feed one breakpoint sample into the per-process envelope recursion."""
-        # Retain the steady-window samples for the exact window-rate pass --
-        # the same (time, value) stream the post-hoc analysis enumerates via
-        # _clock_samples.
+        # Retain the steady-window samples for the exact window-rate pass:
+        # every breakpoint, with both sides of each jump.
         proc.win_t.append(t)
         proc.win_v.append(value)
         offset = abs(value - t)
@@ -767,8 +716,7 @@ class OnlineMetricsRecorder(Recorder):
         steady_active = self._steady_start is not None
         if completes_steady:
             # Steady state begins here: seed every honest process's envelope
-            # recursion with both sides of the t_start sample, exactly as the
-            # post-hoc _clock_samples pass does.
+            # recursion with both sides of the t_start sample.
             for proc in self._honest:
                 before_adj = self._batch_before.get(proc.pid, proc.adj)
                 reading = proc.clock.read(t)
@@ -806,8 +754,8 @@ class OnlineMetricsRecorder(Recorder):
         self._open_batch(time)
         if not self._batch_has_adjustment and not self._batch_initial:
             # Left limit at the first adjustment of this instant (all current
-            # adjustments are still the pre-batch ones).  The post-hoc pass
-            # evaluates it whenever t lies strictly inside the measured range.
+            # adjustments are still the pre-batch ones), counted whenever t
+            # lies strictly inside the measured range.
             inside_steady = self._steady_start is not None and time > self._steady_start
             self._note_skew(time, overall=time > 0.0, steady=inside_steady)
         self._batch_has_adjustment = True
@@ -971,8 +919,7 @@ class OnlineMetricsRecorder(Recorder):
                 slowest_lr = min(slowest_lr, rate)
                 fastest_lr = max(fastest_lr, rate)
                 # The long-run rate is the hull pass's fallback for a process
-                # whose samples admit no quarter-span window, exactly like the
-                # post-hoc analysis.
+                # whose samples admit no quarter-span window.
                 entries.append((tuple(proc.win_t), tuple(proc.win_v), rate))
                 if self.rate_low is not None:
                     envelope_a = max(envelope_a, proc.env_drawdown)
@@ -1046,3 +993,75 @@ class OnlineMetricsRecorder(Recorder):
         """Sampled message summaries retained (0 with ``sample_messages=None``;
         otherwise one per ``sample_messages`` network messages)."""
         return len(self._message_samples)
+
+
+class FullTraceRecorder(OnlineMetricsRecorder):
+    """Stream the same measurements, and also record everything into a :class:`Trace`.
+
+    Every hook writes the trace, then feeds the streaming base, so a
+    full-trace run's numbers come from the one implementation a metrics run
+    uses; the trace is kept for the queries that read history (start-up
+    completion, join latency, the ablation's adjustments, plots).
+
+    :meth:`finalize` ends a run *segment*: it stamps the trace and returns
+    it, and the streams stay open, so a run can resume with another
+    ``run_until``.  The caller that measures the run finalizes the streamed
+    summary once, with :meth:`summary`.
+    """
+
+    def __init__(
+        self,
+        rate_low: Optional[float] = None,
+        rate_high: Optional[float] = None,
+        sample_messages: Optional[int] = None,
+    ) -> None:
+        super().__init__(rate_low=rate_low, rate_high=rate_high, sample_messages=sample_messages)
+        self._trace = Trace()
+        self._network_stats: Optional["NetworkStats"] = None
+
+    @property
+    def trace(self) -> Trace:
+        """The :class:`Trace` being recorded (live; stamped by :meth:`finalize`)."""
+        return self._trace
+
+    def process_trace(self, pid: int) -> ProcessTrace:
+        """Process ``pid``'s piecewise-linear trace."""
+        return self._trace.processes[pid]
+
+    def register_process(self, pid: int, clock: "HardwareClock", faulty: bool = False) -> None:
+        """Attach a process (before the first event) and open its trace."""
+        super().register_process(pid, clock, faulty=faulty)
+        self._trace.add_process(pid, clock, faulty=faulty)
+
+    def on_adjustment(self, pid: int, time: float, adjustment: float) -> None:
+        """Append the adjustment breakpoint to ``pid``'s trace, then stream it."""
+        self._trace.record_adjustment(pid, time, adjustment)
+        super().on_adjustment(pid, time, adjustment)
+
+    def on_resync(self, event: ResyncEvent) -> None:
+        """Record the acceptance, then stream it."""
+        self._trace.record_resync(event)
+        super().on_resync(event)
+
+    def on_crash(self, pid: int, time: float) -> None:
+        """Record the halt, then stream it."""
+        self._trace.record_crash(pid, time)
+        super().on_crash(pid, time)
+
+    def on_note(self, text: str) -> None:
+        """Append the annotation to the trace."""
+        self._trace.note(text)
+
+    def finalize(self, end_time: float, network_stats: "NetworkStats") -> Trace:
+        """End a run segment: stamp the end time and message statistics; return the trace."""
+        self._trace.end_time = end_time
+        self._trace.total_messages = network_stats.total_messages
+        self._trace.message_stats = dict(network_stats.messages_by_type)
+        self._network_stats = network_stats
+        return self._trace
+
+    def summary(self) -> OnlineMetricsSummary:
+        """The run's streamed summary, finalized at the trace's end time (the run is over)."""
+        if self._network_stats is None:
+            raise RecorderError("summary() needs a finalized run segment")
+        return super().finalize(self._trace.end_time, self._network_stats)

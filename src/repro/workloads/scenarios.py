@@ -17,15 +17,13 @@ from dataclasses import dataclass, replace as dataclasses_replace
 from typing import NamedTuple, Optional, Sequence
 
 from .. import obs
-from ..analysis import metrics
-from ..analysis.envelope import AccuracySummary, accuracy_summary
-from ..analysis.optimality import (
-    GuaranteeReport,
-    measure_trace,
-    period_stats_from_summary,
-    verify_measurements,
-    verify_summary,
-)
+from ..analysis.envelope import AccuracySummary
+from ..analysis.metrics import PeriodStats
+from ..analysis.optimality import GuaranteeReport, period_stats_from_summary, verify_summary
+
+# Not called here: bound because ``perfbench/layers.py`` wraps it in this
+# module's namespace, and only a benchmark change may edit that file.
+from ..analysis.optimality import verify_measurements  # noqa: F401
 from ..baselines import (
     FreeRunningProcess,
     InflatedClockAttacker,
@@ -47,9 +45,9 @@ from ..sim.engine import Simulation
 from ..sim.kernel import KERNELS, kernel_ineligibility, resolve_kernel
 from ..sim.vectorized import run_lanes
 from ..sim.recorder import (
+    FullTraceRecorder,
     OnlineMetricsRecorder,
     OnlineMetricsSummary,
-    Recorder,
     merge_summaries,
 )
 from ..sim.network import (
@@ -70,8 +68,8 @@ ALL_ALGORITHMS = ST_ALGORITHMS + BASELINE_ALGORITHMS
 
 CLOCK_MODES = ("extreme", "random", "nominal")
 DELAY_MODES = ("uniform", "max", "min", "midpoint", "targeted")
-#: Observation depth: "full" keeps the whole execution trace (exact
-#: history-based analysis), "metrics" streams scalar metrics in O(n) memory.
+#: Observation depth: both stream the same scalar metrics; "full" also keeps
+#: the whole execution trace (for history queries), "metrics" keeps O(n) state.
 TRACE_LEVELS = ("full", "metrics")
 
 
@@ -129,7 +127,7 @@ class Scenario:
     #: ``replications``; sharding never changes measured values, only where
     #: the replications execute.
     shards: Optional[int] = None
-    #: Sampling message trace (metrics level only): retain every K-th network
+    #: Sampling message trace (either trace level): retain every K-th network
     #: message as a :class:`~repro.sim.recorder.MessageSample` in
     #: :attr:`ScenarioResult.message_samples`.  Samples concatenate across
     #: replications and shards under the merge algebra, so sharded and
@@ -392,11 +390,11 @@ def classify_lane(scenario: Scenario, trace_level: str) -> KernelProvenance:
 class ScenarioResult:
     """Measurements of one executed scenario.
 
-    ``trace`` is only populated at ``trace_level="full"``; every scalar
-    metric -- including the accuracy summary's window-rate extremes -- is
-    identical between trace levels (the streaming recorder evaluates the
-    same breakpoints the post-hoc analysis walks and runs the same
-    window-rate pass over them).
+    Every result is built by one function from a streamed
+    :class:`~repro.sim.recorder.OnlineMetricsSummary`, whichever engine ran
+    it and at either trace level, so every scalar metric is identical
+    between trace levels by construction.  ``trace`` is only populated at
+    ``trace_level="full"``, whose recorder also writes the execution trace.
     """
 
     scenario: Scenario
@@ -406,7 +404,7 @@ class ScenarioResult:
     precision: float
     #: Worst-case skew over the entire run (including the start-up transient).
     precision_overall: float
-    period_stats: metrics.PeriodStats
+    period_stats: PeriodStats
     acceptance_spread: float
     accuracy: Optional[AccuracySummary]
     completed_round: int
@@ -427,7 +425,7 @@ class ScenarioResult:
     #: shard order; ``None`` for unreplicated runs.
     shard_horizons: Optional[tuple] = None
     #: Every K-th message's :class:`~repro.sim.recorder.MessageSample` when
-    #: the scenario set ``sample_messages=K`` (metrics level only); for a
+    #: the scenario set ``sample_messages=K``; for a
     #: replicated scenario, the concatenation over all replications in
     #: replication order.  ``None`` when sampling was off.
     message_samples: Optional[tuple] = None
@@ -508,19 +506,12 @@ def _make_faulty_processes(scenario: Scenario, context: AdversaryContext, keysto
     return make_faulty_processes(attack, context, algorithm=scenario.st_algorithm, keystore=keystore)
 
 
-def _make_recorder(scenario: Scenario, trace_level: str, sample_messages: Optional[int]) -> Optional[Recorder]:
+def _make_recorder(scenario: Scenario, trace_level: str, sample_messages: Optional[int]) -> OnlineMetricsRecorder:
     if trace_level not in TRACE_LEVELS:
         raise ValueError(f"unknown trace_level {trace_level!r}; expected one of {TRACE_LEVELS}")
-    if trace_level == "full":
-        if sample_messages is not None:
-            raise ValueError("sample_messages requires trace_level='metrics' (full traces keep every message)")
-        return None  # the engine's default FullTraceRecorder
+    recorder = FullTraceRecorder if trace_level == "full" else OnlineMetricsRecorder
     params = scenario.params
-    return OnlineMetricsRecorder(
-        rate_low=params.min_rate,
-        rate_high=params.max_rate,
-        sample_messages=sample_messages,
-    )
+    return recorder(rate_low=params.min_rate, rate_high=params.max_rate, sample_messages=sample_messages)
 
 
 def build_cluster(
@@ -531,10 +522,10 @@ def build_cluster(
 ) -> ClusterHandles:
     """Assemble a ready-to-run simulation for ``scenario``.
 
-    ``trace_level`` selects the recorder the engine emits into: ``"full"``
-    keeps the complete execution trace, ``"metrics"`` streams scalar metrics
-    in O(n) memory (no history retained).  ``sample_messages=K`` (metrics
-    level only) retains every K-th message's
+    ``trace_level`` selects the recorder the engine emits into: both stream
+    the scalar metrics, ``"full"`` also keeps the complete execution trace,
+    ``"metrics"`` retains no history.  ``sample_messages=K`` retains every
+    K-th message's
     :class:`~repro.sim.recorder.MessageSample` in the summary -- the
     lightweight message-level provenance distributed runs ship home.
 
@@ -618,46 +609,18 @@ def resolve_check_guarantees(scenario: Scenario, check_guarantees: Optional[bool
     return st_scenario and bool(check_guarantees)
 
 
-def _measure_full(scenario: Scenario, trace: Trace, check: bool, stopped_early: bool = False) -> ScenarioResult:
-    params = scenario.params
-    measured = measure_trace(trace, params, expected_round=scenario.rounds)
-    accuracy: Optional[AccuracySummary] = None
-    if measured.long_run_rates is not None:
-        accuracy = accuracy_summary(
-            trace,
-            rate_low=params.min_rate,
-            rate_high=params.max_rate,
-            t_start=metrics.steady_state_start(trace),
-            t_end=trace.end_time,
-        )
-    guarantees: Optional[GuaranteeReport] = None
-    if check:
-        guarantees = verify_measurements(
-            measured, params, algorithm=scenario.st_algorithm, expected_round=scenario.rounds
-        )
-
-    return ScenarioResult(
-        scenario=scenario,
-        trace=trace,
-        precision=measured.steady_skew,
-        precision_overall=metrics.max_skew(trace),
-        period_stats=measured.period_stats,
-        acceptance_spread=measured.acceptance_spread,
-        accuracy=accuracy,
-        completed_round=measured.min_completed_round,
-        total_messages=trace.total_messages,
-        messages_per_round=metrics.messages_per_completed_round(trace),
-        guarantees=guarantees,
-        trace_level="full",
-        effective_horizon=trace.end_time,
-        stopped_early=stopped_early,
-    )
-
-
 def _measure_streamed(
-    scenario: Scenario, summary: OnlineMetricsSummary, check: bool, stopped_early: bool = False
+    scenario: Scenario,
+    summary: OnlineMetricsSummary,
+    check: bool,
+    stopped_early: bool = False,
+    trace: Optional[Trace] = None,
 ) -> ScenarioResult:
-    """Measure a result from its summary; compacting it here derives the window-rate extremes once."""
+    """Build a result from its streamed summary -- every result, at either trace level.
+
+    Compacting the summary here derives the window-rate extremes once; a
+    full-trace run also hands over its ``trace``, which the result keeps.
+    """
     summary = summary.compact()
     guarantees: Optional[GuaranteeReport] = None
     if check:
@@ -683,7 +646,7 @@ def _measure_streamed(
 
     return ScenarioResult(
         scenario=scenario,
-        trace=None,
+        trace=trace,
         precision=summary.steady_skew,
         precision_overall=summary.overall_skew,
         period_stats=period_stats_from_summary(summary),
@@ -693,7 +656,7 @@ def _measure_streamed(
         total_messages=summary.total_messages,
         messages_per_round=summary.messages_per_round(),
         guarantees=guarantees,
-        trace_level="metrics",
+        trace_level="metrics" if trace is None else "full",
         effective_horizon=summary.end_time,
         stopped_early=stopped_early,
         message_samples=summary.message_samples,
@@ -770,7 +733,11 @@ def _offer_lanes(scenarios: Sequence[Scenario], records: list) -> list:
 
 
 def _run_on_event_loop(scenario: Scenario, trace_level: str):
-    """Run one lane on the event loop; return what it observed and the finished simulation."""
+    """Run one lane on the event loop.
+
+    Returns its streamed summary, its trace (``None`` at metrics level) and
+    the finished simulation.
+    """
     sim = build_cluster(scenario, trace_level=trace_level, sample_messages=scenario.sample_messages).sim
     observed = sim.run_until_round(
         scenario.rounds,
@@ -778,7 +745,9 @@ def _run_on_event_loop(scenario: Scenario, trace_level: str):
         grace=scenario.grace,
         abort_unreachable=scenario.abort_unreachable,
     )
-    return observed, sim
+    if trace_level == "metrics":
+        return observed, None, sim
+    return sim.recorder.summary(), observed, sim
 
 
 def run_shard(scenario: Scenario, shard_index: int, replication_indices: Sequence[int]) -> ShardOutcome:
@@ -806,7 +775,7 @@ def run_shard(scenario: Scenario, shard_index: int, replication_indices: Sequenc
             if record.vector_lanes:
                 summaries.append(outcome.summary)  # a served lane always stopped early
                 continue
-            summary, sim = _run_on_event_loop(rep, "metrics")
+            summary, _, sim = _run_on_event_loop(rep, "metrics")
             summaries.append(summary)
             stopped = stopped and sim.stopped_early
         _account_kernel_lanes(provenance)
@@ -857,9 +826,9 @@ def run_scenario(
     ``check_guarantees`` controls whether the Srikanth-Toueg analytic bounds
     are evaluated against the execution; by default they are evaluated exactly
     when the scenario runs an ST algorithm within its resilience bound under a
-    tolerated attack.  ``trace_level="metrics"`` runs the whole pipeline
-    without constructing a trace: the engine streams the scalar measurements
-    (identical values, O(n) memory) and ``result.trace`` is ``None``.
+    tolerated attack.  At either trace level the engine streams the scalar
+    measurements; ``trace_level="full"`` also keeps the execution trace in
+    ``result.trace``, ``"metrics"`` keeps none (O(n) memory, ``None``).
 
     At either trace level the run halts the instant the target round
     completes (plus ``scenario.grace``); :attr:`Scenario.horizon` caps runs
@@ -913,12 +882,13 @@ def run_scenarios(cells):
         yield result if result is not None else _run_alone(cell, verdicts.get(i))
 
 
-def _finish_lane(cell, record: KernelProvenance, observed, stopped_early: bool) -> ScenarioResult:
-    """Measure one single-run cell from what its lane observed, under its (accounted) record."""
-    scenario, check_guarantees, trace_level = cell
-    measure = _measure_streamed if trace_level == "metrics" else _measure_full
-    result = measure(
-        scenario, observed, resolve_check_guarantees(scenario, check_guarantees), stopped_early=stopped_early
+def _finish_lane(
+    cell, record: KernelProvenance, summary: OnlineMetricsSummary, stopped_early: bool, trace: Optional[Trace] = None
+) -> ScenarioResult:
+    """Measure one single-run cell from its lane's summary (and trace), under its (accounted) record."""
+    scenario, check_guarantees, _ = cell
+    result = _measure_streamed(
+        scenario, summary, resolve_check_guarantees(scenario, check_guarantees), stopped_early, trace
     )
     _account_kernel_lanes(record)
     return dataclasses_replace(result, kernel_provenance=record)
@@ -943,8 +913,8 @@ def _run_alone(cell, record: Optional[KernelProvenance]) -> ScenarioResult:
                 for shard_index, block in enumerate(plan_shards(scenario))
             ]
             return measure_sharded(scenario, outcomes, check_guarantees)
-        observed, sim = _run_on_event_loop(scenario, trace_level)
+        summary, trace, sim = _run_on_event_loop(scenario, trace_level)
         # The pair kernel.replay reports for the mirror.
         sp.set("events", sim.events_fired)
         sp.set("pruned", sim.network.pruned)
-        return _finish_lane(cell, record, observed, sim.stopped_early)
+        return _finish_lane(cell, record, summary, sim.stopped_early, trace)

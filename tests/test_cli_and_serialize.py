@@ -114,6 +114,19 @@ def test_cli_run_json_output(capsys):
     assert parsed["completed_round"] >= 3
 
 
+def test_cli_run_samples_messages_at_full_trace_level(capsys):
+    code = main([
+        "run", "--n", "5", "--rounds", "3", "--seed", "2", "--sample-messages", "4",
+        "--json", "--include-trace", "--no-cache",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "forces" not in captured.err
+    parsed = json.loads(captured.out)
+    assert parsed["trace_level"] == "full" and parsed["trace"] is not None
+    assert len(parsed["message_samples"]) == -(-parsed["total_messages"] // 4)
+
+
 def test_cli_run_baseline_algorithm(capsys):
     code = main([
         "run", "--n", "7", "--f", "1", "--algorithm", "lundelius_welch",

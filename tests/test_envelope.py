@@ -1,12 +1,13 @@
-"""Unit tests for the accuracy-envelope measurements."""
+"""Unit tests for the oracle's accuracy-envelope measurements (``tests/oracle.py``)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.envelope import accuracy_summary, fit_envelope, long_run_rate, rate_extremes
 from repro.sim.clocks import FixedRateClock, PiecewiseLinearClock
 from repro.sim.trace import ProcessTrace, Trace
+
+from oracle import accuracy_summary, fit_envelope, long_run_rate, rate_extremes
 
 
 def make_ptrace(rate=1.0, offset=0.0, adjustments=()):

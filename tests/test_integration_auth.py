@@ -14,6 +14,8 @@ from repro.core.params import params_for
 from repro.faults.strategies import TOLERATED_ATTACKS
 from repro.workloads.scenarios import Scenario, run_scenario
 
+from oracle import liveness
+
 ROUNDS = 8
 
 
@@ -63,7 +65,7 @@ def test_various_system_sizes_at_max_faults(n):
 
 def test_liveness_every_round_accepted_by_everyone():
     result = run_auth(attack="two_faced")
-    assert metrics.liveness(result.trace, ROUNDS)
+    assert liveness(result.trace, ROUNDS)
     for ptrace in result.trace.honest():
         assert ptrace.rounds_accepted()[: ROUNDS] == list(range(1, ROUNDS + 1))
 

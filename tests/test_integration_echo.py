@@ -10,6 +10,8 @@ from repro.core.params import params_for
 from repro.faults.strategies import TOLERATED_ATTACKS
 from repro.workloads.scenarios import Scenario, run_scenario
 
+from oracle import liveness
+
 ROUNDS = 8
 
 
@@ -70,7 +72,7 @@ def test_resync_intervals_within_beta_bounds():
 
 def test_liveness_every_round_accepted_by_everyone():
     result = run_echo(attack="two_faced")
-    assert metrics.liveness(result.trace, ROUNDS)
+    assert liveness(result.trace, ROUNDS)
 
 
 def test_skew_does_not_grow_over_time():

@@ -11,6 +11,8 @@ from repro.core.params import params_for
 from repro.core.startup import startup_completion_bound
 from repro.workloads.scenarios import Scenario, run_scenario
 
+from oracle import liveness
+
 
 def run_startup(algorithm, boot_spread, seed=0, rounds=5, offset_spread=0.05):
     params = params_for(
@@ -54,7 +56,7 @@ def test_startup_with_simultaneous_boot_synchronizes_immediately():
     result, scenario = run_startup("auth", boot_spread=0.0)
     # Round 0 completes within the acceptance latency of the boot.
     assert metrics.steady_state_start(result.trace) <= 2 * result.params.tdel
-    assert metrics.liveness(result.trace, 3)
+    assert liveness(result.trace, 3)
 
 
 def test_startup_under_eager_adversary_still_works():

@@ -61,7 +61,7 @@ def generated_sweep(rng):
     eligible = len(cells) + 1  # the repeat rides along
     base = families[0]
     for alone in (
-        (dataclasses.replace(base, sample_messages=None), False, "full"),  # full traces keep every message
+        (dataclasses.replace(base, sample_messages=None), False, "full"),  # full traces need the event loop
         (dataclasses.replace(base, kernel="event"), None, "metrics"),
         (dataclasses.replace(base, attack=rng.choice(["alternating", "replay"])), False, "metrics"),
         (dataclasses.replace(base, replications=3, shards=rng.choice([1, 3])), False, "metrics"),

@@ -1,4 +1,4 @@
-"""Unit tests for the exact metrics on hand-built traces."""
+"""Unit tests for the exact trace queries and the oracle's measurements, on hand-built traces."""
 
 from __future__ import annotations
 
@@ -7,6 +7,17 @@ import pytest
 from repro.analysis import metrics
 from repro.sim.clocks import FixedRateClock
 from repro.sim.trace import ResyncEvent, Trace
+
+from oracle import (
+    acceptance_spread_by_round,
+    adjustment_magnitudes,
+    liveness,
+    max_acceptance_spread,
+    message_totals,
+    messages_per_completed_round,
+    period_stats,
+    resync_intervals,
+)
 
 
 def build_trace(specs, end_time=10.0):
@@ -71,18 +82,18 @@ def test_resync_intervals_and_period_stats():
     for pid, times in {0: [1.0, 2.0, 3.1], 1: [1.05, 2.0, 2.9]}.items():
         for k, t in enumerate(times, start=1):
             trace.record_resync(ResyncEvent(pid=pid, round=k, time=t, logical_before=0, logical_after=0))
-    assert metrics.resync_intervals(trace, 0) == pytest.approx([1.0, 1.1])
-    stats = metrics.period_stats(trace, skip_first=0)
+    assert resync_intervals(trace, 0) == pytest.approx([1.0, 1.1])
+    stats = period_stats(trace, skip_first=0)
     assert stats.minimum == pytest.approx(0.9)
     assert stats.maximum == pytest.approx(1.1)
     assert stats.count == 4
-    stats_skip = metrics.period_stats(trace, skip_first=1)
+    stats_skip = period_stats(trace, skip_first=1)
     assert stats_skip.count == 2
 
 
 def test_period_stats_empty():
     trace = build_trace({0: (1.0, 0.0, [], False)})
-    stats = metrics.period_stats(trace)
+    stats = period_stats(trace)
     assert stats.count == 0
     assert stats.maximum == 0.0
 
@@ -92,9 +103,9 @@ def test_acceptance_spread_by_round():
     trace.record_resync(ResyncEvent(pid=0, round=1, time=1.0, logical_before=0, logical_after=0))
     trace.record_resync(ResyncEvent(pid=1, round=1, time=1.007, logical_before=0, logical_after=0))
     trace.record_resync(ResyncEvent(pid=0, round=2, time=2.0, logical_before=0, logical_after=0))
-    spreads = metrics.acceptance_spread_by_round(trace)
+    spreads = acceptance_spread_by_round(trace)
     assert spreads == {1: pytest.approx(0.007)}
-    assert metrics.max_acceptance_spread(trace) == pytest.approx(0.007)
+    assert max_acceptance_spread(trace) == pytest.approx(0.007)
 
 
 def test_liveness_checks_contiguous_rounds():
@@ -102,20 +113,20 @@ def test_liveness_checks_contiguous_rounds():
     for pid in (0, 1):
         for k in (1, 2, 3):
             trace.record_resync(ResyncEvent(pid=pid, round=k, time=float(k), logical_before=0, logical_after=0))
-    assert metrics.liveness(trace, 3)
-    assert not metrics.liveness(trace, 4)
+    assert liveness(trace, 3)
+    assert not liveness(trace, 4)
 
 
 def test_liveness_accepts_late_joiner_starting_round():
     trace = build_trace({0: (1.0, 0.0, [], False)})
     for k in (3, 4, 5):
         trace.record_resync(ResyncEvent(pid=0, round=k, time=float(k), logical_before=0, logical_after=0))
-    assert metrics.liveness(trace, 5)
+    assert liveness(trace, 5)
 
 
 def test_liveness_false_without_any_resync():
     trace = build_trace({0: (1.0, 0.0, [], False)})
-    assert not metrics.liveness(trace, 1)
+    assert not liveness(trace, 1)
 
 
 def test_adjustment_magnitudes_and_backward():
@@ -123,7 +134,7 @@ def test_adjustment_magnitudes_and_backward():
     trace.record_resync(ResyncEvent(pid=0, round=1, time=1.0, logical_before=1.0, logical_after=1.1))
     trace.record_resync(ResyncEvent(pid=0, round=2, time=2.0, logical_before=2.2, logical_after=2.1))
     trace.record_resync(ResyncEvent(pid=0, round=3, time=3.0, logical_before=3.0, logical_after=3.05))
-    sizes = metrics.adjustment_magnitudes(trace, skip_first=0)
+    sizes = adjustment_magnitudes(trace, skip_first=0)
     assert sizes == pytest.approx([0.1, 0.1, 0.05])
     assert metrics.max_backward_adjustment(trace, skip_first=0) == pytest.approx(0.1)
     assert metrics.max_backward_adjustment(trace, skip_first=2) == 0.0
@@ -144,11 +155,11 @@ def test_message_totals_and_per_round():
     trace = build_trace({0: (1.0, 0.0, [], False)})
     trace.total_messages = 60
     trace.message_stats = {"SignedRound": 40, "SignatureBundle": 20}
-    totals = metrics.message_totals(trace)
+    totals = message_totals(trace)
     assert totals["total"] == 60
     assert totals["SignedRound"] == 40
     # No completed rounds: falls back to the raw total.
-    assert metrics.messages_per_completed_round(trace) == 60
+    assert messages_per_completed_round(trace) == 60
     for k in (1, 2, 3):
         trace.record_resync(ResyncEvent(pid=0, round=k, time=float(k), logical_before=0, logical_after=0))
-    assert metrics.messages_per_completed_round(trace) == pytest.approx(20.0)
+    assert messages_per_completed_round(trace) == pytest.approx(20.0)

@@ -267,11 +267,9 @@ def test_min_completed_rescans_once_per_round_not_per_acceptance(recorder_cls):
             _accept(recorder, h, round_, time)  # the faulty process never counts
         assert recorder.min_completed_round() == round_
     assert len(scans) <= rounds + 1
-    if recorder_cls is FullTraceRecorder:  # the one recorder that takes a process mid-run
+    # No recorder takes a process mid-run, so the ledger never resets.
+    with pytest.raises(RecorderError, match="after the first recorded event"):
         recorder.register_process(h + 1, FixedRateClock(rate=1.0, offset=0.0))
-        assert recorder.min_completed_round() == 0
-        _accept(recorder, h + 1, rounds, time + 1.0)
-        assert recorder.min_completed_round() == rounds
 
 
 @_RECORDERS
@@ -390,8 +388,10 @@ def test_message_sampling_off_by_default_and_validated():
     assert _metrics_summary(scenario).message_samples is None
     with pytest.raises(ValueError, match="sample_messages"):
         OnlineMetricsRecorder(sample_messages=0)
-    with pytest.raises(ValueError, match="trace_level='metrics'"):
-        build_cluster(scenario, trace_level="full", sample_messages=4)
+    # A full-trace run streams like a metrics run, samples included.
+    full = build_cluster(scenario, trace_level="full", sample_messages=4).sim
+    full.run_until_round(scenario.rounds, t_max=scenario.horizon())
+    assert full.recorder.summary().message_samples == _metrics_summary(scenario, sample_messages=4).message_samples
 
 
 def test_message_sampling_never_perturbs_metrics():
@@ -454,9 +454,10 @@ def test_scenario_level_message_sampling_flows_into_result():
     expected = tuple(sample for result in per_rep for sample in result.message_samples)
     assert merged.message_samples == expected
 
-    # Full traces keep every message; sampling there is a usage error.
-    with pytest.raises(ValueError, match="trace_level='metrics'"):
-        run_scenario(sampled_scenario, trace_level="full")
+    # A full-trace run samples the same messages and keeps its trace.
+    traced = run_scenario(sampled_scenario, trace_level="full")
+    assert traced.trace is not None
+    assert traced.message_samples == sampled.message_samples
 
 
 def test_message_samples_round_trip_serialization():

@@ -1,13 +1,18 @@
-"""Recorder parity: the streaming metrics path equals the full-trace path.
+"""Recorder parity: both trace levels equal the post-hoc oracle.
 
-For a seed x scenario grid -- covering both Srikanth-Toueg variants, the
-baselines, benign and Byzantine adversaries (including crash faults),
-start-up, late joiners and the monotonic ablation -- every scalar metric
-reported by ``trace_level="metrics"`` must be float-for-float identical to
-the value computed from the full trace via :mod:`repro.analysis.metrics` /
-:mod:`repro.analysis.envelope`.  Exact equality (``==``, no tolerance) is
-the contract: the online recorder evaluates the very same breakpoints the
-post-hoc analysis walks, so it is not an approximation.
+Every run is measured by streaming: at ``trace_level="metrics"`` by
+:class:`~repro.sim.recorder.OnlineMetricsRecorder`, at ``"full"`` by the
+:class:`~repro.sim.recorder.FullTraceRecorder` that also writes the trace.
+The oracle (``tests/oracle.py``) measures the same execution a different
+way: post hoc, from the full trace, by collecting every breakpoint and
+evaluating both sides of each jump.  For a seed x scenario grid -- covering
+both Srikanth-Toueg variants, the baselines, benign and Byzantine
+adversaries (including crash faults), start-up, late joiners and the
+monotonic ablation -- every measured field of *both* results, guarantee
+verdicts included, must be float-for-float identical to the oracle's.
+Exact equality (``==``, no tolerance) is the contract: the recorder
+evaluates the very same breakpoints the oracle walks, so it is not an
+approximation.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.common import adversarial_scenario, benign_scenario, default_params
-from repro.workloads.scenarios import Scenario, run_scenario
+from repro.workloads.scenarios import Scenario, resolve_check_guarantees, run_scenario
+
+from oracle import measure_result
 
 ACCURACY_EXACT_FIELDS = (
     "slowest_long_run_rate",
@@ -99,6 +106,10 @@ def _grid() -> list[Scenario]:
     return scenarios
 
 
+def _checks(report):
+    return [(c.name, c.measured, c.bound, c.holds, c.direction) for c in report.checks]
+
+
 @pytest.mark.parametrize("scenario", _grid(), ids=lambda s: f"{s.name}-seed{s.seed}")
 def test_streamed_metrics_equal_full_trace(scenario: Scenario) -> None:
     full = run_scenario(scenario, trace_level="full")
@@ -107,31 +118,35 @@ def test_streamed_metrics_equal_full_trace(scenario: Scenario) -> None:
     assert full.trace is not None and full.trace_level == "full"
     assert fast.trace is None and fast.trace_level == "metrics"
 
-    # Precision (steady-state and overall worst-case skew): exact.
-    assert fast.precision == full.precision
-    assert fast.precision_overall == full.precision_overall
+    check = resolve_check_guarantees(scenario, None)
+    oracle = measure_result(
+        full.trace, scenario.params, scenario.rounds, scenario.st_algorithm if check else None
+    )
 
-    # Resynchronization structure: exact.
-    assert fast.period_stats == full.period_stats
-    assert fast.acceptance_spread == full.acceptance_spread
+    for result in (full, fast):
+        # Precision (steady-state and overall worst-case skew): exact.
+        assert result.precision == oracle.precision
+        assert result.precision_overall == oracle.precision_overall
 
-    # Rounds and message complexity: exact.
-    assert fast.completed_round == full.completed_round
-    assert fast.total_messages == full.total_messages
-    assert fast.messages_per_round == full.messages_per_round
+        # Resynchronization structure: exact.
+        assert result.period_stats == oracle.period_stats
+        assert result.acceptance_spread == oracle.acceptance_spread
 
-    # Accuracy: same presence; exact on every quantity, including the
-    # window-rate extremes (the streaming recorder runs the same hull pass
-    # over the same retained breakpoint samples the post-hoc analysis walks).
-    assert (fast.accuracy is None) == (full.accuracy is None)
-    if full.accuracy is not None:
-        for field in ACCURACY_EXACT_FIELDS:
-            assert getattr(fast.accuracy, field) == getattr(full.accuracy, field), field
+        # Rounds, message complexity and the run's end: exact.
+        assert result.completed_round == oracle.completed_round
+        assert result.total_messages == oracle.total_messages
+        assert result.messages_per_round == oracle.messages_per_round
+        assert result.effective_horizon == oracle.effective_horizon
 
-    # Guarantee verdicts: same checks, same measured values, same bounds.
-    assert (fast.guarantees is None) == (full.guarantees is None)
-    if full.guarantees is not None:
-        full_checks = [(c.name, c.measured, c.bound, c.holds, c.direction) for c in full.guarantees.checks]
-        fast_checks = [(c.name, c.measured, c.bound, c.holds, c.direction) for c in fast.guarantees.checks]
-        assert fast_checks == full_checks
-        assert fast.guarantees_hold == full.guarantees_hold
+        # Accuracy: same presence; exact on every quantity, including the
+        # window-rate extremes.
+        assert (result.accuracy is None) == (oracle.accuracy is None)
+        if oracle.accuracy is not None:
+            for field in ACCURACY_EXACT_FIELDS:
+                assert getattr(result.accuracy, field) == getattr(oracle.accuracy, field), field
+
+        # Guarantee verdicts: same checks, same measured values, same bounds.
+        assert (result.guarantees is None) == (oracle.guarantees is None)
+        if oracle.guarantees is not None:
+            assert _checks(result.guarantees) == _checks(oracle.guarantees)
+            assert result.guarantees_hold == oracle.guarantees.all_hold

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.optimality import GuaranteeCheck, verify_guarantees
+from repro.analysis.optimality import GuaranteeCheck
 from repro.analysis.report import Table, render_tables
 from repro.core.params import params_for
 from repro.sim.clocks import FixedRateClock
 from repro.sim.trace import ResyncEvent, Trace
+
+from oracle import verify_guarantees
 
 
 # -- Table --------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def _final(summary):
 
 
 def _scalar_fields(summary) -> dict:
-    skip = {"liveness_triples", "notes", "window_samples", "message_stats"}
+    skip = {"liveness_triples", "window_samples", "message_stats"}
     return {
         field.name: getattr(summary, field.name)
         for field in dataclasses.fields(summary)

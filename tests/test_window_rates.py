@@ -5,11 +5,12 @@ Three layers of evidence:
 * property-style: on randomized sample sets (and structured adversarial
   geometries) the hull sweep returns exactly what the quadratic pair scan
   returns -- same floats, not approximately;
-* post-hoc: :func:`repro.analysis.envelope.rate_extremes` over randomized
-  adjustment histories equals the pair scan over the same clock samples;
+* post-hoc: the oracle's ``rate_extremes`` (``tests/oracle.py``) over
+  randomized adjustment histories equals the pair scan over the same clock
+  samples;
 * streaming: the recorder's ``finalize`` hands over its retained samples,
-  and ``compact()``'s extremes equal the full-trace pipeline's for
-  randomized scenarios.
+  and ``compact()``'s extremes equal the oracle's, computed from the full
+  trace, at both trace levels for randomized scenarios.
 """
 
 from __future__ import annotations
@@ -19,16 +20,14 @@ import random
 
 import pytest
 
-from repro.analysis.envelope import (
-    _clock_samples,
-    _pairwise_window_extremes,
-    rate_extremes,
-    window_rate_extremes,
-)
+from repro.analysis.envelope import window_rate_extremes
+from repro.analysis.metrics import steady_state_start
 from repro.experiments.common import adversarial_scenario, benign_scenario, default_params
 from repro.sim.clocks import FixedRateClock, drifting_clock
 from repro.sim.trace import ProcessTrace
 from repro.workloads.scenarios import run_scenario
+
+from oracle import _clock_samples, _pairwise_window_extremes, accuracy_summary, rate_extremes
 
 
 def _random_samples(rng: random.Random, count: int) -> tuple[list[float], list[float]]:
@@ -133,8 +132,13 @@ def test_streamed_window_rates_equal_full_pipeline_on_random_scenarios(seed: int
     fast = run_scenario(scenario, trace_level="metrics")
     assert (full.accuracy is None) == (fast.accuracy is None)
     if full.accuracy is not None:
-        assert fast.accuracy.slowest_window_rate == full.accuracy.slowest_window_rate
-        assert fast.accuracy.fastest_window_rate == full.accuracy.fastest_window_rate
+        trace = full.trace
+        expected = accuracy_summary(
+            trace, scenario.params.min_rate, scenario.params.max_rate, steady_state_start(trace), trace.end_time
+        )
+        for result in (full, fast):
+            assert result.accuracy.slowest_window_rate == expected.slowest_window_rate
+            assert result.accuracy.fastest_window_rate == expected.fastest_window_rate
 
 
 def test_finalize_retains_samples_and_compact_derives_extremes() -> None:
