@@ -17,7 +17,7 @@ from .clocks import (
     spread_offsets,
 )
 from .engine import Simulation
-from .events import Event, EventQueue
+from .events import EventQueue
 from .network import (
     DelayPolicy,
     Envelope,
@@ -42,7 +42,6 @@ from .recorder import (
 from .trace import ProcessTrace, ResyncEvent, Trace
 
 __all__ = [
-    "Event",
     "EventQueue",
     "HardwareClock",
     "FixedRateClock",

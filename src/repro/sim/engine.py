@@ -18,7 +18,7 @@ import random
 from typing import Callable, Optional
 
 from .clocks import HardwareClock
-from .events import Event, EventQueue
+from .events import EventQueue
 from .network import DelayPolicy, Network
 from .process import Process
 from .recorder import FullTraceRecorder, Recorder
@@ -66,8 +66,8 @@ class Simulation:
 
     # -- scheduling -----------------------------------------------------------
 
-    def schedule_at(self, time: float, action: Callable[..., None], *args) -> Event:
-        """Schedule ``action(*args)`` at absolute real time ``time`` (>= now).
+    def schedule_at(self, time: float, action: Callable[..., None], *args) -> list:
+        """Schedule ``action(*args)`` at absolute real time ``time`` (>= now); return its queue entry.
 
         A past ``time`` is clamped to ``now``.  The clamp is annotated
         through the recorder (``on_note``), which a full trace keeps in
@@ -86,15 +86,15 @@ class Simulation:
             time = self._now
         return self.queue.push(time, action, *args)
 
-    def schedule_after(self, delay: float, action: Callable[..., None], *args) -> Event:
+    def schedule_after(self, delay: float, action: Callable[..., None], *args) -> list:
         """Schedule ``action(*args)`` after ``delay`` units of real time."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
         return self.queue.push(self._now + delay, action, *args)
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event."""
-        self.queue.cancel(event)
+    def cancel(self, entry: list) -> None:
+        """Cancel a scheduled event by the entry ``schedule_at`` returned."""
+        self.queue.cancel(entry)
 
     # -- population -----------------------------------------------------------
 
@@ -137,11 +137,11 @@ class Simulation:
         event = self.queue.pop_until(math.inf)
         if event is None:
             return False
-        if event.time < self._now:
+        if event[0] < self._now:
             raise RuntimeError("event queue returned an event in the past")
-        self._now = event.time
+        self._now = event[0]
         self.events_fired += 1
-        event.fire()
+        event[2](*event[3])
         return True
 
     def run_until(self, t_end: float):
@@ -225,11 +225,12 @@ class Simulation:
                 event = pop_until(limit)
                 if event is None:
                     break
-                if event.time < self._now:  # step() inlined
+                time = event[0]
+                if time < self._now:  # step() inlined
                     raise RuntimeError("event queue returned an event in the past")
-                self._now = event.time
+                self._now = time
                 fired += 1
-                event.action(*event.args)
+                event[2](*event[3])
                 if grace == 0.0 and recorder.round_reached_at is not None:
                     # Halt on the completing event itself.
                     self._stopped = True

@@ -21,7 +21,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
-from .recorder import Recorder
+from .recorder import OnlineMetricsRecorder, Recorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from .engine import Simulation
@@ -160,10 +160,11 @@ class Network:
         self.rng = random.Random(seed)
         self.stats = NetworkStats()
         self.recorder = recorder
-        # The base Recorder.on_message is a no-op: call (once per message)
-        # only into recorders that override it.
-        self._records_messages = (
-            recorder is not None and type(recorder).on_message is not Recorder.on_message
+        # Call (once per message) only into a recorder whose on_message does
+        # something: not the base no-op, nor the metrics one without sampling.
+        on_message = getattr(type(recorder), "on_message", Recorder.on_message)
+        self._records_messages = on_message is not Recorder.on_message and not (
+            on_message is OnlineMetricsRecorder.on_message and recorder.sample_messages is None
         )
         self._handlers: dict[int, Callable[[Envelope], None]] = {}
         #: Sorted pids of ``_handlers``; None after a register/unregister.
@@ -214,8 +215,13 @@ class Network:
         recorder, one delivery event that calls the destination's registered
         handler with the envelope (a no-op without one).  The **stale-round rule**
         (``docs/kernel.md``) skips only the event: a round below the floor the
-        destination published is a no-op on arrival.  The hottest path of a
-        run, so whatever does not depend on the destination is hoisted.
+        destination published is a no-op on arrival.  A clamped delay takes
+        few distinct values (two under ``TargetedDelay``), so those deliveries
+        are collected per delivery time and pushed as one run per time after
+        the loop: nothing else is pushed meanwhile, so they keep the order
+        one push per message would give.  Scaled (uniform) delays are all
+        distinct and push one event each.  The hottest path of a run, so
+        whatever does not depend on the destination is hoisted.
         """
         sim = self.sim
         now = sim.now
@@ -231,7 +237,9 @@ class Network:
         on_message = self.recorder.on_message if self._records_messages else None
         # The handler + args instead of a per-message closure.  deliver_time
         # >= now (tmin >= 0), so schedule_at's past clamp cannot apply.
-        push, handler_of = sim.queue.push, self._handlers.get
+        push, push_run, handler_of = sim.queue.push, sim.queue.push_run, self._handlers.get
+        # deliver_time -> [(handler, envelope), ...], in first-occurrence order.
+        runs = {} if width is None else None
         # tuple.__new__ is the namedtuple constructor minus its Python frame.
         next_id, new = self._msg_ids.__next__, tuple.__new__
         envelopes = []
@@ -252,11 +260,19 @@ class Network:
                     on_message(envelope)
                 if floor_of is not None and round_ < floor_of(dest, 0):
                     pruned += 1
-                else:
+                elif runs is None:
                     push(deliver_time, handler_of(dest, _undeliverable), envelope)
+                else:
+                    run = runs.get(deliver_time)
+                    if run is None:
+                        runs[deliver_time] = run = []
+                    run.append((handler_of(dest, _undeliverable), envelope))
         finally:
             # Once per call, and also when a destination raised part-way:
-            # every msg_id issued is a message counted.
+            # every msg_id issued is a message counted, every delivery queued.
+            if runs:
+                for deliver_time, run in runs.items():
+                    push_run(deliver_time, run)
             count = len(envelopes)
             if count:
                 self.pruned += pruned

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Hashable, Iterable, Optional
 
 from .clocks import HardwareClock
-from .events import Event
+from .events import CANCELLED
 from .network import Envelope, Network
 from .recorder import Recorder
 from .trace import ProcessTrace, ResyncEvent
@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class Timer:
     """Handle for a pending local-clock timer."""
 
-    def __init__(self, key: Hashable, local_target: float, event: Optional[Event]) -> None:
+    def __init__(self, key: Hashable, local_target: float, event: Optional[list]) -> None:
         self.key = key
         self.local_target = local_target
         self._event = event
@@ -41,7 +41,7 @@ class Timer:
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self._event[4] == CANCELLED
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Timer(key={self.key!r}, local_target={self.local_target!r}, fired={self.fired})"

@@ -373,3 +373,26 @@ def test_a_nan_mid_broadcast_still_counts_every_message_it_issued():
     assert network.send(0, 4, "next").msg_id == 2 and stats.total_messages == 3  # ids issued == messages counted
     sim.run_until(1.0)
     assert [env.dest for env in received] == [2, 4]
+
+
+def test_a_nan_mid_broadcast_still_queues_the_run_it_collected():
+    # Destinations 1 and 2 share one clamped delivery time before the policy
+    # fails on 3: the run holding both is pushed on the way out, in order.
+    policy = FunctionDelay(lambda s, dest, p, t, rng: float("nan") if dest == 3 else 0.003)
+    sim = Simulation(delay_policy=policy)
+    received = []
+    for pid in range(5):
+        sim.network.register(pid, received.append)
+    network = sim.network
+    network.recorder, network._records_messages = Recording(), True
+    with pytest.raises(ValueError):
+        network.broadcast(0, InitMessage(round=2))
+    stats = network.stats
+    assert stats.total_messages == 2 and network.pruned == 0 and len(sim.queue) == 2
+    assert len(sim.queue._heap) == 1  # one heap entry for both deliveries
+    assert [env.msg_id for env in network.recorder.seen] == [0, 1]
+    network.policy = FixedDelay(0.003)
+    assert network.send(0, 4, "next").msg_id == 2 and stats.total_messages == 3
+    sim.run_until(1.0)
+    assert [env.dest for env in received] == [1, 2, 4]
+    assert [env.deliver_time for env in received] == [0.003] * 3

@@ -116,6 +116,17 @@ def test_network_and_halt_emit_into_recorder():
     assert a.trace.crashed_at == sim.now
 
 
+def test_network_calls_on_message_only_into_a_recorder_that_uses_it():
+    # Decided per instance: a metrics recorder without sampling ignores every
+    # message, so the network skips the call; a subclass hook still sees them.
+    def called(recorder):
+        return make_sim(recorder=recorder).network._records_messages
+
+    assert not called(OnlineMetricsRecorder()) and not called(FullTraceRecorder())
+    assert called(OnlineMetricsRecorder(sample_messages=2)) and called(FullTraceRecorder(sample_messages=2))
+    assert called(_SpyRecorder())
+
+
 def test_default_recorder_is_full_trace():
     sim = make_sim()
     assert isinstance(sim.recorder, Recorder)
