@@ -40,7 +40,7 @@ def main() -> None:
         delay_mode="targeted",
         seed=42,
     )
-    result = run_scenario(scenario)
+    result = run_scenario(scenario, trace_level="full")  # keep the trace for step 4
 
     # 3. Compare measurement against theory.
     table = Table(

@@ -111,7 +111,7 @@ def result_to_dict(result, include_trace: bool = False) -> dict[str, Any]:
     """
     data: dict[str, Any] = {
         "scenario": scenario_to_dict(result.scenario),
-        "trace_level": getattr(result, "trace_level", "full"),
+        "trace_level": result.trace_level,
         "effective_horizon": getattr(result, "effective_horizon", None),
         "stopped_early": getattr(result, "stopped_early", False),
         "shard_count": getattr(result, "shard_count", 1),

@@ -38,7 +38,7 @@ from .runner.config import configure as configure_runner
 from .runner.config import get_runner
 from .runner.exec import SSHConfigError, ssh_hosts_from_env
 from .sim.kernel import KERNELS, resolve_kernel
-from .workloads.scenarios import ALL_ALGORITHMS, CLOCK_MODES, DELAY_MODES, TRACE_LEVELS, Scenario, classify_lane
+from .workloads.scenarios import ALL_ALGORITHMS, CLOCK_MODES, DELAY_MODES, Scenario, classify_lane
 
 
 class _UsageError(Exception):
@@ -172,13 +172,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--join-time", type=float, default=0.0, dest="join_time")
     parser.add_argument("--monotonic", action="store_true", help="suppress backward clock corrections")
     parser.add_argument(
-        "--trace-level",
-        choices=list(TRACE_LEVELS),
-        default="full",
-        dest="trace_level",
-        help="observation depth: 'full' records the whole trace, 'metrics' streams scalar metrics in O(n) memory",
-    )
-    parser.add_argument(
         "--grace",
         type=float,
         default=0.0,
@@ -219,7 +212,7 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         choices=list(KERNELS),
         default=None,
         help="simulation kernel: 'auto' (the batched NumPy round evaluator exactly when the "
-        "scenario is eligible -- metrics-level runs only -- else the event loop), 'event' "
+        "scenario is eligible -- never with --include-trace -- else the event loop), 'event' "
         "(the pure-Python event loop always); default: REPRO_KERNEL or auto -- measured values "
         "are float-identical across kernels, and the kernel provenance row says which engine "
         "served each lane and why",
@@ -274,17 +267,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     return scenario
 
 
-def _resolve_trace_level(args: argparse.Namespace) -> str:
-    """The effective trace level, with the forcing notes ``run`` always printed."""
-    trace_level = args.trace_level
-    if args.replications > 1 and trace_level == "full":
-        # Replicated runs merge streamed summaries; full traces do not merge.
-        trace_level = "metrics"
-        print("note: --replications forces --trace-level metrics", file=sys.stderr)
-    return trace_level
-
-
-def _run_with_chaos(args: argparse.Namespace, runner, scenario: Scenario, trace_level: str):
+def _run_with_chaos(args: argparse.Namespace, runner, scenario: Scenario, trace_level: str = "metrics"):
     """Run via the shared runner, under the scripted chaos schedule when given.
 
     Returns the result, or ``None`` when ``--chaos`` was requested on a
@@ -368,8 +351,9 @@ def _run_and_report(args: argparse.Namespace, exporting: bool) -> int:
     with _usage_errors():
         runner = _configure_runner(args)
         scenario = _scenario_from_args(args)
-        trace_level = _resolve_trace_level(args)
-    result = _run_with_chaos(args, runner, scenario, trace_level)
+        if args.include_trace and (not args.json or scenario.replications > 1):
+            raise ValueError("--include-trace needs --json and a single run (full traces do not merge)")
+    result = _run_with_chaos(args, runner, scenario, "full" if args.include_trace else "metrics")
     if result is None:
         return 2
     fleet = _fleet_summary(runner.executor_stats())
@@ -378,8 +362,7 @@ def _run_and_report(args: argparse.Namespace, exporting: bool) -> int:
     if args.json:
         if fleet is not None:
             print(f"fleet: {fleet}", file=sys.stderr)
-        include_trace = args.include_trace and result.trace is not None
-        print(result_to_json(result, include_trace=include_trace))
+        print(result_to_json(result, include_trace=args.include_trace))
         return 0 if result.guarantees_hold else 1
     table = Table(title=f"Scenario {scenario.name}", headers=["quantity", "value"])
     if fleet is not None:
@@ -419,10 +402,9 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     """
     with _usage_errors():
         scenario = _scenario_from_args(args)
-        trace_level = _resolve_trace_level(args)
         if args.run:
             _configure_runner(args)
-    record = classify_lane(scenario, trace_level)
+    record = classify_lane(scenario, "metrics")
     if record.vector_lanes:
         verdict, serves = "eligible", "vector kernel (may fall back per lane)"
     elif record.resolved == "event":
@@ -438,7 +420,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     print(table.render())
     if not args.run:
         return 0
-    result = _run_with_chaos(args, get_runner(), scenario, trace_level)
+    result = _run_with_chaos(args, get_runner(), scenario)
     if result is None:
         return 2
     print()
@@ -471,8 +453,7 @@ def _stats_run(args: argparse.Namespace) -> int:
     with _usage_errors():
         runner = _configure_runner(args)
         scenario = _scenario_from_args(args)
-        trace_level = _resolve_trace_level(args)
-    result = _run_with_chaos(args, runner, scenario, trace_level)
+    result = _run_with_chaos(args, runner, scenario)
     if result is None:
         return 2
     registry = obs.registry()
@@ -606,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_arguments(run)
     run.add_argument("--json", action="store_true", help="emit the result as JSON")
     run.add_argument("--include-trace", action="store_true", dest="include_trace",
-                     help="include the full trace in the JSON output")
+                     help="record the full trace and include it in the --json output (single runs only)")
     run.add_argument(
         "--trace-out",
         default=None,
@@ -629,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_arguments(kernel)
     _add_runner_arguments(kernel)
     _add_scenario_arguments(kernel)
-    kernel.set_defaults(func=_cmd_kernel, trace_level="metrics")
+    kernel.set_defaults(func=_cmd_kernel)
     kernel.add_argument(
         "--run",
         action="store_true",

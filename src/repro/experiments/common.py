@@ -93,8 +93,7 @@ def replicated(scenario: Scenario, replications: int, shards: Optional[int] = No
     The result of a replicated scenario is the exact merge of the
     per-replication summaries -- worst-case statistics over all runs of one
     configuration -- and its execution shards across the worker pool along
-    the resolved shard plan (``shards=None``: one shard per core).  Requires
-    ``trace_level="metrics"``.
+    the resolved shard plan (``shards=None``: one shard per core).
     """
     return dataclasses_replace(scenario, replications=replications, shards=shards, name="")
 
@@ -153,13 +152,9 @@ def _observe(result: ScenarioResult) -> None:
         _observer(result)
 
 
-def run(
-    scenario: Scenario,
-    check_guarantees: Optional[bool] = None,
-    trace_level: str = "full",
-) -> ScenarioResult:
+def run(scenario: Scenario, check_guarantees: Optional[bool] = None) -> ScenarioResult:
     """Run one scenario through the shared sweep runner (cache included)."""
-    result = run_sweep([scenario], check_guarantees=check_guarantees, trace_level=trace_level)[0]
+    result = run_sweep([scenario], check_guarantees=check_guarantees)[0]
     _observe(result)
     return result
 
@@ -167,7 +162,7 @@ def run(
 def run_batch(
     scenarios: Sequence[Scenario],
     check_guarantees=None,
-    trace_level: str = "full",
+    trace_level: str = "metrics",
 ) -> list[ScenarioResult]:
     """Run an experiment's whole scenario list through the shared sweep runner.
 
@@ -177,10 +172,7 @@ def run_batch(
     serve repeats from the result cache.  ``check_guarantees`` is a single
     flag or one entry per scenario; results come back in input order.
 
-    Experiments that only read scalar metrics off the results pass
-    ``trace_level="metrics"`` so large sweeps never build execution traces;
-    experiments that post-process history (E6 start-up, E7 join, E11
-    ablation) keep the default full level.
+    Only E11 passes ``trace_level="full"``: a pin that keeps its lanes on the event loop.
     """
     return run_sweep(
         scenarios, check_guarantees=check_guarantees, callback=_observe, trace_level=trace_level
@@ -207,7 +199,6 @@ def stream_rows(
     scenarios: Sequence[Scenario],
     row_of: Callable[[int, ScenarioResult], Sequence],
     check_guarantees=None,
-    trace_level: str = "full",
 ) -> list[list]:
     """Run a sweep and fold each result into its table row as it completes.
 
@@ -231,5 +222,5 @@ def stream_rows(
         if _progress is not None:
             _progress(done, len(scenarios), result)
 
-    stream_sweep(scenarios, fold, check_guarantees=check_guarantees, trace_level=trace_level)
+    stream_sweep(scenarios, fold, check_guarantees=check_guarantees)
     return rows

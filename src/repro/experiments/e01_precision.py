@@ -43,6 +43,6 @@ def run_experiment(quick: bool = True) -> Table:
         title="E1: precision of the authenticated algorithm at f = ceil(n/2)-1",
         headers=["n", "f", "attack", "measured skew", "bound Dmax", "within bound"],
     )
-    table.add_rows(stream_rows(scenarios, row, trace_level="metrics"))
+    table.add_rows(stream_rows(scenarios, row))
     table.add_note("skew measured exactly over all logical-clock breakpoints, steady state")
     return table

@@ -61,7 +61,7 @@ def run_rate_vs_period(quick: bool = True) -> Table:
             "analytic excess",
         ],
     )
-    table.add_rows(stream_rows(scenarios, row, trace_level="metrics"))
+    table.add_rows(stream_rows(scenarios, row))
     table.add_note("excess = how far the logical clock rate exceeds the hardware drift bound (1+rho)")
     return table
 
@@ -98,7 +98,7 @@ def run_fault_tolerance_of_accuracy(quick: bool = True) -> Table:
         offset = result.accuracy.worst_offset_from_real_time if result.accuracy else float("nan")
         return (algorithm, attack, offset, result.precision)
 
-    table.add_rows(stream_rows(scenarios, row, check_guarantees=False, trace_level="metrics"))
+    table.add_rows(stream_rows(scenarios, row, check_guarantees=False))
     table.add_note("sync-to-max blindly follows the largest advertised clock; the fault-tolerant algorithms do not")
     return table
 

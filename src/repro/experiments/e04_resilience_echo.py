@@ -49,6 +49,6 @@ def run_experiment(quick: bool = True) -> Table:
         title="E4: echo (non-authenticated) algorithm at and above the resilience threshold",
         headers=["n", "assumed f", "actual faults", "attack", "measured skew", "bound Dmax", "within bound"],
     )
-    table.add_rows(stream_rows(scenarios, row, check_guarantees=checks, trace_level="metrics"))
+    table.add_rows(stream_rows(scenarios, row, check_guarantees=checks))
     table.add_note("the last row of each pair runs the algorithm out of spec and is expected to violate the bound")
     return table

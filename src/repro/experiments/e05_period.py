@@ -40,5 +40,5 @@ def run_experiment(quick: bool = True) -> Table:
         title="E5: resynchronization intervals vs analytic bounds",
         headers=["algorithm", "rho", "beta_min", "measured min", "measured max", "beta_max", "within bounds"],
     )
-    table.add_rows(stream_rows(scenarios, row, trace_level="metrics"))
+    table.add_rows(stream_rows(scenarios, row))
     return table

@@ -9,7 +9,6 @@ applies.
 
 from __future__ import annotations
 
-from ..analysis import metrics
 from ..analysis.report import Table
 from ..core.bounds import precision_bound
 from ..core.startup import startup_completion_bound
@@ -54,11 +53,10 @@ def run_experiment(quick: bool = True) -> Table:
     )
     for ((algorithm, spread), scenario, result) in zip(cases, scenarios, results):
         params = scenario.params
-        synced_by = metrics.steady_state_start(result.trace)
+        synced_by = result.steady_start
         bound = startup_completion_bound(params, spread, scenario.st_algorithm)
         skew_bound = precision_bound(params, scenario.st_algorithm)
-        settled_skew = metrics.skew_after_round(result.trace, 1)
-        settled_skew = float("inf") if settled_skew is None else settled_skew
+        settled_skew = float("inf") if result.settled_skew is None else result.settled_skew
         table.add_row(
             algorithm,
             spread,

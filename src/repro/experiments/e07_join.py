@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..analysis.report import Table
 from ..core.bounds import precision_bound
-from ..core.join import join_latency_bound, join_time, joined
+from ..core.join import join_latency_bound
 from ..workloads.scenarios import Scenario
 from .common import default_params, run_batch
 
@@ -41,14 +41,12 @@ def run_experiment(quick: bool = True) -> Table:
         headers=["algorithm", "join at", "joined", "join latency", "latency bound", "in time", "steady skew"],
     )
     for ((algorithm, at), scenario, result) in zip(cases, scenarios, results):
-        joiner_pid = scenario.joiner_pids[0]
-        ok = joined(result.trace, joiner_pid)
-        latency = join_time(result.trace, joiner_pid, at) if ok else float("inf")
+        (latency,) = result.join_latencies
         bound = join_latency_bound(scenario.params, scenario.st_algorithm)
         table.add_row(
             algorithm,
             at,
-            ok,
+            latency != float("inf"),
             latency,
             bound,
             latency <= bound + 1e-9,

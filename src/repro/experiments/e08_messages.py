@@ -34,6 +34,6 @@ def run_experiment(quick: bool = True) -> Table:
         title="E8: messages per resynchronization round",
         headers=["algorithm", "n", "f", "measured msgs/round", "bound 2*(n-f)*(n-1)", "within bound"],
     )
-    table.add_rows(stream_rows(scenarios, row, check_guarantees=False, trace_level="metrics"))
+    table.add_rows(stream_rows(scenarios, row, check_guarantees=False))
     table.add_note("benign runs (silent faulty processes); adversarial flooding is excluded from the complexity claim")
     return table

@@ -35,7 +35,7 @@ def run_tdel_sweep(quick: bool = True) -> Table:
         title="E9a: precision vs maximum message delay (auth, n=7, rho=1e-4, P=1)",
         headers=["tdel", "measured skew", "bound Dmax", "skew / tdel"],
     )
-    table.add_rows(stream_rows(scenarios, row, trace_level="metrics"))
+    table.add_rows(stream_rows(scenarios, row))
     return table
 
 
@@ -67,7 +67,7 @@ def run_drift_sweep(quick: bool = True) -> Table:
         title="E9b: precision vs drift-per-period rho*P (auth, n=7, tdel=0.01)",
         headers=["rho", "period P", "rho*P", "measured skew", "bound Dmax"],
     )
-    table.add_rows(stream_rows(scenarios, row, trace_level="metrics"))
+    table.add_rows(stream_rows(scenarios, row))
     return table
 
 

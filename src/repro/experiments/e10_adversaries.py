@@ -36,5 +36,5 @@ def run_experiment(quick: bool = True) -> Table:
         title="E10: guarantees under every tolerated Byzantine strategy (n=7, worst-case f)",
         headers=["algorithm", "attack", "measured skew", "completed round", "all guarantees hold"],
     )
-    table.add_rows(stream_rows(scenarios, row, trace_level="metrics"))
+    table.add_rows(stream_rows(scenarios, row))
     return table

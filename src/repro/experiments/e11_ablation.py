@@ -12,7 +12,6 @@ Two knobs called out in docs/experiments.md (E11):
 
 from __future__ import annotations
 
-from ..analysis import metrics
 from ..analysis.report import Table
 from ..core.bounds import AUTH, long_run_rate_bounds, precision_bound
 from .common import adversarial_scenario, default_params, run_batch
@@ -32,7 +31,9 @@ def run_alpha_sweep(quick: bool = True) -> Table:
         )
         for multiplier in multipliers
     ]
-    results = run_batch(scenarios, check_guarantees=False)
+    # The numbers stream at either level: the full-trace pin only keeps these lanes on the
+    # event loop, where perfbench's gated egrid_full lane counts expect them.
+    results = run_batch(scenarios, check_guarantees=False, trace_level="full")
 
     table = Table(
         title="E11a: effect of the adjustment constant alpha (auth, n=7)",
@@ -46,7 +47,7 @@ def run_alpha_sweep(quick: bool = True) -> Table:
             result.precision,
             precision_bound(params, AUTH),
             rate_max,
-            metrics.max_backward_adjustment(result.trace),
+            result.max_backward_adjustment,
         )
     return table
 
@@ -65,7 +66,7 @@ def run_monotonic_ablation(quick: bool = True) -> Table:
         )
         for algorithm, monotonic in cases
     ]
-    results = run_batch(scenarios, check_guarantees=False)
+    results = run_batch(scenarios, check_guarantees=False, trace_level="full")  # the pin above
 
     table = Table(
         title="E11b: monotonic-clock variant (backward corrections suppressed)",
@@ -76,7 +77,7 @@ def run_monotonic_ablation(quick: bool = True) -> Table:
             algorithm,
             monotonic,
             result.precision,
-            metrics.max_backward_adjustment(result.trace),
+            result.max_backward_adjustment,
             result.completed_round,
         )
     return table

@@ -64,6 +64,6 @@ def run_experiment(quick: bool = True) -> Table:
         rate = result.accuracy.fastest_long_run_rate if result.accuracy else float("nan")
         return (algorithm, attack or "none", result.precision, offset, rate, result.messages_per_round)
 
-    table.add_rows(stream_rows(scenarios, row, check_guarantees=False, trace_level="metrics"))
+    table.add_rows(stream_rows(scenarios, row, check_guarantees=False))
     table.add_note("free_running shows the unsynchronized drift floor; sync_to_max is run under the attack it cannot tolerate")
     return table

@@ -35,7 +35,7 @@ def run_shard_invariance(quick: bool = True) -> Table:
     )
     shard_plans = [1, 2, 4]
     results = [
-        run(replicated(base, replications, shards=shards), trace_level="metrics")
+        run(replicated(base, replications, shards=shards))
         for shards in shard_plans
     ]
     reference = results[0]
@@ -87,7 +87,7 @@ def run_replication_scaling(quick: bool = True) -> Table:
     previous_skew = None
     for count in counts:
         scenario = base if count == 1 else replicated(base, count)
-        result = run(scenario, trace_level="metrics")
+        result = run(scenario)
         accuracy = result.accuracy
         table.add_row(
             count,

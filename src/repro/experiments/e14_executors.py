@@ -52,7 +52,7 @@ def _sweep_scenarios(quick: bool) -> list:
 def run_backend_invariance(quick: bool = True) -> Table:
     scenarios = _sweep_scenarios(quick)
     with SweepRunner(jobs=1, cache=None) as runner:
-        reference = runner.run_sweep(scenarios, trace_level="metrics")
+        reference = runner.run_sweep(scenarios)
 
     backends = [
         ("pool x2", dict(jobs=2, executor="pool")),
@@ -72,7 +72,7 @@ def run_backend_invariance(quick: bool = True) -> Table:
     )
     for label, kwargs in backends:
         with SweepRunner(cache=None, **kwargs) as runner:
-            results = runner.run_sweep(scenarios, trace_level="metrics")
+            results = runner.run_sweep(scenarios)
         table.add_row(
             label,
             max(result.precision for result in results),
@@ -90,7 +90,7 @@ def run_backend_invariance(quick: bool = True) -> Table:
 def run_crash_recovery(quick: bool = True) -> Table:
     scenarios = _sweep_scenarios(quick)[:-1]  # plain chunks only: one kill, many retries
     with SweepRunner(jobs=1, cache=None) as runner:
-        reference = runner.run_sweep(scenarios, trace_level="metrics")
+        reference = runner.run_sweep(scenarios)
 
     collected: dict = {}
     killed: list[int] = []
@@ -107,7 +107,7 @@ def run_crash_recovery(quick: bool = True) -> Table:
                     os.kill(pids[0], signal.SIGKILL)
                     killed.append(pids[0])
 
-        runner.stream_sweep(scenarios, collect, trace_level="metrics")
+        runner.stream_sweep(scenarios, collect)
         stats = runner._executor.stats()  # noqa: SLF001
 
     results = [collected[index] for index in range(len(scenarios))]

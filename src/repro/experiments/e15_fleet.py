@@ -57,14 +57,14 @@ def run_churn_invariance(quick: bool = True) -> Table:
     """E15a: every initial worker is killed mid-sweep; results do not move."""
     scenarios = _sweep_scenarios(quick)
     with SweepRunner(jobs=1, cache=None) as runner:
-        reference = runner.run_sweep(scenarios, trace_level="metrics")
+        reference = runner.run_sweep(scenarios)
 
     workers = 2
     executor = SubprocessWorkerExecutor(workers, **_FAST_FLEET)
     schedule = ChaosSchedule.kill_every_worker(workers, stride=2, seed=15)
     with SweepRunner(jobs=workers, cache=None, executor=executor, chunk_size=1) as runner:
         with ChaosController(executor, schedule) as chaos:
-            results = runner.run_sweep(scenarios, trace_level="metrics")
+            results = runner.run_sweep(scenarios)
         stats = runner.executor_stats()
 
     identical = all(results_exactly_equal(result, ref) for result, ref in zip(results, reference))

@@ -68,7 +68,9 @@ from ..workloads.scenarios import Scenario, ScenarioResult, resolve_shards
 #: before unpickling, so a damaged file is a miss, never a different number.
 #: 10: key schema only -- ``Scenario`` lost its stop-rule selector (one stop
 #: rule) and ``grace`` is keyed at both trace levels; the entry frame is v9's.
-SCHEMA_VERSION = 10
+#: 11: ScenarioResult carries the streamed ``steady_start``, ``settled_skew``,
+#: ``max_backward_adjustment`` and ``join_latencies``; keys default to metrics.
+SCHEMA_VERSION = 11
 
 #: Entry frame: ``_MAGIC``, the 16-byte BLAKE2b digest of the pickle, the
 #: pickle.  Pickle decodes many damaged streams into plausible objects, so the
@@ -138,7 +140,7 @@ def code_salt() -> str:
 def cache_key(
     scenario: Scenario,
     check_guarantees: bool,
-    trace_level: str = "full",
+    trace_level: str = "metrics",
     salt: Optional[str] = None,
 ) -> str:
     """Stable content hash of ``(scenario, check_guarantees, trace_level, salt)``.

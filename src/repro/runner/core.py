@@ -383,7 +383,7 @@ class SweepRunner:
         self,
         scenario: Scenario,
         check_guarantees: Optional[bool] = None,
-        trace_level: str = "full",
+        trace_level: str = "metrics",
     ) -> ScenarioResult:
         """Run (or fetch from cache) a single scenario."""
         return self.run_sweep([scenario], check_guarantees=check_guarantees, trace_level=trace_level)[0]
@@ -393,7 +393,7 @@ class SweepRunner:
         scenarios: Iterable[Scenario],
         check_guarantees: CheckSpec = None,
         callback: Optional[Callable[[ScenarioResult], None]] = None,
-        trace_level: TraceSpec = "full",
+        trace_level: TraceSpec = "metrics",
     ) -> list[ScenarioResult]:
         """Run every scenario and return the results in input order."""
         scenarios = list(scenarios)
@@ -412,7 +412,7 @@ class SweepRunner:
         scenarios: Iterable[Scenario],
         on_result: OnResult,
         check_guarantees: CheckSpec = None,
-        trace_level: TraceSpec = "full",
+        trace_level: TraceSpec = "metrics",
     ) -> int:
         """Run every scenario, folding each result into ``on_result`` as it lands.
 

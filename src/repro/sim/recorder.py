@@ -23,16 +23,16 @@ classes emit observation events into a :class:`Recorder`:
 Two implementations ship here, and they measure alike:
 
 * :class:`OnlineMetricsRecorder` streams the worst-case-exact scalar metrics
-  (precision, accuracy envelope, window-rate extremes, rounds, message
-  counts), evaluating logical clocks at every breakpoint -- both sides of
-  each adjustment jump -- as the events stream past.  Apart from a
+  (precision, accuracy envelope, window-rate extremes, rounds, start-up
+  completion, join times, message counts), evaluating logical clocks at
+  every breakpoint -- both sides of each jump -- as they pass.  Apart from a
   per-resynchronization sample buffer for the window-rate extremes, it
   retains no history.  This is the one implementation of every measured
   number, at either trace level and on either engine.
 * :class:`FullTraceRecorder` is an :class:`OnlineMetricsRecorder` that also
   writes a :class:`~repro.sim.trace.Trace` (per-process clocks, every
-  adjustment and resynchronization, the notes), for the queries that read
-  history: start-up completion, join latency, the ablation's adjustments.
+  adjustment and resynchronization, the notes): an export a caller asks
+  for by name, for plots, examples and the test oracle.
 
 The post-hoc trace analysis that used to measure full-trace runs lives on as
 the independent oracle in ``tests/oracle.py``: a different algorithm over the
@@ -251,6 +251,7 @@ class _ProcState:
         "faulty",
         "adj",
         "resync_count",
+        "first_resync_time",
         "prev_resync_time",
         "min_round",
         "first_gap",
@@ -271,6 +272,7 @@ class _ProcState:
         self.faulty = faulty
         self.adj = 0.0
         self.resync_count = 0
+        self.first_resync_time: Optional[float] = None
         self.prev_resync_time = 0.0
         self.min_round = 0
         self.first_gap: Optional[int] = None
@@ -346,6 +348,10 @@ class OnlineMetricsSummary:
     #: concatenates in input order, so a distributed run ships a bounded
     #: message-level trace home alongside its scalar metrics.
     message_samples: Optional[tuple] = None
+    #: Worst honest skew from the completion of round 1 on (``None``: never completed).
+    settled_skew: Optional[float] = None
+    #: Each honest process's first resynchronization time (``None``: none), ordered like the triples.
+    first_resync_times: tuple = ()
 
     def liveness(self, expected_round: int) -> bool:
         """Whether every honest process accepted every round up to ``expected_round``.
@@ -425,13 +431,15 @@ def merge_summaries(summaries) -> OnlineMetricsSummary:
     the union system would report:
 
     * worst-case quantities (skews, acceptance spread, adjustment magnitudes,
-      envelope constants, real-time offset) max-combine,
+      envelope constants, real-time offset) max-combine; the skew after
+      round 1 is ``None`` if any group never completed round 1,
     * the globally completed round min-combines (every process of every group
       must accept it), ``max_round`` max-combines,
     * resynchronization-period extremes min/max-combine and their interval
       counts, message counts and per-type message stats sum,
-    * per-process liveness triples, retained window samples and
-      sampled message summaries concatenate in input order,
+    * per-process liveness triples and first-resynchronization times,
+      retained window samples and sampled message summaries concatenate in
+      input order,
     * the steady interval is the union system's: it starts when the *last*
       group became steady and ends at the *latest* end time, and the
       long-run-rate extremes min/max-combine,
@@ -457,6 +465,7 @@ def merge_summaries(summaries) -> OnlineMetricsSummary:
     if any(s.window_samples is None for s in summaries):
         raise ValueError("merge_summaries folds uncompacted summaries; compact() only the final result")
 
+    settled = [s.settled_skew for s in summaries]
     message_stats: dict = {}
     for s in summaries:
         for kind, count in s.message_stats.items():
@@ -494,6 +503,8 @@ def merge_summaries(summaries) -> OnlineMetricsSummary:
         message_stats=message_stats,
         window_samples=tuple(entry for s in summaries for entry in s.window_samples),
         message_samples=message_samples,
+        settled_skew=None if None in settled else max(settled),
+        first_resync_times=tuple(t for s in summaries for t in s.first_resync_times),
     )
 
 
@@ -584,6 +595,10 @@ class OnlineMetricsRecorder(Recorder):
         self._steady_skew = 0.0
         self._steady_start: Optional[float] = None
         self._unsynced = 0
+        # The same fold from the completion of round 1 on.
+        self._settled_skew = 0.0
+        self._settled_start: Optional[float] = None
+        self._unsettled = 0
         # Accuracy (active from the steady-state instant on).
         self._worst_offset = 0.0
         # Resynchronization structure.
@@ -612,7 +627,7 @@ class OnlineMetricsRecorder(Recorder):
             return
         self._sealed = True
         self._honest = [self._procs[pid] for pid in sorted(self._procs) if not self._procs[pid].faulty]
-        self._unsynced = len(self._honest)
+        self._unsynced = self._unsettled = len(self._honest)
         for index, proc in enumerate(self._honest):
             if proc.bp_seq:
                 heapq.heappush(self._heap, (proc.bp_seq[0], index))
@@ -638,14 +653,19 @@ class OnlineMetricsRecorder(Recorder):
                 hi = value
         return hi - lo
 
-    def _note_skew(self, t: float, overall: bool, steady: bool) -> None:
+    def _note_skew(self, t: float, overall: bool, strict: bool = False) -> None:
+        """Fold the skew at ``t`` into the overall range and the open windows (past their start if ``strict``)."""
         if not self._honest:
             return
         value = self._skew(t)
         if overall and value > self._overall_skew:
             self._overall_skew = value
-        if steady and self._steady_start is not None and t >= self._steady_start and value > self._steady_skew:
+        start = self._steady_start
+        if start is not None and (t > start or t == start and not strict) and value > self._steady_skew:
             self._steady_skew = value
+        start = self._settled_start
+        if start is not None and (t > start or t == start and not strict) and value > self._settled_skew:
+            self._settled_skew = value
 
     # -- accuracy envelope (one-pass drawdown/run-up) ------------------------
 
@@ -687,7 +707,7 @@ class OnlineMetricsRecorder(Recorder):
             if proc.bp_idx < len(proc.bp_seq):
                 heapq.heappush(heap, (proc.bp_seq[proc.bp_idx], index))
                 proc.bp_idx += 1
-            self._note_skew(time, overall=True, steady=True)
+            self._note_skew(time, overall=True)
             if self._steady_start is not None and time >= self._steady_start:
                 self._env_sample(proc, time, proc.clock.read(time) + proc.adj)
 
@@ -731,12 +751,12 @@ class OnlineMetricsRecorder(Recorder):
                 self._env_sample(proc, t, reading + before_adj)
                 self._env_sample(proc, t, reading + proc.adj)
         if self._batch_has_adjustment or self._batch_initial:
-            self._note_skew(t, overall=True, steady=steady_active)
+            self._note_skew(t, overall=True)
         elif completes_steady:
             # A resynchronization with no clock adjustment (e.g. a pulse of a
             # free-running baseline) is not a breakpoint of the overall range,
             # but it *is* the steady interval's start point.
-            self._note_skew(t, overall=False, steady=True)
+            self._note_skew(t, overall=False)
         self._batch_time = None
         self._batch_before = {}
         self._batch_has_adjustment = False
@@ -756,8 +776,7 @@ class OnlineMetricsRecorder(Recorder):
             # Left limit at the first adjustment of this instant (all current
             # adjustments are still the pre-batch ones), counted whenever t
             # lies strictly inside the measured range.
-            inside_steady = self._steady_start is not None and time > self._steady_start
-            self._note_skew(time, overall=time > 0.0, steady=inside_steady)
+            self._note_skew(time, overall=time > 0.0, strict=True)
         self._batch_has_adjustment = True
         if pid not in self._batch_before:
             self._batch_before[pid] = proc.adj
@@ -772,7 +791,14 @@ class OnlineMetricsRecorder(Recorder):
         self._advance(t)
         round_ = event.round
         proc.resync_count += 1
+        if round_ == 1:
+            # Accepted rounds increase per process, so each counts round 1 once.  The
+            # completing acceptance shares its instant with an adjustment or the steady start.
+            self._unsettled -= 1
+            if self._unsettled == 0:
+                self._settled_start = t
         if proc.resync_count == 1:
+            proc.first_resync_time = t
             proc.min_round = round_
             self._unsynced -= 1
             if self._unsynced == 0:
@@ -898,7 +924,7 @@ class OnlineMetricsRecorder(Recorder):
         self._walk(end_time, inclusive=True)
 
         steady_reached = self._steady_start is not None
-        self._note_skew(end_time, overall=True, steady=steady_reached)
+        self._note_skew(end_time, overall=True)
         if not steady_reached:
             # Matches metrics.steady_state_start: the steady interval
             # degenerates to the single point t = end_time.
@@ -957,6 +983,8 @@ class OnlineMetricsRecorder(Recorder):
             message_stats=dict(network_stats.messages_by_type),
             window_samples=tuple(entries),
             message_samples=tuple(self._message_samples) if self.sample_messages is not None else None,
+            settled_skew=self._settled_skew if self._settled_start is not None else None,
+            first_resync_times=tuple(proc.first_resync_time for proc in self._honest),
         )
         self._finalized = (end_time, summary)
         return summary
@@ -1000,8 +1028,8 @@ class FullTraceRecorder(OnlineMetricsRecorder):
 
     Every hook writes the trace, then feeds the streaming base, so a
     full-trace run's numbers come from the one implementation a metrics run
-    uses; the trace is kept for the queries that read history (start-up
-    completion, join latency, the ablation's adjustments, plots).
+    uses; the trace is an export, for the queries that read history (plots,
+    the examples, the test oracle).
 
     :meth:`finalize` ends a run *segment*: it stamps the trace and returns
     it, and the streams stay open, so a run can resume with another

@@ -68,8 +68,8 @@ ALL_ALGORITHMS = ST_ALGORITHMS + BASELINE_ALGORITHMS
 
 CLOCK_MODES = ("extreme", "random", "nominal")
 DELAY_MODES = ("uniform", "max", "min", "midpoint", "targeted")
-#: Observation depth: both stream the same scalar metrics; "full" also keeps
-#: the whole execution trace (for history queries), "metrics" keeps O(n) state.
+#: Observation depth: both stream the same scalar metrics; "metrics" (the
+#: default) keeps O(n) state, "full" also exports the whole execution trace.
 TRACE_LEVELS = ("full", "metrics")
 
 
@@ -394,7 +394,7 @@ class ScenarioResult:
     :class:`~repro.sim.recorder.OnlineMetricsSummary`, whichever engine ran
     it and at either trace level, so every scalar metric is identical
     between trace levels by construction.  ``trace`` is only populated at
-    ``trace_level="full"``, whose recorder also writes the execution trace.
+    ``trace_level="full"``, the export a caller asks for by name.
     """
 
     scenario: Scenario
@@ -411,7 +411,15 @@ class ScenarioResult:
     total_messages: int
     messages_per_round: float
     guarantees: Optional[GuaranteeReport]
-    trace_level: str = "full"
+    #: When every honest process had resynchronized at least once (the run's end if never).
+    steady_start: float
+    #: Worst-case honest skew from the completion of round 1 on (``None``: never completed).
+    settled_skew: Optional[float]
+    #: Largest backward correction after a process's first resynchronization.
+    max_backward_adjustment: float
+    #: Per joiner: ``join_time`` to its first resynchronization (``inf``: none), worst over replications.
+    join_latencies: tuple
+    trace_level: str = "metrics"
     #: Real time at which the run actually ended: the adapted horizon when
     #: the target round completed, the static budget otherwise.  For a
     #: replicated scenario this is the latest end time over all replications.
@@ -516,16 +524,16 @@ def _make_recorder(scenario: Scenario, trace_level: str, sample_messages: Option
 
 def build_cluster(
     scenario: Scenario,
-    trace_level: str = "full",
+    trace_level: str = "metrics",
     mergeable: bool = True,
     sample_messages: Optional[int] = None,
 ) -> ClusterHandles:
     """Assemble a ready-to-run simulation for ``scenario``.
 
     ``trace_level`` selects the recorder the engine emits into: both stream
-    the scalar metrics, ``"full"`` also keeps the complete execution trace,
-    ``"metrics"`` retains no history.  ``sample_messages=K`` retains every
-    K-th message's
+    the scalar metrics, ``"metrics"`` (the default) retains no history,
+    ``"full"`` also keeps the complete execution trace.
+    ``sample_messages=K`` retains every K-th message's
     :class:`~repro.sim.recorder.MessageSample` in the summary -- the
     lightweight message-level provenance distributed runs ship home.
 
@@ -622,6 +630,11 @@ def _measure_streamed(
     full-trace run also hands over its ``trace``, which the result keeps.
     """
     summary = summary.compact()
+    per_run = len(scenario.honest_pids) + scenario.joiner_count
+    join_latencies = tuple(
+        max(float("inf") if t is None else t - scenario.join_time for t in summary.first_resync_times[i::per_run])
+        for i in range(len(scenario.honest_pids), per_run)
+    )
     guarantees: Optional[GuaranteeReport] = None
     if check:
         guarantees = verify_summary(
@@ -656,6 +669,10 @@ def _measure_streamed(
         total_messages=summary.total_messages,
         messages_per_round=summary.messages_per_round(),
         guarantees=guarantees,
+        steady_start=summary.steady_start,
+        settled_skew=summary.settled_skew,
+        max_backward_adjustment=summary.max_backward_adjustment,
+        join_latencies=join_latencies,
         trace_level="metrics" if trace is None else "full",
         effective_horizon=summary.end_time,
         stopped_early=stopped_early,
@@ -819,7 +836,7 @@ def measure_sharded(
 def run_scenario(
     scenario: Scenario,
     check_guarantees: Optional[bool] = None,
-    trace_level: str = "full",
+    trace_level: str = "metrics",
 ) -> ScenarioResult:
     """Build, run and measure ``scenario``.
 
@@ -827,8 +844,8 @@ def run_scenario(
     are evaluated against the execution; by default they are evaluated exactly
     when the scenario runs an ST algorithm within its resilience bound under a
     tolerated attack.  At either trace level the engine streams the scalar
-    measurements; ``trace_level="full"`` also keeps the execution trace in
-    ``result.trace``, ``"metrics"`` keeps none (O(n) memory, ``None``).
+    measurements; the default ``"metrics"`` keeps no trace (O(n) memory),
+    ``trace_level="full"`` also exports it as the result's ``trace``.
 
     At either trace level the run halts the instant the target round
     completes (plus ``scenario.grace``); :attr:`Scenario.horizon` caps runs

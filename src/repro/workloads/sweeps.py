@@ -55,7 +55,7 @@ def run_sweep(
     check_guarantees=None,
     callback: Optional[Callable[[ScenarioResult], None]] = None,
     runner=None,
-    trace_level: str = "full",
+    trace_level: str = "metrics",
 ) -> list[ScenarioResult]:
     """Run every scenario and return the results in input order.
 
@@ -64,10 +64,7 @@ def run_sweep(
     :mod:`repro.runner.config`), which may parallelize across worker
     processes and serve repeated grid points from the on-disk result cache.
     ``check_guarantees`` is a single flag for the whole sweep or a sequence
-    with one entry per scenario.  ``trace_level`` selects the observation
-    depth (``"full"`` keeps traces, ``"metrics"`` streams scalars in O(n)
-    memory); sweeps that only read scalar metrics should pass ``"metrics"``
-    so large grids skip trace construction entirely.  Replicated grid points
+    with one entry per scenario.  Replicated grid points
     (``Scenario.replications > 1``, metrics level) shard transparently
     across the same worker pool; their results are the exact merge of the
     per-replication summaries.
@@ -86,7 +83,7 @@ def stream_sweep(
     on_result: Callable[[int, ScenarioResult], None],
     check_guarantees=None,
     runner=None,
-    trace_level: str = "full",
+    trace_level: str = "metrics",
 ) -> int:
     """Run every scenario, folding each result into ``on_result`` as it completes.
 

@@ -64,7 +64,7 @@ def run_baseline(algorithm, attack="silent", rounds=5, n=7, f=1, seed=3, **scena
         seed=seed,
         **scenario_kwargs,
     )
-    return run_scenario(scenario, check_guarantees=False)
+    return run_scenario(scenario, check_guarantees=False, trace_level="full")
 
 
 def test_lundelius_welch_keeps_clocks_synchronized():

@@ -32,7 +32,7 @@ def _isolated_default_runner():
 @pytest.fixture(scope="module")
 def sample_result():
     params = params_for(5, authenticated=True, rho=1e-4, tdel=0.01, period=1.0, initial_offset_spread=0.005)
-    return run_scenario(Scenario(params=params, algorithm="auth", attack="eager", rounds=4, seed=3))
+    return run_scenario(Scenario(params=params, algorithm="auth", attack="eager", rounds=4, seed=3), trace_level="full")
 
 
 # -- serialization ---------------------------------------------------------------------
@@ -253,7 +253,7 @@ def test_cli_experiment_failure_exits_nonzero(capsys, monkeypatch):
 def test_cli_run_kernel_flag(capsys):
     code = main([
         "run", "--n", "5", "--rounds", "3", "--seed", "2",
-        "--attack", "skew_max", "--kernel", "auto", "--trace-level", "metrics",
+        "--attack", "skew_max", "--kernel", "auto",
     ])
     assert code == 0
     assert "Scenario" in capsys.readouterr().out
@@ -275,11 +275,14 @@ def test_cli_run_kernel_flag(capsys):
         (["run"], {"REPRO_KERNEL": "vector"}, "unknown REPRO_KERNEL 'vector'"),
         (["kernel"], {"REPRO_KERNEL": "vector"}, "unknown REPRO_KERNEL 'vector'"),
         (["run", "--kernel", "vector"], {}, "argument --kernel: invalid choice: 'vector'"),
+        (["run", "--include-trace"], {}, "--include-trace needs --json and a single run"),
+        (["run", "--replications", "4", "--json", "--include-trace"], {}, "--include-trace needs --json and a single"),
     ],
     ids=[
         "n", "f", "tdel", "grace", "actual-faults", "bounds-n", "kernel-n",
         "REPRO_JOBS", "experiment-REPRO_JOBS", "REPRO_KERNEL-bogus", "REPRO_KERNEL-vector",
         "kernel-REPRO_KERNEL-vector", "kernel-flag-vector",
+        "include-trace-without-json", "include-trace-replicated",
     ],
 )
 def test_cli_bad_input_is_a_usage_error(argv, env, field, capsys, monkeypatch):
@@ -322,7 +325,6 @@ def test_cli_kernel_plain_output_is_unchanged(capsys, monkeypatch):
         (["--joiners", "1"], "joiner scenarios are not vectorized"),
         (["--monotonic"], "monotonic (no-backward-correction) ablation is not vectorized"),
         (["--grace", "0.1"], "grace windows past round completion are not vectorized"),
-        (["--trace-level", "full"], "full traces require the event loop (vector kernel is metrics-only)"),
     ],
 )
 def test_cli_kernel_names_every_static_reason(flags, reason, capsys, monkeypatch):
@@ -337,3 +339,22 @@ def test_cli_kernel_names_every_static_reason(flags, reason, capsys, monkeypatch
     # is the whole record, whichever way ``auto`` was chosen.
     assert main(["kernel", "--kernel", "auto", *flags]) == 0
     assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("command", ["run", "kernel", "stats"])
+def test_cli_has_no_trace_level_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--trace-level", "full"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trace-level full" in capsys.readouterr().err
+
+
+def test_cli_run_include_trace_names_the_full_trace_reason(capsys, monkeypatch):
+    """``run --include-trace`` is the one way to the full recorder, which keeps the lane on the event loop."""
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    assert main(["run", "--rounds", "3", "--json", "--include-trace", "--no-cache"]) == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert parsed["trace_level"] == "full" and parsed["trace"] is not None
+    provenance = parsed["kernel_provenance"]
+    assert provenance["ineligible_lanes"] == 1
+    assert provenance["ineligible_reason"] == "full traces require the event loop (vector kernel is metrics-only)"

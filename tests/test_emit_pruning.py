@@ -179,7 +179,7 @@ def test_faulty_destination_keeps_stale_round_deliveries(monkeypatch):
 
     monkeypatch.setattr(ReplayAttacker, "on_message", spy)
     scenario = auth("replay")
-    handles = build_cluster(scenario)  # full trace: the run is resumed below
+    handles = build_cluster(scenario, trace_level="full")  # the run is resumed below
     sim = handles.sim
     sim.run_until_round(2, t_max=scenario.horizon())
     assert all(process.current_round >= 2 for process in handles.honest)
@@ -199,7 +199,7 @@ def test_faulty_destination_keeps_stale_round_deliveries(monkeypatch):
 
 def test_passive_joiner_is_never_pruned():
     scenario = auth("skew_max", joiner_count=1, join_time=2.5)
-    handles = build_cluster(scenario)  # full trace: the run is resumed below
+    handles = build_cluster(scenario, trace_level="full")  # the run is resumed below
     sim = handles.sim
     joiner = handles.joiners[0]
     seen = []

@@ -33,7 +33,7 @@ def run_auth(n=7, attack="eager", rounds=ROUNDS, seed=0, **kwargs):
         seed=seed,
         **kwargs,
     )
-    return run_scenario(scenario)
+    return run_scenario(scenario, trace_level="full")
 
 
 def test_benign_run_meets_all_guarantees():
@@ -138,6 +138,7 @@ def test_monotonic_variant_keeps_clocks_monotone_and_synchronized():
             seed=5,
         ),
         check_guarantees=False,
+        trace_level="full",
     )
     assert metrics.max_backward_adjustment(result.trace, skip_first=0) == 0.0
     assert result.precision <= precision_bound(result.params, AUTH)

@@ -29,7 +29,7 @@ def run_echo(n=7, attack="eager", rounds=ROUNDS, seed=0, **kwargs):
         seed=seed,
         **kwargs,
     )
-    return run_scenario(scenario)
+    return run_scenario(scenario, trace_level="full")
 
 
 def test_benign_run_meets_all_guarantees():

@@ -30,7 +30,7 @@ def run_startup(algorithm, boot_spread, seed=0, rounds=5, offset_spread=0.05):
         boot_spread=boot_spread,
         seed=seed,
     )
-    return run_scenario(scenario, check_guarantees=False), scenario
+    return run_scenario(scenario, check_guarantees=False, trace_level="full"), scenario
 
 
 @pytest.mark.parametrize("algorithm", ["auth", "echo"])
@@ -72,7 +72,7 @@ def test_startup_under_eager_adversary_still_works():
         boot_spread=0.02,
         seed=9,
     )
-    result = run_scenario(scenario, check_guarantees=False)
+    result = run_scenario(scenario, check_guarantees=False, trace_level="full")
     settled = metrics.skew_after_round(result.trace, 1)
     assert settled is not None and settled <= precision_bound(params, "auth")
 
@@ -94,7 +94,7 @@ def run_join(algorithm, join_at, seed=0, rounds=8, attack="eager"):
         join_time=join_at,
         seed=seed,
     )
-    return run_scenario(scenario, check_guarantees=False), scenario
+    return run_scenario(scenario, check_guarantees=False, trace_level="full"), scenario
 
 
 @pytest.mark.parametrize("algorithm", ["auth", "echo"])
@@ -137,6 +137,6 @@ def test_two_joiners_both_integrate():
         delay_mode="uniform",
         seed=4,
     )
-    result = run_scenario(scenario, check_guarantees=False)
+    result = run_scenario(scenario, check_guarantees=False, trace_level="full")
     for pid in scenario.joiner_pids:
         assert joined(result.trace, pid)

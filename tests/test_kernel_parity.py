@@ -99,8 +99,12 @@ def echo_cell(n, **kwargs):
     return cell(n, algorithm="echo", **kwargs)
 
 
+#: The streamed fields E6, E7 and E11 read, outside MEASURED_RESULT_FIELDS.
+HISTORY_FIELDS = ("steady_start", "settled_skew", "max_backward_adjustment", "join_latencies")
+
+
 def assert_results_identical(event_result, vector_result, label=""):
-    for field in MEASURED_RESULT_FIELDS:
+    for field in MEASURED_RESULT_FIELDS + HISTORY_FIELDS:
         assert getattr(event_result, field) == getattr(vector_result, field), (
             f"{label}: {field} differs"
         )

@@ -42,7 +42,7 @@ def test_property_auth_precision_bound_holds(n, rho, tdel, attack, clock_mode, d
         delay_mode=delay_mode,
         seed=seed,
     )
-    result = run_scenario(scenario, check_guarantees=False)
+    result = run_scenario(scenario, check_guarantees=False, trace_level="full")
     assert result.completed_round >= 5
     assert result.precision <= precision_bound(params, AUTH) + 1e-9
     assert result.acceptance_spread <= tdel + 1e-9
@@ -67,7 +67,7 @@ def test_property_echo_precision_bound_holds(n, rho, attack, delay_mode, seed):
         delay_mode=delay_mode,
         seed=seed,
     )
-    result = run_scenario(scenario, check_guarantees=False)
+    result = run_scenario(scenario, check_guarantees=False, trace_level="full")
     assert result.completed_round >= 5
     assert result.precision <= precision_bound(params, ECHO) + 1e-9
     assert result.acceptance_spread <= 2 * 0.01 + 1e-9
@@ -91,7 +91,7 @@ def test_property_joiner_always_integrates(seed, join_at):
         delay_mode="uniform",
         seed=seed,
     )
-    result = run_scenario(scenario, check_guarantees=False)
+    result = run_scenario(scenario, check_guarantees=False, trace_level="full")
     joiner = scenario.joiner_pids[0]
     resyncs = result.trace.processes[joiner].resyncs
     assert resyncs, "the joiner must synchronize"
@@ -113,7 +113,7 @@ def test_property_startup_always_converges(seed, boot_spread):
         delay_mode="uniform",
         seed=seed,
     )
-    result = run_scenario(scenario, check_guarantees=False)
+    result = run_scenario(scenario, check_guarantees=False, trace_level="full")
     settled = metrics.skew_after_round(result.trace, 1)
     assert settled is not None
     assert settled <= precision_bound(params, AUTH) + 1e-9

@@ -9,7 +9,11 @@ evaluating both sides of each jump.  For a seed x scenario grid -- covering
 both Srikanth-Toueg variants, the baselines, benign and Byzantine
 adversaries (including crash faults), start-up, late joiners and the
 monotonic ablation -- every measured field of *both* results, guarantee
-verdicts included, must be float-for-float identical to the oracle's.
+verdicts included, must be float-for-float identical to the oracle's.  The
+streamed history fields E6, E7 and E11 read (steady start, skew after round
+1, backward corrections, join latency) must equal the trace queries in
+``repro.analysis.metrics`` and ``repro.core.join``, on that grid and on the
+quick E6/E7/E11 cells.
 Exact equality (``==``, no tolerance) is the contract: the recorder
 evaluates the very same breakpoints the oracle walks, so it is not an
 approximation.
@@ -20,7 +24,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import adversarial_scenario, benign_scenario, default_params
+from repro.analysis import metrics
+from repro.core.join import join_time, joined
+from repro.experiments import EXPERIMENTS
+from repro.experiments.common import adversarial_scenario, benign_scenario, default_params, set_observer
 from repro.workloads.scenarios import Scenario, resolve_check_guarantees, run_scenario
 
 from oracle import measure_result
@@ -110,6 +117,17 @@ def _checks(report):
     return [(c.name, c.measured, c.bound, c.holds, c.direction) for c in report.checks]
 
 
+def _assert_history_fields(result, scenario: Scenario, trace) -> None:
+    """The four streamed history fields equal the trace queries they replace."""
+    assert result.steady_start == metrics.steady_state_start(trace)
+    assert result.settled_skew == metrics.skew_after_round(trace, 1)
+    assert result.max_backward_adjustment == metrics.max_backward_adjustment(trace)
+    assert result.join_latencies == tuple(
+        join_time(trace, pid, scenario.join_time) if joined(trace, pid) else float("inf")
+        for pid in scenario.joiner_pids
+    )
+
+
 @pytest.mark.parametrize("scenario", _grid(), ids=lambda s: f"{s.name}-seed{s.seed}")
 def test_streamed_metrics_equal_full_trace(scenario: Scenario) -> None:
     full = run_scenario(scenario, trace_level="full")
@@ -150,3 +168,25 @@ def test_streamed_metrics_equal_full_trace(scenario: Scenario) -> None:
         if oracle.guarantees is not None:
             assert _checks(result.guarantees) == _checks(oracle.guarantees)
             assert result.guarantees_hold == oracle.guarantees.all_hold
+
+        _assert_history_fields(result, scenario, full.trace)
+
+
+@pytest.mark.parametrize("exp_id, cells", [("E6", 4), ("E7", 4), ("E11", 6)])
+def test_history_fields_equal_trace_queries_on_experiment_cells(exp_id, cells) -> None:
+    observed: list = []
+    set_observer(lambda result: observed.append(result.scenario))
+    try:
+        EXPERIMENTS[exp_id].run(quick=True)
+    finally:
+        set_observer(None)
+    assert len(observed) == cells
+    settled_none = 0
+    for scenario in observed:
+        full = run_scenario(scenario, check_guarantees=False, trace_level="full")
+        fast = run_scenario(scenario, check_guarantees=False)
+        for result in (full, fast):
+            _assert_history_fields(result, scenario, full.trace)
+        settled_none += fast.settled_skew is None
+    # A joiner up after round 1 never accepts it: every E7 cell has no settled skew.
+    assert settled_none == (cells if exp_id == "E7" else 0)

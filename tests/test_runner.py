@@ -281,7 +281,7 @@ def test_stream_sweep_serial_in_input_order(tmp_path):
     scenarios = small_grid() + [replace(small_grid()[0], seed=99, replications=2, shards=2)]
     levels = ["full"] * 4 + ["metrics"]
     cache = ResultCache(tmp_path)
-    SweepRunner(jobs=1, cache=cache).run_sweep(scenarios[1:2])
+    SweepRunner(jobs=1, cache=cache).run_sweep(scenarios[1:2], trace_level="full")
     seen: list[int] = []
     rows: list = [None] * len(scenarios)
 

@@ -111,17 +111,17 @@ def test_build_cluster_delay_policies(auth_params, delay_mode, expected):
 
 
 def test_build_cluster_clock_modes(auth_params):
-    extreme = build_cluster(Scenario(params=auth_params, clock_mode="extreme"))
+    extreme = build_cluster(Scenario(params=auth_params, clock_mode="extreme"), trace_level="full")
     rates = {round(t.clock.max_rate, 6) for t in extreme.sim.trace.honest()}
     assert len(rates) == 2  # alternating fastest/slowest
-    nominal = build_cluster(Scenario(params=auth_params, clock_mode="nominal"))
+    nominal = build_cluster(Scenario(params=auth_params, clock_mode="nominal"), trace_level="full")
     assert all(t.clock.max_rate == 1.0 for t in nominal.sim.trace.honest())
-    random_clocks = build_cluster(Scenario(params=auth_params, clock_mode="random"))
+    random_clocks = build_cluster(Scenario(params=auth_params, clock_mode="random"), trace_level="full")
     assert all(t.clock.respects_drift(auth_params.rho) for t in random_clocks.sim.trace.honest())
 
 
 def test_build_cluster_joiners_marked_honest(auth_params):
-    handles = build_cluster(Scenario(params=auth_params, joiner_count=1, join_time=2.0))
+    handles = build_cluster(Scenario(params=auth_params, joiner_count=1, join_time=2.0), trace_level="full")
     assert len(handles.joiners) == 1
     assert handles.joiners[0].joiner
     assert not handles.sim.trace.processes[5].faulty

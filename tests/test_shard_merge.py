@@ -43,6 +43,8 @@ MEASURED_FIELDS = (
     "stopped_early",
     "accuracy",
 )
+#: The streamed fields E6, E7 and E11 read (outside MEASURED_FIELDS, as in the product).
+HISTORY_FIELDS = ("steady_start", "settled_skew", "max_backward_adjustment", "join_latencies")
 
 
 def _parity_grid() -> list[Scenario]:
@@ -101,7 +103,7 @@ def _final(summary):
 
 
 def _scalar_fields(summary) -> dict:
-    skip = {"liveness_triples", "window_samples", "message_stats"}
+    skip = {"liveness_triples", "first_resync_times", "window_samples", "message_stats"}
     return {
         field.name: getattr(summary, field.name)
         for field in dataclasses.fields(summary)
@@ -128,6 +130,7 @@ def test_merge_is_commutative_up_to_order():
     assert _scalar_fields(forward) == _scalar_fields(backward)
     assert forward.message_stats == backward.message_stats
     assert sorted(map(repr, forward.liveness_triples)) == sorted(map(repr, backward.liveness_triples))
+    assert sorted(map(repr, forward.first_resync_times)) == sorted(map(repr, backward.first_resync_times))
     # The window-rate extremes are derived from the union of samples, so
     # they are exactly order-independent too (not just up to tolerance).
     assert forward.slowest_window_rate == backward.slowest_window_rate
@@ -194,7 +197,7 @@ def test_sharded_equals_unsharded(scenario):
         assert result.shard_count == shards
         assert len(result.shard_horizons) == shards
         assert max(result.shard_horizons) == result.effective_horizon
-        for field in MEASURED_FIELDS:
+        for field in MEASURED_FIELDS + HISTORY_FIELDS:
             assert getattr(result, field) == getattr(reference, field), field
         if reference.guarantees is None:
             assert result.guarantees is None
@@ -207,6 +210,45 @@ def test_sharded_equals_unsharded(scenario):
                 (check.name, check.measured, check.bound, check.holds)
                 for check in reference.guarantees.checks
             ]
+
+
+@pytest.mark.parametrize("join_time", [0.5, 2.5])
+def test_history_fields_are_shard_invariant(join_time):
+    """Start-up, steady start, backward corrections and join latency: the worst case over replications.
+
+    A joiner up at 0.5 s accepts round 1 with everyone; one up at 2.5 s never
+    does, so round 1 never completes and the skew after it is ``None``.
+    """
+    scenario = Scenario(
+        params=default_params(5, authenticated=True),
+        algorithm="auth",
+        attack="silent",
+        rounds=5,
+        use_startup=True,
+        boot_spread=0.004,
+        joiner_count=1,
+        join_time=join_time,
+        clock_mode="extreme",
+        delay_mode="uniform",
+        seed=8,
+        replications=4,
+        shards=1,
+    )
+    singles = [run_scenario(replicate(scenario, index)) for index in range(4)]
+    reference = run_scenario(scenario)
+    assert reference.steady_start == max(single.steady_start for single in singles)
+    assert reference.max_backward_adjustment == max(single.max_backward_adjustment for single in singles)
+    assert reference.join_latencies == (max(single.join_latencies[0] for single in singles),)
+    assert reference.join_latencies[0] < float("inf")
+    if join_time < 1.0:
+        assert reference.settled_skew == max(single.settled_skew for single in singles)
+    else:
+        assert reference.settled_skew is None
+    for shards in (2, 4):
+        result = run_scenario(dataclasses.replace(scenario, shards=shards, name=""))
+        assert result.shard_count == shards
+        for field in HISTORY_FIELDS:
+            assert getattr(result, field) == getattr(reference, field), field
 
 
 def test_pool_sharded_equals_serial_fold():

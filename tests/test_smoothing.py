@@ -82,7 +82,8 @@ def test_smooth_all_on_a_real_scenario_keeps_clocks_close():
     params = params_for(7, authenticated=True, rho=1e-4, tdel=0.01, period=1.0, initial_offset_spread=0.005)
     result = run_scenario(
         Scenario(params=params, algorithm="auth", attack="eager", rounds=8,
-                 clock_mode="extreme", delay_mode="targeted", seed=6)
+                 clock_mode="extreme", delay_mode="targeted", seed=6),
+        trace_level="full",
     )
     smoothed = smooth_all(result.trace, amortization=0.1)
     assert set(smoothed) == set(result.trace.honest_pids())
