@@ -37,71 +37,79 @@ def window_rate_extremes(
     the slowest.  The best left endpoint for a given right endpoint is the
     tangent vertex of the matching hull (the slope along a convex chain seen
     from a point on the right is unimodal), found by binary search.  Work is
-    O(k log h) for k samples and hull size h instead of the quadratic pair
+    O(k log h) for k instants and hull size h instead of the quadratic pair
     scan, and the only state beyond the samples is hull-bounded.  The upper
     hull is the lower hull of the negated values with every comparison
     mirrored; negation is exact under round-to-nearest, so the slowest rate
     is, bit for bit, the negated fastest rate of the negated values.
     """
-    count = len(times)
+    # Collapse each instant to its lowest and highest sample.  The fastest
+    # window ends on an instant's highest value and starts on its lowest (the
+    # slowest the reverse): float subtraction, and division by a positive
+    # width, are monotone, so no dropped sample beats the one kept.
+    instants: list[float] = []
+    lows: list[float] = []
+    highs: list[float] = []
+    for t, v in zip(times, values):
+        if instants and t == instants[-1]:
+            if v < lows[-1]:
+                lows[-1] = v
+            elif v > highs[-1]:
+                highs[-1] = v
+        else:
+            instants.append(t)
+            lows.append(v)
+            highs.append(v)
+    count = len(instants)
     fastest: Optional[float] = None
     negated_slowest: Optional[float] = None
     low_t: list[float] = []  # lower hull: left endpoints of the fastest window
     low_v: list[float] = []
     up_t: list[float] = []  # upper hull: left endpoints of the slowest window
     up_v: list[float] = []
-    include = 0  # next sample to become an eligible left endpoint
+    include = 0  # next instant to become an eligible left endpoint
     for j in range(count):
-        tj = times[j]
-        vj = values[j]
+        tj = instants[j]
         # Eligibility must use the same float expressions as the pair scan
         # (``width >= min_window`` and ``width > 0`` -- the positive-width
         # guard matters when min_window <= 0), not algebraic rearrangements.
         # Widths are nonincreasing in ``include``, so the first ineligible
-        # sample ends the scan for this right endpoint.
+        # instant ends the scan for this right endpoint.
         while include < count:
-            t = times[include]
+            t = instants[include]
             width = tj - t
             if width < min_window or width <= 0:
                 break
-            v = values[include]
-            include += 1
-            # Of two equal-time points only the lower can be the fastest
-            # window's left end (and only the higher the slowest's).
-            if not (low_t and t == low_t[-1] and v >= low_v[-1]):
-                if low_t and t == low_t[-1]:
+            v = lows[include]
+            while len(low_t) >= 2:
+                # Pop the middle point when it lies on or above the chord.
+                cross = (low_t[-1] - low_t[-2]) * (v - low_v[-2]) - (
+                    low_v[-1] - low_v[-2]
+                ) * (t - low_t[-2])
+                if cross <= 0.0:
                     low_t.pop()
                     low_v.pop()
-                while len(low_t) >= 2:
-                    # Pop the middle point when it lies on or above the chord.
-                    cross = (low_t[-1] - low_t[-2]) * (v - low_v[-2]) - (
-                        low_v[-1] - low_v[-2]
-                    ) * (t - low_t[-2])
-                    if cross <= 0.0:
-                        low_t.pop()
-                        low_v.pop()
-                    else:
-                        break
-                low_t.append(t)
-                low_v.append(v)
-            if not (up_t and t == up_t[-1] and v <= up_v[-1]):
-                if up_t and t == up_t[-1]:
+                else:
+                    break
+            low_t.append(t)
+            low_v.append(v)
+            v = highs[include]
+            while len(up_t) >= 2:
+                # Pop the middle point when it lies on or below the chord.
+                cross = (up_t[-1] - up_t[-2]) * (v - up_v[-2]) - (
+                    up_v[-1] - up_v[-2]
+                ) * (t - up_t[-2])
+                if cross >= 0.0:
                     up_t.pop()
                     up_v.pop()
-                while len(up_t) >= 2:
-                    # Pop the middle point when it lies on or below the chord.
-                    cross = (up_t[-1] - up_t[-2]) * (v - up_v[-2]) - (
-                        up_v[-1] - up_v[-2]
-                    ) * (t - up_t[-2])
-                    if cross >= 0.0:
-                        up_t.pop()
-                        up_v.pop()
-                    else:
-                        break
-                up_t.append(t)
-                up_v.append(v)
+                else:
+                    break
+            up_t.append(t)
+            up_v.append(v)
+            include += 1
         if not low_t:
             continue  # both hulls fill together: nothing is eligible yet
+        vj = highs[j]
         lo = 0
         hi = len(low_t) - 1
         while lo < hi:
@@ -118,6 +126,7 @@ def window_rate_extremes(
                 rate = (vj - low_v[k]) / (tj - low_t[k])
                 if fastest is None or rate > fastest:
                     fastest = rate
+        vj = lows[j]
         lo = 0
         hi = len(up_t) - 1
         while lo < hi:

@@ -4,7 +4,7 @@ A cache entry is one pickled :class:`~repro.workloads.scenarios.ScenarioResult`
 stored under a key that captures everything the result depends on:
 
 * the full declarative scenario description (including its parameters and
-  seed), serialized canonically,
+  seed), as one flat canonical tuple,
 * the *resolved* ``check_guarantees`` flag (it changes whether the result
   carries a guarantee report),
 * a code-version salt: a digest of every source file that can influence a
@@ -20,17 +20,17 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import os
 import pickle
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Union
 
 from .. import obs
-from ..analysis.serialize import scenario_to_dict
+from ..core.params import SyncParams
 from ..sim.kernel import resolve_kernel
 from ..workloads.scenarios import Scenario, ScenarioResult, resolve_shards
 
@@ -70,7 +70,9 @@ from ..workloads.scenarios import Scenario, ScenarioResult, resolve_shards
 #: rule) and ``grace`` is keyed at both trace levels; the entry frame is v9's.
 #: 11: ScenarioResult carries the streamed ``steady_start``, ``settled_skew``,
 #: ``max_backward_adjustment`` and ``join_latencies``; keys default to metrics.
-SCHEMA_VERSION = 11
+#: 12: key schema only -- the key hashes the ``repr`` of one flat tuple of the
+#: resolved fields instead of a sorted JSON document; the entry frame is v9's.
+SCHEMA_VERSION = 12
 
 #: Entry frame: ``_MAGIC``, the 16-byte BLAKE2b digest of the pickle, the
 #: pickle.  Pickle decodes many damaged streams into plausible objects, so the
@@ -107,8 +109,13 @@ _SALT_EXCLUDED_FILES = ("cli.py", "__main__.py", "worker.py")
 
 _code_salt: Optional[str] = None
 
-#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, the encoder built once.
-_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: The ``Scenario`` fields keyed as given, in declaration order: all but the
+#: cosmetic ``name``, the nested ``params`` (keyed field by field) and the two
+#: keyed resolved (``shards``, ``kernel``).  One getter returns them as a tuple.
+_scenario_fields = attrgetter(
+    *(f.name for f in fields(Scenario) if f.name not in ("name", "params", "shards", "kernel"))
+)
+_params_fields = attrgetter(*(f.name for f in fields(SyncParams)))
 
 
 def code_salt() -> str:
@@ -160,18 +167,29 @@ def cache_key(
     which engine recorded the stored result, and its ``kernel_provenance``
     says so -- parity between the engines is enforced elsewhere, not assumed
     here.
+
+    The hashed text is the ``repr`` of one flat tuple: salt, check flag,
+    trace level, resolved shards, resolved kernel, the other scenario fields
+    in declaration order, every ``SyncParams`` field and ``alpha_value``.
+    Every value is ``None``, a ``bool``, ``int``, ``float`` or ``str``, whose
+    ``repr`` is canonical (a float's is its shortest round-trip spelling), so
+    the key is the same in every process and under every hash seed.  A field
+    whose value is a mapping or a set would need a canonical form here first.
     """
-    description = scenario_to_dict(scenario)
-    description.pop("name", None)
-    description["shards"] = resolve_shards(scenario)
-    description["kernel"] = resolve_kernel(scenario)
-    payload = {
-        "scenario": description,
-        "check_guarantees": bool(check_guarantees),
-        "trace_level": trace_level,
-        "salt": salt if salt is not None else code_salt(),
-    }
-    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+    params = scenario.params
+    canonical = (
+        (
+            salt if salt is not None else code_salt(),
+            bool(check_guarantees),
+            trace_level,
+            resolve_shards(scenario),
+            resolve_kernel(scenario),
+        )
+        + _scenario_fields(scenario)
+        + _params_fields(params)
+        + (params.alpha_value,)
+    )
+    return hashlib.sha256(repr(canonical).encode()).hexdigest()
 
 
 def default_cache_dir() -> Path:

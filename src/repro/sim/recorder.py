@@ -580,6 +580,9 @@ class OnlineMetricsRecorder(Recorder):
         self._message_samples: list[MessageSample] = []
         self._procs: dict[int, _ProcState] = {}
         self._honest: list[_ProcState] = []
+        # Sealed views of the honest processes: bound clock readers and pid -> position.
+        self._reads: list = []
+        self._index: dict[int, int] = {}
         self._sealed = False
         self._finalized: Optional[tuple[float, OnlineMetricsSummary]] = None
         # Merged clock-breakpoint walk.
@@ -587,7 +590,9 @@ class OnlineMetricsRecorder(Recorder):
         # Current adjustment batch (all events at one real-time instant).
         self._batch_time: Optional[float] = None
         self._batch_before: dict[int, float] = {}
-        self._batch_has_adjustment = False
+        # Honest logical clocks at the batch instant, left limit first and
+        # settled by _close_batch; None until the batch's first adjustment.
+        self._batch_values: Optional[list] = None
         self._batch_completes_steady = False
         self._batch_initial = False
         # Skew accumulators.
@@ -627,6 +632,8 @@ class OnlineMetricsRecorder(Recorder):
             return
         self._sealed = True
         self._honest = [self._procs[pid] for pid in sorted(self._procs) if not self._procs[pid].faulty]
+        self._reads = [proc.clock.read for proc in self._honest]
+        self._index = {proc.pid: index for index, proc in enumerate(self._honest)}
         self._unsynced = self._unsettled = len(self._honest)
         for index, proc in enumerate(self._honest):
             if proc.bp_seq:
@@ -639,25 +646,19 @@ class OnlineMetricsRecorder(Recorder):
 
     # -- exact skew evaluation ----------------------------------------------
 
+    def _values(self, t: float) -> list:
+        """Every honest logical clock at ``t`` under current adjustments, in pid order."""
+        return [read(t) + proc.adj for read, proc in zip(self._reads, self._honest)]
+
     def _skew(self, t: float) -> float:
         """Max pairwise logical-clock difference at ``t`` under current adjustments."""
         if not self._honest:
             return 0.0
-        lo = math.inf
-        hi = -math.inf
-        for proc in self._honest:
-            value = proc.clock.read(t) + proc.adj
-            if value < lo:
-                lo = value
-            if value > hi:
-                hi = value
-        return hi - lo
+        values = self._values(t)
+        return max(values) - min(values)
 
-    def _note_skew(self, t: float, overall: bool, strict: bool = False) -> None:
-        """Fold the skew at ``t`` into the overall range and the open windows (past their start if ``strict``)."""
-        if not self._honest:
-            return
-        value = self._skew(t)
+    def _note_skew(self, t: float, value: float, overall: bool, strict: bool = False) -> None:
+        """Fold skew ``value`` at ``t`` into the overall range and the open windows (past their start if ``strict``)."""
         if overall and value > self._overall_skew:
             self._overall_skew = value
         start = self._steady_start
@@ -707,7 +708,7 @@ class OnlineMetricsRecorder(Recorder):
             if proc.bp_idx < len(proc.bp_seq):
                 heapq.heappush(heap, (proc.bp_seq[proc.bp_idx], index))
                 proc.bp_idx += 1
-            self._note_skew(time, overall=True)
+            self._note_skew(time, self._skew(time), overall=True)
             if self._steady_start is not None and time >= self._steady_start:
                 self._env_sample(proc, time, proc.clock.read(time) + proc.adj)
 
@@ -718,48 +719,61 @@ class OnlineMetricsRecorder(Recorder):
             raise RecorderError(
                 "OnlineMetricsRecorder cannot record past finalize(); use trace_level='full' to resume runs"
             )
-        self._seal()
+        if not self._sealed:
+            self._seal()
         if self._batch_time is not None:
             if t < self._batch_time:
                 raise RuntimeError("recorder events must arrive in time order")
             if t > self._batch_time:
                 self._close_batch()
-        self._walk(t)
-
-    def _open_batch(self, t: float) -> None:
-        if self._batch_time is None:
-            self._batch_time = t
+        if self._heap:
+            self._walk(t)
 
     def _close_batch(self) -> None:
+        """Settle the instant: envelope samples of the adjusted clocks, then the settled skew.
+
+        The left-limit values of the batch's first adjustment are reused: only
+        the adjusted processes are read again, so each honest clock is read
+        once per instant (all of them at the steady-state instant).
+        """
         t = self._batch_time
+        values = self._batch_values
+        before = self._batch_before
         completes_steady = self._batch_completes_steady
-        steady_active = self._steady_start is not None
         if completes_steady:
             # Steady state begins here: seed every honest process's envelope
             # recursion with both sides of the t_start sample.
-            for proc in self._honest:
-                before_adj = self._batch_before.get(proc.pid, proc.adj)
-                reading = proc.clock.read(t)
-                self._env_sample(proc, t, reading + before_adj)
+            for index, proc in enumerate(self._honest):
+                reading = self._reads[index](t)
+                self._env_sample(proc, t, reading + before.get(proc.pid, proc.adj))
                 after = reading + proc.adj
                 self._env_sample(proc, t, after)
                 proc.value_at_steady = after
-        elif steady_active and t >= self._steady_start:
-            for pid, before_adj in self._batch_before.items():
-                proc = self._procs[pid]
-                reading = proc.clock.read(t)
-                self._env_sample(proc, t, reading + before_adj)
-                self._env_sample(proc, t, reading + proc.adj)
-        if self._batch_has_adjustment or self._batch_initial:
-            self._note_skew(t, overall=True)
+                if values is not None:
+                    values[index] = after
+        elif values is not None:
+            sampled = self._steady_start is not None and t >= self._steady_start
+            for pid, before_adj in before.items():
+                index = self._index[pid]
+                proc = self._honest[index]
+                reading = self._reads[index](t)
+                after = values[index] = reading + proc.adj
+                if sampled:
+                    self._env_sample(proc, t, reading + before_adj)
+                    self._env_sample(proc, t, after)
+        if values is not None:
+            self._note_skew(t, max(values) - min(values), overall=True)
+        elif self._batch_initial:
+            # The implicit batch at t = 0 (any adjustments at 0 have settled).
+            self._note_skew(t, self._skew(t), overall=True)
         elif completes_steady:
             # A resynchronization with no clock adjustment (e.g. a pulse of a
             # free-running baseline) is not a breakpoint of the overall range,
             # but it *is* the steady interval's start point.
-            self._note_skew(t, overall=False)
+            self._note_skew(t, self._skew(t), overall=False)
         self._batch_time = None
         self._batch_before = {}
-        self._batch_has_adjustment = False
+        self._batch_values = None
         self._batch_completes_steady = False
         self._batch_initial = False
 
@@ -771,25 +785,35 @@ class OnlineMetricsRecorder(Recorder):
         if proc.faulty:
             return
         self._advance(time)
-        self._open_batch(time)
-        if not self._batch_has_adjustment and not self._batch_initial:
+        if self._batch_time is None:
+            self._batch_time = time
+        if self._batch_values is None and not self._batch_initial:
             # Left limit at the first adjustment of this instant (all current
             # adjustments are still the pre-batch ones), counted whenever t
-            # lies strictly inside the measured range.
-            self._note_skew(time, overall=time > 0.0, strict=True)
-        self._batch_has_adjustment = True
+            # lies strictly inside the measured range.  The values are kept:
+            # closing the batch re-reads only the adjusted processes.
+            values = self._batch_values = self._values(time)
+            self._note_skew(time, max(values) - min(values), overall=time > 0.0, strict=True)
         if pid not in self._batch_before:
             self._batch_before[pid] = proc.adj
         proc.adj = adjustment
 
     def on_resync(self, event: ResyncEvent) -> None:
         """Stream the acceptance: rounds, periods, spreads, adjustment extremes."""
-        proc = self._procs[event.pid]
+        self.record_resync(event.pid, event.round, event.time, event.logical_before, event.logical_after)
+
+    def record_resync(
+        self, pid: int, round_: int, t: float, logical_before: float, logical_after: float
+    ) -> None:
+        """:meth:`on_resync` field by field, for a feed that builds no :class:`ResyncEvent`.
+
+        The vector kernel replays its acceptances through here; a subclass
+        hook on :meth:`on_resync` (the full trace's) does not see them.
+        """
+        proc = self._procs[pid]
         if proc.faulty:
             return
-        t = event.time
         self._advance(t)
-        round_ = event.round
         proc.resync_count += 1
         if round_ == 1:
             # Accepted rounds increase per process, so each counts round 1 once.  The
@@ -802,7 +826,8 @@ class OnlineMetricsRecorder(Recorder):
             proc.min_round = round_
             self._unsynced -= 1
             if self._unsynced == 0:
-                self._open_batch(t)
+                if self._batch_time is None:
+                    self._batch_time = t
                 self._batch_completes_steady = True
                 self._steady_start = t
         else:
@@ -815,12 +840,12 @@ class OnlineMetricsRecorder(Recorder):
                 if interval > self._period_max:
                     self._period_max = interval
                 self._period_count += 1
-            accepted = self._accepted[proc.pid]
+            accepted = self._accepted[pid]
             if round_ > accepted + 1 and proc.first_gap is None:
                 proc.first_gap = accepted + 1
             if round_ < proc.min_round:
                 proc.min_round = round_
-            adjustment = event.logical_after - event.logical_before
+            adjustment = logical_after - logical_before
             magnitude = abs(adjustment)
             if self._max_adjustment is None or magnitude > self._max_adjustment:
                 self._max_adjustment = magnitude
@@ -828,7 +853,7 @@ class OnlineMetricsRecorder(Recorder):
             if backward > self._max_backward:
                 self._max_backward = backward
         proc.prev_resync_time = t
-        self._ledger_accept(proc.pid, round_, t)
+        self._ledger_accept(pid, round_, t)
         self._record_acceptance(round_, t)
 
     def _record_acceptance(self, round_: int, t: float) -> None:
@@ -924,11 +949,12 @@ class OnlineMetricsRecorder(Recorder):
         self._walk(end_time, inclusive=True)
 
         steady_reached = self._steady_start is not None
-        self._note_skew(end_time, overall=True)
+        value = self._skew(end_time)
+        self._note_skew(end_time, value, overall=True)
         if not steady_reached:
             # Matches metrics.steady_state_start: the steady interval
             # degenerates to the single point t = end_time.
-            self._steady_skew = self._skew(end_time)
+            self._steady_skew = value
 
         slowest_lr = fastest_lr = envelope_a = envelope_b = worst_offset = None
         entries = []

@@ -96,7 +96,6 @@ from .clocks import FixedRateClock, honest_clock, honest_offsets, honest_rate
 from .kernel import numpy_or_none
 from .network import NetworkStats
 from .recorder import MessageSample, OnlineMetricsRecorder, OnlineMetricsSummary
-from .trace import ResyncEvent
 
 _SIG = "SignedRound"
 _BUNDLE = "SignatureBundle"
@@ -709,6 +708,10 @@ class _LaneAssembly:
         self.seq = 0
         self.rank = [pid - layout.n for pid in layout.actor_pids]
         self.next_rank = 0
+        #: ``batches[len(eager_batches):cursor]`` were sent more than ``tdel``
+        #: before ``cursor_tau``, the latest walked instant (see ``_recent``).
+        self.cursor = 0
+        self.cursor_tau = math.inf
 
     # -- batch creation -------------------------------------------------------
 
@@ -785,6 +788,29 @@ class _LaneAssembly:
 
     # -- contended instants: exact insertion-order walk -----------------------
 
+    def _recent(self, tau):
+        """The batches sent before ``tau`` that can land on it, in no set order.
+
+        Every clamped delay is <= tdel and float addition is monotone, so
+        only batches sent within tdel of the instant can land on it.  Past
+        the eager prefix (made up front, scanned whole) batches are made in
+        instant order, so a cursor skips those more than tdel behind the
+        latest walk, for good; an instant before that walk's starts it over.
+        """
+        tdel = self.layout.tdel
+        batches = self.batches
+        if tau < self.cursor_tau:
+            self.cursor = len(self.eager_batches)
+        self.cursor_tau = tau
+        i = self.cursor
+        end = len(batches)
+        while i < end and batches[i].time + tdel < tau:
+            i += 1
+        self.cursor = i
+        return [
+            b for b in self.eager_batches if b.time < tau <= b.time + tdel
+        ] + [b for b in batches[i:] if b.time < tau <= b.time + tdel]
+
     def _walk(self, tau, rd, accs, anns, is_final):
         layout = self.layout
         k = rd.k
@@ -826,11 +852,7 @@ class _LaneAssembly:
         # sequence numbers put them.
         delay_classes = layout.delay_classes
         deliveries = []
-        # Every clamped delay is <= tdel and float addition is monotone, so
-        # only batches sent within tdel of the instant can land on it.
-        tdel = layout.tdel
-        recent = [b for b in self.batches if b.time < tau <= b.time + tdel]
-        for b in sorted(recent, key=_send_order):
+        for b in sorted(self._recent(tau), key=_send_order):
             deliveries += _arrivals(delay_classes[b.sender], b, tau)
 
         def spawn(batch):
@@ -983,16 +1005,12 @@ def _finalize_lane(layout, lane_offsets, batches, emissions, t_star,
         else:
             clock = FixedRateClock(rate=layout.honest_rates[i], offset=lane_offsets[i])
         recorder.register_process(pid, clock, faulty=False)
-    for pid in range(layout.h, layout.n):
-        recorder.register_process(
-            pid, FixedRateClock(rate=1.0, offset=0.0), faulty=True
-        )
+    # Emissions are honest-only, so the faulty processes need no registration.
+    on_adjustment = recorder.on_adjustment
+    record_resync = recorder.record_resync
     for time, pid, round_, before, adj_after, tgt in emissions:
-        recorder.on_adjustment(pid, time, adj_after)
-        recorder.on_resync(ResyncEvent(
-            pid=pid, round=round_, time=time,
-            logical_before=before, logical_after=tgt,
-        ))
+        on_adjustment(pid, time, adj_after)
+        record_resync(pid, round_, time, before, tgt)
     if samples is not None:
         recorder.ingest_message_samples(samples)
     summary = recorder.finalize(t_star, stats)

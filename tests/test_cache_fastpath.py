@@ -1,10 +1,10 @@
 """The result cache's hit path: single-pass keys, framed entries, damaged entries.
 
-Two contracts are pinned here.  *Key identity*: ``scenario_to_dict`` and the
-canonical string ``cache_key`` hashes are byte-identical to the
-``dataclasses.asdict``-based builder they replaced, which lives on in this
-file as the oracle -- for generated scenarios over every field, not a
-re-pinned golden value.  *Damaged entries*: whatever is on disk under a key,
+Two contracts are pinned here.  *Key identity*: the text ``cache_key``
+hashes is byte-identical to the canonical tuple an oracle in this file builds
+on its own from ``dataclasses.fields`` (and ``scenario_to_dict`` to the
+``dataclasses.asdict`` builder it replaced) -- for generated scenarios over
+every field, not a re-pinned golden value.  *Damaged entries*: whatever is on disk under a key,
 ``ResultCache.get`` returns the stored result or ``None`` -- never another
 number, never an exception -- and a damaged file is deleted and counted as a
 miss.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 import pickle
 import random
@@ -45,7 +44,7 @@ SALT = "fixed-test-salt"
 TRACE_LEVELS = ("full", "metrics")
 
 
-# -- the oracle: the asdict-based builders this PR replaced ---------------------------
+# -- the oracles: asdict for the serializer, dataclasses.fields for the key ----------
 
 
 def oracle_scenario_to_dict(scenario: Scenario) -> dict:
@@ -56,18 +55,21 @@ def oracle_scenario_to_dict(scenario: Scenario) -> dict:
     return data
 
 
-def oracle_key_description(scenario: Scenario, check: bool, trace_level: str, salt: str) -> str:
-    description = oracle_scenario_to_dict(scenario)
-    description.pop("name", None)
-    description["shards"] = resolve_shards(scenario)
-    description["kernel"] = resolve_kernel(scenario)
-    payload = {
-        "scenario": description,
-        "check_guarantees": bool(check),
-        "trace_level": trace_level,
-        "salt": salt,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+#: Scenario fields the key does not take as given: the cosmetic name, the
+#: nested params (keyed field by field) and the two keyed resolved.
+NOT_KEYED_AS_GIVEN = {"name", "params", "shards", "kernel"}
+
+
+def oracle_key_text(scenario: Scenario, check: bool, trace_level: str, salt: str) -> str:
+    """The documented v12 key text: the ``repr`` of one flat canonical tuple."""
+    head = (salt, bool(check), trace_level, resolve_shards(scenario), resolve_kernel(scenario))
+    given = tuple(
+        getattr(scenario, field.name)
+        for field in dataclasses.fields(Scenario)
+        if field.name not in NOT_KEYED_AS_GIVEN
+    )
+    params = tuple(getattr(scenario.params, field.name) for field in dataclasses.fields(SyncParams))
+    return repr(head + given + params + (scenario.params.alpha_value,))
 
 
 # -- a scenario strategy over every field ---------------------------------------------
@@ -160,13 +162,33 @@ class RecordingHashlib:
 
 @given(scenario=scenarios(), check=st.booleans(), trace_level=st.sampled_from(TRACE_LEVELS))
 @MANY
-def test_hashed_key_description_equals_asdict_oracle(scenario, check, trace_level):
+def test_hashed_key_text_equals_fields_oracle(scenario, check, trace_level):
     recorder = RecordingHashlib()
     with mock.patch.object(cache_module, "hashlib", recorder):
         key = cache_key(scenario, check, trace_level, SALT)
-    oracle = oracle_key_description(scenario, check, trace_level, SALT)
+    oracle = oracle_key_text(scenario, check, trace_level, SALT)
     assert [data.decode() for data in recorder.hashed] == [oracle]
     assert key == hashlib.sha256(oracle.encode()).hexdigest()
+
+
+#: Types whose ``repr`` is canonical: equal values print alike in every process.
+CANONICAL_REPR_TYPES = (type(None), bool, int, float, str)
+
+
+@given(scenario=scenario_kwargs(), params=params_kwargs())
+@settings(max_examples=50, deadline=None)
+def test_every_drawn_field_value_has_a_canonical_repr(scenario, params):
+    """The key hashes a ``repr``, so only scalars may reach it.
+
+    A field whose value is a mapping or a set (an attack or delay spec, say)
+    must extend the key's canonical form before it can be keyed, instead of
+    hashing an order-dependent ``repr``; adding one to the strategy fails here.
+    """
+    drawn = {name: value for name, value in scenario.items() if name != "params"}
+    drawn.update(params)
+    for name, value in drawn.items():
+        assert type(value) in CANONICAL_REPR_TYPES, (name, value)
+    assert type(SyncParams(**params).alpha_value) is float
 
 
 def benchmark_shaped_cells() -> list[Scenario]:
@@ -182,7 +204,7 @@ def benchmark_shaped_cells() -> list[Scenario]:
 def test_keys_of_benchmark_shaped_cells_equal_oracle():
     for scenario in benchmark_shaped_cells():
         for level in TRACE_LEVELS:
-            expected = hashlib.sha256(oracle_key_description(scenario, True, level, SALT).encode()).hexdigest()
+            expected = hashlib.sha256(oracle_key_text(scenario, True, level, SALT).encode()).hexdigest()
             assert cache_key(scenario, True, level, SALT) == expected
 
 

@@ -12,7 +12,7 @@ from repro.crypto.signatures import digest_cache_info, message_digest, sign
 from repro.experiments.common import benign_scenario, default_params
 from repro.sim.clocks import FixedRateClock
 from repro.sim.engine import Simulation
-from repro.sim.network import FixedDelay
+from repro.sim.network import FixedDelay, NetworkStats
 from repro.sim.process import Process
 from repro.sim.recorder import (
     FullTraceRecorder,
@@ -24,6 +24,8 @@ from repro.sim.recorder import (
 )
 from repro.sim.trace import ResyncEvent
 from repro.workloads.scenarios import build_cluster
+
+from oracle import steady_state_skew
 
 
 def make_sim(recorder=None, delay=0.005, tdel=0.01, seed=0):
@@ -486,3 +488,59 @@ def test_message_samples_round_trip_serialization():
     assert data["scenario"]["sample_messages"] == 10
     assert len(data["message_samples"]) == len(result.message_samples)
     assert data["message_samples"][0][1] == result.message_samples[0].sender
+
+
+# -- the field-wise resynchronization entry point -------------------------------------
+
+#: One emission list: ``("adj", pid, t, adjustment)`` or
+#: ``("resync", pid, round, t, logical_before, logical_after)``.  It holds two
+#: adjustments at one instant (0.5, and pid 0 twice at 1.5), resyncs without
+#: an adjustment (pid 2 is a free-running pulse, and it completes the steady
+#: start at 0.5), and a faulty process the recorder ignores.
+EMISSIONS = [
+    ("adj", 0, 0.5, -0.004),
+    ("adj", 1, 0.5, 0.003),
+    ("resync", 0, 1, 0.5, 0.502, 0.498),
+    ("resync", 1, 1, 0.5, 0.499, 0.502),
+    ("adj", 3, 0.5, 9.0),
+    ("resync", 3, 1, 0.5, 0.5, 9.5),
+    ("resync", 2, 1, 0.5, 0.5, 0.5),
+    ("adj", 0, 1.5, -0.006),
+    ("adj", 1, 1.5, 0.001),
+    ("adj", 0, 1.5, -0.007),
+    ("resync", 0, 2, 1.5, 1.5, 1.497),
+    ("resync", 1, 2, 1.5, 1.502, 1.5),
+    ("resync", 2, 2, 1.75, 1.75, 1.75),
+    ("adj", 1, 2.5, 0.0),
+    ("resync", 1, 3, 2.5, 2.5, 2.499),
+    ("resync", 2, 3, 2.75, 2.75, 2.75),
+]
+RATES = {0: 1.001, 1: 0.999, 2: 1.0}
+
+
+def _fed(recorder, direct):
+    for pid, rate in RATES.items():
+        recorder.register_process(pid, FixedRateClock(rate=rate, offset=0.001 * pid))
+    recorder.register_process(3, FixedRateClock(rate=1.0, offset=0.0), faulty=True)
+    for emission in EMISSIONS:
+        if emission[0] == "adj":
+            recorder.on_adjustment(*emission[1:])
+        elif direct:
+            recorder.record_resync(*emission[1:])
+        else:
+            pid, round_, t, before, after = emission[1:]
+            recorder.on_resync(ResyncEvent(pid=pid, round=round_, time=t, logical_before=before, logical_after=after))
+    return recorder
+
+
+def test_field_wise_resync_equals_the_hook_path():
+    stats = NetworkStats(total_messages=12, messages_by_type={"ResyncMessage": 12})
+    hooked = _fed(OnlineMetricsRecorder(rate_low=0.999, rate_high=1.001), direct=False).finalize(3.0, stats)
+    direct = _fed(OnlineMetricsRecorder(rate_low=0.999, rate_high=1.001), direct=True).finalize(3.0, stats)
+    assert direct == hooked
+    assert direct.steady_start == 0.5 and direct.completed_round == 2 and direct.max_round == 3
+    # Both sides of each jump were read: the fold equals the trace oracle's.
+    full = _fed(FullTraceRecorder(rate_low=0.999, rate_high=1.001), direct=False)
+    full.finalize(3.0, stats)
+    assert full.summary() == hooked
+    assert hooked.steady_skew == steady_state_skew(full.trace) > 0.0

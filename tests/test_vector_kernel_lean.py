@@ -20,13 +20,16 @@ version:
 * the lockstep fixpoint's one-sort order statistics equal the two-sort
   reference, a block of lanes equals its lanes run one at a time (a
   falling-back lane and drifting clocks included), the per-round instant
-  index equals the per-instant scans, and the kept layout is keyed on
-  every field a layout reads.
+  index equals the per-instant scans, the walk's cursor finds the same
+  in-flight batches as a scan of every batch, and the kept layout is keyed
+  on every field a layout reads.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -51,7 +54,7 @@ from repro.sim.vectorized import (
 )
 from repro.workloads.scenarios import Scenario
 
-from test_kernel_parity import assert_results_identical, cell, run_both
+from test_kernel_parity import assert_results_identical, cell, run_both, shared_instant_cell
 
 pytestmark = pytest.mark.skipif(numpy_or_none() is None, reason="numpy not installed")
 
@@ -382,6 +385,72 @@ def test_instant_index_equals_per_instant_scans():
                 assert indexed == scan_instants(rd)
                 shared += sum(len(accs) >= 2 or len(anns) >= 2 for _, accs, anns in indexed)
     assert shared > 50, "no shared instants: the families lost their point"
+
+
+#: The lockstep-served rows of ``tests/test_kernel_parity.py``.
+LOCKSTEP_PARITY_ROWS = [
+    *(cell(n) for n in (5, 7, 14)),
+    *(cell(7, attack=attack) for attack in (None, "silent", "crash", "eager", "two_faced", "laggard")),
+    *(cell(9, attack="eager", delay=delay) for delay in ("max", "midpoint", "targeted")),
+    cell(7, clock="nominal"),
+    *(
+        cell(7, attack=attack, clock="nominal", delay="targeted" if attack == "skew_max" else "max", spread=0.0)
+        for attack in (None, "crash", "skew_max")
+    ),
+    *(cell(7, sample=sample) for sample in (1, 3)),
+    *(cell(7, seed=seed, rounds=6) for seed in (0, 1, 17, 202)),
+    *(cell(9, attack="two_faced", clock="random", delay=delay) for delay in ("max", "midpoint", "targeted")),
+    shared_instant_cell(5, "skew_max", period=0.25, tdel=0.005, rounds=6, seed=217329, sample=1),
+    *(shared_instant_cell(n, attack) for attack in (None, "two_faced") for n in (4, 5)),
+    shared_instant_cell(4, "crash", rounds=3, seed=917209, sample=1),
+]
+
+
+def test_walk_cursor_finds_the_batches_a_full_scan_finds(monkeypatch):
+    """Each contended instant's in-flight batches: the cursor's list is the scan of every batch."""
+    recent = vectorized._LaneAssembly._recent
+    walks = []
+
+    def spy(assembly, tau):
+        found = recent(assembly, tau)
+        tdel = assembly.layout.tdel
+        scanned = [b for b in assembly.batches if b.time < tau <= b.time + tdel]
+        assert sorted(found, key=vectorized._send_order) == sorted(scanned, key=vectorized._send_order)
+        walks.append(len(found))
+        return found
+
+    monkeypatch.setattr(vectorized._LaneAssembly, "_recent", spy)
+    for scenario in LOCKSTEP_PARITY_ROWS:
+        assert _Layout(scenario, numpy_or_none()).lockstep, scenario
+        assert run_lanes([scenario])[0].fallback is None, scenario
+    assert len(walks) > 100 and sum(walks) > 0
+
+
+@given(
+    eager=st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=6),
+    made=st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=40),
+    taus=st.lists(st.floats(min_value=0.0, max_value=11.0), min_size=1, max_size=12),
+    tdel=st.sampled_from([0.0, 0.01, 0.5, 2.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_walk_cursor_survives_instants_out_of_order(eager, made, taus, tdel):
+    """Batches made in any order and instants that go back: still the full scan.
+
+    The lockstep rows never walk an instant before the latest one; this
+    drives the restart on a bare assembly instead.
+    """
+    batches = [_Batch(time, 0, 0, 1, (), (), seq) for seq, time in enumerate(eager + made)]
+    assembly = SimpleNamespace(
+        layout=SimpleNamespace(tdel=tdel),
+        batches=batches,
+        eager_batches=batches[: len(eager)],
+        cursor=0,
+        cursor_tau=math.inf,
+    )
+    for tau in taus:
+        found = vectorized._LaneAssembly._recent(assembly, tau)
+        scanned = [b for b in batches if b.time < tau <= b.time + tdel]
+        assert sorted(found, key=vectorized._send_order) == sorted(scanned, key=vectorized._send_order)
 
 
 # -- one layout per family ---------------------------------------------------------------

@@ -19,6 +19,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.envelope import window_rate_extremes
 from repro.analysis.metrics import steady_state_start
@@ -57,6 +58,42 @@ def test_hull_pass_equals_pair_scan_on_random_samples(seed: int) -> None:
         expected = _pairwise_window_extremes(times, values, min_window)
         got = window_rate_extremes(times, values, min_window)
         assert got == expected, (min_window, times, values)
+
+
+finite = {"allow_nan": False, "allow_infinity": False}
+
+
+@st.composite
+def jump_samples(draw) -> tuple[list[float], list[float]]:
+    """Breakpoint samples as a clock yields them: jumps are before/after pairs at one time.
+
+    Steps, values and jumps come from small grids as often as not, so equal
+    times across breakpoints, tied values and zero jumps all show up.
+    """
+    times: list[float] = []
+    values: list[float] = []
+    t = 0.0
+    for _ in range(draw(st.integers(min_value=1, max_value=20))):
+        t += draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=2.0, **finite))
+        before = draw(st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(min_value=-5.0, max_value=5.0, **finite))
+        times.append(t)
+        values.append(before)
+        if draw(st.booleans()):  # an adjustment: the settled side follows at the same time
+            jump = draw(st.sampled_from([0.0, 0.25, -0.25]) | st.floats(min_value=-1.0, max_value=1.0, **finite))
+            times.append(t)
+            values.append(before + jump)
+    return times, values
+
+
+@given(
+    samples=jump_samples(),
+    min_window=st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(min_value=-1.0, max_value=10.0, **finite),
+)
+@settings(max_examples=400, deadline=None)
+def test_hull_pass_equals_pair_scan_on_jump_pairs(samples, min_window) -> None:
+    """Collapsing an instant to its lowest and highest sample loses no extreme."""
+    times, values = samples
+    assert window_rate_extremes(times, values, min_window) == _pairwise_window_extremes(times, values, min_window)
 
 
 def test_hull_pass_on_structured_geometries() -> None:
