@@ -149,6 +149,7 @@ def cache_key(
     check_guarantees: bool,
     trace_level: str = "metrics",
     salt: Optional[str] = None,
+    default_kernel: Optional[str] = None,
 ) -> str:
     """Stable content hash of ``(scenario, check_guarantees, trace_level, salt)``.
 
@@ -166,7 +167,9 @@ def cache_key(
     ``REPRO_KERNEL`` spelling share one entry), because the selection decides
     which engine recorded the stored result, and its ``kernel_provenance``
     says so -- parity between the engines is enforced elsewhere, not assumed
-    here.
+    here.  A caller keying many cells passes ``default_kernel``
+    (:func:`repro.sim.kernel.default_kernel`, read once) so a cell that
+    leaves ``kernel`` unset does not read the environment again.
 
     The hashed text is the ``repr`` of one flat tuple: salt, check flag,
     trace level, resolved shards, resolved kernel, the other scenario fields
@@ -183,7 +186,7 @@ def cache_key(
             bool(check_guarantees),
             trace_level,
             resolve_shards(scenario),
-            resolve_kernel(scenario),
+            resolve_kernel(scenario, default_kernel),
         )
         + _scenario_fields(scenario)
         + _params_fields(params)

@@ -72,7 +72,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .. import obs
-from ..sim.kernel import resolve_kernel
+from ..sim.kernel import default_kernel
 from ..workloads.scenarios import (
     TRACE_LEVELS,
     Scenario,
@@ -182,12 +182,16 @@ class _Sweep:
 
     def units(self) -> Iterator[tuple[Callable, list, Callable]]:
         salt = code_salt()
+        # REPRO_KERNEL's selection, read once, at the first cell leaving kernel unset.
+        kernel = None
         run_chunk = _run_chunk if self.ship else _chunk_results
         for start in range(0, len(self.cells), MAX_CHUNK):
             piece: list[tuple[int, Scenario, bool, str]] = []
             for index, (scenario, check, level) in enumerate(self.cells[start : start + MAX_CHUNK], start):
+                if kernel is None and scenario.kernel is None:
+                    kernel = default_kernel()
                 if self.cache is not None:
-                    key = cache_key(scenario, check, trace_level=level, salt=salt)
+                    key = cache_key(scenario, check, trace_level=level, salt=salt, default_kernel=kernel)
                     if key in self.parked:
                         self.parked[key].append(index)
                         continue
@@ -198,7 +202,7 @@ class _Sweep:
                     self.parked[key] = []
                     self.keys[index] = key
                 if self.ship and scenario.kernel is None:
-                    scenario = dataclasses.replace(scenario, kernel=resolve_kernel(scenario))
+                    scenario = dataclasses.replace(scenario, kernel=kernel)
                 plan = shard_plan_for(scenario, level)
                 if plan is not None:
                     self.folder.expect(index, scenario, len(plan), check)

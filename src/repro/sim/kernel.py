@@ -109,19 +109,29 @@ def numpy_or_none():
     return _numpy_module
 
 
-def resolve_kernel(scenario) -> str:
+def default_kernel() -> str:
+    """The selection of a scenario that leaves ``kernel`` unset: ``REPRO_KERNEL``, else ``"auto"``."""
+    kernel = os.environ.get(KERNEL_ENV, "").strip() or "auto"
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown {KERNEL_ENV} {kernel!r}; expected one of {KERNELS}")
+    return kernel
+
+
+def resolve_kernel(scenario, default: Optional[str] = None) -> str:
     """The effective kernel selection for ``scenario``.
 
-    ``Scenario.kernel`` wins when set; otherwise the ``REPRO_KERNEL``
-    environment variable; otherwise ``"auto"``.  The result cache keys on
-    this resolved value (since schema v6), so an environment override changes the
-    cache identity exactly like the explicit field does.
+    ``Scenario.kernel`` wins when set; otherwise ``default`` -- a
+    :func:`default_kernel` value the caller already read, as a sweep does
+    once for all its cells -- or, without one, :func:`default_kernel`.  The
+    result cache keys on this resolved value (since schema v6), so an
+    environment override changes the cache identity exactly like the
+    explicit field does.
     """
-    kernel, source = getattr(scenario, "kernel", None), "kernel"
+    kernel = getattr(scenario, "kernel", None)
     if kernel is None:
-        kernel, source = os.environ.get(KERNEL_ENV, "").strip() or "auto", KERNEL_ENV
+        return default_kernel() if default is None else default
     if kernel not in KERNELS:
-        raise ValueError(f"unknown {source} {kernel!r}; expected one of {KERNELS}")
+        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
     return kernel
 
 

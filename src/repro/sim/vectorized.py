@@ -950,6 +950,14 @@ def _unread_delay(bits: int, p: int, tmin: float, tdel: float) -> float:
     return tmin + (a * 67108864.0 + b) / 9007199254740992.0 * (tdel - tmin)
 
 
+def _delay_of(batch: _Batch, p: int, tmin: float, tdel: float) -> float:
+    """The delay of message ``p`` of ``batch``, decoding unread uniform bits."""
+    delays = batch.delays
+    if isinstance(delays, int):
+        return _unread_delay(delays, p, tmin, tdel)
+    return delays[p]
+
+
 def _finalize_lane(layout, lane_offsets, batches, emissions, t_star,
                    sample_messages, clocks=None) -> LaneOutcome:
     """Shared finalization of one served lane (both vector engines).
@@ -972,17 +980,13 @@ def _finalize_lane(layout, lane_offsets, batches, emissions, t_star,
         count = len(b.dests)
         while index < total + count:
             p = index - total
-            delays = b.delays
             samples.append(MessageSample(
                 msg_id=index,
                 sender=b.sender,
                 dest=b.dests[p],
                 kind=b.kind,
                 send_time=b.time,
-                deliver_time=b.time + (
-                    _unread_delay(delays, p, layout.tmin, layout.tdel)
-                    if isinstance(delays, int) else delays[p]
-                ),
+                deliver_time=b.time + _delay_of(b, p, layout.tmin, layout.tdel),
             ))
             index += sample_messages
         total += count
@@ -1046,7 +1050,14 @@ class _ExactReplay:
     execution is unchanged.  A delivery whose round fell below the floor
     in flight is popped and dropped by the same test before any rule runs,
     and a broadcast nobody reads (``deliver=False``) advances the network
-    RNG without drawing its delays.  The per-message constants the
+    RNG without drawing its delays.  Under echo with at most ``f``
+    flooders, a forged flood init is pushed only to destinations already
+    holding its round's echo state (``live``) and parked for the rest:
+    ``f`` forged inits and no echo fire no rule, so the event loop does
+    nothing with them until something else touches the round, and the
+    state's creation settles them (:meth:`_settle`) -- those that arrived
+    before the current event join the init senders, the rest are pushed
+    under their own keys.  The per-message constants the
     event loop pays (envelope/event allocation, handler dispatch,
     signature verification, per-message recorder and stats calls) are
     replaced by set operations and batch-level accounting.
@@ -1114,9 +1125,30 @@ class _ExactReplay:
         self.heap: list = []
         self.seq = self.n  # boot events consumed seqs 0 .. n-1
         self.now = 0.0
-        #: ``kernel.replay`` span telemetry: heap events popped, stale pushes skipped.
+        #: ``(time, seq)`` of the event being processed is ``(now, ev_seq)``.
+        self.ev_seq = -1
+        #: ``kernel.replay`` span telemetry: heap events popped, stale pushes
+        #: skipped, forged flood inits parked at emit.
         self.events = 0
         self.pruned = 0
+        self.parked = 0
+        #: Parked inits a state creation settled: folded into the init
+        #: senders (arrived before it) / pushed (arrive after it).
+        self.folded = 0
+        self.unparked = 0
+        #: The flood-parking rule: forged inits from at most ``f`` senders
+        #: and no echo fire no rule (see :meth:`_settle`).
+        self.parking = self.is_echo and 0 < len(layout.flood_pids) <= self.f
+        #: ``round -> pids that created its echo state`` (parking only); past
+        #: a pid's floor the state is gone for good, and the floor test says so.
+        self.live: dict = {}
+        #: ``round -> [(flood init batch, its first message seq), ...]``.
+        self.parked_inits: dict = {}
+        #: ``flooder -> its actor destinations``, the deliveries of one init.
+        self.flood_reach = {
+            pid: len(self.actor_set.intersection(layout.dests[pid]))
+            for pid in layout.flood_pids
+        }
         self.batches: list = []
         self.emissions: list = []
         self.batch_seq = 0
@@ -1172,8 +1204,12 @@ class _ExactReplay:
         )
 
     def _emit(self, sender: int, kind: str, round_: int, deliver: bool,
-              payload=None, *, dests=None, delays=None) -> None:
-        """One broadcast/multicast: stats batch + (relevant) delivery pushes."""
+              payload=None, *, dests=None, delays=None) -> tuple:
+        """One broadcast/multicast: stats batch + (relevant) delivery pushes.
+
+        Returns ``(batch, seq)``: message ``p`` of the batch has event-queue
+        sequence number ``seq + p``, pushed or not.
+        """
         layout = self.layout
         if dests is None:
             dests = layout.dests[sender]
@@ -1192,19 +1228,19 @@ class _ExactReplay:
                 # keep them as one integer (see _unread_delay).
                 delays = self.net_rng.getrandbits(64 * len(dests))
         now = self.now
-        self.batches.append(
-            _Batch(now, sender, kind, round_, dests, delays, self.batch_seq)
-        )
+        batch = _Batch(now, sender, kind, round_, dests, delays, self.batch_seq)
+        self.batches.append(batch)
         self.batch_seq += 1
+        first = self.seq
+        self.seq = first + len(dests)
         if not deliver:
-            self.seq += len(dests)
-            return
+            return batch, first
         heap = self.heap
         actor_set = self.actor_set
         halted = self.halted
         floor = self.floor
         kind_code = _KIND_CODES[kind]
-        seq = self.seq
+        seq = first
         pruned = 0
         for d, delay in zip(dests, delays):
             if d in actor_set and d not in halted:
@@ -1216,8 +1252,74 @@ class _ExactReplay:
                         d, kind_code, sender, round_, payload,
                     ))
             seq += 1
-        self.seq = seq
         self.pruned += pruned
+        return batch, first
+
+    def _park(self, batch: _Batch, first: int) -> None:
+        """Deliver a forged flood init where its round has echo state; park the rest.
+
+        ``batch`` was emitted unread (``first`` is its first message seq).
+        A destination outside ``live[round]`` gets nothing now: the batch is
+        parked once for the round, and :meth:`_settle` delivers it there if
+        and when the round's state is created.
+        """
+        round_ = batch.round
+        live = self.live.get(round_, ())
+        heap = self.heap
+        actor_set = self.actor_set
+        halted = self.halted
+        floor = self.floor
+        now, sender = batch.time, batch.sender
+        parked = pruned = 0
+        if not live and not halted and round_ >= max(floor):
+            # No state for the round anywhere and no floor past it: every
+            # actor destination waits (most ticks: rounds far ahead).
+            parked = self.flood_reach[sender]
+        else:
+            for p, d in enumerate(batch.dests):
+                if d in actor_set and d not in halted:
+                    if round_ < floor[d]:
+                        pruned += 1
+                    elif d in live:
+                        heappush(heap, (
+                            now + _delay_of(batch, p, self.tmin, self.tdel), first + p,
+                            _EV_DELIVER, d, _KIND_INIT, sender, round_, None,
+                        ))
+                    else:
+                        parked += 1
+        if parked:
+            self.parked_inits.setdefault(round_, []).append((batch, first))
+        self.parked += parked
+        self.pruned += pruned
+
+    def _settle(self, pid: int, round_: int, state) -> None:
+        """``pid`` just created ``round_``'s echo state: settle its parked inits.
+
+        On the event loop each of them reached the tracker on arrival and
+        fired nothing: the round is in the window (``FLOOD_MAX_ROUND <=
+        TRACKER_LOOKAHEAD`` and the floor, monotone, is still at most
+        ``round_``), and before this event only forged inits from at most
+        ``f`` senders and no echo touched it.  So those arriving before the
+        current event ``(now, ev_seq)`` are just init senders now; the later
+        ones are pushed under their own ``(time, seq)`` keys.
+        """
+        self.live.setdefault(round_, set()).add(pid)
+        parked = self.parked_inits.get(round_)
+        if not parked:
+            return
+        current = (self.now, self.ev_seq)
+        senders = state[_KIND_INIT]
+        for batch, first in parked:
+            p = batch.dests.index(pid)
+            key = (batch.time + _delay_of(batch, p, self.tmin, self.tdel), first + p)
+            if key < current:
+                senders.add(batch.sender)
+                self.folded += 1
+            else:
+                heappush(self.heap, (
+                    *key, _EV_DELIVER, pid, _KIND_INIT, batch.sender, round_, None,
+                ))
+                self.unparked += 1
 
     # -- protocol mirrors -----------------------------------------------------
 
@@ -1261,6 +1363,8 @@ class _ExactReplay:
         state = rounds.get(round_)
         if state is None:
             state = rounds[round_] = [False, False, set(), set()]
+            if self.parking:
+                self._settle(pid, round_, state)
         state[slot].add(sender)
         # EchoTracker._evaluate: f+1 inits or echoes -> echo (once);
         # 2f+1 echoes -> accept (reported once).
@@ -1349,7 +1453,10 @@ class _ExactReplay:
         self._emit(pid, _SIG, round_, deliver=False)
         self._emit(pid, _BUNDLE, round_, deliver=False)
         self._emit(pid, _GARBAGE, None, deliver=False)
-        self._emit(pid, _INIT, round_, deliver=self.is_echo)
+        if self.parking:
+            self._park(*self._emit(pid, _INIT, round_, deliver=False))
+        else:
+            self._emit(pid, _INIT, round_, deliver=self.is_echo)
         heappush(self.heap, (self.now + FLOOD_INTERVAL, self.seq, _EV_FLOOD, pid))
         self.seq += 1
 
@@ -1400,6 +1507,7 @@ class _ExactReplay:
             if t > horizon:
                 raise LaneFallback("run exceeds the static horizon")
             self.now = t
+            self.ev_seq = ev[1]
             code = ev[2]
             if code == _EV_DELIVER:
                 dest = ev[3]
@@ -1546,6 +1654,7 @@ def run_lanes(scenarios) -> list:
                         outcomes[i] = replay.run()
                         sp.set("events", replay.events)
                         sp.set("pruned", replay.pruned)
+                        sp.set("parked", replay.parked)
             except Exception as exc:
                 _refuse(outcomes, [i], exc)
     return outcomes

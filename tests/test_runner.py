@@ -547,6 +547,25 @@ def test_cache_key_resolves_kernel(monkeypatch):
     )
 
 
+def test_each_sweep_keys_on_the_kernel_variable_it_starts_with(tmp_path, monkeypatch):
+    # A sweep reads REPRO_KERNEL once; the next sweep on the same runner must
+    # read it again, not reuse the first sweep's selection.
+    scenario = small_grid()[0]
+    assert scenario.kernel is None
+    cache = ResultCache(tmp_path)
+    runner = SweepRunner(jobs=1, cache=cache)
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    auto = runner.run_sweep([scenario], check_guarantees=True, trace_level="metrics")[0]
+    monkeypatch.setenv("REPRO_KERNEL", "event")
+    event = runner.run_sweep([scenario], check_guarantees=True, trace_level="metrics")[0]
+    assert cache.stats.stores == 2 and cache.stats.hits == 0
+    for kernel, result in (("auto", auto), ("event", event)):
+        assert cache_key(replace(scenario, kernel=kernel), True, trace_level="metrics") in cache
+        assert result.kernel_provenance.resolved == kernel
+        assert result.scenario == scenario
+    assert event.precision == auto.precision
+
+
 def test_kernel_result_round_trips_through_cache(tmp_path):
     scenario = replace(small_grid()[0], kernel="auto")
     cache = ResultCache(tmp_path)
