@@ -166,6 +166,15 @@ the serial path, the in-process pool and the subprocess wire backend at one
 and two workers; killing a worker with SIGKILL mid-sweep costs only time --
 the lost chunks are retried on the surviving worker and every measured value
 still matches the serial path exactly.""",
+    "E15": """**System claim.** The self-healing fleet scheduler survives churn: a
+scripted chaos schedule SIGKILLs every initial worker mid-sweep, lost workers
+respawn after backoff, the chunk each was running goes back to the front of
+the pending queue, and a replacement takes the oldest pending chunk at its
+handshake.
+
+**Measured.** The sweep still completes float-for-float identical to the
+serial path (E15a); the scheduler counters (workers lost, respawns, rejoins,
+chunk retries) are reported in the table.""",
 }
 
 

@@ -2,9 +2,11 @@
 
 This is the *mechanism* half of the simulation kernel split described in
 ``docs/kernel.md``; the policy half (selection and static eligibility) is
-:mod:`repro.sim.kernel`.  Two engines live here, sharing one finalization
-seam (:func:`_finalize_lane`: batch-level statistics, index-stepped message
-sampling, recorder replay):
+:mod:`repro.sim.kernel`.  Two engines live here; each hands a served lane
+over as a :class:`_LaneRecord` (acceptance emissions, clocks, message
+tally), which the lockstep engine feeds to a recorder
+(:func:`_finalize_lane`) and the exact replay folds a block at a time
+(:func:`~repro.sim.fold.fold_lanes`):
 
 * the **lockstep array path** (phases 1/2 below) serves the authenticated
   algorithm under deterministic attacks and deterministic non-zero delay
@@ -51,10 +53,12 @@ The lockstep array path evaluates a whole run round by round:
 3. **Replay.**  The per-acceptance adjustments are fed, in order, into a
    real :class:`~repro.sim.recorder.OnlineMetricsRecorder` (the same class
    the event loop uses), message statistics are computed arithmetically
-   from the batch layout, and sampled messages are selected by index and
-   handed over via
+   from the batch layout (:func:`_tally`), and sampled messages are
+   selected by index and handed over via
    :meth:`~repro.sim.recorder.OnlineMetricsRecorder.ingest_message_samples`.
-   Everything downstream of the recorder seam is therefore shared code.
+   The exact replay's :func:`~repro.sim.fold.fold_lanes` computes the same
+   summary as array operations over a whole block;
+   ``tests/test_replay_fold.py`` pins it to this feed field by field.
 
 Lanes: several single-replication scenarios that differ only in seed (the
 shape :func:`~repro.workloads.scenarios.replicate` produces) are evaluated
@@ -727,6 +731,10 @@ class _LaneAssembly:
     # -- driving --------------------------------------------------------------
 
     def run(self) -> LaneOutcome:
+        return _finalize_lane(self.layout, self.record())
+
+    def record(self) -> _LaneRecord:
+        """Walk the lane's timeline; what its summary is made of."""
         final = self.rounds[-1]
         t_star = max(final.Acc[: self.layout.h])
         self._create_eager_batches(t_star)
@@ -744,9 +752,9 @@ class _LaneAssembly:
                     self._direct(tau, rd, accs, anns)
         # Eager batches were created up front, ahead of their send instants.
         self.batches.sort(key=_send_order)
-        return _finalize_lane(
-            self.layout, self.lane_offsets, self.batches, self.emissions,
-            t_star, self.sample_messages, clocks=self.clocks,
+        return _LaneRecord(
+            self.emissions, self.lane_offsets, t_star, self.clocks, self.sample_messages,
+            *_tally(self.layout, self.batches, self.sample_messages),
         )
 
     def _create_eager_batches(self, t_star):
@@ -958,23 +966,44 @@ def _delay_of(batch: _Batch, p: int, tmin: float, tdel: float) -> float:
     return delays[p]
 
 
-def _finalize_lane(layout, lane_offsets, batches, emissions, t_star,
-                   sample_messages, clocks=None) -> LaneOutcome:
-    """Shared finalization of one served lane (both vector engines).
+class _LaneRecord:
+    """Everything a served lane's summary is made of, as the engine left it.
+
+    ``emissions`` holds ``(time, pid, round, before, adj_after, tgt)`` per
+    honest acceptance in the event loop's order (times nondecreasing),
+    ``offsets`` the honest clocks' initial offsets, ``end`` the acceptance
+    that completed the target round, ``clocks`` the lane's drifting honest
+    clocks (``None`` at fixed rates), ``by_type`` the ``kind -> messages``
+    tally in first-send order (the event loop's dict order) and
+    ``samples`` the sampled messages in send order (``None`` when not
+    sampling).
+    """
+
+    __slots__ = (
+        "emissions", "offsets", "end", "clocks", "sample_messages", "total", "by_type", "samples",
+    )
+
+    def __init__(self, emissions, offsets, end, clocks, sample_messages, total, by_type, samples):
+        self.emissions = emissions
+        self.offsets = offsets
+        self.end = end
+        self.clocks = clocks
+        self.sample_messages = sample_messages
+        self.total = total
+        self.by_type = by_type
+        self.samples = samples
+
+
+def _tally(layout, batches, sample_messages) -> tuple:
+    """``(total, by_type, samples)`` of a lane's batches, in send order.
 
     ``batches`` must already be in the event loop's ``(time, seq)`` send
-    order: message ids are positions in it.  One pass computes the network
-    statistics arithmetically from the batch layout and selects sampled
-    messages by index stepping; the acceptance emissions are then replayed
-    -- in global order -- into a real
-    :class:`~repro.sim.recorder.OnlineMetricsRecorder`, so everything
-    downstream of the recorder seam is the exact code the event loop uses.
+    order: message ids are positions in it.  Counts are arithmetic over the
+    batch layout; sampled messages are selected by index stepping.
     """
-    params = layout.params
     samples = None if sample_messages is None else []
     index = math.inf if samples is None else 0  # next sampled msg_id
     total = 0
-    by_sender: dict = {}
     by_type: dict = {}
     for b in batches:
         count = len(b.dests)
@@ -990,34 +1019,42 @@ def _finalize_lane(layout, lane_offsets, batches, emissions, t_star,
             ))
             index += sample_messages
         total += count
-        by_sender[b.sender] = by_sender.get(b.sender, 0) + count
         by_type[b.kind] = by_type.get(b.kind, 0) + count
-    stats = NetworkStats(
-        total_messages=total,
-        messages_by_sender=by_sender,
-        messages_by_type=by_type,
-    )
+    return total, by_type, samples
 
+
+def _finalize_lane(layout, record: _LaneRecord) -> LaneOutcome:
+    """The recorder feed: one lane's acceptances, one by one, into a recorder.
+
+    The emissions are replayed -- in global order -- into a real
+    :class:`~repro.sim.recorder.OnlineMetricsRecorder`, so the summary comes
+    from the exact code the event loop's runs go through.  The lockstep
+    engine finalizes its lanes here; the exact replay folds a whole block
+    at once (:func:`~repro.sim.fold.fold_lanes`), which
+    ``tests/test_replay_fold.py`` pins to this.
+    """
+    params = layout.params
     recorder = OnlineMetricsRecorder(
         rate_low=params.min_rate,
         rate_high=params.max_rate,
-        sample_messages=sample_messages,
+        sample_messages=record.sample_messages,
     )
     for i, pid in enumerate(layout.honest_pids):
-        if clocks is not None:
-            clock = clocks[i]  # the lane's drifting clock
+        if record.clocks is not None:
+            clock = record.clocks[i]  # the lane's drifting clock
         else:
-            clock = FixedRateClock(rate=layout.honest_rates[i], offset=lane_offsets[i])
+            clock = FixedRateClock(rate=layout.honest_rates[i], offset=record.offsets[i])
         recorder.register_process(pid, clock, faulty=False)
     # Emissions are honest-only, so the faulty processes need no registration.
     on_adjustment = recorder.on_adjustment
     record_resync = recorder.record_resync
-    for time, pid, round_, before, adj_after, tgt in emissions:
+    for time, pid, round_, before, adj_after, tgt in record.emissions:
         on_adjustment(pid, time, adj_after)
         record_resync(pid, round_, time, before, tgt)
-    if samples is not None:
-        recorder.ingest_message_samples(samples)
-    summary = recorder.finalize(t_star, stats)
+    if record.samples is not None:
+        recorder.ingest_message_samples(record.samples)
+    stats = NetworkStats(total_messages=record.total, messages_by_type=record.by_type)
+    summary = recorder.finalize(record.end, stats)
     return LaneOutcome(summary=summary)
 
 
@@ -1057,10 +1094,15 @@ class _ExactReplay:
     nothing with them until something else touches the round, and the
     state's creation settles them (:meth:`_settle`) -- those that arrived
     before the current event join the init senders, the rest are pushed
-    under their own keys.  The per-message constants the
-    event loop pays (envelope/event allocation, handler dispatch,
-    signature verification, per-message recorder and stats calls) are
-    replaced by set operations and batch-level accounting.
+    under their own keys.  Under auth, a relayed proof that arrives no
+    earlier than one already pushed in-window to the same destination and
+    round is never pushed (:meth:`_emit_bundle`): the first one accepts the
+    round there.  The per-message constants the event loop pays
+    (envelope/event allocation, handler dispatch, signature verification,
+    per-message recorder and stats calls) are replaced by set operations
+    and a per-kind message tally; :meth:`run` returns the lane's
+    :class:`_LaneRecord`, which :func:`~repro.sim.fold.fold_lanes`
+    finalizes with its block.
 
     Float parity: every arithmetic expression (timer inversion, logical
     clock adjustment, delay clamping and scaling, flood tick accumulation)
@@ -1149,9 +1191,16 @@ class _ExactReplay:
             pid: len(self.actor_set.intersection(layout.dests[pid]))
             for pid in layout.flood_pids
         }
-        self.batches: list = []
+        #: Delivered bundles skipped because an earlier in-window one to the
+        #: same destination and round is on its way (:meth:`_emit_bundle`).
+        self.shadowed = 0
+        #: ``pid -> {round: earliest arrival of a bundle pushed in-window}``.
+        self.first_bundle = None if self.is_echo else [dict() for _ in range(self.n)]
+        #: Every batch in send order when sampling (the sampler reads them);
+        #: otherwise ``None``, and ``by_type`` tallies the messages instead.
+        self.batches: Optional[list] = None if self.sample_messages is None else []
+        self.by_type: dict = {}
         self.emissions: list = []
-        self.batch_seq = 0
         self.reached = [False] * self.h
         self.remaining = self.h
         self.done = False
@@ -1204,11 +1253,13 @@ class _ExactReplay:
         )
 
     def _emit(self, sender: int, kind: str, round_: int, deliver: bool,
-              payload=None, *, dests=None, delays=None) -> tuple:
-        """One broadcast/multicast: stats batch + (relevant) delivery pushes.
+              payload=None, *, dests=None, delays=None, keep=False) -> tuple:
+        """One broadcast/multicast: message tally + (relevant) delivery pushes.
 
         Returns ``(batch, seq)``: message ``p`` of the batch has event-queue
-        sequence number ``seq + p``, pushed or not.
+        sequence number ``seq + p``, pushed or not.  ``batch`` is ``None``
+        unless the lane samples messages (the sampler reads every batch) or
+        the caller asks to ``keep`` it.
         """
         layout = self.layout
         if dests is None:
@@ -1228,12 +1279,22 @@ class _ExactReplay:
                 # keep them as one integer (see _unread_delay).
                 delays = self.net_rng.getrandbits(64 * len(dests))
         now = self.now
-        batch = _Batch(now, sender, kind, round_, dests, delays, self.batch_seq)
-        self.batches.append(batch)
-        self.batch_seq += 1
+        batches = self.batches
+        batch = None
+        if batches is None:
+            by_type = self.by_type
+            by_type[kind] = by_type.get(kind, 0) + len(dests)
+            if keep:  # read for its delays; it has no position in a list
+                batch = _Batch(now, sender, kind, round_, dests, delays, None)
+        else:
+            batch = _Batch(now, sender, kind, round_, dests, delays, len(batches))
+            batches.append(batch)
         first = self.seq
         self.seq = first + len(dests)
         if not deliver:
+            return batch, first
+        if kind == _BUNDLE:
+            self._emit_bundle(sender, round_, payload, dests, delays, first)
             return batch, first
         heap = self.heap
         actor_set = self.actor_set
@@ -1254,6 +1315,45 @@ class _ExactReplay:
             seq += 1
         self.pruned += pruned
         return batch, first
+
+    def _emit_bundle(self, sender, round_, proof, dests, delays, first) -> None:
+        """Push a relayed proof where no earlier in-window one is already on its way.
+
+        ``first_bundle[d][round]`` is the earliest arrival of a bundle for
+        ``round`` pushed to ``d`` while the round was inside ``d``'s tracker
+        window.  That bundle accepts the round at ``d`` when it lands (see
+        ``docs/kernel.md``, "What the replay may skip"), so a later-arriving
+        one -- or an equal-time one, which has the larger ``seq`` -- is stale
+        on arrival and is never pushed (``shadowed``).
+        """
+        heap = self.heap
+        actor_set = self.actor_set
+        halted = self.halted
+        floor = self.floor
+        first_bundle = self.first_bundle
+        now = self.now
+        seq = first
+        pruned = shadowed = 0
+        for d, delay in zip(dests, delays):
+            if d in actor_set and d not in halted:
+                fl = floor[d]
+                if round_ < fl:
+                    pruned += 1
+                else:
+                    at = now + delay
+                    if round_ <= fl + TRACKER_LOOKAHEAD:
+                        earliest = first_bundle[d].get(round_)
+                        if earliest is not None and earliest <= at:
+                            shadowed += 1
+                            seq += 1
+                            continue
+                        first_bundle[d][round_] = at
+                    heappush(heap, (
+                        at, seq, _EV_DELIVER, d, _KIND_BUNDLE, sender, round_, proof,
+                    ))
+            seq += 1
+        self.pruned += pruned
+        self.shadowed += shadowed
 
     def _park(self, batch: _Batch, first: int) -> None:
         """Deliver a forged flood init where its round has echo state; park the rest.
@@ -1454,7 +1554,7 @@ class _ExactReplay:
         self._emit(pid, _BUNDLE, round_, deliver=False)
         self._emit(pid, _GARBAGE, None, deliver=False)
         if self.parking:
-            self._park(*self._emit(pid, _INIT, round_, deliver=False))
+            self._park(*self._emit(pid, _INIT, round_, deliver=False, keep=True))
         else:
             self._emit(pid, _INIT, round_, deliver=self.is_echo)
         heappush(self.heap, (self.now + FLOOD_INTERVAL, self.seq, _EV_FLOOD, pid))
@@ -1484,7 +1584,8 @@ class _ExactReplay:
                 self.seq += 1
             # silent faulty processes schedule nothing
 
-    def run(self) -> LaneOutcome:
+    def run(self) -> _LaneRecord:
+        """Replay the lane to its target round; raises :class:`LaneFallback` if it cannot."""
         if self.is_echo and self.n <= 3 * self.f:
             # EchoTracker's constructor raises on the event loop; never
             # serve a run the oracle would refuse to build.
@@ -1539,10 +1640,13 @@ class _ExactReplay:
                 halted.add(ev[3])
             if self.done:
                 self.events = events
-                return _finalize_lane(
-                    self.layout, self.lane_offsets, self.batches,
-                    self.emissions, self.now, self.sample_messages,
-                    clocks=self.clocks,
+                if self.batches is None:
+                    tally = sum(self.by_type.values()), self.by_type, None
+                else:
+                    tally = _tally(self.layout, self.batches, self.sample_messages)
+                return _LaneRecord(
+                    self.emissions, self.lane_offsets, self.now, self.clocks,
+                    self.sample_messages, *tally,
                 )
 
 
@@ -1604,7 +1708,9 @@ def run_lanes(scenarios) -> list:
     a finalized :class:`~repro.sim.recorder.OnlineMetricsSummary`
     float-identical to the event loop's, or a ``fallback`` reason for the
     caller to re-run that lane on the event loop (a falling-back lane never
-    touches a recorder, so no partial observation leaks).
+    touches a recorder, so no partial observation leaks).  A family's
+    served replay lanes are finalized together, by one
+    :func:`~repro.sim.fold.fold_lanes` call; if it fails, they all fall back.
     """
     scenarios = list(scenarios)
     np = numpy_or_none()
@@ -1633,17 +1739,22 @@ def run_lanes(scenarios) -> list:
         except Exception as exc:
             _refuse(outcomes, indices, exc)
             continue
+        served: list = []  # (index, record) of the lanes the block's fold finalizes
         for pos, i in enumerate(indices):
             try:  # one lane: Phase 2 of the block, or its own exact replay
                 if layout.lockstep:
                     rounds = next(lane_rounds)  # or the lane's LaneFallback, raised
                     with obs.span("kernel.phase2") as sp:
                         sp.set("lane", i)
-                        outcomes[i] = _LaneAssembly(
+                        assembly = _LaneAssembly(
                             layout, rounds, offsets[pos],
                             drift.clocks[pos] if drift is not None else None,
                             group[pos].sample_messages,
-                        ).run()
+                        )
+                        # The recorder feed; folding these lanes with the
+                        # block instead is `served.append((i, assembly.record()))`
+                        # (docs/kernel.md, "Why the lockstep lanes wait").
+                        outcomes[i] = assembly.run()
                 else:
                     # Echo, uniform/min delays, and randomized attacks run
                     # per lane on the exact-replay engine (no cross-lane
@@ -1651,12 +1762,27 @@ def run_lanes(scenarios) -> list:
                     with obs.span("kernel.replay") as sp:
                         sp.set("lane", i)
                         replay = _ExactReplay(layout, group[pos])
-                        outcomes[i] = replay.run()
+                        served.append((i, replay.run()))
                         sp.set("events", replay.events)
                         sp.set("pruned", replay.pruned)
                         sp.set("parked", replay.parked)
+                        sp.set("shadowed", replay.shadowed)
             except Exception as exc:
                 _refuse(outcomes, [i], exc)
+        if not served:
+            continue
+        try:
+            # Imported here: a process that folds nothing never loads it.
+            from .fold import fold_lanes
+
+            with obs.span("kernel.fold") as sp:
+                sp.set("lanes", len(served))
+                summaries = fold_lanes(layout, [record for _, record in served])
+        except Exception as exc:
+            _refuse(outcomes, [i for i, _ in served], exc)
+            continue
+        for (i, _), summary in zip(served, summaries):
+            outcomes[i] = LaneOutcome(summary=summary)
     return outcomes
 
 

@@ -4,6 +4,7 @@ linked from the README, and the public API surface carries docstrings.
 
 from __future__ import annotations
 
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -44,6 +45,16 @@ def test_experiments_index_has_no_stale_entries():
         f"stale or missing entries: documented={sorted(documented)} "
         f"registry={sorted(EXPERIMENTS)}"
     )
+
+
+def test_report_commentary_covers_the_registry():
+    """``scripts/generate_experiments_report.py`` renders one commentary per experiment."""
+    spec = importlib.util.spec_from_file_location(
+        "generate_experiments_report", REPO / "scripts" / "generate_experiments_report.py"
+    )
+    report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report)
+    assert report.COMMENTARY.keys() == EXPERIMENTS.keys()
 
 
 def test_readme_links_every_doc():

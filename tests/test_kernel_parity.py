@@ -519,7 +519,7 @@ def test_future_round_reaching_threshold_first_is_accepted_at_once(algorithm, se
         base, params=dataclasses.replace(base.params, period=0.004), name=""
     )
     replay = _ExactReplay(_Layout(scenario, numpy_or_none()), scenario)
-    assert replay.run().fallback is None
+    replay.run()  # raises LaneFallback if the lane leaves the replay's regime
     accepted: dict = {}
     for _time, pid, round_, *_ in replay.emissions:
         accepted.setdefault(pid, []).append(round_)

@@ -12,9 +12,10 @@ version:
 * a deterministic run where the prune demonstrably fires (slow honest clocks
   announce a round their fast peers already left) reports it on the
   ``kernel.replay`` span and still matches the event loop;
-* ``_finalize_lane`` sorts nothing: the replay's batch list is in send order
-  as made, on every family it serves, and the lockstep caller -- whose eager
-  batches are created up front -- sorts its own;
+* ``_tally`` sorts nothing: a sampled replay lane's batch list is in send
+  order as made, on every family it serves (an unsampled one makes no batch
+  and tallies the same per-kind counts in the same order), and the lockstep
+  caller -- whose eager batches are created up front -- sorts its own;
 * the lockstep walk's per-sender delay-class table returns exactly the
   per-destination scan's arrival list, which lives here as the oracle;
 * the lockstep fixpoint's one-sort order statistics equal the two-sort
@@ -99,8 +100,11 @@ def test_emit_time_prune_fires_and_changes_nothing():
     # moment later, before the relayed bundle lands, and announces round k to
     # peers whose floor is already k + 1.
     scenario = cell(7, attack="eager", delay="uniform", rounds=4, spread=0.0, seed=0)
-    replay = _ExactReplay(_Layout(scenario, numpy_or_none()), scenario)
-    assert replay.run().fallback is None
+    # A sampled lane keeps every batch (the sampler reads them); sampling
+    # moves no event, so it prunes exactly what the unsampled lane does.
+    sampled = dataclasses.replace(scenario, sample_messages=1)
+    replay = _ExactReplay(_Layout(sampled, numpy_or_none()), sampled)
+    replay.run()  # raises LaneFallback if the lane leaves the replay's regime
     accepted = {}
     for time, pid, round_, *_ in replay.emissions:
         accepted.setdefault(round_, []).append((time, pid))
@@ -135,24 +139,26 @@ def in_send_order(batches):
 
 
 def test_replay_batches_are_made_in_send_order_and_eager_lockstep_ones_are_not(monkeypatch):
-    """``_finalize_lane`` numbers messages by position and sorts nothing.
+    """``_tally`` numbers messages by position and sorts nothing.
 
-    The replay appends a batch when the event it mirrors fires, so its list
-    is in ``(time, seq)`` order as made, on every family it serves.  The
-    lockstep assembly creates the eager signers' batches up front, ahead of
-    their send instants: creation order is not send order there, which is
-    why that caller sorts before the call.
+    The replay makes batches only when the lane samples messages, and
+    appends one when the event it mirrors fires, so its list is in
+    ``(time, seq)`` order as made, on every family it serves; unsampled, its
+    per-kind tally counts the same messages in the same first-send order.
+    The lockstep assembly creates the eager signers' batches up front, ahead
+    of their send instants: creation order is not send order there, which
+    is why that caller sorts before the call.
     """
     handed = []
-    finalize = vectorized._finalize_lane
+    tally = vectorized._tally
 
-    def spy(layout, lane_offsets, batches, *args, **kwargs):
+    def spy(layout, batches, sample_messages):
         handed.append(list(batches))
-        return finalize(layout, lane_offsets, batches, *args, **kwargs)
+        return tally(layout, batches, sample_messages)
 
-    monkeypatch.setattr(vectorized, "_finalize_lane", spy)
+    monkeypatch.setattr(vectorized, "_tally", spy)
 
-    def finalized_batches(scenario):
+    def tallied_batches(scenario):
         assert run_lanes([scenario])[0].fallback is None
         return handed.pop()
 
@@ -167,12 +173,22 @@ def test_replay_batches_are_made_in_send_order_and_eager_lockstep_ones_are_not(m
         for delay, clock in (("targeted", "extreme"), ("max", "random"))
     ] + [cell(9, attack="forge_flood", rounds=4), cell(9, attack="random_silence", rounds=4)]
     for scenario in replay_cells:
-        assert not _Layout(scenario, numpy_or_none()).lockstep, scenario.name
-        batches = finalized_batches(scenario)
+        layout = _Layout(scenario, numpy_or_none())
+        assert not layout.lockstep, scenario.name
+        unsampled = _ExactReplay(layout, scenario)
+        record = unsampled.run()
+        assert unsampled.batches is None and not handed  # no batch made, none tallied
+        sampled = dataclasses.replace(scenario, sample_messages=5)
+        batches = tallied_batches(sampled)
         assert [b.seq for b in batches] == list(range(len(batches))), scenario.name
         assert in_send_order(batches), scenario.name
+        kinds = {}
+        for b in batches:
+            kinds[b.kind] = kinds.get(b.kind, 0) + len(b.dests)
+        assert list(record.by_type.items()) == list(kinds.items()), scenario.name
+        assert record.total == sum(kinds.values())
 
-    batches = finalized_batches(cell(9, attack="eager", delay="max", rounds=4))
+    batches = tallied_batches(cell(9, attack="eager", delay="max", rounds=4))
     assert in_send_order(batches)  # the contract, kept by the caller's sort ...
     assert [b.seq for b in batches] != list(range(len(batches)))  # ... which it needed
 
@@ -520,7 +536,7 @@ def test_layout_memo_key_covers_every_field_a_layout_reads(kwargs, no_layout_kep
     layout_scenario, layout_params = snapshot()
     assert layout_scenario <= keyed_scenario
     # A lane of the same family runs off the memoised layout: whatever
-    # _phase1, _ExactReplay, _honest_drifting_clocks and _finalize_lane read
+    # _phase1, _ExactReplay, _honest_drifting_clocks, _finalize_lane and fold_lanes read
     # off layout.params lands on the probe's params, the lane's own fields
     # (seed, offset spread, horizon) on the lane.
     lane = dataclasses.replace(
