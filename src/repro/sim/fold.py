@@ -1,17 +1,18 @@
 """One array fold of a block of served vector lanes into their summaries.
 
-The exact replay (:class:`~repro.sim.vectorized._ExactReplay`) hands each
-served lane over as a :class:`~repro.sim.vectorized._LaneRecord` -- its
-acceptance emissions, clocks and message tally -- and
-:func:`~repro.sim.vectorized.run_lanes` folds all records of a layout group
-here in one call, instead of feeding each acceptance to an
-:class:`~repro.sim.recorder.OnlineMetricsRecorder`
-(:func:`~repro.sim.vectorized._finalize_lane`, the lockstep engine's
-finalizer and this module's reference).  ``docs/kernel.md`` ("The replay's
-fold") gives the layout of the points; ``tests/test_replay_fold.py`` pins
-every summary field's ``repr`` to the recorder feed.  NumPy comes in as
-``layout.np``; :func:`~repro.sim.vectorized.run_lanes` imports this module
-only when a block has replay lanes to fold.
+Both vector engines hand each served lane over as a
+:class:`~repro.sim.vectorized._LaneRecord` -- its acceptance emissions,
+clocks and message tally -- and :func:`~repro.sim.vectorized.run_lanes`
+folds all records of a layout group here in one call, instead of feeding
+each acceptance to an :class:`~repro.sim.recorder.OnlineMetricsRecorder`
+(:func:`~repro.sim.vectorized._finalize_lane`, the finalizer of small
+fixed-rate lockstep blocks and this module's reference).  ``docs/kernel.md``
+("The block fold") gives the layout of the points and "When a block
+folds" the rule; ``tests/test_replay_fold.py`` pins every summary field's
+``repr`` to the recorder feed.  NumPy comes in as ``layout.np``;
+:func:`~repro.sim.vectorized.run_lanes` imports this module only when a
+block folds, so a process that serves only the event loop or small
+fixed-rate lockstep blocks never loads it.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ This is the *mechanism* half of the simulation kernel split described in
 ``docs/kernel.md``; the policy half (selection and static eligibility) is
 :mod:`repro.sim.kernel`.  Two engines live here; each hands a served lane
 over as a :class:`_LaneRecord` (acceptance emissions, clocks, message
-tally), which the lockstep engine feeds to a recorder
-(:func:`_finalize_lane`) and the exact replay folds a block at a time
-(:func:`~repro.sim.fold.fold_lanes`):
+tally), and :func:`run_lanes` folds a block's records at a time
+(:func:`~repro.sim.fold.fold_lanes`) -- or, for a small fixed-rate lockstep
+block, feeds each to a recorder (:func:`_finalize_lane`):
 
 * the **lockstep array path** (phases 1/2 below) serves the authenticated
   algorithm under deterministic attacks and deterministic non-zero delay
@@ -50,15 +50,15 @@ The lockstep array path evaluates a whole run round by round:
    instant, and always the final instant, where the run is cut mid-instant
    -- are resolved by a small exact *walk* that replays the event queue's
    insertion-order tie-breaking for just that instant.
-3. **Replay.**  The per-acceptance adjustments are fed, in order, into a
-   real :class:`~repro.sim.recorder.OnlineMetricsRecorder` (the same class
-   the event loop uses), message statistics are computed arithmetically
-   from the batch layout (:func:`_tally`), and sampled messages are
-   selected by index and handed over via
-   :meth:`~repro.sim.recorder.OnlineMetricsRecorder.ingest_message_samples`.
-   The exact replay's :func:`~repro.sim.fold.fold_lanes` computes the same
-   summary as array operations over a whole block;
-   ``tests/test_replay_fold.py`` pins it to this feed field by field.
+3. **Finalization.**  Message statistics are computed arithmetically
+   from the batch layout (:func:`_tally`) and sampled messages are
+   selected by index.  A block of at least :data:`_FOLD_MIN_LANES` lanes,
+   or one with drifting clocks, is then folded into its summaries as
+   array operations (:func:`~repro.sim.fold.fold_lanes`); a smaller one
+   feeds each lane's adjustments, in order, into a real
+   :class:`~repro.sim.recorder.OnlineMetricsRecorder` (the same class the
+   event loop uses; :func:`_finalize_lane`).  ``tests/test_replay_fold.py``
+   pins the fold to this feed field by field.
 
 Lanes: several single-replication scenarios that differ only in seed (the
 shape :func:`~repro.workloads.scenarios.replicate` produces) are evaluated
@@ -730,9 +730,6 @@ class _LaneAssembly:
 
     # -- driving --------------------------------------------------------------
 
-    def run(self) -> LaneOutcome:
-        return _finalize_lane(self.layout, self.record())
-
     def record(self) -> _LaneRecord:
         """Walk the lane's timeline; what its summary is made of."""
         final = self.rounds[-1]
@@ -1028,8 +1025,8 @@ def _finalize_lane(layout, record: _LaneRecord) -> LaneOutcome:
 
     The emissions are replayed -- in global order -- into a real
     :class:`~repro.sim.recorder.OnlineMetricsRecorder`, so the summary comes
-    from the exact code the event loop's runs go through.  The lockstep
-    engine finalizes its lanes here; the exact replay folds a whole block
+    from the exact code the event loop's runs go through.  Small fixed-rate
+    lockstep blocks finalize their lanes here; every other block is folded
     at once (:func:`~repro.sim.fold.fold_lanes`), which
     ``tests/test_replay_fold.py`` pins to this.
     """
@@ -1696,6 +1693,17 @@ def _refuse(outcomes: list, indices, exc: Exception) -> None:
         outcomes[i] = LaneOutcome(fallback=reason)
 
 
+#: A fixed-rate lockstep block of at least this many lanes is finalized by
+#: one :func:`~repro.sim.fold.fold_lanes` call; a smaller one feeds each lane
+#: to a recorder (:func:`_finalize_lane`).  The fold costs ~0.3 ms per call
+#: whatever the block's size: in ms per lane of a whole ``run_lanes`` call,
+#: feed / fold, fixed-rate auth n = 7 reads 0.92 / 1.24 at 1 lane, 0.52 /
+#: 0.51 at 4 and 0.40 / 0.32 at 20.  Drifting blocks and replay blocks
+#: always fold: drifting auth n = 28 reads 2.95 / 2.37 at one lane
+#: (``docs/kernel.md``, "When a block folds", has the whole ladder).
+_FOLD_MIN_LANES = 4
+
+
 def run_lanes(scenarios) -> list:
     """Evaluate single-replication scenarios on the vector kernel, as lanes.
 
@@ -1709,8 +1717,12 @@ def run_lanes(scenarios) -> list:
     float-identical to the event loop's, or a ``fallback`` reason for the
     caller to re-run that lane on the event loop (a falling-back lane never
     touches a recorder, so no partial observation leaks).  A family's
-    served replay lanes are finalized together, by one
-    :func:`~repro.sim.fold.fold_lanes` call; if it fails, they all fall back.
+    served lanes are finalized together, by one
+    :func:`~repro.sim.fold.fold_lanes` call, when it is a replay block, a
+    drifting block, or a lockstep block of at least :data:`_FOLD_MIN_LANES`
+    lanes; if the fold fails, they all fall back.  A smaller fixed-rate
+    lockstep block feeds each lane to a recorder (:func:`_finalize_lane`),
+    and an error there refuses that lane only.
     """
     scenarios = list(scenarios)
     np = numpy_or_none()
@@ -1739,6 +1751,13 @@ def run_lanes(scenarios) -> list:
         except Exception as exc:
             _refuse(outcomes, indices, exc)
             continue
+        # One array fold for the block, or the recorder feed lane by lane
+        # where the fold's fixed cost outweighs it (see _FOLD_MIN_LANES).
+        fold = (
+            not layout.lockstep
+            or layout.clock_mode == "random"
+            or len(indices) >= _FOLD_MIN_LANES
+        )
         served: list = []  # (index, record) of the lanes the block's fold finalizes
         for pos, i in enumerate(indices):
             try:  # one lane: Phase 2 of the block, or its own exact replay
@@ -1751,10 +1770,10 @@ def run_lanes(scenarios) -> list:
                             drift.clocks[pos] if drift is not None else None,
                             group[pos].sample_messages,
                         )
-                        # The recorder feed; folding these lanes with the
-                        # block instead is `served.append((i, assembly.record()))`
-                        # (docs/kernel.md, "Why the lockstep lanes wait").
-                        outcomes[i] = assembly.run()
+                        if fold:
+                            served.append((i, assembly.record()))
+                        else:
+                            outcomes[i] = _finalize_lane(layout, assembly.record())
                 else:
                     # Echo, uniform/min delays, and randomized attacks run
                     # per lane on the exact-replay engine (no cross-lane
@@ -1776,6 +1795,7 @@ def run_lanes(scenarios) -> list:
             from .fold import fold_lanes
 
             with obs.span("kernel.fold") as sp:
+                sp.set("engine", "lockstep" if layout.lockstep else "replay")
                 sp.set("lanes", len(served))
                 summaries = fold_lanes(layout, [record for _, record in served])
         except Exception as exc:

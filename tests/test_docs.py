@@ -152,3 +152,31 @@ def test_no_cited_file_is_missing():
         if cited not in _GENERATED and not (REPO / cited).is_file() and not (path.parent / cited).is_file()
     ]
     assert not dangling, dangling
+
+
+# -- CI runs every suite that needs numpy ------------------------------------------------
+
+
+def _numpy_gated_modules() -> list:
+    """Test modules skipped whole without numpy (a module-level ``pytestmark``)."""
+    return [
+        f"tests/{path.name}"
+        for path in sorted((REPO / "tests").glob("test_*.py"))
+        if re.search(r"^pytestmark = .*numpy", path.read_text(), re.M)
+    ]
+
+
+def test_every_numpy_gated_module_runs_in_the_kernel_smoke_job():
+    # The tier-1 matrix installs no numpy, so a module gated on it runs in
+    # CI only if the kernel-smoke job (the one that installs it) names it.
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    job = ci[ci.index("\n  kernel-smoke:\n") + 1 :]
+    job = job[: re.search(r"^  [\w-]+:$", job[1:], re.M).start() + 1]
+    named = {
+        module
+        for line in re.findall(r"run: python -m pytest (.*)", job)
+        for module in line.split()
+    }
+    gated = _numpy_gated_modules()
+    assert len(gated) >= 5, gated
+    assert not [module for module in gated if module not in named], named

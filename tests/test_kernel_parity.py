@@ -881,7 +881,7 @@ def test_run_lanes_reports_fallback_without_recording():
         (_Layout, "__init__", cell(7, kernel="auto")),
         (_ExactReplay, "run", cell(7, delay="uniform", kernel="auto")),
         (vectorized, "_phase1", cell(7, kernel="auto")),
-        (vectorized._LaneAssembly, "run", cell(7, kernel="auto")),
+        (vectorized._LaneAssembly, "record", cell(7, kernel="auto")),
     ],
     ids=["layout", "replay", "phase1", "phase2"],
 )

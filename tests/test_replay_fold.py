@@ -1,17 +1,18 @@
-"""The exact replay's block fold against the per-acceptance recorder feed.
+"""The block fold against the per-acceptance recorder feed.
 
-``repro.sim.fold.fold_lanes`` finalizes a block of served replay
+``repro.sim.fold.fold_lanes`` finalizes a block of served vector
 lanes in one array fold instead of replaying each acceptance into an
 ``OnlineMetricsRecorder`` (``_finalize_lane``).  Here every summary field of
 the fold must equal the recorder feed's ``repr`` for ``repr`` -- result
 digests hash ``repr``, so an ``np.float64`` or a ``-0.0`` is a difference --
-on lanes of both engines (the lockstep lanes still go through the recorder;
-folding them here pre-validates the switch), with drifting clocks, message
-sampling, acceptances at ``t = 0``, skipped rounds and a process accepting
-several rounds at one instant among them, and on arbitrary lanes within
-the engines' contract (a Hypothesis property).  The sixth replay skip rule
-(a relayed proof shadowed by an earlier in-window one) is pinned against
-the event loop.
+on lanes of both engines (lanes of a small fixed-rate lockstep block, which
+``run_lanes`` feeds to the recorder, are folded here too), with drifting
+clocks, message sampling, acceptances at ``t = 0``, skipped rounds and a
+process accepting several rounds at one instant among them, and on
+arbitrary lanes within the engines' contract (a Hypothesis property).
+Which blocks ``run_lanes`` folds, and what an error on either path
+refuses, is pinned here as well; so is the sixth replay skip rule (a
+relayed proof shadowed by an earlier in-window one) against the event loop.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ from repro.sim.vectorized import (
     _Layout,
     run_lanes,
 )
+from repro.workloads.scenarios import _run_on_event_loop
 
 from test_kernel_parity import assert_results_identical, cell, measure_both, run_both
+from test_vector_kernel_lean import lanes
 
 pytestmark = pytest.mark.skipif(numpy_or_none() is None, reason="numpy not installed")
 
@@ -45,22 +48,25 @@ SEEDS = (1, 2, 3)
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """``[(engine, layout, records)]`` of every block ``run_lanes`` serves during the test."""
+    """``[(path, layout, records)]`` of every block ``run_lanes`` finalizes during the test.
+
+    A folded block is one ``"fold"`` entry; a block fed to the recorder is
+    one ``"feed"`` entry per lane.
+    """
     seen = []
     fold = fold_module.fold_lanes
-    record = vectorized._LaneAssembly.record
+    feed = vectorized._finalize_lane
 
-    def replay_block(layout, records):
-        seen.append(("replay", layout, list(records)))
+    def folded_block(layout, records):
+        seen.append(("fold", layout, list(records)))
         return fold(layout, records)
 
-    def lockstep_lane(self):
-        lane = record(self)
-        seen.append(("lockstep", self.layout, [lane]))
-        return lane
+    def fed_lane(layout, record):
+        seen.append(("feed", layout, [record]))
+        return feed(layout, record)
 
-    monkeypatch.setattr(fold_module, "fold_lanes", replay_block)
-    monkeypatch.setattr(vectorized._LaneAssembly, "record", lockstep_lane)
+    monkeypatch.setattr(fold_module, "fold_lanes", folded_block)
+    monkeypatch.setattr(vectorized, "_finalize_lane", fed_lane)
     return seen
 
 
@@ -73,12 +79,12 @@ def serve(scenario):
 def assert_fold_is_the_recorder_feed(blocks) -> int:
     """Fold every seen block and feed each lane to a recorder; compare ``repr``s."""
     lanes = 0
-    for engine, layout, records in blocks:
+    for path, layout, records in blocks:
         for record, folded in zip(records, fold_lanes(layout, records)):
             fed = _finalize_lane(layout, record).summary
             for field in dataclasses.fields(fed):
                 assert repr(getattr(folded, field.name)) == repr(getattr(fed, field.name)), (
-                    engine, field.name,
+                    path, field.name,
                 )
             lanes += 1
     return lanes
@@ -108,7 +114,8 @@ REPLAY_FAMILIES = [
 def test_replay_blocks_fold_to_the_recorder_feed(blocks, family, clock):
     for n, sample in ((7, None), (10, 3)):
         serve(cell(n, clock=clock, sample=sample, rounds=5, **family))
-    assert {engine for engine, _, _ in blocks} == {"replay"}
+    assert {path for path, _, _ in blocks} == {"fold"}
+    assert not any(layout.lockstep for _, layout, _ in blocks)
     assert all(len(records) == len(SEEDS) for _, _, records in blocks)
     assert assert_fold_is_the_recorder_feed(blocks) == 2 * len(SEEDS)
 
@@ -116,11 +123,11 @@ def test_replay_blocks_fold_to_the_recorder_feed(blocks, family, clock):
 @pytest.mark.parametrize("clock", ["extreme", "random", "nominal"])
 @pytest.mark.parametrize("attack", [None, "skew_max", "eager", "crash"])
 def test_lockstep_lanes_fold_to_the_recorder_feed(blocks, attack, clock):
-    # Lockstep lanes are finalized by the recorder feed; folding them too
-    # pre-validates switching that engine to the block fold.
+    # Three lanes: a fixed-rate block this small is fed to the recorder and a
+    # drifting one is folded; either way each lane is folded here as well.
     for delay, sample in (("targeted", None), ("max", 4)):
         serve(cell(7, attack=attack, clock=clock, delay=delay, sample=sample, rounds=5))
-    assert {engine for engine, _, _ in blocks} == {"lockstep"}
+    assert all(layout.lockstep for _, layout, _ in blocks)
     assert assert_fold_is_the_recorder_feed(blocks) == 2 * len(SEEDS)
 
 
@@ -204,6 +211,58 @@ def test_the_fold_returns_python_values_only(blocks):
         for field in dataclasses.fields(summary):
             for leaf in leaves(getattr(summary, field.name)):
                 assert leaf is None or type(leaf).__module__ == "builtins", (field.name, type(leaf))
+
+
+# -- which blocks fold ----------------------------------------------------------------------
+
+
+#: ``(clock, lanes, folds)``: fixed-rate lockstep blocks fold from
+#: ``_FOLD_MIN_LANES`` lanes on, drifting ones at any size.
+ROUTES = [("extreme", 1, False), ("extreme", 2, False), ("extreme", 4, True), ("random", 1, True)]
+
+
+@pytest.mark.parametrize("clock, count, folds", ROUTES)
+@pytest.mark.parametrize("family", [dict(n=7), dict(n=9, attack="two_faced", delay="max", sample=3)])
+def test_small_fixed_rate_lockstep_blocks_are_fed_and_the_rest_fold(blocks, family, clock, count, folds):
+    assert vectorized._FOLD_MIN_LANES == 4
+    block = lanes(dict(family, clock=clock), count)
+    outcomes = run_lanes(block)
+    routes = [(path, len(records)) for path, _, records in blocks]
+    assert routes == ([("fold", count)] if folds else [("feed", 1)] * count)
+    for lane, outcome in zip(block, outcomes):
+        assert outcome.fallback is None, outcome.fallback
+        event, _, _ = _run_on_event_loop(dataclasses.replace(lane, kernel="event"), "metrics")
+        for field in dataclasses.fields(event):
+            assert repr(getattr(outcome.summary, field.name)) == repr(getattr(event, field.name)), (
+                lane.seed, field.name,
+            )
+
+
+def test_an_error_in_the_fold_refuses_its_whole_block(monkeypatch):
+    def broken(layout, records):
+        raise UnboundLocalError("planted by the test")
+
+    monkeypatch.setattr(fold_module, "fold_lanes", broken)
+    outcomes = run_lanes(lanes(dict(n=7), 4))
+    assert [o.summary for o in outcomes] == [None] * 4
+    assert {o.fallback for o in outcomes} == {"vector evaluation error: UnboundLocalError('planted by the test')"}
+
+
+def test_an_error_in_one_lanes_feed_refuses_that_lane_only(monkeypatch):
+    feed = vectorized._finalize_lane
+    calls = itertools.count()
+
+    def broken_second(layout, record):
+        if next(calls) == 1:
+            raise UnboundLocalError("planted by the test")
+        return feed(layout, record)
+
+    monkeypatch.setattr(vectorized, "_finalize_lane", broken_second)
+    block = lanes(dict(n=7), 2)
+    first, second = run_lanes(block)
+    assert second.summary is None and second.fallback.startswith("vector evaluation error: UnboundLocalError")
+    monkeypatch.undo()
+    assert first.fallback is None and first == run_lanes(block[:1])[0]
 
 
 # -- any lane an engine could hand over ------------------------------------------------------
